@@ -276,6 +276,8 @@ def _config_hash(cfg: dict, command: str, preset: str | None) -> dict[str, str]:
 
 def _grid_values(grid) -> list[float]:
     start, stop, step = (float(g) for g in grid)
+    if not all(math.isfinite(g) for g in (start, stop, step)):
+        raise ConfigError(f"grid entries must be finite, got {list(grid)}")
     if step <= 0.0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
@@ -290,8 +292,8 @@ def _deltas_from(cfg: dict) -> list[float]:
         values = [float(cfg["delta"])]
     else:
         raise ConfigError("robust command needs 'delta' or 'delta_grid'")
-    if any(d < 0.0 for d in values):
-        raise ConfigError("delta must be nonnegative")
+    if not all(math.isfinite(d) and d >= 0.0 for d in values):
+        raise ConfigError("delta must be finite and nonnegative")
     return values
 
 
@@ -692,8 +694,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "figures" and args.config is None:
             raise ConfigError(f"command {args.command!r} needs --config")
         if args.delta is not None:
-            if args.delta < 0.0:
-                raise ConfigError(f"delta must be nonnegative, got {args.delta}")
+            if not (math.isfinite(args.delta) and args.delta >= 0.0):
+                raise ConfigError(f"delta must be finite and nonnegative, got {args.delta}")
             cfg["delta"] = args.delta
             cfg.pop("delta_grid", None)
         if args.delta_grid is not None:

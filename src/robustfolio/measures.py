@@ -469,9 +469,10 @@ def no_arbitrage_check(P: DiscreteMeasure) -> bool:
     Equivalent to 0 in the interior of conv(support). d=1: the support must
     contain a strictly negative and a strictly positive point. d>1: the cone
     {pi : <x_i, pi> <= 0 for all i} must be trivial, checked by 2d small LPs
-    maximizing +/- pi_j over the cone intersected with the unit box.
+    maximizing +/- pi_j over the cone intersected with the unit box. Only
+    atoms of positive weight count: a zero-weight gain never happens.
     """
-    pts = P.points
+    pts = P.points[P.weights > 0.0]
     if P.dim == 1:
         x = pts[:, 0]
         return bool((x > 1e-15).any() and (x < -1e-15).any())

@@ -17,18 +17,21 @@ p = inf (exact reduction)
 
 finite p (certified numerical oracle)
     The inner problem is an exact finite-dimensional program over transport
-    plans that split each atom into at most two fragments. For a fixed
-    strategy the per-atom trade-off curve (cost |s|^p, utility at the
-    displaced point) has a lower convex envelope whose chords are exactly the
-    two-fragment mixtures; the inner infimum is the separable convex program
-    min sum_i w_i f_i(theta_i) s.t. sum w_i theta_i <= delta^p, solved to
-    optimality by consuming envelope segments in slope order. Iterative grid
-    refinement around the active segments drives the discretization error to
-    rounding level. Displacements are capped by the state space S; the cap is
-    what keeps the infimum finite (for utilities with a finite domain edge or
-    an exponential tail the uncapped infimum is -inf), so S with unbounded
-    sides in the displacement direction is rejected rather than silently
-    truncated.
+    plans that split each atom into at most two fragments. On a displacement
+    grid per atom it is a linear program in the mass each atom sends to each
+    grid point, under the one budget sum_i w_i E|s_i|^p <= delta^p. Its
+    Lagrangian dual (Gao & Kleywegt 2016)
+    sup_{lam >= 0} sum_i w_i min_s [f_i(s) + lam |s|^p] - lam delta^p
+    is a search over one multiplier, and each multiplier costs one argmin
+    over the stacked (atoms x grid) arrays. A cutting-plane search on the
+    dual stops at the multiplier where two argmin plans bracket the budget;
+    mixing them spends the budget exactly and generically splits one atom.
+    Iterative grid refinement around the active displacements drives the
+    discretization error to rounding level. Displacements are capped by the
+    state space S; the cap is what keeps the infimum finite (for utilities
+    with a finite domain edge or an exponential tail the uncapped infimum is
+    -inf), so S with unbounded sides in the displacement direction is
+    rejected rather than silently truncated.
 
 The outer maximization for finite p uses bounded scalar minimization (the
 inner value is concave in pi, being an infimum of concave functions) followed
@@ -48,6 +51,7 @@ Robust Davis prices follow the optimizer branch:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,6 +70,7 @@ from .sensitivity import (_pinned_direction, degeneracy_guard, optimizer_sensiti
 from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
+_MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
 _MEAN_ZERO_TOL = 1e-10
 
 
@@ -96,6 +101,11 @@ def _as_adversary(points: np.ndarray, weights: np.ndarray, *, base: DiscreteMeas
                            params={"base": base.kind, "delta": float(delta), "p": float(p)})
 
 
+def _check_radius(delta: float) -> None:
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ConfigError(f"delta must be finite and nonnegative, got {delta}")
+
+
 # ---------------------------------------------------------------------------
 # p = inf: exact reduction
 # ---------------------------------------------------------------------------
@@ -111,11 +121,11 @@ def _certified_cost(P: DiscreteMeasure, adversary: DiscreteMeasure, order,
     scales with the largest atom magnitude (quadrature stand-ins for heavy
     tails put atoms at 1e10 and beyond)."""
     cost = wasserstein_distance(P, adversary, order)
-    if cost > delta:
+    if not cost <= delta:
         max_abs = max(float(np.max(np.abs(P.points))),
                       float(np.max(np.abs(adversary.points))))
         tol = delta * 1e-9 + 4.0 * np.finfo(float).eps * max_abs
-        if cost > delta + tol:
+        if not cost <= delta + tol:
             raise NumericalFailure(
                 f"adversary left the ball: cost {cost} > radius {delta}")
         cost = delta
@@ -128,8 +138,7 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
         raise ConfigError("robust_solve_inf needs order p = inf (use robust_solve_p)")
     if spec.dim != 1:
         raise ConfigError("the robust reduction is implemented for d = 1")
-    if delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {delta}")
+    _check_radius(delta)
     if delta == 0.0:
         base = solve_baseline(spec)
         return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
@@ -180,7 +189,7 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
 
 
 # ---------------------------------------------------------------------------
-# finite p: envelope oracle for the inner problem
+# finite p: transport-plan oracle for the inner problem
 # ---------------------------------------------------------------------------
 
 def _displacement_grid(lo: float, hi: float, grid_points: int,
@@ -212,28 +221,41 @@ def _displacement_grid(lo: float, hi: float, grid_points: int,
     return np.unique(np.clip(s, lo, hi))
 
 
-def _lower_hull(cost: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull vertices of (cost, val), cost ascending.
+def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
+                      budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cells (j_hi, j_lo), one per row, of two argmin plans of
+    val + lam * cost that are both optimal at the multiplier lam where the
+    budget binds: j_hi spends at most the budget and j_lo more, unless the
+    plain argmin of val fits the budget (then both are that argmin).
 
-    Duplicate costs keep the smaller value; collinear middle points are
-    dropped, so hull slopes are strictly increasing."""
-    order = np.lexsort((val, cost))
-    cost = cost[order]
-    val = val[order]
-    _, first = np.unique(cost, return_index=True)
-    keep = order[first]
-    c = cost[first]
-    v = val[first]
-    hull: list[int] = []
-    for j in range(c.size):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (v[b] - v[a]) * (c[j] - c[b]) >= (v[j] - v[b]) * (c[b] - c[a]):
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    return keep[np.asarray(hull, dtype=int)]
+    Rows are sorted by cost, so np.argmin breaks ties toward the smallest
+    cost. Each plan J is a line A_J + lam S_J (value plus lam times spend)
+    under the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
+    Each step evaluates Phi where the lines of j_hi and j_lo cross and
+    replaces the plan on the same side of the budget, until Phi there is no
+    lower than the lines, to the rounding of the sum."""
+    n = cost.shape[0]
+    rows = np.arange(n)
+    j_lo = np.argmin(val, axis=1)
+    if w @ cost[rows, j_lo] <= budget:
+        return j_lo, j_lo
+    j_hi = np.argmin(np.where(cost == 0.0, val, np.inf), axis=1)
+    if cost[rows, j_hi].any() or np.isinf(val[rows, j_hi]).any():
+        raise NumericalFailure("displacement grid lost the zero-displacement point")
+    for _ in range(_MULTIPLIER_STEPS):
+        lam = ((w @ val[rows, j_hi] - w @ val[rows, j_lo])
+               / (w @ cost[rows, j_lo] - w @ cost[rows, j_hi]))
+        lagrangian = val + lam * cost
+        j = np.argmin(lagrangian, axis=1)
+        line = min(w @ lagrangian[rows, j_lo], w @ lagrangian[rows, j_hi])
+        slack = n * np.finfo(float).eps * (w @ np.abs(lagrangian[rows, j_lo]))
+        if w @ lagrangian[rows, j] >= line - slack:
+            return j_hi, j_lo
+        if w @ cost[rows, j] > budget:
+            j_lo = j
+        else:
+            j_hi = j
+    raise NumericalFailure("multiplier search did not settle on a breakpoint")
 
 
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
@@ -249,69 +271,53 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     s (a vector). Returns (value, fragments, cost_used) with fragments a list
     of (atom index, displacement, mass fraction of the atom).
 
-    Exactness: for each atom the feasible (cost, value) pairs of a split into
-    two fragments sweep out exactly the chords of the discretized trade-off
-    curve, i.e. its lower convex envelope; minimizing the separable sum of
-    piecewise-linear convex envelopes under one linear budget is solved by
-    consuming segments in increasing-slope order. The only gap to the true
-    continuum optimum is grid resolution, which the refinement passes shrink
-    around the active segments.
+    Exactness: on the displacement grids the problem is the linear program
+    min sum_ij w_i m_ij f_i(s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
+    sum_j m_ij = 1, m >= 0, whose Lagrangian dual is a search over one
+    multiplier (``_multiplier_plans``). Every atom on which the two plans
+    optimal at the binding multiplier differ is indifferent between its two
+    cells, so starting from the cheaper plan and moving atoms to their cell
+    in the dearer one until the budget is spent is optimal; generically one
+    atom is split. The only gap to the true continuum optimum is grid
+    resolution, which the refinement passes shrink around the active
+    displacements.
     """
     n = x.shape[0]
+    rows = np.arange(n)
     grids = [_displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points, grid_step)
              for i in range(n)]
     best: tuple[float, list[tuple[int, float, float]], float] | None = None
     for _ in range(max(refinements, 0) + 1):
-        hull_s: list[np.ndarray] = []
-        hull_cost: list[np.ndarray] = []
-        hull_val: list[np.ndarray] = []
-        segments: list[tuple[float, int, int]] = []
-        for i in range(n):
-            s = grids[i]
-            cost = np.abs(s) ** p
-            val = np.asarray(value_fn(i, s), dtype=float)
-            idx = _lower_hull(cost, val)
-            hs, hc, hv = s[idx], cost[idx], val[idx]
-            if hc[0] != 0.0:
-                raise NumericalFailure("envelope lost the zero-displacement vertex")
-            hull_s.append(hs)
-            hull_cost.append(hc)
-            hull_val.append(hv)
-            slopes = np.diff(hv) / np.diff(hc)
-            segments.extend((float(slopes[k]), i, k) for k in range(slopes.size)
-                            if slopes[k] < 0.0)
-        segments.sort(key=lambda t: t[0])
-        reached = [0] * n
-        partial: dict[int, tuple[int, float]] = {}
-        remaining = budget
-        for slope, i, k in segments:
-            if remaining <= 0.0:
+        # padded (atoms x grid) arrays, each row sorted by cost; pad cells
+        # cost nothing and are never chosen
+        size = max(g.size for g in grids)
+        disp = np.zeros((n, size))
+        val = np.full((n, size), np.inf)
+        for i, s in enumerate(grids):
+            s = s[np.argsort(np.abs(s), kind="stable")]
+            disp[i, :s.size] = s
+            val[i, :s.size] = value_fn(i, s)
+        cost = np.abs(disp) ** p
+        j_hi, j_lo = _multiplier_plans(w, cost, val, budget)
+        # share of each atom moved from its j_hi cell to its j_lo cell
+        moved = np.zeros(n)
+        remaining = budget - w @ cost[rows, j_hi]
+        for i in np.flatnonzero(j_lo != j_hi):
+            cap = w[i] * (cost[i, j_lo[i]] - cost[i, j_hi[i]])
+            moved[i] = 1.0 if cap <= remaining else remaining / cap
+            remaining -= moved[i] * cap
+            if moved[i] < 1.0:
                 break
-            if k != reached[i]:
-                raise NumericalFailure("envelope segments consumed out of order")
-            cap = w[i] * (hull_cost[i][k + 1] - hull_cost[i][k])
-            take = min(cap, remaining)
-            remaining -= take
-            if take >= cap:
-                reached[i] = k + 1
-            else:
-                partial[i] = (k, take / cap)
-                break
+        pieces = [[(j, m) for j, m in ((j_hi[i], 1.0 - moved[i]), (j_lo[i], moved[i]))
+                   if m > 0.0] for i in range(n)]
         fragments: list[tuple[int, float, float]] = []
         value = 0.0
         cost_used = 0.0
         for i in range(n):
-            if i in partial:
-                k, frac = partial[i]
-                pieces = [(hull_s[i][k], 1.0 - frac), (hull_s[i][k + 1], frac)]
-            else:
-                pieces = [(hull_s[i][reached[i]], 1.0)]
-            for s_val, mass in pieces:
-                if mass <= 0.0:
-                    continue
-                fragments.append((i, float(s_val), float(mass)))
-                value += w[i] * mass * float(value_fn(i, np.array([s_val]))[0])
-                cost_used += w[i] * mass * abs(s_val) ** p
+            for j, m in pieces[i]:
+                fragments.append((i, float(disp[i, j]), float(m)))
+                value += w[i] * m * val[i, j]
+                cost_used += w[i] * m * cost[i, j]
         if cost_used > budget * (1.0 + 1e-9) + 1e-300:
             raise NumericalFailure(f"transport plan overspent: {cost_used} > {budget}")
         if cost_used > budget:
@@ -330,26 +336,20 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             cost_used = min(cost_used - unit * shed, budget)
         if best is None or value < best[0]:
             best = (value, fragments, cost_used)
-        # refine around the active vertices of each displaced atom
+        # refine around the active displacements of each displaced atom
         new_grids = []
         changed = False
         for i in range(n):
-            if reached[i] == 0 and i not in partial:
+            active = {disp[i, j] for j, _ in pieces[i]}
+            if active == {0.0}:
                 new_grids.append(grids[i])  # atom never moved; nothing to refine
                 continue
-            active = {hull_s[i][reached[i]]}
-            if i in partial:
-                k, _ = partial[i]
-                active.update((hull_s[i][k], hull_s[i][k + 1]))
             grid = grids[i]
             extra = []
             for s_star in active:
-                j = int(np.searchsorted(grid, s_star))
-                gap = 0.0
-                if j + 1 < grid.size:
-                    gap = max(gap, grid[min(j + 1, grid.size - 1)] - s_star)
-                if j > 0:
-                    gap = max(gap, s_star - grid[j - 1])
+                j = int(np.searchsorted(grid, s_star))  # grid[j] == s_star
+                gap = max(grid[min(j + 1, grid.size - 1)] - s_star,
+                          s_star - grid[max(j - 1, 0)])
                 if gap > 0.0:
                     extra.append(np.linspace(s_star - gap, s_star + gap, 33))
             if extra:
@@ -374,7 +374,7 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
 
     Each atom moves against the position (displacement capped by the state
     space S); the value and the attaining two-fragment plan come from the
-    envelope program above. Unbounded S in the displacement direction is
+    transport program above. Unbounded S in the displacement direction is
     rejected: there the infimum is genuinely -inf (a vanishing-mass fragment
     sent to the domain edge or along an exponential tail).
     """
@@ -385,8 +385,7 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     if P.n_atoms > _ORACLE_MAX_ATOMS:
         raise ConfigError(f"oracle limited to {_ORACLE_MAX_ATOMS} atoms, "
                           f"got {P.n_atoms}")
-    if delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {delta}")
+    _check_radius(delta)
     pi_s = float(np.atleast_1d(np.asarray(pi, dtype=float))[0])
     x = P.support_1d
     w = P.weights
@@ -448,8 +447,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
         raise ConfigError("robust_solve_p needs a finite order (use robust_solve_inf)")
     if spec.dim != 1:
         raise ConfigError("the finite-order solver is implemented for d = 1")
-    if delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {delta}")
+    _check_radius(delta)
     degeneracy_guard(spec)
     if delta == 0.0:
         base = solve_baseline(spec)
@@ -469,23 +467,26 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
             "no strategy keeps wealth inside the utility domain over the whole "
             "state space")
 
-    cache: dict[float, float] = {}
+    # the oracle caps displacements by the problem's state space, which a
+    # top-level state space may set apart from the model's own
+    model = spec.model
+    if model.state_space != space:
+        model = dataclasses.replace(model, state_space=space)
+    cache: dict[float, tuple[float, DiscreteMeasure]] = {}
 
-    def inner(pi_val: float) -> float:
+    def inner(pi_val: float) -> tuple[float, DiscreteMeasure]:
         if pi_val not in cache:
-            cache[pi_val], _ = adversary_inner_inf(
-                spec.model, spec.utility, pi_val, delta, spec.order,
+            cache[pi_val] = adversary_inner_inf(
+                model, spec.utility, pi_val, delta, spec.order,
                 grid_points=grid_points, refinements=refinements)
         return cache[pi_val]
 
-    res = minimize_scalar(lambda t: -inner(t), bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(lambda t: -inner(t)[0], bounds=(lo, hi), method="bounded",
                           options={"xatol": xatol})
     pi = float(res.x)
-    # Newton polish on the envelope derivative E_{P*}[X u'(pi X)] (Danskin);
-    # re-solve the inner problem at each step.
+    # Newton polish on the envelope derivative E_{P*}[X u'(pi X)] (Danskin)
     for _ in range(6):
-        _, adv = adversary_inner_inf(spec.model, spec.utility, pi, delta, spec.order,
-                                     grid_points=grid_points, refinements=refinements)
+        _, adv = inner(pi)
         y = adv.support_1d
         m = adv.weights
         g = float(np.dot(m * spec.utility.u_prime(pi * y), y))
@@ -498,13 +499,11 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
         pi = nxt
     # endpoint candidates (pinned optima lose nothing; interior keeps polish)
     for cand in (lo, hi, 0.0 if lo < 0.0 < hi else pi):
-        if inner(cand) > inner(pi):
+        if inner(cand)[0] > inner(pi)[0]:
             pi = cand
     if abs(pi) <= max(PI_ZERO_THRESHOLD, xatol * 1e-2):
         pi = 0.0
-    value, adversary = adversary_inner_inf(spec.model, spec.utility, pi, delta,
-                                           spec.order, grid_points=grid_points,
-                                           refinements=refinements)
+    value, adversary = inner(pi)
     if pi == 0.0 and lo < 0.0 < hi:
         # all ball members attain u(0); report the saddle adversary (uniform
         # shift zeroing the mean keeps pi = 0 optimal), when it is feasible
@@ -512,7 +511,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
         shift = min(max(mean, -delta), delta)
         shifted = spec.model.support_1d - shift
         if np.all((shifted >= space.lower[0]) & (shifted <= space.upper[0])):
-            adversary = _as_adversary(shifted, spec.model.weights, base=spec.model,
+            adversary = _as_adversary(shifted, spec.model.weights, base=model,
                                       delta=delta, p=spec.order.p, constrained=True)
     cost = _certified_cost(spec.model, adversary, spec.order, delta)
     return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
@@ -599,8 +598,7 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> f
 def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
                        solution: RobustSolution | None = None) -> float:
     """Marginal-utility price under the worst-case measure at radius delta."""
-    if delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {delta}")
+    _check_radius(delta)
     sol = solution if solution is not None else robust_solve(spec, delta)
     pi = sol.pi_delta_scalar
     if abs(pi) > PI_ZERO_THRESHOLD:

@@ -107,6 +107,13 @@ def test_arbitrage_rejected_at_spec_construction():
         rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
                        action_space=rf.StateSpace.interval(-1.0, 1.0),
                        order=INF)
+    # the only loss sits on a zero-weight atom, so going long never loses
+    model = rf.explicit([-1.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ArbitrageError) as err:
+        rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                       action_space=rf.StateSpace.interval(-1.0, 1.0),
+                       order=INF)
+    assert err.value.exit_code == 3
 
 
 def test_incompatible_action_space_rejected():

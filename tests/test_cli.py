@@ -307,6 +307,40 @@ def test_bad_grid_arguments_exit_two(tmp_path, argv_extra, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["inf", 2.0])
+@pytest.mark.parametrize("how", ["argument", "config", "grid"])
+def test_nan_radius_exits_two(tmp_path, capsys, order, how):
+    # NaN passes every `delta < 0` guard; it must be refused up front, not
+    # turned into a NaN row with exit 0 or a traceback
+    cfg = base_config(wasserstein_p=order, action_space=[-0.75, 0.75],
+                      model={"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]})
+    argv_extra = {"argument": ["--delta", "nan"], "grid": ["--delta-grid", "nan:0.2:0.1"],
+                  "config": []}[how]
+    if how == "config":
+        cfg["delta"] = math.nan
+    rc = cli.main(["robust", "--config", write_config(tmp_path, cfg)] + argv_extra)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_robust_reads_top_level_state_space(tmp_path, capsys):
+    # the finite-p oracle caps displacements by the state space of the
+    # problem, whether the config sets it at the top level or on the model
+    cfg = base_config(wasserstein_p=2.0, action_space=[-0.75, 0.75], delta=0.1)
+    top = dict(cfg, state_space=[-1.25, 1.25])
+    on_model = dict(cfg, model={"kind": "binomial", "a": 0.25,
+                                "state_space": [-1.25, 1.25]})
+    outputs = []
+    for name, c in (("top.json", top), ("model.json", on_model)):
+        assert cli.main(["robust", "--config", write_config(tmp_path, c, name)]) == 0
+        outputs.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("#")])
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+
+
 def test_figures_presets_shapes(tmp_path):
     expected = {
         "fig1": (30, ["mu", "sharpe", "V_prime0", "magnitude"]),

@@ -266,6 +266,8 @@ def test_no_arbitrage_check_1d():
     assert rf.no_arbitrage_check(rf.binomial(0.25))
     assert not rf.no_arbitrage_check(rf.explicit([1.0], [1.0]))
     assert not rf.no_arbitrage_check(rf.explicit([0.5, 1.0], [0.5, 0.5]))
+    # a zero-weight atom is no chance of gain
+    assert not rf.no_arbitrage_check(rf.explicit([-1.0, 1.0], [1.0, 0.0]))
 
 
 def test_no_arbitrage_check_2d():
@@ -278,3 +280,7 @@ def test_no_arbitrage_check_2d():
     Q = rf.DiscreteMeasure(points=pts + np.array([1.0, 0.0]),
                            weights=np.full(3, 1.0 / 3.0))
     assert not rf.no_arbitrage_check(Q)
+    # nor does a zero-weight atom on the other side of the half-plane
+    R = rf.DiscreteMeasure(points=np.vstack([Q.points, [[-1.0, 0.0]]]),
+                           weights=np.array([0.25, 0.25, 0.5, 0.0]))
+    assert not rf.no_arbitrage_check(R)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 import robustfolio as rf
 from robustfolio import ConfigError, DegenerateSensitivityError, DomainCompatibilityError
@@ -164,6 +166,8 @@ def test_inner_inf_argument_validation():
         rf.adversary_inner_inf(P, u, 0.5, 0.1, INF)
     with pytest.raises(ConfigError):
         rf.adversary_inner_inf(P, u, 0.5, -0.1, rf.WassersteinOrder(2.0))
+    with pytest.raises(ConfigError):
+        rf.adversary_inner_inf(P, u, 0.5, math.nan, rf.WassersteinOrder(2.0))
     big = rf.explicit(np.linspace(-1.0, 1.0, 17), np.full(17, 1.0 / 17.0))
     with pytest.raises(ConfigError):
         rf.adversary_inner_inf(big, u, 0.1, 0.1, rf.WassersteinOrder(2.0))
@@ -174,6 +178,72 @@ def test_inner_inf_needs_bounded_displacement():
     with pytest.raises((DomainCompatibilityError, DegenerateSensitivityError)):
         rf.adversary_inner_inf(P, rf.log_shifted(1.0), 0.5, 0.1,
                                rf.WassersteinOrder(2.0))
+
+
+def transport_lp_value(P, u, pi, delta, p, step):
+    """The oracle's grid program solved by a generic LP: every atom moves
+    against the position along the uniform grid of the ``grid_step`` recipe,
+    mass m_ij of atom i goes to displacement s_j, and
+    min sum_ij w_i m_ij u(pi (x_i + s_j)) s.t. sum_j m_ij = 1,
+    sum_ij w_i m_ij |s_j|^p <= delta^p, m >= 0."""
+    x, w = P.support_1d, P.weights
+    floor, ceil = P.state_space.lower[0], P.state_space.upper[0]
+    c, a_cost, a_eq = [], [], []
+    for i, xi in enumerate(x):
+        lo, hi = (floor - xi, 0.0) if pi > 0.0 else (0.0, ceil - xi)
+        s = np.concatenate([[lo, 0.0, hi], np.arange(0.0, hi, step),
+                            -np.arange(0.0, -lo, step)])
+        s = np.unique(np.clip(s, lo, hi))
+        c.append(w[i] * u.u(pi * (xi + s)))
+        a_cost.append(w[i] * np.abs(s) ** p)
+        a_eq.append(np.full(s.size, float(i)))
+    rows = np.concatenate(a_eq)
+    res = linprog(np.concatenate(c), A_ub=np.concatenate(a_cost)[None, :],
+                  b_ub=[delta ** p],
+                  A_eq=(rows[None, :] == np.arange(len(x))[:, None]).astype(float),
+                  b_eq=np.ones(len(x)), bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("points, weights, pi, p", [
+    ([-1.0, 1.0], [0.25, 0.75], 0.5, 2.0),
+    ([-0.6, -0.1, 0.4], [0.3, 0.3, 0.4], -0.7, 3.0),
+    ([-0.8, -0.2, 0.3, 0.9], [0.1, 0.2, 0.3, 0.4], 0.6, 1.5),
+])
+def test_inner_inf_matches_transport_lp(points, weights, pi, p):
+    P = rf.explicit(points, weights, state_space=rf.StateSpace.interval(-1.25, 1.25))
+    u = rf.log_shifted(1.0)
+    for delta in (0.02, 0.1, 0.3):
+        value, _ = rf.adversary_inner_inf(P, u, pi, delta, rf.WassersteinOrder(p),
+                                          grid_step=5e-3, refinements=0)
+        assert value == pytest.approx(transport_lp_value(P, u, pi, delta, p, 5e-3),
+                                      abs=1e-10)
+
+
+@st.composite
+def bounded_measures(draw):
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return rf.explicit(pts, w / w.sum(), state_space=rf.StateSpace.interval(-1.5, 1.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=bounded_measures(), p=st.sampled_from([1.5, 2.0, 3.0]),
+       pi=st.floats(-2.0, 2.0).filter(lambda t: abs(t) > 1e-3),
+       delta=st.floats(0.01, 0.5))
+def test_inner_inf_certificates(P, p, pi, delta):
+    u = rf.exponential(1.0)
+    order = rf.WassersteinOrder(p)
+    value, adv = rf.adversary_inner_inf(P, u, pi, delta, order)
+    assert rf.wasserstein_distance(P, adv, order) <= delta * (1.0 + 1e-9)
+    assert adv.expectation(u.u(pi * adv.support_1d)) == pytest.approx(value, abs=1e-12)
+    assert value <= P.expectation(u.u(pi * P.support_1d))
+    wider, _ = rf.adversary_inner_inf(P, u, pi, 2.0 * delta, order)
+    assert wider <= value + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +324,13 @@ def test_robust_p_argument_validation():
     spec = binomial_log_spec(0.25, p=2.0, state=(-1.25, 1.25))
     with pytest.raises(ConfigError):
         rf.robust_solve_p(spec, -0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            rf.robust_solve_p(spec, bad)
+        with pytest.raises(ConfigError):
+            rf.robust_solve_inf(spec_inf, bad)
+        with pytest.raises(ConfigError):
+            rf.robust_davis_price(spec_inf, rf.call_payoff(0.0), bad)
     with pytest.raises(DegenerateSensitivityError):
         rf.robust_solve_p(rf.ProblemSpec(model=rf.normal(0.1, 0.2, 16),
                                          utility=rf.exponential(1.0),
