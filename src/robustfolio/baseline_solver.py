@@ -26,7 +26,8 @@ utility (Davis) price of an option g two independent ways:
 Solver: the objective is strictly concave and both derivatives are exact atom
 sums, so d=1 uses a bracketing root find on the gradient with Newton polish,
 and d>1 uses damped projected Newton with a line search that keeps wealth
-inside the utility domain.
+inside the utility domain. Both 1-d root finds (the gradient root here and
+the Davis price root) use the in-tree Brent root finder ``_brent.brentq``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import (ArbitrageError, BoundaryOptimumError, ConfigError,
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, WassersteinOrder, no_arbitrage_check
@@ -511,4 +512,4 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
     if f_lo * f_hi > 0.0:
         raise NumericalFailure(
             f"no sign change of the eps-derivative in the bracket [{lo}, {hi}]")
-    return float(brentq(eps_derivative, lo, hi, xtol=1e-10, rtol=8.882e-16, maxiter=200))
+    return brentq(eps_derivative, lo, hi, xtol=1e-10, rtol=8.882e-16, maxiter=200)

@@ -17,30 +17,31 @@ oracle-check closed-form fixture vs module outputs, one wide row of
 
 Exit codes: 0 success; 2 invalid config/arguments; 3 assumption violation
 (arbitrage, degeneracy guard, boundary optimum, domain incompatibility);
-4 numerical failure or unwritable output.
+4 numerical failure, unwritable output, or any other unexpected error (one
+'error:' line naming the exception and where it was raised, no traceback).
 
 Output contract: CSV has a header row, '.'-decimal reals at 17 significant
 digits, LF line endings, and trailing '# key=value' provenance lines (config
 hash, package version); JSON is a column-oriented object with the same
 provenance. Identical configs produce byte-identical files — nothing in the
-pipeline is randomized, and sweep rows are aggregated by grid index, not by
-completion order.
+pipeline is randomized, and sweep rows follow the grid order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .analytic_fixtures import FIXTURE_NAMES, Fixture, fixture
@@ -150,6 +151,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would re-check the schema against its
+# meta-schema on every call.
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 COMMANDS = ("solve", "sensitivity", "robust", "davis", "sweep", "figures", "oracle-check")
 FIGURE_PRESETS = ("fig1", "fig2-left", "fig2-right", "fig3-left", "fig3-right", "fig4")
 
@@ -227,10 +232,9 @@ def read_result_csv(text: str) -> tuple[list[str], list[list[float]], dict[str, 
 # ---------------------------------------------------------------------------
 
 def validate_config(cfg: dict) -> dict:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}")
     return cfg
 
 
@@ -340,7 +344,9 @@ def cmd_sensitivity(cfg: dict) -> ResultTable:
 def cmd_robust(cfg: dict) -> ResultTable:
     spec = build_spec(cfg)
     deltas = _deltas_from(cfg)
-    solutions = solve_delta_grid(spec, deltas)
+    solver = cfg.get("solver", {})
+    grid = {k: solver[k] for k in ("grid_points", "refinements") if k in solver}
+    solutions = solve_delta_grid(spec, deltas, **grid)
     columns = ["delta", "V_delta", "pi_delta", "transport_cost",
                "martingale_residual", "davis_price_delta"]
     rows = []
@@ -388,22 +394,17 @@ def cmd_sweep(cfg: dict) -> ResultTable:
         raise ConfigError("sweep command needs a 'sweep' section")
     parameter = sweep["parameter"]
     section, key = _SWEEP_TARGETS[parameter]
-    values = _grid_values(sweep["grid"])
-
-    def run_one(value: float) -> list[float]:
+    rows = []
+    for value in _grid_values(sweep["grid"]):
         local = copy.deepcopy(cfg)
         local.setdefault(section, {})[key] = value
         spec = build_spec(local)
         sol = solve_baseline(spec)
         report = sensitivity_report(spec, sol)
         _, _, sharpe = moments(spec.model)
-        return [value, _nz(sharpe), sol.pi_star_scalar, sol.V0, report.V_prime0,
-                report.kappa_u, float(report.pi_prime0[0]), _nz(report.kl_V_prime0),
-                _nz(report.davis_price), _nz(report.davis_prime0)]
-
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(8, max(1, len(values)))) as pool:
-        rows = list(pool.map(run_one, values))  # ordered by grid index
+        rows.append([value, _nz(sharpe), sol.pi_star_scalar, sol.V0, report.V_prime0,
+                     report.kappa_u, float(report.pi_prime0[0]), _nz(report.kl_V_prime0),
+                     _nz(report.davis_price), _nz(report.davis_prime0)])
     columns = [parameter, "sharpe", "pi_star", "V0", "V_prime0", "kappa_u",
                "pi_prime0", "kl_V_prime0", "davis_price", "davis_prime0"]
     return ResultTable(columns, rows)
@@ -643,7 +644,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    return validate_config(cfg)
+    return cfg
 
 
 def run(command: str, cfg: dict, preset: str | None = None) -> ResultTable:
@@ -717,6 +718,11 @@ def main(argv: list[str] | None = None) -> int:
     except RobustfolioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # no failure may leave as a traceback with exit 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: internal failure ({type(exc).__name__} at "
+              f"{Path(where.filename).name}:{where.lineno}): {exc}", file=sys.stderr)
+        return NumericalFailure.exit_code
 
 
 if __name__ == "__main__":

@@ -303,9 +303,13 @@ def truncated_normal(mu: float, sigma: float, radius: float, n_nodes: int = 12,
 def explicit(points: Iterable, weights: Iterable,
              state_space: StateSpace | None = None) -> DiscreteMeasure:
     """Measure from raw atoms/weights; validation only."""
-    return DiscreteMeasure(points=_as_points(points),
-                           weights=np.asarray(list(weights), dtype=float),
-                           state_space=state_space)
+    try:
+        pts = np.asarray(points, dtype=float)
+        w = np.asarray(list(weights), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("explicit model needs numeric points (one scalar or one "
+                          f"equal-length vector per atom) and numeric weights: {exc}") from exc
+    return DiscreteMeasure(points=_as_points(pts), weights=w, state_space=state_space)
 
 
 _MODEL_BUILDERS: dict[str, Callable[..., DiscreteMeasure]] = {

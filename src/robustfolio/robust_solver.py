@@ -33,9 +33,11 @@ finite p (certified numerical oracle)
     -inf), so S with unbounded sides in the displacement direction is
     rejected rather than silently truncated.
 
-The outer maximization for finite p uses bounded scalar minimization (the
-inner value is concave in pi, being an infimum of concave functions) followed
-by Newton polish on the envelope derivative E_{P*}[X u'(<X, pi>)].
+The outer maximization for finite p uses the in-tree bounded Brent minimizer
+``_brent.minimize_bounded`` (the inner value is concave in pi, being an
+infimum of concave functions) followed by Newton polish on the envelope
+derivative E_{P*}[X u'(<X, pi>)]; the p = inf reduction's concave solves use
+the in-tree Brent root finder through ``_concave_max_raw``.
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._brent import minimize_bounded
 from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, Payoff,
                               ProblemSpec, _concave_max_raw, _feasible_interval_raw,
                               solve_baseline)
@@ -481,9 +483,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
                 grid_points=grid_points, refinements=refinements)
         return cache[pi_val]
 
-    res = minimize_scalar(lambda t: -inner(t)[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    pi = float(res.x)
+    pi = float(minimize_bounded(lambda t: -inner(t)[0], lo, hi, xatol)[0])
     # Newton polish on the envelope derivative E_{P*}[X u'(pi X)] (Danskin)
     for _ in range(6):
         _, adv = inner(pi)
@@ -514,7 +514,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
             adversary = _as_adversary(shifted, spec.model.weights, base=model,
                                       delta=delta, p=spec.order.p, constrained=True)
     cost = _certified_cost(spec.model, adversary, spec.order, delta)
-    return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
+    return RobustSolution(delta=float(delta), V_delta=float(value), pi_delta=np.array([pi]),
                           adversary=adversary, transport_cost=cost,
                           method="finite_p_oracle")
 
@@ -526,13 +526,16 @@ def robust_solve(spec: ProblemSpec, delta: float, **kwargs) -> RobustSolution:
     return robust_solve_p(spec, delta, **kwargs)
 
 
-def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
+def solve_delta_grid(spec: ProblemSpec, deltas, *, grid_points: int = 1200,
+                     refinements: int = 3) -> list[RobustSolution]:
     """Solve along a radius grid and enforce V(delta) nonincreasing.
 
-    A violation beyond slack flags an oracle failure rather than being
-    returned as data."""
+    ``grid_points`` and ``refinements`` set the finite-p oracle's
+    displacement grid (unused at p = inf). A violation beyond slack flags an
+    oracle failure rather than being returned as data."""
     deltas = [float(d) for d in deltas]
-    solutions = [robust_solve(spec, d) for d in deltas]
+    solutions = [robust_solve(spec, d, grid_points=grid_points, refinements=refinements)
+                 for d in deltas]
     order = np.argsort(deltas)
     for a, b in zip(order[:-1], order[1:]):
         slack = 1e-9 * (1.0 + abs(solutions[a].V_delta))
@@ -562,10 +565,9 @@ def _window_min(payoff: Payoff, lo: float, hi: float) -> float:
     b_hi = cand[min(j + 1, cand.size - 1)]
     best = float(vals[j])
     if b_lo < b_hi:
-        res = minimize_scalar(lambda t: float(payoff(np.array([t]))[0]),
-                              bounds=(b_lo, b_hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = min(best, float(res.fun))
+        _, fun = minimize_bounded(lambda t: float(payoff(np.array([t]))[0]),
+                                  b_lo, b_hi, 1e-12)
+        best = min(best, fun)
     return best
 
 

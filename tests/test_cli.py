@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from jsonschema import Draft202012Validator
+
+import robustfolio as rf
 from robustfolio import cli
 from robustfolio.errors import ConfigError
 
@@ -63,6 +66,26 @@ def test_validate_config_rejects(broken):
 def test_shipped_schema_document_matches_module():
     doc = json.loads(Path("docs/config_schema.json").read_text(encoding="utf-8"))
     assert doc == cli.CONFIG_SCHEMA
+
+
+def test_config_schema_passes_its_meta_schema():
+    # validate_config no longer re-checks the schema on every call
+    Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_main_validates_the_config_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    validate = cli.validate_config
+
+    def counting(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(cli, "validate_config", counting)
+    assert cli.main(["robust", "--config", write_config(tmp_path, base_config(delta=0.5)),
+                     "--delta", "0.1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 and calls[0]["delta"] == 0.1  # after the override
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +362,68 @@ def test_robust_reads_top_level_state_space(tmp_path, capsys):
                         if not line.startswith("#")])
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
+
+
+def test_robust_passes_solver_grid_settings_to_the_oracle(tmp_path):
+    # solver.grid_points / solver.refinements used to pass the schema and
+    # then be ignored
+    model = {"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]}
+    cfg = base_config(wasserstein_p=2.0, action_space=[-0.75, 0.75], delta=0.1,
+                      model=model, solver={"grid_points": 64, "refinements": 0})
+    out = tmp_path / "robust.csv"
+    assert cli.main(["robust", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    V = rows[0][header.index("V_delta")]
+    spec = cli.build_spec(cfg)
+    coarse = rf.robust_solve_p(spec, 0.1, grid_points=64, refinements=0).V_delta
+    assert V == coarse
+    assert V != rf.robust_solve_p(spec, 0.1).V_delta
+
+
+@pytest.mark.parametrize("points", [["x", 1.0], [[1.0, 2.0], [3.0]]])
+def test_explicit_model_with_malformed_points_exits_two(tmp_path, capsys, points):
+    # both pass the schema ("points" items are untyped) and used to leave
+    # numpy's ValueError as a traceback with exit 1
+    cfg = base_config(model={"kind": "explicit", "points": points, "weights": [0.5, 0.5]})
+    rc = cli.main(["solve", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: explicit model needs numeric points")
+
+
+def test_unexpected_exception_exits_four_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    rc = cli.main(["solve", "--config", write_config(tmp_path, base_config())])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: internal failure (ZeroDivisionError at test_cli.py:")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    # the Brent routines are in-tree; scipy.optimize (linprog) is loaded only
+    # for d > 1 models
+    solve_cfg = write_config(tmp_path, base_config(), "solve.json")
+    robust_cfg = write_config(tmp_path, base_config(
+        wasserstein_p=2.0, action_space=[-0.75, 0.75], delta=0.05,
+        model={"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]}), "robust.json")
+    code = ("import sys\n"
+            "from robustfolio.cli import main\n"
+            "codes = [main(['solve', '--config', sys.argv[1]]),\n"
+            "         main(['robust', '--config', sys.argv[2]])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, solve_cfg, robust_cfg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_figures_presets_shapes(tmp_path):

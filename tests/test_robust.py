@@ -86,6 +86,7 @@ def test_robust_inf_monotone_in_delta():
     spec = binomial_log_spec(0.25)
     sols = rf.solve_delta_grid(spec, np.arange(0.0, 0.31, 0.05))
     values = [s.V_delta for s in sols]
+    assert all(type(v) is float for v in values)
     for hi, lo in zip(values[:-1], values[1:]):
         assert lo <= hi + 1e-12
 
@@ -278,6 +279,7 @@ def test_robust_p_monotone_grid_and_budget():
                              action=(-0.75, 0.75))
     sols = rf.solve_delta_grid(spec, [0.0, 0.02, 0.05, 0.1, 0.15, 0.2])
     values = [s.V_delta for s in sols]
+    assert all(type(v) is float for v in values)  # as at p = inf
     for hi, lo in zip(values[:-1], values[1:]):
         assert lo <= hi + 1e-12
     for s in sols:
