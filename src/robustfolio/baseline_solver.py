@@ -326,6 +326,17 @@ def _hessian(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     return (weighted[:, None] * spec.model.points).T @ spec.model.points
 
 
+def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float) -> tuple[float, bool]:
+    """Maximizer on [lo, hi] of a concave function from its nonincreasing
+    (super)gradient: an end where the gradient's sign pins it (flagged True),
+    else the gradient's root, bracketed to ~1e-15."""
+    if grad(lo) <= 0.0:
+        return lo, True
+    if grad(hi) >= 0.0:
+        return hi, True
+    return brentq(grad, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200), False
+
+
 def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
                      a_lo: float, a_hi: float, endowment=0.0) -> tuple[float, bool]:
     """Concave maximization of sum_i w_i u(pi x_i + e_i) over [a_lo, a_hi]
@@ -343,12 +354,9 @@ def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
     def grad(p: float) -> float:
         return float(np.dot(w * utility.u_prime(p * x + e), x))
 
-    g_lo, g_hi = grad(lo), grad(hi)
-    if g_lo <= 0.0:
-        return lo, True  # maximizer at the left end (A-bound or domain-bound)
-    if g_hi >= 0.0:
-        return hi, True
-    pi = brentq(grad, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200)
+    pi, pinned = _concave_argmax(grad, lo, hi)
+    if pinned:  # maximizer at an end (A-bound or domain-bound)
+        return pi, True
     # Newton polish — the bracketing solve already gives ~1e-15, two damped
     # Newton steps push the residual to rounding level.
     for _ in range(2):
@@ -360,10 +368,14 @@ def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
     return pi, boundary
 
 
-def _solve_1d(spec: ProblemSpec, endowment=0.0) -> tuple[float, bool]:
-    return _concave_max_raw(spec.model.support_1d, spec.model.weights, spec.utility,
-                            spec.action_space.lower[0], spec.action_space.upper[0],
-                            endowment)
+def _maximize(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarray, bool]:
+    """(maximizer over A, whether it lies on the boundary of A), any d."""
+    if spec.dim != 1:
+        return _solve_projected_newton(spec, endowment)
+    pi, boundary = _concave_max_raw(spec.model.support_1d, spec.model.weights, spec.utility,
+                                    spec.action_space.lower[0], spec.action_space.upper[0],
+                                    endowment)
+    return np.array([pi]), boundary
 
 
 def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarray, bool]:
@@ -401,12 +413,9 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
         active_hi = (pi >= hi - _BOUNDARY_TOL) & (g > 0)
         proj = g.copy()
         proj[active_lo | active_hi] = 0.0
-        if np.linalg.norm(proj) <= spec.solver_tol:
-            boundary = bool(np.any(pi <= lo + _BOUNDARY_TOL) or np.any(pi >= hi - _BOUNDARY_TOL))
-            return pi, boundary
-        if not improved and np.linalg.norm(proj) <= 1e-9:
-            boundary = bool(np.any(pi <= lo + _BOUNDARY_TOL) or np.any(pi >= hi - _BOUNDARY_TOL))
-            return pi, boundary
+        norm = np.linalg.norm(proj)
+        if norm <= spec.solver_tol or (not improved and norm <= 1e-9):
+            return pi, bool(np.any(pi <= lo + _BOUNDARY_TOL) or np.any(pi >= hi - _BOUNDARY_TOL))
     raise NumericalFailure("projected Newton did not converge")
 
 
@@ -418,11 +427,7 @@ def solve_baseline(spec: ProblemSpec) -> BaselineSolution:
     (interiority-based sensitivity formulas then refuse, except the documented
     pi* = 0 case).
     """
-    if spec.dim == 1:
-        pi_val, boundary = _solve_1d(spec)
-        pi = np.array([pi_val])
-    else:
-        pi, boundary = _solve_projected_newton(spec)
+    pi, boundary = _maximize(spec)
     w = _wealth(spec, pi)
     V0 = spec.model.expectation(spec.utility.u(w))
     residual = _gradient(spec, pi)
@@ -474,11 +479,7 @@ def solve_with_endowment(spec: ProblemSpec, endowment: np.ndarray) -> tuple[floa
     endowment = np.asarray(endowment, dtype=float).reshape(-1)
     if endowment.shape[0] != spec.model.n_atoms:
         raise ConfigError("endowment must provide one value per atom")
-    if spec.dim == 1:
-        pi_val, _ = _solve_1d(spec, endowment)
-        pi = np.array([pi_val])
-    else:
-        pi, _ = _solve_projected_newton(spec, endowment)
+    pi, _ = _maximize(spec, endowment)
     value = _objective(spec, pi, endowment)
     return value, pi
 

@@ -351,7 +351,7 @@ def cmd_robust(cfg: dict) -> ResultTable:
                "martingale_residual", "davis_price_delta"]
     rows = []
     for sol in solutions:
-        davis_delta = (robust_davis_price(spec, spec.payoff, sol.delta, sol)
+        davis_delta = (robust_davis_price(spec, spec.payoff, sol.delta, sol, **grid)
                        if spec.payoff is not None else _NAN)
         rows.append([sol.delta, sol.V_delta, sol.pi_delta_scalar, sol.transport_cost,
                      martingale_check_robust(spec, sol), davis_delta])

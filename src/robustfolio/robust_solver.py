@@ -33,22 +33,24 @@ finite p (certified numerical oracle)
     -inf), so S with unbounded sides in the displacement direction is
     rejected rather than silently truncated.
 
-The outer maximization for finite p uses the in-tree bounded Brent minimizer
-``_brent.minimize_bounded`` (the inner value is concave in pi, being an
-infimum of concave functions) followed by Newton polish on the envelope
-derivative E_{P*}[X u'(<X, pi>)]; the p = inf reduction's concave solves use
-the in-tree Brent root finder through ``_concave_max_raw``.
+The outer maximization for finite p is a root find: the inner value is
+concave in pi (an infimum of concave functions), and by Danskin's theorem the
+oracle's worst case P* gives it the slope E_{P*}[X u'(pi X)]. The slope's sign
+at the ends of the feasible interval pins an end optimum, else in-tree Brent
+brackets its root; the p = inf solves take the same step (``_concave_argmax``).
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
     measure P*;
   * pi_delta = 0 with 0 interior to A: the marginal-utility weight is
-    constant, every ball member prices, and the robust (lower) price is the
-    ball infimum of E[g];
+    constant; at E_P[X] = 0 every ball member prices and the robust (lower)
+    price is the ball infimum of E[g], otherwise the saddle adversary (the
+    uniform shift that zeroes the mean) prices;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
     continuity as the limit along feasible strategies pi -> 0, a uniform
     shift of magnitude delta against the feasible direction e, for every
-    order p; the price curve is E_P[g(X - delta e)].
+    order p and every mean; the price curve is E_P[g(X - delta e)].
+``sensitivity.zero_strategy`` owns these pi = 0 rules and adversaries.
 """
 
 from __future__ import annotations
@@ -62,18 +64,17 @@ import numpy as np
 
 from ._brent import minimize_bounded
 from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, Payoff,
-                              ProblemSpec, _concave_max_raw, _feasible_interval_raw,
-                              solve_baseline)
+                              ProblemSpec, _concave_argmax, _concave_max_raw,
+                              _feasible_interval_raw, solve_baseline)
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, wasserstein_distance
-from .sensitivity import (_pinned_direction, degeneracy_guard, optimizer_sensitivity,
-                          transport_direction)
+from .sensitivity import (degeneracy_guard, optimizer_sensitivity, transport_direction,
+                          zero_strategy)
 from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
-_MEAN_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -152,39 +153,26 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
     a_lo = spec.action_space.lower[0]
     a_hi = spec.action_space.upper[0]
 
-    candidates: list[tuple[float, float, float]] = []  # (value, pi, shift)
+    candidates: list[tuple[float, float, float]] = []  # (value, pi, shift); atoms x - shift
     if a_hi > 0.0:
         xs = x - delta
         pi_p, _ = _concave_max_raw(xs, w, u, max(a_lo, 0.0), a_hi)
-        candidates.append((float(np.dot(w, u.u(pi_p * xs))), pi_p, -delta))
+        candidates.append((float(np.dot(w, u.u(pi_p * xs))), pi_p, delta))
     if a_lo < 0.0:
         xs = x + delta
         pi_m, _ = _concave_max_raw(xs, w, u, a_lo, min(a_hi, 0.0))
-        candidates.append((float(np.dot(w, u.u(pi_m * xs))), pi_m, delta))
+        candidates.append((float(np.dot(w, u.u(pi_m * xs))), pi_m, -delta))
     if not candidates:
         raise DomainCompatibilityError("action space is the single point 0")
     # Ties at pi = 0 (both branches pinned): prefer the zero strategy.
     candidates.sort(key=lambda c: (-c[0], abs(c[1])))
     value, pi, shift = candidates[0]
 
-    if abs(pi) <= PI_ZERO_THRESHOLD:
+    if abs(pi) <= PI_ZERO_THRESHOLD and a_lo <= 0.0 <= a_hi:
         pi = 0.0
-        mean = float(spec.model.weights @ spec.model.support_1d)
-        zero_on_a_boundary = not (a_lo < -1e-14 and a_hi > 1e-14)
-        if zero_on_a_boundary and abs(mean) > _MEAN_ZERO_TOL:
-            # pinned at the boundary of A: continuity limit along pi -> 0
-            e = _pinned_direction(spec)
-            adversary = _as_adversary(x - delta * e, w, base=spec.model,
-                                      delta=delta, p=math.inf, constrained=False)
-        else:
-            # every ball member attains u(0); pick the saddle point — the
-            # smallest uniform shift that also makes pi = 0 optimal
-            saddle_shift = min(max(mean, -delta), delta)
-            adversary = _as_adversary(x - saddle_shift, w, base=spec.model,
-                                      delta=delta, p=math.inf, constrained=False)
-    else:
-        adversary = _as_adversary(x + shift, w, base=spec.model,
-                                  delta=delta, p=math.inf, constrained=False)
+        shift = zero_strategy(spec, delta).shift
+    adversary = _as_adversary(x - shift, w, base=spec.model,
+                              delta=delta, p=math.inf, constrained=False)
     cost = _certified_cost(spec.model, adversary, spec.order, delta)
     return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
                           adversary=adversary, transport_cost=cost, method="inf_exact")
@@ -201,16 +189,14 @@ def _displacement_grid(lo: float, hi: float, grid_points: int,
     Default: linear + geometric spacing on each side (the geometric part
     resolves the small-displacement Monge regime). ``grid_step`` switches to a
     plain uniform grid of that step, the brute-force reference recipe."""
+    pieces = [np.array([lo, 0.0, hi])]
     if grid_step is not None:
-        pieces = [np.array([lo, 0.0, hi])]
         if hi > 0.0:
             pieces.append(np.arange(0.0, hi, grid_step))
         if lo < 0.0:
             pieces.append(-np.arange(0.0, -lo, grid_step))
-        s = np.concatenate(pieces)
     else:
         half = max(grid_points // 2, 16)
-        pieces = [np.array([lo, 0.0, hi])]
         for side in (lo, hi):
             extent = abs(side)
             if extent > 0.0:
@@ -219,8 +205,7 @@ def _displacement_grid(lo: float, hi: float, grid_points: int,
                 geo = np.geomspace(max(extent * 1e-12, 1e-300), extent, half)
                 pieces.append(sign * lin)
                 pieces.append(sign * geo)
-        s = np.concatenate(pieces)
-    return np.unique(np.clip(s, lo, hi))
+    return np.unique(np.clip(np.concatenate(pieces), lo, hi))
 
 
 def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
@@ -443,8 +428,9 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
 
 
 def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
-                   refinements: int = 3, xatol: float = 1e-8) -> RobustSolution:
-    """Outer maximization over A of the certified inner infimum (finite p, d=1)."""
+                   refinements: int = 3) -> RobustSolution:
+    """Outer maximization over A of the certified inner infimum (finite p, d=1),
+    by a root find on its Danskin slope (module docstring)."""
     if spec.order.is_inf:
         raise ConfigError("robust_solve_p needs a finite order (use robust_solve_inf)")
     if spec.dim != 1:
@@ -483,33 +469,27 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
                 grid_points=grid_points, refinements=refinements)
         return cache[pi_val]
 
-    pi = float(minimize_bounded(lambda t: -inner(t)[0], lo, hi, xatol)[0])
-    # Newton polish on the envelope derivative E_{P*}[X u'(pi X)] (Danskin)
-    for _ in range(6):
-        _, adv = inner(pi)
+    def slope(t: float) -> float:
+        if abs(t) <= PI_ZERO_THRESHOLD:
+            # no worst case in the zero band; the supergradients at 0 span the
+            # one-sided slopes just outside it: pass on one that points away
+            # from 0, else 0 (then 0 is optimal)
+            right = slope(2.0 * PI_ZERO_THRESHOLD) if hi > 0.0 else -math.inf
+            if right > 0.0:
+                return right
+            return min(slope(-2.0 * PI_ZERO_THRESHOLD) if lo < 0.0 else math.inf, 0.0)
+        _, adv = inner(t)
         y = adv.support_1d
-        m = adv.weights
-        g = float(np.dot(m * spec.utility.u_prime(pi * y), y))
-        h = float(np.dot(m * spec.utility.u_double_prime(pi * y), y * y))
-        if h >= 0.0 or abs(g) <= 1e-13:
-            break
-        nxt = min(max(pi - g / h, lo), hi)
-        if nxt == pi:
-            break
-        pi = nxt
-    # endpoint candidates (pinned optima lose nothing; interior keeps polish)
-    for cand in (lo, hi, 0.0 if lo < 0.0 < hi else pi):
-        if inner(cand)[0] > inner(pi)[0]:
-            pi = cand
-    if abs(pi) <= max(PI_ZERO_THRESHOLD, xatol * 1e-2):
+        return float(np.dot(adv.weights * spec.utility.u_prime(t * y), y))
+
+    pi, _ = _concave_argmax(slope, lo, hi)
+    if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
         pi = 0.0
     value, adversary = inner(pi)
-    if pi == 0.0 and lo < 0.0 < hi:
-        # all ball members attain u(0); report the saddle adversary (uniform
-        # shift zeroing the mean keeps pi = 0 optimal), when it is feasible
-        mean = float(spec.model.weights @ spec.model.support_1d)
-        shift = min(max(mean, -delta), delta)
-        shifted = spec.model.support_1d - shift
+    if pi == 0.0:
+        # all ball members attain u(0); report the zero-strategy adversary
+        # when its atoms stay in S
+        shifted = spec.model.support_1d - zero_strategy(spec, delta).shift
         if np.all((shifted >= space.lower[0]) & (shifted <= space.upper[0])):
             adversary = _as_adversary(shifted, spec.model.weights, base=model,
                                       delta=delta, p=spec.order.p, constrained=True)
@@ -571,18 +551,17 @@ def _window_min(payoff: Payoff, lo: float, hi: float) -> float:
     return best
 
 
-def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> float:
+def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
+                           grid_points: int, refinements: int) -> float:
     """inf over the ball of E[g] — the robust price when the marginal-utility
-    weight is constant (pi_delta = 0 interior)."""
+    weight is constant (pi_delta = 0 interior, zero mean)."""
     x = spec.model.support_1d
     w = spec.model.weights
     space = spec.state_space
     if spec.order.is_inf:
-        total = 0.0
-        for xi, wi in zip(x, w):
-            total += wi * _window_min(payoff, max(xi - delta, space.lower[0]),
-                                      min(xi + delta, space.upper[0]))
-        return total
+        return float(sum(wi * _window_min(payoff, max(xi - delta, space.lower[0]),
+                                          min(xi + delta, space.upper[0]))
+                         for xi, wi in zip(x, w)))
     if not (math.isfinite(space.lower[0]) and math.isfinite(space.upper[0])):
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
@@ -593,38 +572,32 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> f
         return payoff(x[i] + s)
 
     value, _, _ = _transport_minimize(x, w, s_lo, s_hi, spec.order.p,
-                                      delta ** spec.order.p, value_fn)
-    return value
+                                      delta ** spec.order.p, value_fn,
+                                      grid_points=grid_points, refinements=refinements)
+    return float(value)
 
 
 def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
-                       solution: RobustSolution | None = None) -> float:
-    """Marginal-utility price under the worst-case measure at radius delta."""
+                       solution: RobustSolution | None = None, *,
+                       grid_points: int = 1200, refinements: int = 3) -> float:
+    """Marginal-utility price under the worst-case measure at radius delta;
+    the grid options are the finite-p oracle's (``robust_solve_p``)."""
     _check_radius(delta)
-    sol = solution if solution is not None else robust_solve(spec, delta)
+    sol = solution if solution is not None else robust_solve(
+        spec, delta, grid_points=grid_points, refinements=refinements)
     pi = sol.pi_delta_scalar
     if abs(pi) > PI_ZERO_THRESHOLD:
         y = sol.adversary.support_1d
         dens = sol.adversary.weights * spec.utility.u_prime(pi * y)
         dens = dens / dens.sum()
         return float(dens @ payoff(y))
-    a_lo = spec.action_space.lower[0]
-    a_hi = spec.action_space.upper[0]
-    zero_interior = a_lo < -1e-14 and a_hi > 1e-14
-    mean = float(spec.model.weights @ spec.model.support_1d)
-    if zero_interior:
-        if abs(mean) <= _MEAN_ZERO_TOL:
-            # no trading at any radius: the price degrades to the robust
-            # buyer's bound over the whole ball
-            return _ball_infimum_of_price(spec, payoff, delta)
-        # the optimizer collapsed to zero at this radius (delta >= drift):
-        # the saddle adversary is the uniform shift that zeroes the mean,
-        # and the pricing weight u'(0 * y) is constant
-        saddle_shift = min(max(mean, -delta), delta)
-        return float(spec.model.weights @ payoff(spec.model.support_1d - saddle_shift))
-    e = _pinned_direction(spec)
-    y = spec.model.support_1d - delta * e
-    return float(spec.model.weights @ payoff(y))
+    zero = zero_strategy(spec, delta)
+    if zero.ball_infimum:
+        # no trading at any radius: the price degrades to the robust buyer's
+        # bound over the whole ball
+        return _ball_infimum_of_price(spec, payoff, delta, grid_points, refinements)
+    # the pricing weight u'(0 * y) is constant on the shifted atoms
+    return float(spec.model.weights @ payoff(spec.model.support_1d - zero.shift))
 
 
 def robust_davis_first_order(spec: ProblemSpec, payoff: Payoff, delta: float) -> float:

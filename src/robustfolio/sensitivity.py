@@ -22,13 +22,15 @@ Davis price p_d(delta) = E_{P*}[u' g]/E_{P*}[u'], three branches at delta=0:
   (interior, pi* != 0)
     p_d'(0) = E_{Q_u}[ R_u(<X,pi*>) (<T(X),pi*> - <X, pi*'(0)>) (g(X) - p_d)
                        - <grad g(X), T(X)> ]
-  (pi* = 0 interior, i.e. E_P[X] = 0: every ball member is worst-case and the
-   robust price is the ball infimum of E[g])
+  (pi* = 0 with 0 interior to A, i.e. E_P[X] = 0: every ball member is
+   worst-case and the robust price is the ball infimum of E[g])
     p_d'(0) = - ( E_P[ |grad g(X)|^q ] )^{1/q}
-  (pi* = 0 pinned at the action boundary with E_P[X] != 0: the worst case is
-   selected by continuity as the limit of the adversaries for feasible
-   strategies pi -> 0, a uniform shift against the feasible direction e)
+  (pi* = 0 pinned at the boundary of A, for every E_P[X], zero included: the
+   worst case is selected by continuity as the limit of the adversaries for
+   feasible strategies pi -> 0, a uniform shift against the feasible
+   direction e)
     p_d'(0) = - E_P[ <grad g(X), e> ].
+``zero_strategy`` owns these pi = 0 rules for the robust solvers too.
 
 A Kullback-Leibler comparator (radius-constrained relative-entropy ball) and
 the first-order Wasserstein preference score complete the module. Everything
@@ -60,6 +62,7 @@ from .utility import Utility
 CAPPED_KAPPA_FLOOR = 1e-3
 SUPPORT_DIAMETER_CAP = 100.0
 
+_ACTION_ZERO_TOL = 1e-14  # 0 is interior to A when both ends clear it by more
 _MEAN_ZERO_TOL = 1e-10
 
 
@@ -188,18 +191,38 @@ def _payoff_grad_atoms(spec: ProblemSpec, payoff: Payoff) -> np.ndarray:
     return np.asarray(payoff.grad(spec.model.support_1d), dtype=float)
 
 
-def _pinned_direction(spec: ProblemSpec) -> float:
-    """Feasible unit direction e at a pi* = 0 optimum pinned on the boundary
-    of A (d=1): +1 when A = [0, hi], -1 when A = [lo, 0]."""
+@dataclass(frozen=True)
+class ZeroStrategy:
+    """Worst case at a pi = 0 optimum (d = 1): every atom x moves to x - shift,
+    and the price is E_P[g(X - shift)], or the ball infimum of E[g] when
+    ``ball_infimum``. ``direction`` is e when 0 is pinned on the boundary of
+    A, None when 0 is interior to A."""
+
+    shift: float
+    ball_infimum: bool
+    direction: float | None
+
+
+def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
+    """The pi = 0 rules at radius delta, decided on A first (see the Davis
+    branch table in the module docstring)."""
     a_lo = spec.action_space.lower[0]
     a_hi = spec.action_space.upper[0]
-    if abs(a_lo) <= 1e-14 and a_hi > 0.0:
-        return 1.0
-    if abs(a_hi) <= 1e-14 and a_lo < 0.0:
-        return -1.0
-    raise AssumptionViolation(
-        "pi* = 0 with E_P[X] != 0 requires 0 on the action-space boundary; "
-        "the first-order condition excludes it in the interior")
+    if a_lo < -_ACTION_ZERO_TOL and a_hi > _ACTION_ZERO_TOL:
+        # every ball member attains u(0); the saddle adversary is the smallest
+        # uniform shift that also makes pi = 0 optimal, and at zero mean every
+        # ball member prices
+        mean = float(spec.model.weights @ spec.model.support_1d)
+        return ZeroStrategy(min(max(mean, -delta), delta),
+                            abs(mean) <= _MEAN_ZERO_TOL, None)
+    if abs(a_lo) <= _ACTION_ZERO_TOL and a_hi > 0.0:
+        e = 1.0
+    elif abs(a_hi) <= _ACTION_ZERO_TOL and a_lo < 0.0:
+        e = -1.0
+    else:
+        raise AssumptionViolation("pi = 0 needs 0 in the action space A")
+    # pinned: the continuity limit along feasible strategies pi -> 0
+    return ZeroStrategy(delta * e, False, e)
 
 
 def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:
@@ -207,12 +230,13 @@ def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) 
     degeneracy_guard(spec)
     if sol.pi_is_zero:
         grad = _payoff_grad_atoms(spec, payoff)
-        mean = spec.model.weights @ spec.model.points
-        if abs(float(mean[0])) <= _MEAN_ZERO_TOL:
+        zero = zero_strategy(spec, 0.0)
+        if zero.ball_infimum:
             q = spec.order.q
             return -float(spec.model.expectation(np.abs(grad) ** q) ** (1.0 / q))
-        e = _pinned_direction(spec)
-        return -e * float(spec.model.expectation(grad))
+        if zero.direction is None:  # the first-order condition excludes it
+            raise AssumptionViolation("pi* = 0 with E_P[X] != 0 and 0 interior to A")
+        return -zero.direction * float(spec.model.expectation(grad))
     _require_usable_optimum(sol)
     pi_prime, _ = optimizer_sensitivity(spec, sol)
     q_u = q_u_measure(spec, sol)

@@ -381,6 +381,23 @@ def test_robust_passes_solver_grid_settings_to_the_oracle(tmp_path):
     assert V != rf.robust_solve_p(spec, 0.1).V_delta
 
 
+def test_robust_davis_price_uses_solver_grid_settings(tmp_path):
+    # on the zero-mean ball-infimum branch the price used to run the
+    # transport search on the default grid, whatever solver.* said
+    model = {"kind": "explicit", "points": [-0.5, -0.2, 0.2, 0.5],
+             "weights": [0.25] * 4, "state_space": [-1.0, 1.0]}
+    cfg = base_config(model=model, wasserstein_p=2.0, action_space=[-0.75, 0.75],
+                      delta=0.1, payoff={"kind": "call", "strike": 0.0},
+                      solver={"grid_points": 64, "refinements": 0})
+    out = tmp_path / "robust.csv"
+    assert cli.main(["robust", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    price = rows[0][header.index("davis_price_delta")]
+    # the 64-point transport value with no refinement, against the default
+    # grid's 0.1042893218813723
+    assert price == 0.10465629800307219
+
 @pytest.mark.parametrize("points", [["x", 1.0], [[1.0, 2.0], [3.0]]])
 def test_explicit_model_with_malformed_points_exits_two(tmp_path, capsys, points):
     # both pass the schema ("points" items are untyped) and used to leave

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import robustfolio as rf
 from robustfolio import ConfigError, DegenerateSensitivityError, DomainCompatibilityError
+from robustfolio.sensitivity import zero_strategy
 
 from conftest import binomial_log_spec, normal_exp_spec
 
@@ -396,6 +397,100 @@ def test_robust_davis_zero_mean_whole_ball_branch():
     assert prices[0] == pytest.approx(base, abs=1e-12)
     for hi, lo in zip(prices[:-1], prices[1:]):
         assert lo <= hi + 1e-12
+
+
+@st.composite
+def outer_problems(draw):
+    """Random 2-6-atom explicit model on S = [-1, 1] with an atom on each side
+    of 0, a utility defined on all wealth pi * s, and an action interval
+    inside [-0.75, 0.75] that may hold 0 inside, on an end, or not at all."""
+    n_neg = draw(st.integers(1, 3))
+    n_pos = draw(st.integers(1, 3))
+    pts = (draw(st.lists(st.floats(-0.95, -0.01), min_size=n_neg, max_size=n_neg))
+           + draw(st.lists(st.floats(0.01, 0.95), min_size=n_pos, max_size=n_pos)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pts),
+                               max_size=len(pts))))
+    end = st.one_of(st.just(0.0), st.floats(-0.75, 0.75))
+    a_lo, a_hi = sorted([draw(end), draw(end)])
+    assume(a_hi - a_lo >= 0.05)
+    utility = draw(st.sampled_from([rf.log_shifted(1.0), rf.power(2.0, 1.0)]))
+    model = rf.explicit(pts, w / w.sum(), state_space=rf.StateSpace.interval(-1.0, 1.0))
+    return rf.ProblemSpec(model=model, utility=utility,
+                          action_space=rf.StateSpace.interval(a_lo, a_hi),
+                          order=rf.WassersteinOrder(draw(st.sampled_from([1.5, 2.0, 3.0]))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=outer_problems(), delta=st.floats(1e-3, 0.2))
+def test_robust_p_outer_search_beats_its_neighbours(spec, delta):
+    # the root find on the Danskin slope lands in A and no probe of the
+    # inner value, at the ends of A, at 0 or next to the optimum, beats it
+    sol = rf.robust_solve_p(spec, delta)
+    lo, hi = spec.action_space.lower[0], spec.action_space.upper[0]
+    pi = sol.pi_delta_scalar
+    assert lo <= pi <= hi
+    step = 1e-6 * (hi - lo)
+    probes = [lo, hi] + [t for t in (0.0, pi - step, pi + step) if lo <= t <= hi]
+    for t in probes:
+        inner, _ = rf.adversary_inner_inf(spec.model, spec.utility, t, delta, spec.order)
+        assert sol.V_delta >= inner - 1e-12, t
+
+
+# ---------------------------------------------------------------------------
+# the pi = 0 rules
+# ---------------------------------------------------------------------------
+
+def four_atom_spec(weights, action, p) -> rf.ProblemSpec:
+    model = rf.explicit([-0.5, -0.2, 0.2, 0.5], weights,
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(*action),
+                          order=rf.WassersteinOrder(p))
+
+
+ZERO_MEAN = [0.25] * 4
+NEGATIVE_DRIFT = [0.3, 0.25, 0.25, 0.2]  # E_P[X] = -0.05
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("weights, action, branch", [
+    ([0.1, 0.2, 0.3, 0.4], (-0.75, 0.75), "trading"),
+    (ZERO_MEAN, (-0.75, 0.75), "ball infimum"),
+    ([0.2, 0.25, 0.25, 0.3], (-0.75, 0.75), "saddle"),  # E_P[X] = 0.05 < delta
+    (NEGATIVE_DRIFT, (0.0, 0.75), "pinned"),
+])
+def test_robust_davis_price_is_a_float_on_every_branch(weights, action, branch, p):
+    spec = four_atom_spec(weights, action, p)
+    sol = rf.robust_solve(spec, 0.1)
+    zero = zero_strategy(spec, 0.1)
+    if sol.pi_delta_scalar != 0.0:
+        taken = "trading"
+    elif zero.ball_infimum:
+        taken = "ball infimum"
+    else:
+        taken = "saddle" if zero.direction is None else "pinned"
+    assert taken == branch
+    assert type(rf.robust_davis_price(spec, rf.call_payoff(0.0), 0.1, sol)) is float
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("weights, action", [
+    (ZERO_MEAN, (-0.75, 0.75)),
+    (NEGATIVE_DRIFT, (0.0, 0.75)),
+    (ZERO_MEAN, (0.0, 0.75)),  # 0 on the boundary of A decides over the mean
+], ids=["interior-zero-mean", "pinned-negative-drift", "pinned-zero-mean"])
+def test_zero_strategy_price_slope_and_adversary(weights, action, p):
+    spec = four_atom_spec(weights, action, p)
+    g = rf.call_payoff(0.0)
+    slope = (rf.robust_davis_price(spec, g, 1e-4) - rf.robust_davis_price(spec, g, 0.0)) / 1e-4
+    assert slope == pytest.approx(rf.davis_sensitivity(spec, rf.solve_baseline(spec), g),
+                                  abs=1e-6)
+    # robust_solve_p and robust_solve_inf report the same zero-strategy shift
+    sol = rf.robust_solve(spec, 0.1)
+    assert sol.pi_delta_scalar == 0.0
+    np.testing.assert_allclose(sol.adversary.support_1d,
+                               spec.model.support_1d - zero_strategy(spec, 0.1).shift,
+                               rtol=0.0, atol=1e-15)
 
 
 def test_robust_davis_first_order_diagnostics():
