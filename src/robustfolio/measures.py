@@ -40,6 +40,10 @@ from .errors import ConfigError
 
 _WEIGHT_TOL = 1e-12
 _LP_ATOM_CAP = 12
+# Mass left on an atom after coupling that is rounding residue: renormalizing
+# weights moves each by about an ulp (up to 2.2e-16 near 1), so two copies of
+# one law differ by that much and must still pair atom for atom.
+_COUPLING_RESIDUE = 1e-14
 
 
 def _as_points(points: Iterable) -> np.ndarray:
@@ -370,12 +374,12 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
             b.append(xq[j])
         rem_p -= m
         rem_q -= m
-        if rem_p <= 1e-16:
+        if rem_p <= _COUPLING_RESIDUE:
             i += 1
             if i == len(xp):
                 break
             rem_p = wp[i]
-        if rem_q <= 1e-16:
+        if rem_q <= _COUPLING_RESIDUE:
             j += 1
             if j == len(xq):
                 break

@@ -27,7 +27,11 @@ finite p (certified numerical oracle)
     dual stops at the multiplier where two argmin plans bracket the budget;
     mixing them spends the budget exactly and generically splits one atom.
     Iterative grid refinement around the active displacements drives the
-    discretization error to rounding level. Displacements are capped by the
+    discretization error to rounding level. The multiplier barely moves from
+    one refinement pass to the next, so each pass brackets it next to the
+    previous pass's value and searches only the atoms and grid cells between
+    the two bracket plans; the base grids depend only on the atoms' extents
+    and are built once (``_displacement_grid``). Displacements are capped by the
     state space S; the cap is what keeps the infimum finite (for utilities
     with a finite domain edge or an exponential tail the uncapped infimum is
     -inf), so S with unbounded sides in the displacement direction is
@@ -47,15 +51,18 @@ Robust Davis prices follow the optimizer branch:
     price is the ball infimum of E[g], otherwise the saddle adversary (the
     uniform shift that zeroes the mean) prices;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
-    continuity as the limit along feasible strategies pi -> 0, a uniform
-    shift of magnitude delta against the feasible direction e, for every
-    order p and every mean; the price curve is E_P[g(X - delta e)].
+    continuity as the limit along feasible strategies pi -> 0, for every
+    mean: each atom moves against the feasible direction e, by delta at
+    p = inf; at finite p by min(dist_i, t), with dist_i its distance to the
+    edge of S in that direction and t spending the budget (a uniform shift
+    of delta when S does not bind); the price is E_P[g] on those atoms.
 ``sensitivity.zero_strategy`` owns these pi = 0 rules and adversaries.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -75,6 +82,7 @@ from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def _certified_cost(P: DiscreteMeasure, adversary: DiscreteMeasure, order,
     if not cost <= delta:
         max_abs = max(float(np.max(np.abs(P.points))),
                       float(np.max(np.abs(adversary.points))))
-        tol = delta * 1e-9 + 4.0 * np.finfo(float).eps * max_abs
+        tol = delta * 1e-9 + 4.0 * _EPS * max_abs
         if not cost <= delta + tol:
             raise NumericalFailure(
                 f"adversary left the ball: cost {cost} > radius {delta}")
@@ -182,13 +190,17 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
 # finite p: transport-plan oracle for the inner problem
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _displacement_grid(lo: float, hi: float, grid_points: int,
                        grid_step: float | None) -> np.ndarray:
     """Signed displacement grid on [lo, hi] containing 0 and both ends.
 
     Default: linear + geometric spacing on each side (the geometric part
     resolves the small-displacement Monge regime). ``grid_step`` switches to a
-    plain uniform grid of that step, the brute-force reference recipe."""
+    plain uniform grid of that step, the brute-force reference recipe.
+    The grid depends on the extents only, which every strategy of one sign
+    in a solve (and every radius of a grid) shares, so each is built once and
+    handed out read-only."""
     pieces = [np.array([lo, 0.0, hi])]
     if grid_step is not None:
         if hi > 0.0:
@@ -205,43 +217,87 @@ def _displacement_grid(lo: float, hi: float, grid_points: int,
                 geo = np.geomspace(max(extent * 1e-12, 1e-300), extent, half)
                 pieces.append(sign * lin)
                 pieces.append(sign * geo)
-    return np.unique(np.clip(np.concatenate(pieces), lo, hi))
+    grid = np.unique(np.clip(np.concatenate(pieces), lo, hi))
+    grid.flags.writeable = False
+    return grid
 
 
 def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
-                      budget: float) -> tuple[np.ndarray, np.ndarray]:
+                      budget: float, lam0: float = 0.0
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """Grid cells (j_hi, j_lo), one per row, of two argmin plans of
     val + lam * cost that are both optimal at the multiplier lam where the
-    budget binds: j_hi spends at most the budget and j_lo more, unless the
-    plain argmin of val fits the budget (then both are that argmin).
+    budget binds, and that lam: j_hi spends at most the budget and j_lo
+    more, unless the plain argmin of val fits the budget (then both are that
+    argmin and lam is 0).
 
-    Rows are sorted by cost, so np.argmin breaks ties toward the smallest
-    cost. Each plan J is a line A_J + lam S_J (value plus lam times spend)
-    under the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
-    Each step evaluates Phi where the lines of j_hi and j_lo cross and
+    Rows are sorted by cost, zero-displacement cell first (pad cells cost 0
+    and hold val inf), so np.argmin breaks ties toward the smallest cost.
+    Each plan J is a line A_J + lam S_J (value plus lam times spend) under
+    the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
+
+    Bracket: a guess lam0 > 0 (the previous refinement pass's multiplier) is
+    probed at lam0 (1 -+ 1e-2); a probe that lands on the wrong side of the
+    budget leaves that end to the plain argmin (lam = 0) or the
+    zero-displacement plan (lam = inf), the bracket of a cold start.
+    Steps: each evaluates Phi where the lines of j_hi and j_lo cross and
     replaces the plan on the same side of the budget, until Phi there is no
-    lower than the lines, to the rounding of the sum."""
+    lower than the lines, to the rounding of the sum. Every plan optimal
+    between the brackets agrees with them on the rows where they agree, and
+    on the other rows lies between their cells (rows are sorted by cost), so
+    the steps take the argmin over that window only and carry each plan's
+    value, |value| and spend on it as scalars."""
     n = cost.shape[0]
     rows = np.arange(n)
-    j_lo = np.argmin(val, axis=1)
-    if w @ cost[rows, j_lo] <= budget:
-        return j_lo, j_lo
-    j_hi = np.argmin(np.where(cost == 0.0, val, np.inf), axis=1)
-    if cost[rows, j_hi].any() or np.isinf(val[rows, j_hi]).any():
+    if cost[:, 0].any() or np.isinf(val[:, 0]).any():
         raise NumericalFailure("displacement grid lost the zero-displacement point")
-    for _ in range(_MULTIPLIER_STEPS):
-        lam = ((w @ val[rows, j_hi] - w @ val[rows, j_lo])
-               / (w @ cost[rows, j_lo] - w @ cost[rows, j_hi]))
-        lagrangian = val + lam * cost
-        j = np.argmin(lagrangian, axis=1)
-        line = min(w @ lagrangian[rows, j_lo], w @ lagrangian[rows, j_hi])
-        slack = n * np.finfo(float).eps * (w @ np.abs(lagrangian[rows, j_lo]))
-        if w @ lagrangian[rows, j] >= line - slack:
-            return j_hi, j_lo
-        if w @ cost[rows, j] > budget:
+    j_hi = j_lo = None
+    if lam0 > 0.0:
+        for lam in (lam0 * (1.0 - 1e-2), lam0 * (1.0 + 1e-2)):
+            j = np.argmin(val + lam * cost, axis=1)
+            if w @ cost[rows, j] <= budget:
+                j_hi = j
+                break
             j_lo = j
+    if j_lo is None:
+        j_lo = np.argmin(val, axis=1)
+        if w @ cost[rows, j_lo] <= budget:
+            return j_lo, j_lo, 0.0
+    if j_hi is None:
+        j_hi = np.argmin(np.where(cost == 0.0, val, np.inf), axis=1)
+
+    # rows where the brackets differ, and the columns between their cells
+    live = np.flatnonzero(j_hi != j_lo)
+    first = int(min(j_hi[live].min(), j_lo[live].min()))
+    c = cost[live, first:int(max(j_hi[live].max(), j_lo[live].max())) + 1]
+    v = val[live, first:first + c.shape[1]]
+    wl = w[live]
+    fixed = np.flatnonzero(j_hi == j_lo)
+    fixed_cost = w[fixed] @ cost[fixed, j_hi[fixed]]
+    fixed_abs = w[fixed] @ np.abs(val[fixed, j_hi[fixed]])
+    sub = np.arange(live.size)
+
+    def line(j: np.ndarray) -> tuple[float, float, float]:
+        # (value, |value|, spend) of the plan j on the live rows
+        vj = v[sub, j]
+        return wl @ vj, wl @ np.abs(vj), wl @ c[sub, j]
+
+    k_hi, k_lo = j_hi[live] - first, j_lo[live] - first
+    (a_hi, _, s_hi), (a_lo, b_lo, s_lo) = line(k_hi), line(k_lo)
+    slack_scale = n * _EPS
+    for _ in range(_MULTIPLIER_STEPS):
+        lam = (a_hi - a_lo) / (s_lo - s_hi)
+        k = np.argmin(v + lam * c, axis=1)
+        a, b, s = line(k)
+        slack = slack_scale * (fixed_abs + b_lo + lam * (fixed_cost + s_lo))
+        if a + lam * s >= min(a_lo + lam * s_lo, a_hi + lam * s_hi) - slack:
+            j_hi[live] = k_hi + first
+            j_lo[live] = k_lo + first
+            return j_hi, j_lo, lam
+        if fixed_cost + s > budget:
+            k_lo, a_lo, b_lo, s_lo = k, a, b, s
         else:
-            j_hi = j
+            k_hi, a_hi, s_hi = k, a, s
     raise NumericalFailure("multiplier search did not settle on a breakpoint")
 
 
@@ -261,19 +317,22 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     Exactness: on the displacement grids the problem is the linear program
     min sum_ij w_i m_ij f_i(s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
     sum_j m_ij = 1, m >= 0, whose Lagrangian dual is a search over one
-    multiplier (``_multiplier_plans``). Every atom on which the two plans
-    optimal at the binding multiplier differ is indifferent between its two
-    cells, so starting from the cheaper plan and moving atoms to their cell
-    in the dearer one until the budget is spent is optimal; generically one
-    atom is split. The only gap to the true continuum optimum is grid
-    resolution, which the refinement passes shrink around the active
-    displacements.
+    multiplier (``_multiplier_plans``). Each refinement pass hands its
+    binding multiplier to the next as the guess that search brackets first,
+    and the base grids come from the ``_displacement_grid`` cache. Every
+    atom on which the two plans optimal at the binding multiplier differ is
+    indifferent between its two cells, so starting from the cheaper plan and
+    moving atoms to their cell in the dearer one until the budget is spent
+    is optimal; generically one atom is split. The only gap to the true
+    continuum optimum is grid resolution, which the refinement passes shrink
+    around the active displacements.
     """
     n = x.shape[0]
     rows = np.arange(n)
     grids = [_displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points, grid_step)
              for i in range(n)]
     best: tuple[float, list[tuple[int, float, float]], float] | None = None
+    lam = 0.0
     for _ in range(max(refinements, 0) + 1):
         # padded (atoms x grid) arrays, each row sorted by cost; pad cells
         # cost nothing and are never chosen
@@ -285,10 +344,11 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             disp[i, :s.size] = s
             val[i, :s.size] = value_fn(i, s)
         cost = np.abs(disp) ** p
-        j_hi, j_lo = _multiplier_plans(w, cost, val, budget)
+        j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam)
         # share of each atom moved from its j_hi cell to its j_lo cell
         moved = np.zeros(n)
-        remaining = budget - w @ cost[rows, j_hi]
+        # (the search sums spends in another order: ulps over are shed below)
+        remaining = max(budget - w @ cost[rows, j_hi], 0.0)
         for i in np.flatnonzero(j_lo != j_hi):
             cap = w[i] * (cost[i, j_lo[i]] - cost[i, j_hi[i]])
             moved[i] = 1.0 if cap <= remaining else remaining / cap
@@ -424,7 +484,7 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     masses = np.array([w[i] * m for i, s, m in fragments if m > 0.0])
     adversary = _as_adversary(pts, masses / masses.sum(), base=P, delta=delta,
                               p=order.p, constrained=True)
-    return value, adversary
+    return float(value), adversary
 
 
 def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
@@ -494,7 +554,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
             adversary = _as_adversary(shifted, spec.model.weights, base=model,
                                       delta=delta, p=spec.order.p, constrained=True)
     cost = _certified_cost(spec.model, adversary, spec.order, delta)
-    return RobustSolution(delta=float(delta), V_delta=float(value), pi_delta=np.array([pi]),
+    return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
                           adversary=adversary, transport_cost=cost,
                           method="finite_p_oracle")
 

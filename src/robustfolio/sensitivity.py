@@ -28,9 +28,11 @@ Davis price p_d(delta) = E_{P*}[u' g]/E_{P*}[u'], three branches at delta=0:
   (pi* = 0 pinned at the boundary of A, for every E_P[X], zero included: the
    worst case is selected by continuity as the limit of the adversaries for
    feasible strategies pi -> 0, a uniform shift against the feasible
-   direction e)
+   direction e while no atom reaches the edge of the state space)
     p_d'(0) = - E_P[ <grad g(X), e> ].
-``zero_strategy`` owns these pi = 0 rules for the robust solvers too.
+``zero_strategy`` owns these pi = 0 rules for the robust solvers too; at
+radius delta and finite p it stops atoms at the edge of the state space and
+spends the rest of the budget on the others.
 
 A Kullback-Leibler comparator (radius-constrained relative-entropy ball) and
 the first-order Wasserstein preference score complete the module. Everything
@@ -193,14 +195,33 @@ def _payoff_grad_atoms(spec: ProblemSpec, payoff: Payoff) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroStrategy:
-    """Worst case at a pi = 0 optimum (d = 1): every atom x moves to x - shift,
-    and the price is E_P[g(X - shift)], or the ball infimum of E[g] when
-    ``ball_infimum``. ``direction`` is e when 0 is pinned on the boundary of
-    A, None when 0 is interior to A."""
+    """Worst case at a pi = 0 optimum (d = 1): atom i moves from x_i to
+    x_i - shift_i (``shift`` holds one entry per atom), and the price is
+    E_P[g(X - shift)], or the ball infimum of E[g] when ``ball_infimum``.
+    ``direction`` is e when 0 is pinned on the boundary of A, None when 0 is
+    interior to A."""
 
-    shift: float
+    shift: np.ndarray
     ball_infimum: bool
     direction: float | None
+
+
+def _capped_reach(dist: np.ndarray, w: np.ndarray, delta: float, p: float) -> float:
+    """t with sum_i w_i min(dist_i, t)^p = delta^p: the common distance the
+    atoms not stopped by their edge move when the budget is spent (inf when
+    the edges hold less than the budget, delta when no edge binds)."""
+    if np.all(dist[w > 0.0] >= delta):
+        return delta
+    order = np.argsort(dist)
+    d, wd = dist[order], w[order]
+    spent = np.concatenate([[0.0], np.cumsum(wd * d ** p)])  # by the k nearest
+    free = np.concatenate([np.cumsum(wd[::-1])[::-1], [0.0]])  # by the others
+    for k in range(d.size):
+        if free[k] > 0.0:
+            t = ((delta ** p - spent[k]) / free[k]) ** (1.0 / p)
+            if t <= d[k]:
+                return t
+    return math.inf
 
 
 def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
@@ -208,12 +229,13 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
     branch table in the module docstring)."""
     a_lo = spec.action_space.lower[0]
     a_hi = spec.action_space.upper[0]
+    x = spec.model.support_1d
     if a_lo < -_ACTION_ZERO_TOL and a_hi > _ACTION_ZERO_TOL:
         # every ball member attains u(0); the saddle adversary is the smallest
         # uniform shift that also makes pi = 0 optimal, and at zero mean every
         # ball member prices
-        mean = float(spec.model.weights @ spec.model.support_1d)
-        return ZeroStrategy(min(max(mean, -delta), delta),
+        mean = float(spec.model.weights @ x)
+        return ZeroStrategy(np.full(x.size, min(max(mean, -delta), delta)),
                             abs(mean) <= _MEAN_ZERO_TOL, None)
     if abs(a_lo) <= _ACTION_ZERO_TOL and a_hi > 0.0:
         e = 1.0
@@ -221,8 +243,16 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
         e = -1.0
     else:
         raise AssumptionViolation("pi = 0 needs 0 in the action space A")
-    # pinned: the continuity limit along feasible strategies pi -> 0
-    return ZeroStrategy(delta * e, False, e)
+    # pinned: the continuity limit along feasible strategies pi -> 0. Each
+    # atom moves against e; at finite p the state space stops atoms at its
+    # edge and the others share the budget, one distance t for all of them
+    # (the p = inf ball ignores S, as in robust_solve_inf)
+    if spec.order.is_inf:
+        return ZeroStrategy(np.full(x.size, delta * e), False, e)
+    space = spec.state_space
+    dist = x - space.lower[0] if e > 0.0 else space.upper[0] - x
+    t = _capped_reach(dist, spec.model.weights, delta, spec.order.p)
+    return ZeroStrategy(e * np.minimum(dist, t), False, e)
 
 
 def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:

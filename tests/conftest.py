@@ -3,8 +3,14 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
 import robustfolio as rf
+
+# Every run draws the same examples: property tests then compare two versions
+# of the code on one input set, and a failure replays without a database.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def wide_interval(half_width: float = 1000.0) -> rf.StateSpace:

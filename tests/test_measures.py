@@ -115,6 +115,17 @@ def test_translation_invariance_pushforward():
             assert d == pytest.approx(abs(c), rel=1e-12)
 
 
+def test_renormalized_copy_pairs_atom_for_atom():
+    # renormalizing the weights moves one of them by an ulp (0.752884737492146
+    # -> ...459 -> ...46); the coupling must still pair each atom with its own
+    # image, not send the ulp of mass across the support
+    P = rf.explicit([-0.5, 0.5], [0.7528847374921461, 0.247115262507854])
+    Q = rf.explicit([-0.4375, 0.5625], P.weights)
+    assert not np.array_equal(P.weights, Q.weights)
+    for order in ORDERS:
+        assert rf.wasserstein_distance(P, Q, order) == pytest.approx(0.0625, rel=1e-12)
+
+
 def test_metric_axioms_random_instances():
     rng = np.random.default_rng(20250817)
     for _ in range(25):

@@ -1,5 +1,6 @@
 """Robust solves: exact p=inf reduction and the finite-p adversarial oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import linprog
 
 import robustfolio as rf
 from robustfolio import ConfigError, DegenerateSensitivityError, DomainCompatibilityError
+from robustfolio.robust_solver import _multiplier_plans
 from robustfolio.sensitivity import zero_strategy
 
 from conftest import binomial_log_spec, normal_exp_spec
@@ -241,6 +243,7 @@ def test_inner_inf_certificates(P, p, pi, delta):
     u = rf.exponential(1.0)
     order = rf.WassersteinOrder(p)
     value, adv = rf.adversary_inner_inf(P, u, pi, delta, order)
+    assert type(value) is float
     assert rf.wasserstein_distance(P, adv, order) <= delta * (1.0 + 1e-9)
     assert adv.expectation(u.u(pi * adv.support_1d)) == pytest.approx(value, abs=1e-12)
     assert value <= P.expectation(u.u(pi * P.support_1d))
@@ -248,9 +251,110 @@ def test_inner_inf_certificates(P, p, pi, delta):
     assert wider <= value + 1e-12
 
 
+@st.composite
+def multiplier_problems(draw):
+    """Padded (atoms x grid) cost/value arrays laid out as the oracle lays
+    them out: each row sorted by cost with its zero-displacement cell first,
+    then pad cells of cost 0 and value inf; and a budget."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(2, 25), min_size=n, max_size=n))
+    width = max(sizes) + draw(st.integers(0, 3))
+    cost = np.zeros((n, width))
+    val = np.full((n, width), np.inf)
+    for i, m in enumerate(sizes):
+        cost[i, 1:m] = np.sort(draw(st.lists(st.floats(1e-6, 10.0), min_size=m - 1,
+                                             max_size=m - 1)))
+        val[i, :m] = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return w / w.sum(), cost, val, draw(st.floats(1e-3, 10.0))
+
+
+def plan_spend_and_value(w, cost, val, j):
+    rows = np.arange(w.size)
+    return w @ cost[rows, j], w @ val[rows, j]
+
+
+def mixed_value(w, cost, val, budget, j_hi, j_lo):
+    """Value of the mix of the two plans that spends the budget exactly."""
+    s_hi, a_hi = plan_spend_and_value(w, cost, val, j_hi)
+    s_lo, a_lo = plan_spend_and_value(w, cost, val, j_lo)
+    if s_lo == s_hi:
+        return a_hi
+    return a_hi + (budget - s_hi) / (s_lo - s_hi) * (a_lo - a_hi)
+
+
+@settings(max_examples=60)
+@given(problem=multiplier_problems(),
+       guess=st.sampled_from(["cold", "near", "far below", "far above"]),
+       tilt=st.floats(-5e-3, 5e-3))
+def test_multiplier_plans_bracket_the_budget_from_any_guess(problem, guess, tilt):
+    # a warm start from a good, a poor or no guess lands on the same binding
+    # multiplier: the plans bracket the budget and their budget-spending mix
+    # has the cold search's value
+    w, cost, val, budget = problem
+    j_hi0, j_lo0, lam_star = _multiplier_plans(w, cost, val, budget)
+    lam0 = {"cold": 0.0, "near": lam_star * (1.0 + tilt), "far below": lam_star * 1e-6,
+            "far above": lam_star * 1e6}[guess]
+    j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam0)
+    plain = np.argmin(val, axis=1)
+    if plan_spend_and_value(w, cost, val, plain)[0] <= budget:
+        assert np.array_equal(j_hi, plain) and np.array_equal(j_lo, plain)
+        assert lam == lam_star == 0.0
+        return
+    assert plan_spend_and_value(w, cost, val, j_hi)[0] <= budget
+    assert plan_spend_and_value(w, cost, val, j_lo)[0] > budget
+    want = mixed_value(w, cost, val, budget, j_hi0, j_lo0)
+    got = mixed_value(w, cost, val, budget, j_hi, j_lo)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * (w @ np.abs(val[:, 0])))
+
+
+def test_multiplier_plans_refuse_a_grid_without_its_zero_cell():
+    cost = np.array([[0.5, 1.0, 2.0]])
+    val = np.array([[1.0, 0.0, -1.0]])
+    with pytest.raises(rf.NumericalFailure):
+        _multiplier_plans(np.ones(1), cost, val, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # finite-p outer solve
 # ---------------------------------------------------------------------------
+
+@st.composite
+def bounded_problems(draw):
+    """Random 2-4-atom model with atoms on both sides of 0 and at least 0.3
+    inside S = [-1.25, 1.25], so that the p = inf worst case (every atom
+    moved by delta <= 0.25) stays in S."""
+    n_neg = draw(st.integers(1, 2))
+    n_pos = draw(st.integers(1, 2))
+    pts = (draw(st.lists(st.floats(-0.95, -0.01), min_size=n_neg, max_size=n_neg))
+           + draw(st.lists(st.floats(0.01, 0.95), min_size=n_pos, max_size=n_pos)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pts),
+                               max_size=len(pts))))
+    model = rf.explicit(pts, w / w.sum(), state_space=rf.StateSpace.interval(-1.25, 1.25))
+    return rf.ProblemSpec(model=model,
+                          utility=draw(st.sampled_from([rf.log_shifted(1.0),
+                                                        rf.power(2.0, 1.0)])),
+                          action_space=rf.StateSpace.interval(-0.75, 0.75),
+                          order=INF)
+
+
+@settings(max_examples=8)
+@given(spec=bounded_problems(), delta=st.floats(0.01, 0.12))
+def test_robust_value_rises_with_the_order_and_falls_with_the_radius(spec, delta):
+    # W_p <= W_p' for p <= p' nests the balls: V_1.5 <= V_3 <= V_inf; every
+    # certified cost is within its radius, and V is nonincreasing in delta
+    values = []
+    for p in (1.5, 3.0, math.inf):
+        spec_p = dataclasses.replace(spec, order=rf.WassersteinOrder(p))
+        sols = [rf.robust_solve(spec_p, d) for d in (delta, 2.0 * delta)]
+        for sol in sols:
+            assert sol.transport_cost <= sol.delta
+        narrow, wide = (s.V_delta for s in sols)
+        assert wide <= narrow + 1e-9 * (1.0 + abs(narrow))
+        values.append(narrow)
+    for lower, upper in zip(values, values[1:]):
+        assert lower <= upper + 1e-9 * (1.0 + abs(upper))
+
 
 def test_robust_p_delta_zero_is_baseline():
     spec = binomial_log_spec(0.25, p=2.0, state=(-1.25, 1.25),
@@ -318,6 +422,19 @@ def test_robust_p_degenerate_model_stays_flat():
         sol = rf.robust_solve_p(spec, delta)
         assert abs(sol.pi_delta[0]) <= 1e-8
         assert sol.V_delta == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_robust_p_certifies_a_model_with_repeated_atoms():
+    # two atoms at one point: the oracle's adversary splits one of them, and
+    # measuring its cost must pair the fragments with their own atoms even
+    # though renormalized weights differ by an ulp
+    model = rf.explicit([-0.5, -0.5, 0.109375], np.array([128.0, 128.0, 29.0]) / 285.0,
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-0.5, 0.0),
+                          order=rf.WassersteinOrder(3.0))
+    sol = rf.robust_solve_p(spec, 0.001953125)
+    assert sol.transport_cost <= 0.001953125
 
 
 def test_robust_p_argument_validation():
@@ -490,6 +607,45 @@ def test_zero_strategy_price_slope_and_adversary(weights, action, p):
     assert sol.pi_delta_scalar == 0.0
     np.testing.assert_allclose(sol.adversary.support_1d,
                                spec.model.support_1d - zero_strategy(spec, 0.1).shift,
+                               rtol=0.0, atol=1e-15)
+
+
+def test_pinned_zero_strategy_stops_atoms_at_the_state_space_edge():
+    # pi = 0 pinned by A = [0, 0.75] at p = 2: the atom at -0.95 can move only
+    # to the edge -1 of S, and the other two share the rest of the budget
+    model = rf.explicit([-0.95, -0.2, 0.5], [0.4, 0.3, 0.3],
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(0.0, 0.75),
+                          order=rf.WassersteinOrder(2.0))
+    delta, g = 0.1, rf.call_payoff(-0.97)
+    t = math.sqrt((delta ** 2 - 0.4 * 0.05 ** 2) / 0.6)
+    np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t, t],
+                               rtol=0.0, atol=1e-15)
+    sol = rf.robust_solve_p(spec, delta)
+    assert sol.pi_delta_scalar == 0.0
+    np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, -0.2 - t, 0.5 - t],
+                               rtol=0.0, atol=1e-15)
+    assert sol.transport_cost == pytest.approx(delta, rel=1e-12)
+    assert sol.transport_cost <= delta
+    price = rf.robust_davis_price(spec, g, delta, sol)
+    assert price == pytest.approx(0.3 * (0.77 - t) + 0.3 * (1.47 - t), abs=1e-12)
+    # the limit of the marginal-utility prices along feasible pi -> 0+
+    _, adv = rf.adversary_inner_inf(model, spec.utility, 1e-6, delta, spec.order)
+    y = adv.support_1d
+    dens = adv.weights * spec.utility.u_prime(1e-6 * y)
+    assert price == pytest.approx(float(dens @ g(y) / dens.sum()), abs=2e-6)
+
+
+def test_pinned_zero_strategy_parks_every_atom_when_the_edge_is_within_reach():
+    # the whole model sits closer to the edge than the radius: every atom
+    # moves to the edge and the budget is not spent
+    model = rf.explicit([-0.97, 0.02], [0.5, 0.5],
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(0.0, 0.75),
+                          order=rf.WassersteinOrder(2.0))
+    np.testing.assert_allclose(zero_strategy(spec, 2.0).shift, [0.03, 1.02],
                                rtol=0.0, atol=1e-15)
 
 
