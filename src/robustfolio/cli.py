@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .analytic_fixtures import FIXTURE_NAMES, Fixture, fixture
@@ -151,10 +149,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would re-check the schema against its
-# meta-schema on every call.
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
-
 COMMANDS = ("solve", "sensitivity", "robust", "davis", "sweep", "figures", "oracle-check")
 FIGURE_PRESETS = ("fig1", "fig2-left", "fig2-right", "fig3-left", "fig3-right", "fig4")
 
@@ -231,10 +225,86 @@ def read_result_csv(text: str) -> tuple[list[str], list[list[float]], dict[str, 
 # Config handling
 # ---------------------------------------------------------------------------
 
+_JSON_TYPES = {"object": dict, "array": list, "number": (int, float), "string": str}
+
+
+def _is_type(value, name: str) -> bool:
+    if isinstance(value, bool):  # JSON true/false is none of the types the schema names
+        return False
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: 1 == 1.0, but true != 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _violation(value, schema: dict, where: str) -> str | None:
+    """The first way ``value`` breaks ``schema``, as 'path: reason', or None.
+
+    Draft 2020-12 semantics for exactly the keywords CONFIG_SCHEMA uses: type,
+    const, enum, minimum, exclusiveMinimum, minItems, maxItems, items,
+    required, properties, additionalProperties (false only) and oneOf. The
+    tests hold it to jsonschema's verdicts and refuse any other keyword."""
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return f"{where}: {value!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        return f"{where}: {value!r} is not {schema['const']!r}"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        return f"{where}: {value!r} is not one of {schema['enum']!r}"
+    if _is_type(value, "number"):  # NaN passes both bounds, as in jsonschema
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{where}: {value!r} is less than {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{where}: needs at least {schema['minItems']} items, has {len(value)}"
+        if len(value) > schema.get("maxItems", len(value)):
+            return f"{where}: takes at most {schema['maxItems']} items, has {len(value)}"
+        for i, item in enumerate(value if "items" in schema else ()):
+            found = _violation(item, schema["items"], f"{where}[{i}]")
+            if found:
+                return found
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{where}: {key!r} is required"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                found = _violation(item, properties[key], f"{where}.{key}")
+                if found:
+                    return found
+            elif schema.get("additionalProperties") is False:
+                return f"{where}: unknown key {key!r}"
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        found = [_violation(value, branch, where) for branch in branches]
+        if found.count(None) == 1:
+            return None
+        if None in found:
+            return f"{where}: {value!r} fits more than one alternative"
+        # a tagged object is held to the branch its kind names
+        kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in branches]
+        if isinstance(value, dict) and None not in kinds:
+            kind = value.get("kind", kinds[0])  # kindless: the first says it is required
+            if kind in kinds:
+                return found[kinds.index(kind)]
+            return f"{where}.kind: {kind!r} is not one of {kinds!r}"
+        reasons = "; ".join(m.removeprefix(f"{where}: ") for m in found)
+        return f"{where}: {value!r} fits no alternative ({reasons})"
+    return None
+
+
 def validate_config(cfg: dict) -> dict:
-    error = best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message}")
+    """Return ``cfg`` unchanged, or raise ConfigError naming the first path in
+    it that CONFIG_SCHEMA rejects."""
+    found = _violation(cfg, CONFIG_SCHEMA, "config")
+    if found is not None:
+        raise ConfigError(f"config rejected: {found}")
     return cfg
 
 

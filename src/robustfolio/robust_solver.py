@@ -49,7 +49,8 @@ Robust Davis prices follow the optimizer branch:
   * pi_delta = 0 with 0 interior to A: the marginal-utility weight is
     constant; at E_P[X] = 0 every ball member prices and the robust (lower)
     price is the ball infimum of E[g], otherwise the saddle adversary (the
-    uniform shift that zeroes the mean) prices;
+    cheapest shift that zeroes the mean: uniform, and at finite p stopping
+    atoms at the edge of S) prices;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
     continuity as the limit along feasible strategies pi -> 0, for every
     mean: each atom moves against the feasible direction e, by delta at
@@ -76,8 +77,8 @@ from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, Payoff,
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, wasserstein_distance
-from .sensitivity import (degeneracy_guard, optimizer_sensitivity, transport_direction,
-                          zero_strategy)
+from .sensitivity import (_MEAN_ZERO_TOL, degeneracy_guard, optimizer_sensitivity,
+                          transport_direction, zero_strategy)
 from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
@@ -548,8 +549,14 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
     value, adversary = inner(pi)
     if pi == 0.0:
         # all ball members attain u(0); report the zero-strategy adversary
-        # when its atoms stay in S
-        shifted = spec.model.support_1d - zero_strategy(spec, delta).shift
+        # when its atoms stay in S. With 0 interior to A, pi = 0 is optimal
+        # only against a ball member of zero mean
+        zero = zero_strategy(spec, delta)
+        shifted = spec.model.support_1d - zero.shift
+        if zero.direction is None and abs(float(spec.model.weights @ shifted)) > _MEAN_ZERO_TOL:
+            raise AssumptionViolation(
+                f"pi = 0 with 0 interior to A, but no shift within the state space "
+                f"and radius {delta} zeroes the mean")
         if np.all((shifted >= space.lower[0]) & (shifted <= space.upper[0])):
             adversary = _as_adversary(shifted, spec.model.weights, base=model,
                                       delta=delta, p=spec.order.p, constrained=True)

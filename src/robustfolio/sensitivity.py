@@ -32,7 +32,8 @@ Davis price p_d(delta) = E_{P*}[u' g]/E_{P*}[u'], three branches at delta=0:
     p_d'(0) = - E_P[ <grad g(X), e> ].
 ``zero_strategy`` owns these pi = 0 rules for the robust solvers too; at
 radius delta and finite p it stops atoms at the edge of the state space and
-spends the rest of the budget on the others.
+moves the others one common distance, which spends the budget (pinned) or
+zeroes the mean (0 interior to A).
 
 A Kullback-Leibler comparator (radius-constrained relative-entropy ball) and
 the first-order Wasserstein preference score complete the module. Everything
@@ -206,22 +207,29 @@ class ZeroStrategy:
     direction: float | None
 
 
-def _capped_reach(dist: np.ndarray, w: np.ndarray, delta: float, p: float) -> float:
-    """t with sum_i w_i min(dist_i, t)^p = delta^p: the common distance the
-    atoms not stopped by their edge move when the budget is spent (inf when
-    the edges hold less than the budget, delta when no edge binds)."""
-    if np.all(dist[w > 0.0] >= delta):
-        return delta
+def _capped_reach(dist: np.ndarray, w: np.ndarray, level: float, p: float) -> float:
+    """t with sum_i w_i min(dist_i, t)^p = level^p: the common distance the
+    atoms not stopped by their edge move (inf when the edges hold less than
+    the level, the level itself when no edge binds)."""
+    if np.all(dist[w > 0.0] >= level):
+        return level
     order = np.argsort(dist)
     d, wd = dist[order], w[order]
     spent = np.concatenate([[0.0], np.cumsum(wd * d ** p)])  # by the k nearest
     free = np.concatenate([np.cumsum(wd[::-1])[::-1], [0.0]])  # by the others
     for k in range(d.size):
         if free[k] > 0.0:
-            t = ((delta ** p - spent[k]) / free[k]) ** (1.0 / p)
+            t = ((level ** p - spent[k]) / free[k]) ** (1.0 / p)
             if t <= d[k]:
                 return t
     return math.inf
+
+
+def _edge_distance(spec: ProblemSpec, e: float) -> np.ndarray:
+    """How far each atom can move against e before it meets the edge of S."""
+    x = spec.model.support_1d
+    space = spec.state_space
+    return x - space.lower[0] if e > 0.0 else space.upper[0] - x
 
 
 def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
@@ -230,13 +238,27 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
     a_lo = spec.action_space.lower[0]
     a_hi = spec.action_space.upper[0]
     x = spec.model.support_1d
+    w = spec.model.weights
     if a_lo < -_ACTION_ZERO_TOL and a_hi > _ACTION_ZERO_TOL:
-        # every ball member attains u(0); the saddle adversary is the smallest
-        # uniform shift that also makes pi = 0 optimal, and at zero mean every
-        # ball member prices
-        mean = float(spec.model.weights @ x)
-        return ZeroStrategy(np.full(x.size, min(max(mean, -delta), delta)),
-                            abs(mean) <= _MEAN_ZERO_TOL, None)
+        # every ball member attains u(0); the saddle adversary is the cheapest
+        # shift that also makes pi = 0 optimal, and at zero mean every ball
+        # member prices
+        mean = float(w @ x)
+        ball_infimum = abs(mean) <= _MEAN_ZERO_TOL
+        if spec.order.is_inf:
+            return ZeroStrategy(np.full(x.size, min(max(mean, -delta), delta)),
+                                ball_infimum, None)
+        # at finite p the cheapest shift that zeroes the mean stops atoms at
+        # the edge of S, and the others share the rest of the mean, one
+        # distance t for all; past the budget it spends the budget instead,
+        # as the clip does at p = inf
+        e = math.copysign(1.0, mean)
+        dist = _edge_distance(spec, e)
+        shift = e * np.minimum(dist, _capped_reach(dist, w, abs(mean), 1.0))
+        p = spec.order.p
+        if w @ np.abs(shift) ** p > delta ** p:
+            shift = e * np.minimum(dist, _capped_reach(dist, w, delta, p))
+        return ZeroStrategy(shift, ball_infimum, None)
     if abs(a_lo) <= _ACTION_ZERO_TOL and a_hi > 0.0:
         e = 1.0
     elif abs(a_hi) <= _ACTION_ZERO_TOL and a_lo < 0.0:
@@ -249,9 +271,8 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
     # (the p = inf ball ignores S, as in robust_solve_inf)
     if spec.order.is_inf:
         return ZeroStrategy(np.full(x.size, delta * e), False, e)
-    space = spec.state_space
-    dist = x - space.lower[0] if e > 0.0 else space.upper[0] - x
-    t = _capped_reach(dist, spec.model.weights, delta, spec.order.p)
+    dist = _edge_distance(spec, e)
+    t = _capped_reach(dist, w, delta, spec.order.p)
     return ZeroStrategy(e * np.minimum(dist, t), False, e)
 
 

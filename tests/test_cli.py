@@ -14,6 +14,8 @@ import robustfolio as rf
 from robustfolio import cli
 from robustfolio.errors import ConfigError
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def base_config(**extra) -> dict:
     cfg = {
@@ -63,9 +65,17 @@ def test_validate_config_rejects(broken):
         cli.validate_config(cfg)
 
 
+SCHEMA_DOC_COMMAND = (
+    "PYTHONPATH=src python -c \"import json; from robustfolio.cli import CONFIG_SCHEMA; "
+    "print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))\" > docs/config_schema.json")
+
+
 def test_shipped_schema_document_matches_module():
-    doc = json.loads(Path("docs/config_schema.json").read_text(encoding="utf-8"))
-    assert doc == cli.CONFIG_SCHEMA
+    # the document is generated from CONFIG_SCHEMA, byte for byte
+    expected = json.dumps(cli.CONFIG_SCHEMA, indent=2, sort_keys=True) + "\n"
+    shipped = ROOT / "docs" / "config_schema.json"
+    assert shipped.read_bytes() == expected.encode(), \
+        f"docs/config_schema.json is stale; regenerate it from the root with: {SCHEMA_DOC_COMMAND}"
 
 
 def test_config_schema_passes_its_meta_schema():
@@ -441,6 +451,24 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_cli_loads_no_jsonschema(tmp_path):
+    # configs are checked in-tree; jsonschema (and what it pulls in) is a test
+    # dependency only, on the exit-0 and the exit-2 path alike
+    invalid = ROOT / "bench" / "configs" / "invalid_schema.json"
+    code = ("import sys\n"
+            "from robustfolio.cli import main\n"
+            "codes = [main(['solve', '--config', sys.argv[1]]),\n"
+            "         main(['solve', '--config', sys.argv[2]])]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.startswith(('jsonschema', 'referencing', 'attr'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           write_config(tmp_path, base_config()), str(invalid)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 2] []"
+    assert "config rejected: config.wasserstein_p" in proc.stderr
 
 
 def test_figures_presets_shapes(tmp_path):

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import robustfolio as rf
-from robustfolio import ConfigError, DegenerateSensitivityError, DomainCompatibilityError
+from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
+                         DomainCompatibilityError, robust_solver)
 from robustfolio.robust_solver import _multiplier_plans
 from robustfolio.sensitivity import zero_strategy
 
@@ -647,6 +648,56 @@ def test_pinned_zero_strategy_parks_every_atom_when_the_edge_is_within_reach():
                           order=rf.WassersteinOrder(2.0))
     np.testing.assert_allclose(zero_strategy(spec, 2.0).shift, [0.03, 1.02],
                                rtol=0.0, atol=1e-15)
+
+
+def saddle_edge_spec() -> rf.ProblemSpec:
+    # E_P[X] = 0.1, and the atom at -0.95 is 0.05 from the edge of S
+    model = rf.explicit([-0.95, 0.55], [0.3, 0.7],
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-0.75, 0.75),
+                          order=rf.WassersteinOrder(2.0))
+
+
+def test_saddle_zero_strategy_stops_atoms_at_the_state_space_edge():
+    # pi = 0 interior to A at p = 2 and delta = 0.2: the atom at -0.95 can
+    # move only to the edge -1 of S, and the other carries the rest of the
+    # mean (the uniform shift put an atom at -1.05 and priced the call 0.994)
+    spec = saddle_edge_spec()
+    delta, g = 0.2, rf.call_payoff(-0.97)
+    t = (0.1 - 0.3 * 0.05) / 0.7
+    np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t],
+                               rtol=0.0, atol=1e-15)
+    sol = rf.robust_solve_p(spec, delta)
+    assert sol.pi_delta_scalar == 0.0
+    np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, 0.55 - t],
+                               rtol=0.0, atol=1e-15)
+    assert sol.transport_cost == pytest.approx(math.sqrt(0.3 * 0.05 ** 2 + 0.7 * t ** 2),
+                                               rel=1e-12)
+    assert sol.transport_cost <= delta
+    assert rf.martingale_check_robust(spec, sol) <= 1e-15
+    price = rf.robust_davis_price(spec, g, delta, sol)
+    assert price == pytest.approx(0.7 * (0.55 - t + 0.97), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_saddle_zero_strategy_is_the_uniform_mean_when_no_edge_binds(p):
+    spec = four_atom_spec([0.2, 0.25, 0.25, 0.3], (-0.75, 0.75), p)
+    mean = float(spec.model.weights @ spec.model.support_1d)
+    assert np.array_equal(zero_strategy(spec, 0.1).shift, np.full(4, mean))
+
+
+def test_robust_solve_p_refuses_pi_zero_without_a_zero_mean_ball_member(monkeypatch):
+    # at delta = 0.05 the cheapest mean-zeroing shift (cost 0.105) is out of
+    # reach, so the saddle shift spends the budget instead; a pi = 0 answer
+    # (forced here, the outer search gives none) is refused rather than
+    # reported with an adversary that still has a drift
+    spec = saddle_edge_spec()
+    np.testing.assert_allclose(zero_strategy(spec, 0.05).shift, [0.05, 0.05],
+                               rtol=0.0, atol=1e-15)
+    monkeypatch.setattr(robust_solver, "_concave_argmax", lambda slope, lo, hi: (0.0, False))
+    with pytest.raises(AssumptionViolation, match="zeroes the mean"):
+        rf.robust_solve_p(spec, 0.05)
 
 
 def test_robust_davis_first_order_diagnostics():
