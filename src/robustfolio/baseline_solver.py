@@ -53,6 +53,13 @@ _DOMAIN_MARGIN = 1e-9
 
 _BOUNDARY_TOL = 1e-12
 
+# Projected Newton (d > 1) stops once the projected gradient is this small.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITERATIONS = 200
+
+# Step of the central eps-difference in the root-finding Davis price.
+_DAVIS_FD_STEP = 1e-5
+
 
 # ---------------------------------------------------------------------------
 # Payoffs
@@ -221,8 +228,6 @@ class ProblemSpec:
     order: WassersteinOrder = field(default_factory=lambda: WassersteinOrder(math.inf))
     payoff: Payoff | None = None
     state_space: StateSpace | None = None
-    solver_tol: float = 1e-12
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if self.action_space.dim != self.model.dim:
@@ -256,24 +261,23 @@ def _feasible_pi_interval(spec: ProblemSpec) -> tuple[float, float]:
 
 def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
                            a_lo: float, a_hi: float) -> tuple[float, float]:
-    """Same intersection on raw arrays, wealth pi*x_i + e_i."""
-    e = np.zeros(x.shape[0]) + endowment
+    """Same intersection on raw arrays, wealth pi*x_i + e_i. An atom at 0
+    empties it unless its endowment alone clears the margin; every other atom
+    bounds pi by its quotients (d_lo + margin - e_i) / x_i and
+    (d_hi - margin - e_i) / x_i, the smaller from below and the larger from
+    above (an infinite domain end gives a quotient of +-inf, which never binds)."""
     d_lo, d_hi = utility.domain
-    lo, hi = a_lo, a_hi
-    for xi, ei in zip(x, e):
-        if xi > 0.0:
-            if not math.isinf(d_lo):
-                lo = max(lo, (d_lo + _DOMAIN_MARGIN - ei) / xi)
-            if not math.isinf(d_hi):
-                hi = min(hi, (d_hi - _DOMAIN_MARGIN - ei) / xi)
-        elif xi < 0.0:
-            if not math.isinf(d_lo):
-                hi = min(hi, (d_lo + _DOMAIN_MARGIN - ei) / xi)
-            if not math.isinf(d_hi):
-                lo = max(lo, (d_hi - _DOMAIN_MARGIN - ei) / xi)
-        else:
-            if not (d_lo + _DOMAIN_MARGIN <= ei <= d_hi - _DOMAIN_MARGIN):
-                return 1.0, 0.0  # empty
+    e = endowment  # a scalar, or one value per atom
+    if not x.all():
+        e = np.zeros(x.shape[0]) + endowment
+        still = x == 0.0
+        if not ((d_lo + _DOMAIN_MARGIN <= e[still]) & (e[still] <= d_hi - _DOMAIN_MARGIN)).all():
+            return 1.0, 0.0  # empty
+        x, e = x[~still], e[~still]
+    q_floor = (d_lo + _DOMAIN_MARGIN - e) / x
+    q_ceil = (d_hi - _DOMAIN_MARGIN - e) / x
+    lo = max(a_lo, float(np.minimum(q_floor, q_ceil).max(initial=-math.inf)))
+    hi = min(a_hi, float(np.maximum(q_floor, q_ceil).min(initial=math.inf)))
     return lo, hi
 
 
@@ -326,10 +330,27 @@ def _hessian(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     return (weighted[:, None] * spec.model.points).T @ spec.model.points
 
 
+def _finite_end(grad: Callable[[float], float], sign: float, other: float) -> float:
+    """The first of sign * (1, 2, 4, ...) beyond ``other`` at which the
+    gradient points back toward ``other``, so that the maximizer lies between."""
+    t = sign
+    while not ((t - other) * sign > 0.0 and grad(t) * sign < 0.0):
+        t *= 2.0
+        if math.isinf(t):
+            raise NumericalFailure("the gradient keeps its sign to the end of float range: "
+                                   "no finite maximizer")
+    return t
+
+
 def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float) -> tuple[float, bool]:
     """Maximizer on [lo, hi] of a concave function from its nonincreasing
     (super)gradient: an end where the gradient's sign pins it (flagged True),
-    else the gradient's root, bracketed to ~1e-15."""
+    else the gradient's root, bracketed to ~1e-15. An infinite end gives way
+    to a finite one (``_finite_end``) first."""
+    if math.isinf(lo):
+        lo = _finite_end(grad, -1.0, hi)
+    if math.isinf(hi):
+        hi = _finite_end(grad, 1.0, lo)
     if grad(lo) <= 0.0:
         return lo, True
     if grad(hi) >= 0.0:
@@ -386,7 +407,7 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
     pi = np.clip(np.zeros(d), lo, hi)
     if not np.isfinite(_objective(spec, pi, endowment)):
         raise DomainCompatibilityError("initial strategy infeasible for the utility domain")
-    for _ in range(spec.max_iterations):
+    for _ in range(_NEWTON_MAX_ITERATIONS):
         g = _gradient(spec, pi, endowment)
         H = _hessian(spec, pi, endowment)
         try:
@@ -414,7 +435,7 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
         proj = g.copy()
         proj[active_lo | active_hi] = 0.0
         norm = np.linalg.norm(proj)
-        if norm <= spec.solver_tol or (not improved and norm <= 1e-9):
+        if norm <= _NEWTON_TOL or (not improved and norm <= 1e-9):
             return pi, bool(np.any(pi <= lo + _BOUNDARY_TOL) or np.any(pi >= hi - _BOUNDARY_TOL))
     raise NumericalFailure("projected Newton did not converge")
 
@@ -485,10 +506,10 @@ def solve_with_endowment(spec: ProblemSpec, endowment: np.ndarray) -> tuple[floa
 
 
 def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
-                         bracket: tuple[float, float], fd_step: float = 1e-5) -> float:
+                         bracket: tuple[float, float]) -> float:
     """Davis price as the root of p_d -> d/d-eps V(eps, p_d)|_{eps=0}.
 
-    The eps-derivative is a central finite difference (step ``fd_step``) with a
+    The eps-derivative is a central finite difference (step ``_DAVIS_FD_STEP``) with a
     full re-optimization of pi at each perturbed problem — an independent
     validation route for the envelope formula, not a reuse of it.
     """
@@ -500,10 +521,10 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
     def eps_derivative(p_d: float) -> float:
         if p_d == 0.0:
             raise ConfigError("candidate price 0 is not admissible")
-        e_plus = fd_step * (g_vals / p_d - 1.0)
+        e_plus = _DAVIS_FD_STEP * (g_vals / p_d - 1.0)
         v_plus, _ = solve_with_endowment(spec, e_plus)
         v_minus, _ = solve_with_endowment(spec, -e_plus)
-        return (v_plus - v_minus) / (2.0 * fd_step)
+        return (v_plus - v_minus) / (2.0 * _DAVIS_FD_STEP)
 
     f_lo, f_hi = eps_derivative(lo), eps_derivative(hi)
     if f_lo == 0.0:

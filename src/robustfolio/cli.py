@@ -299,13 +299,30 @@ def _violation(value, schema: dict, where: str) -> str | None:
     return None
 
 
+def _integers_as_int(value, schema: dict):
+    """``value`` (valid for ``schema``) with every number the schema types as
+    an integer made an int, in place: Draft 2020-12 counts 64.0 as an
+    integer, numpy's shapes and polynomial degrees do not."""
+    if "oneOf" in schema:
+        schema = next(b for b in schema["oneOf"] if _violation(value, b, "") is None)
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in value.keys() & properties.keys():
+            value[key] = _integers_as_int(value[key], properties[key])
+    elif isinstance(value, list) and "items" in schema:
+        value[:] = [_integers_as_int(item, schema["items"]) for item in value]
+    return value
+
+
 def validate_config(cfg: dict) -> dict:
-    """Return ``cfg`` unchanged, or raise ConfigError naming the first path in
-    it that CONFIG_SCHEMA rejects."""
+    """Return ``cfg`` with its integer-typed values made ints, or raise
+    ConfigError naming the first path in it that CONFIG_SCHEMA rejects."""
     found = _violation(cfg, CONFIG_SCHEMA, "config")
     if found is not None:
         raise ConfigError(f"config rejected: {found}")
-    return cfg
+    return _integers_as_int(cfg, CONFIG_SCHEMA)
 
 
 def _bound(v) -> float:

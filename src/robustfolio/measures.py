@@ -40,6 +40,7 @@ from .errors import ConfigError
 
 _WEIGHT_TOL = 1e-12
 _LP_ATOM_CAP = 12
+_CONTAINS_TOL = 1e-12  # points this far outside a state space still count as inside
 # Mass left on an atom after coupling that is rounding residue: renormalizing
 # weights moves each by about an ulp (up to 2.2e-16 near 1), so two copies of
 # one law differ by that much and must still pair atom for atom.
@@ -86,11 +87,11 @@ class StateSpace:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         pts = _as_points(points)
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
-        return bool(np.all(pts >= lo - tol) and np.all(pts <= hi + tol))
+        return bool(np.all(pts >= lo - _CONTAINS_TOL) and np.all(pts <= hi + _CONTAINS_TOL))
 
     def clip(self, points: np.ndarray) -> np.ndarray:
         pts = _as_points(points)

@@ -7,11 +7,9 @@ for a discrete baseline P (d = 1), two regimes:
 
 p = inf (exact reduction)
     The inner infimum is attained by shifting every atom a distance delta
-    against the position: inf = E_P[u(<X, pi> - delta |pi|)]. In d = 1 the
-    sign of pi picks the shift direction, so the outer problem splits into
-    two concave one-dimensional solves on shifted atoms (pi >= 0 with atoms
-    x - delta, pi <= 0 with atoms x + delta) plus the pi = 0 value u(0).
-    The reduction is for the unconstrained ball; the state space never
+    against the position: inf = E_P[u(<X, pi> - delta |pi|)], concave in pi,
+    with atoms x - delta for pi > 0 and x + delta for pi < 0. The
+    reduction is for the unconstrained ball; the state space never
     constrains the p = inf adversary (all closed-form targets are of this
     form), and the worst case is the full Monge shift.
 
@@ -37,11 +35,14 @@ finite p (certified numerical oracle)
     -inf), so S with unbounded sides in the displacement direction is
     rejected rather than silently truncated.
 
-The outer maximization for finite p is a root find: the inner value is
-concave in pi (an infimum of concave functions), and by Danskin's theorem the
-oracle's worst case P* gives it the slope E_{P*}[X u'(pi X)]. The slope's sign
-at the ends of the feasible interval pins an end optimum, else in-tree Brent
-brackets its root; the p = inf solves take the same step (``_concave_argmax``).
+The outer maximization is one concave search in both regimes: the robust
+value is concave in pi (an infimum of concave functions), with a kink at
+pi = 0. Its one-sided slopes at 0 (at +-2 PI_ZERO_THRESHOLD at finite p, as
+the oracle has no worst case inside that band) pick the side that holds the
+maximizer, or pi = 0 (``_side_of_zero``, ``_zero_answer``). On that side
+in-tree Brent brackets the root of the slope, E[X u'(pi X)] on the shifted
+atoms at p = inf and, by Danskin's theorem, on the oracle's worst case P* at
+finite p, unless its sign pins an end (``_concave_argmax``).
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -105,8 +106,7 @@ class RobustSolution:
 
 
 def _as_adversary(points: np.ndarray, weights: np.ndarray, *, base: DiscreteMeasure,
-                  delta: float, p: float, constrained: bool) -> DiscreteMeasure:
-    space = base.state_space if constrained else None
+                  delta: float, p: float, space: StateSpace | None) -> DiscreteMeasure:
     return DiscreteMeasure(points=np.asarray(points, dtype=float).reshape(-1, 1),
                            weights=weights, state_space=space,
                            is_quadrature=base.is_quadrature, kind="adversary",
@@ -119,12 +119,12 @@ def _check_radius(delta: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# p = inf: exact reduction
+# both orders: certificate, side of 0, pi = 0; then the p = inf reduction
 # ---------------------------------------------------------------------------
 
-def _certified_cost(P: DiscreteMeasure, adversary: DiscreteMeasure, order,
-                    delta: float) -> float:
-    """Transport cost of the constructed adversary, certified <= delta.
+def _certified(spec: ProblemSpec, delta: float, pi: float, value: float,
+               adversary: DiscreteMeasure, method: str) -> RobustSolution:
+    """The solution, with the transport cost of its adversary certified <= delta.
 
     The construction keeps the plan inside the budget; re-measuring the
     distance reintroduces power/root rounding, so ulp-level excess is clamped
@@ -132,7 +132,8 @@ def _certified_cost(P: DiscreteMeasure, adversary: DiscreteMeasure, order,
     of an atom at coordinate x cannot resolve below ulp(x), so the clamp
     scales with the largest atom magnitude (quadrature stand-ins for heavy
     tails put atoms at 1e10 and beyond)."""
-    cost = wasserstein_distance(P, adversary, order)
+    P = spec.model
+    cost = wasserstein_distance(P, adversary, spec.order)
     if not cost <= delta:
         max_abs = max(float(np.max(np.abs(P.points))),
                       float(np.max(np.abs(adversary.points))))
@@ -141,7 +142,41 @@ def _certified_cost(P: DiscreteMeasure, adversary: DiscreteMeasure, order,
             raise NumericalFailure(
                 f"adversary left the ball: cost {cost} > radius {delta}")
         cost = delta
-    return cost
+    return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
+                          adversary=adversary, transport_cost=cost, method=method)
+
+
+def _side_of_zero(lo: float, hi: float, right: Callable[[], float],
+                  left: Callable[[], float], at: float = 0.0) -> tuple[float, float]:
+    """The part of [lo, hi] that holds the maximizer of a concave function,
+    from its one-sided slopes at 0, right() at +at and left() at -at: past a
+    probe whose slope points away from 0, [at, hi] or [lo, -at], else {0} as
+    (0, 0). Without 0 in [lo, hi] nothing is decided: [lo, hi] comes back."""
+    if not lo <= 0.0 <= hi:
+        return lo, hi
+    if hi > at and right() > 0.0:
+        return at, hi
+    if lo < -at and left() < 0.0:
+        return lo, -at
+    return 0.0, 0.0
+
+
+def _zero_answer(spec: ProblemSpec, delta: float, method: str) -> RobustSolution:
+    """The robust solution with pi = 0: every ball member attains u(0), and
+    the adversary is ``zero_strategy``'s shift. With 0 interior to A, pi = 0
+    is optimal only against a ball member of zero mean."""
+    x = spec.model.support_1d
+    w = spec.model.weights
+    zero = zero_strategy(spec, delta)
+    shifted = x - zero.shift
+    if zero.direction is None and abs(float(w @ shifted)) > _MEAN_ZERO_TOL:
+        raise AssumptionViolation(
+            f"pi = 0 with 0 interior to A, but no shift within the state space "
+            f"and radius {delta} zeroes the mean")
+    adversary = _as_adversary(shifted, w, base=spec.model, delta=delta, p=spec.order.p,
+                              space=None if spec.order.is_inf else spec.state_space)
+    value = float(np.dot(w, spec.utility.u(0.0 * x)))
+    return _certified(spec, delta, 0.0, value, adversary, method)
 
 
 def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
@@ -159,32 +194,20 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
     x = spec.model.support_1d
     w = spec.model.weights
     u = spec.utility
-    a_lo = spec.action_space.lower[0]
-    a_hi = spec.action_space.upper[0]
 
-    candidates: list[tuple[float, float, float]] = []  # (value, pi, shift); atoms x - shift
-    if a_hi > 0.0:
-        xs = x - delta
-        pi_p, _ = _concave_max_raw(xs, w, u, max(a_lo, 0.0), a_hi)
-        candidates.append((float(np.dot(w, u.u(pi_p * xs))), pi_p, delta))
-    if a_lo < 0.0:
-        xs = x + delta
-        pi_m, _ = _concave_max_raw(xs, w, u, a_lo, min(a_hi, 0.0))
-        candidates.append((float(np.dot(w, u.u(pi_m * xs))), pi_m, -delta))
-    if not candidates:
-        raise DomainCompatibilityError("action space is the single point 0")
-    # Ties at pi = 0 (both branches pinned): prefer the zero strategy.
-    candidates.sort(key=lambda c: (-c[0], abs(c[1])))
-    value, pi, shift = candidates[0]
+    def slope_at_zero(xs: np.ndarray) -> float:  # as _concave_max_raw takes it
+        return float(np.dot(w * u.u_prime(0.0 * xs), xs))
 
-    if abs(pi) <= PI_ZERO_THRESHOLD and a_lo <= 0.0 <= a_hi:
-        pi = 0.0
-        shift = zero_strategy(spec, delta).shift
-    adversary = _as_adversary(x - shift, w, base=spec.model,
-                              delta=delta, p=math.inf, constrained=False)
-    cost = _certified_cost(spec.model, adversary, spec.order, delta)
-    return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
-                          adversary=adversary, transport_cost=cost, method="inf_exact")
+    lo, hi = _side_of_zero(spec.action_space.lower[0], spec.action_space.upper[0],
+                           lambda: slope_at_zero(x - delta), lambda: slope_at_zero(x + delta))
+    if lo == hi:
+        return _zero_answer(spec, delta, "inf_exact")
+    xs = x - delta if hi > 0.0 else x + delta  # every atom moves against the position
+    pi, _ = _concave_max_raw(xs, w, u, lo, hi)
+    if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
+        return _zero_answer(spec, delta, "inf_exact")
+    adversary = _as_adversary(xs, w, base=spec.model, delta=delta, p=math.inf, space=None)
+    return _certified(spec, delta, pi, float(np.dot(w, u.u(pi * xs))), adversary, "inf_exact")
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +507,13 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     pts = np.array([x[i] + s for i, s, m in fragments if m > 0.0])
     masses = np.array([w[i] * m for i, s, m in fragments if m > 0.0])
     adversary = _as_adversary(pts, masses / masses.sum(), base=P, delta=delta,
-                              p=order.p, constrained=True)
+                              p=order.p, space=P.state_space)
     return float(value), adversary
 
 
 def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
                    refinements: int = 3) -> RobustSolution:
-    """Outer maximization over A of the certified inner infimum (finite p, d=1),
-    by a root find on its Danskin slope (module docstring)."""
+    """Outer concave search over A of the certified inner infimum (finite p, d=1)."""
     if spec.order.is_inf:
         raise ConfigError("robust_solve_p needs a finite order (use robust_solve_inf)")
     if spec.dim != 1:
@@ -531,39 +553,17 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
         return cache[pi_val]
 
     def slope(t: float) -> float:
-        if abs(t) <= PI_ZERO_THRESHOLD:
-            # no worst case in the zero band; the supergradients at 0 span the
-            # one-sided slopes just outside it: pass on one that points away
-            # from 0, else 0 (then 0 is optimal)
-            right = slope(2.0 * PI_ZERO_THRESHOLD) if hi > 0.0 else -math.inf
-            if right > 0.0:
-                return right
-            return min(slope(-2.0 * PI_ZERO_THRESHOLD) if lo < 0.0 else math.inf, 0.0)
         _, adv = inner(t)
         y = adv.support_1d
         return float(np.dot(adv.weights * spec.utility.u_prime(t * y), y))
 
+    at = 2.0 * PI_ZERO_THRESHOLD  # just outside the oracle's zero band
+    lo, hi = _side_of_zero(lo, hi, lambda: slope(at), lambda: slope(-at), at)
+    if lo == hi:
+        return _zero_answer(spec, delta, "finite_p_oracle")
     pi, _ = _concave_argmax(slope, lo, hi)
-    if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
-        pi = 0.0
     value, adversary = inner(pi)
-    if pi == 0.0:
-        # all ball members attain u(0); report the zero-strategy adversary
-        # when its atoms stay in S. With 0 interior to A, pi = 0 is optimal
-        # only against a ball member of zero mean
-        zero = zero_strategy(spec, delta)
-        shifted = spec.model.support_1d - zero.shift
-        if zero.direction is None and abs(float(spec.model.weights @ shifted)) > _MEAN_ZERO_TOL:
-            raise AssumptionViolation(
-                f"pi = 0 with 0 interior to A, but no shift within the state space "
-                f"and radius {delta} zeroes the mean")
-        if np.all((shifted >= space.lower[0]) & (shifted <= space.upper[0])):
-            adversary = _as_adversary(shifted, spec.model.weights, base=model,
-                                      delta=delta, p=spec.order.p, constrained=True)
-    cost = _certified_cost(spec.model, adversary, spec.order, delta)
-    return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
-                          adversary=adversary, transport_cost=cost,
-                          method="finite_p_oracle")
+    return _certified(spec, delta, pi, value, adversary, "finite_p_oracle")
 
 
 def robust_solve(spec: ProblemSpec, delta: float, **kwargs) -> RobustSolution:

@@ -9,10 +9,13 @@ module evaluates the closed-form derivatives at delta = 0:
 Value:
     V'(0) = - ( E_P[ |u'(<X, pi*>)|^q ] )^{1/q} * |pi*|            (<= 0)
 
-Optimizer (pi* interior, nonzero, Hessian negative definite):
+Optimizer (pi* interior, nonzero, Hessian negative definite), e = pi*/|pi*|:
     kappa_u = ||u'||_{L^q(P)}^{1-q} * E_P[ (<X,pi*> u'' + u') * |u'|^{q-1} ]
-    pi*'(0) = (grad^2_pi V(0))^{-1} (pi*/|pi*|) kappa_u,
-    with grad^2_pi V(0) = E_P[X X^T u''(<X, pi*>)].
+    pi*'(0) = H^{-1} ( kappa_u e + ||u'||_{L^q(P)}^{1-q} |pi*| E_P[ |u'|^{q-1} u'' X_perp ] ),
+    with H = grad^2_pi V(0) = E_P[X X^T u''(<X, pi*>)] and X_perp = X - <X, e> e,
+    which vanishes in d = 1 (Bartl, Drapeau, Obloj & Wiesel 2021). The two
+    terms are the gradient of delta |pi| ||u'(<X, pi>)||_q at pi*, the
+    first-order robust penalty.
 
 Transport direction (the adversary's first-order mass displacement):
     T(x)  = (pi*/|pi*|) |u'(<x,pi*>)|^{q-1} (E_P[|u'|^q])^{1/q-1}
@@ -67,6 +70,7 @@ SUPPORT_DIAMETER_CAP = 100.0
 
 _ACTION_ZERO_TOL = 1e-14  # 0 is interior to A when both ends clear it by more
 _MEAN_ZERO_TOL = 1e-10
+_TIE_TOL = 1e-12  # preference scores this close are a tie
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,11 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
         raise AssumptionViolation(
             f"Hessian must be negative definite (max eigenvalue {eigs.max():.3e})")
     direction = sol.pi_star / norm_pi
-    pi_prime = np.linalg.solve(H, direction) * kappa
+    x = spec.model.points
+    across = x - np.outer(x @ direction, direction)  # X_perp, exactly 0 in d = 1
+    weight = spec.model.weights * upp * np.abs(up) ** (q - 1.0)
+    tilt = norm_q ** (1.0 - q) * norm_pi * (weight @ across)
+    pi_prime = np.linalg.solve(H, direction) * kappa + np.linalg.solve(H, tilt)
     return pi_prime, float(kappa)
 
 
@@ -331,7 +339,7 @@ class PreferenceComparison:
 
 def preference_compare(P: DiscreteMeasure, P_alt: DiscreteMeasure, pi,
                        utility: Utility, order: WassersteinOrder,
-                       delta: float, tie_tol: float = 1e-12) -> PreferenceComparison:
+                       delta: float) -> PreferenceComparison:
     """First-order robust preference between two models at a fixed strategy.
 
     score(M) = E_M[u(<X,pi>)] - delta |pi| (E_M[|u'(<X,pi>)|^q])^{1/q};
@@ -350,7 +358,7 @@ def preference_compare(P: DiscreteMeasure, P_alt: DiscreteMeasure, pi,
         return base - penalty
 
     s_base, s_alt = score(P), score(P_alt)
-    if abs(s_base - s_alt) <= tie_tol:
+    if abs(s_base - s_alt) <= _TIE_TOL:
         ordering = "tie"
     elif s_base > s_alt:
         ordering = "base"
@@ -360,12 +368,9 @@ def preference_compare(P: DiscreteMeasure, P_alt: DiscreteMeasure, pi,
 
 
 def sensitivity_report(spec: ProblemSpec, sol: BaselineSolution,
-                       payoff: Payoff | None = None,
-                       include_kl: bool | None = None) -> SensitivityReport:
-    """Assemble the full report; Davis fields require a payoff.
-
-    ``include_kl=None`` adds the comparator exactly when the model supports it.
-    """
+                       payoff: Payoff | None = None) -> SensitivityReport:
+    """Assemble the full report; Davis fields require a payoff, and the
+    relative-entropy comparator is added exactly when the model supports it."""
     v_prime = value_sensitivity(spec, sol)
     if sol.pi_is_zero:
         branch = "pi_star_zero"
@@ -380,7 +385,7 @@ def sensitivity_report(spec: ProblemSpec, sol: BaselineSolution,
         p_d = davis_price(spec, sol, payoff)
         p_d_prime = davis_sensitivity(spec, sol, payoff)
     kl = None
-    if include_kl or (include_kl is None and not spec.model.is_quadrature):
+    if not spec.model.is_quadrature:
         kl = kl_value_sensitivity(spec, sol)
     return SensitivityReport(q=spec.order.q, V_prime0=v_prime, pi_prime0=pi_prime,
                              kappa_u=kappa, davis_price=p_d, davis_prime0=p_d_prime,

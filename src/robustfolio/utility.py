@@ -46,10 +46,10 @@ class Utility:
     domain: tuple[float, float]
     params: dict = field(default_factory=dict)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         lo, hi = self.domain
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x > lo + margin) and np.all(x < hi - margin))
+        return bool(np.all(x > lo) and np.all(x < hi))
 
     def risk_aversion(self, x: np.ndarray) -> np.ndarray:
         """Absolute risk aversion R_u(x) = -u''(x)/u'(x)."""

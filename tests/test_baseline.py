@@ -1,9 +1,11 @@
 """Baseline expected-utility solver, pricing measure, and Davis price."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustfolio as rf
 from robustfolio import (
@@ -12,6 +14,7 @@ from robustfolio import (
     ConfigError,
     NumericalFailure,
 )
+from robustfolio.baseline_solver import _concave_argmax, _feasible_interval_raw
 
 from conftest import binomial_log_spec, normal_exp_spec, wide_interval
 
@@ -148,6 +151,59 @@ def test_multidimensional_solve():
     assert sol.pi_star == pytest.approx([sol_1d.pi_star_scalar] * 2, abs=1e-8)
     with pytest.raises(ConfigError):
         sol.pi_star_scalar
+
+
+def test_concave_argmax_replaces_infinite_ends_by_doubling():
+    # a root at 3 on the whole line, an end pinned at 5 beyond an infinite
+    # lower end, and a root at -40 past several doublings
+    pi, _ = _concave_argmax(lambda t: 3.0 - t, -math.inf, math.inf)
+    assert pi == pytest.approx(3.0, abs=1e-14)
+    assert _concave_argmax(lambda t: 7.0 - t, -math.inf, 5.0) == (5.0, True)
+    pi, _ = _concave_argmax(lambda t: -40.0 - t, -math.inf, 0.0)
+    assert pi == pytest.approx(-40.0, abs=1e-13)
+
+
+def test_concave_argmax_refuses_a_slope_that_never_turns():
+    with pytest.raises(NumericalFailure, match="float range"):
+        _concave_argmax(lambda t: 1.0, 0.0, math.inf)
+    with pytest.raises(NumericalFailure, match="float range"):
+        _concave_argmax(lambda t: -1.0, -math.inf, 1.0)
+
+
+def _interval_by_atoms(x, endowment, domain, a_lo, a_hi):
+    """Reference: intersect the per-atom half-lines one atom at a time."""
+    margin = 1e-9
+    e = np.zeros(len(x)) + endowment
+    d_lo, d_hi = domain
+    lo, hi = a_lo, a_hi
+    for xi, ei in zip(x, e):
+        if xi > 0.0:
+            if not math.isinf(d_lo):
+                lo = max(lo, (d_lo + margin - ei) / xi)
+            if not math.isinf(d_hi):
+                hi = min(hi, (d_hi - margin - ei) / xi)
+        elif xi < 0.0:
+            if not math.isinf(d_lo):
+                hi = min(hi, (d_lo + margin - ei) / xi)
+            if not math.isinf(d_hi):
+                lo = max(lo, (d_hi - margin - ei) / xi)
+        elif not (d_lo + margin <= ei <= d_hi - margin):
+            return 1.0, 0.0
+    return lo, hi
+
+
+@settings(max_examples=300)
+@given(x=st.lists(st.floats(-3.0, 3.0).map(lambda v: round(v, 3)), min_size=1, max_size=6),
+       endowment=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+       domain=st.sampled_from([(-1.0, math.inf), (-math.inf, math.inf), (-2.0, 3.0),
+                               (-0.25, math.inf)]),
+       action=st.sampled_from([(-5.0, 5.0), (-math.inf, math.inf), (0.0, 2.0),
+                               (-math.inf, 0.0)]))
+def test_feasible_interval_is_the_intersection_of_per_atom_half_lines(x, endowment, domain,
+                                                                       action):
+    utility = dataclasses.replace(rf.log_shifted(1.0), domain=domain)
+    got = _feasible_interval_raw(np.array(x), endowment, utility, *action)
+    assert got == _interval_by_atoms(x, endowment, domain, *action)
 
 
 # ---------------------------------------------------------------------------

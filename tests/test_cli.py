@@ -320,6 +320,52 @@ def test_davis_command_cross_check(tmp_path):
     assert prime == pytest.approx(0.0, abs=1e-10)
 
 
+def test_unbounded_action_space_finds_the_finite_optimum(tmp_path, capsys):
+    # binomial(0.25) with exponential(1) on A = R: pi* = ln 3 / 2, which the
+    # root search can only bracket from finite ends
+    cfg = {"model": {"kind": "binomial", "a": 0.25},
+           "utility": {"kind": "exponential", "gamma": 1.0},
+           "action_space": ["-inf", "inf"], "payoff": {"kind": "call", "strike": 0.0}}
+    path = write_config(tmp_path, cfg)
+    for command in ("solve", "sensitivity", "davis"):
+        assert cli.main([command, "--config", path]) == 0
+        header, rows, _ = cli.read_result_csv(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in rows[0]), (command, header, rows)
+        if command == "solve":
+            assert abs(rows[0][header.index("pi_star")] - math.log(3.0) / 2.0) <= 1e-12
+    sol = rf.solve_baseline(cli.build_spec(cfg))
+    assert abs(sol.pi_star_scalar - math.log(3.0) / 2.0) <= 1e-12
+
+
+def _with_float_ints(value):
+    """The config with every int written as its float (64 -> 64.0)."""
+    if isinstance(value, dict):
+        return {k: _with_float_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_float_ints(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("robust", base_config(model={"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]},
+                           wasserstein_p=2, delta=0.1,
+                           solver={"grid_points": 64, "refinements": 0})),
+    ("solve", base_config(model={"kind": "normal", "mu": 0.1, "sigma": 0.2, "n_nodes": 16},
+                          utility={"kind": "exponential", "gamma": 1.0})),
+    ("solve", base_config(payoff={"kind": "power", "k": 3})),
+], ids=["grid_points-refinements", "n_nodes", "payoff-k"])
+def test_integral_floats_count_as_integers(tmp_path, capsys, command, cfg):
+    # JSON Schema counts 64.0 as an integer; the commands must read it as 64
+    twin = _with_float_ints(cfg)
+    assert json.dumps(twin) != json.dumps(cfg)
+    rows = []
+    for i, config in enumerate((cfg, twin)):
+        assert cli.main([command, "--config", write_config(tmp_path, config, f"{i}.json")]) == 0
+        rows.append([[repr(v) for v in row]
+                     for row in cli.read_result_csv(capsys.readouterr().out)[1]])
+    assert rows[0] == rows[1]
+
+
 def test_robust_without_delta_exits_two(tmp_path, capsys):
     rc = cli.main(["robust", "--config", write_config(tmp_path, base_config())])
     assert rc == 2

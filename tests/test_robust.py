@@ -459,6 +459,45 @@ def test_robust_p_argument_validation():
                                          order=rf.WassersteinOrder(2.0)), 0.01)
 
 
+@pytest.mark.parametrize("p, value_at_006", [(1.5, 0.005606700076295254),
+                                              (3.0, 0.005758023512131871)])
+def test_robust_p_settles_a_zero_optimum_from_the_slopes_at_zero(monkeypatch, p, value_at_006):
+    # at delta = 0.12 both one-sided slopes at 0 point back to 0, so pi = 0
+    # needs no search and a few oracle calls settle it; at 0.06 the search
+    # on the side the slopes pick finds the recorded value
+    model = rf.explicit([-0.37, -0.06, 0.33, 0.39], [0.35, 0.05, 0.04, 0.56],
+                        state_space=rf.StateSpace.interval(-1.25, 1.25))
+    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-0.75, 0.75),
+                          order=rf.WassersteinOrder(p))
+    calls = []
+    oracle = robust_solver.adversary_inner_inf
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(robust_solver, "adversary_inner_inf", counting)
+    sol = rf.robust_solve_p(spec, 0.12)
+    assert sol.pi_delta_scalar == 0.0 and sol.V_delta == 0.0
+    assert len(calls) <= 3
+    assert sol.transport_cost <= 0.12
+    assert rf.robust_solve_p(spec, 0.06).V_delta == pytest.approx(value_at_006, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta, searches", [(0.1, 1), (0.6, 0)])
+def test_robust_inf_runs_one_concave_search_per_radius(monkeypatch, delta, searches):
+    # the slopes at 0 pick the side (binomial(0.25): E_P[X] = 0.5), and past
+    # the mean they answer pi = 0 without a search
+    calls = []
+    search = robust_solver._concave_max_raw
+    monkeypatch.setattr(robust_solver, "_concave_max_raw",
+                        lambda *args: calls.append(args) or search(*args))
+    sol = rf.robust_solve_inf(binomial_log_spec(0.25), delta)
+    assert len(calls) == searches
+    assert (sol.pi_delta_scalar == 0.0) == (searches == 0)
+
+
 def test_robust_solve_dispatches_on_order():
     spec = binomial_log_spec(0.25)
     assert rf.robust_solve(spec, 0.05).method == "inf_exact"
@@ -690,12 +729,13 @@ def test_saddle_zero_strategy_is_the_uniform_mean_when_no_edge_binds(p):
 def test_robust_solve_p_refuses_pi_zero_without_a_zero_mean_ball_member(monkeypatch):
     # at delta = 0.05 the cheapest mean-zeroing shift (cost 0.105) is out of
     # reach, so the saddle shift spends the budget instead; a pi = 0 answer
-    # (forced here, the outer search gives none) is refused rather than
+    # (forced here; the one-sided slopes at 0 pick a side) is refused rather than
     # reported with an adversary that still has a drift
     spec = saddle_edge_spec()
     np.testing.assert_allclose(zero_strategy(spec, 0.05).shift, [0.05, 0.05],
                                rtol=0.0, atol=1e-15)
-    monkeypatch.setattr(robust_solver, "_concave_argmax", lambda slope, lo, hi: (0.0, False))
+    monkeypatch.setattr(robust_solver, "_side_of_zero",
+                        lambda lo, hi, right, left, at=0.0: (0.0, 0.0))
     with pytest.raises(AssumptionViolation, match="zeroes the mean"):
         rf.robust_solve_p(spec, 0.05)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import robustfolio as rf
 from robustfolio import AssumptionViolation, DegenerateSensitivityError
@@ -135,6 +136,53 @@ def test_optimizer_fd_agreement():
         robust = rf.robust_solve_inf(spec, delta)
         slope = (robust.pi_delta[0] - sol.pi_star_scalar) / delta
         assert slope == pytest.approx(pi_prime[0], abs=5e-3)
+
+
+def two_asset_spec() -> rf.ProblemSpec:
+    pts = np.random.default_rng(0).normal([0.08, 0.05], [0.2, 0.15], (40, 2))
+    return rf.ProblemSpec(model=rf.DiscreteMeasure(points=pts, weights=np.full(40, 1 / 40)),
+                          utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace((-10.0, -10.0), (10.0, 10.0)),
+                          order=INF)
+
+
+def test_optimizer_sensitivity_two_assets_matches_the_robust_optimizer():
+    # at p = inf the robust optimizer is argmax E[u(<X, pi> - delta |pi|_2)];
+    # its Richardson difference quotient 2 s(1e-3) - s(2e-3) is pi*'(0) to
+    # O(delta^2), and in d = 2 it has a component across pi*
+    spec = two_asset_spec()
+    sol = rf.solve_baseline(spec)
+    pi_prime, _ = rf.optimizer_sensitivity(spec, sol)
+    x, w, u = spec.model.points, spec.model.weights, spec.utility
+
+    def robust_optimizer(delta: float) -> np.ndarray:
+        def loss(pi):
+            return -w @ u.u(x @ pi - delta * np.linalg.norm(pi))
+
+        def grad(pi):
+            up = w * u.u_prime(x @ pi - delta * np.linalg.norm(pi))
+            return -(up @ x - delta * up.sum() * pi / np.linalg.norm(pi))
+
+        res = minimize(loss, sol.pi_star, jac=grad, method="BFGS",
+                       options={"gtol": 1e-13, "maxiter": 1000})
+        # BFGS stalls near 1e-9 in rounding; a gradient of 1e-8 moves pi by
+        # under 1e-6 (|H^-1| < 40), the quotients by under 1e-3: far inside
+        # the tolerance below
+        assert np.linalg.norm(grad(res.x)) <= 1e-8
+        return res.x
+
+    s1, s2 = ((robust_optimizer(d) - sol.pi_star) / d for d in (1e-3, 2e-3))
+    np.testing.assert_allclose(pi_prime, 2.0 * s1 - s2, rtol=1e-3, atol=0.0)
+
+
+def test_optimizer_sensitivity_two_assets_reweights_the_portfolio():
+    # robustness changes the relative weighting of the assets, not only the
+    # scale: pi*'(0) is not parallel to pi*
+    spec = two_asset_spec()
+    sol = rf.solve_baseline(spec)
+    pi_prime, _ = rf.optimizer_sensitivity(spec, sol)
+    cross = pi_prime[0] * sol.pi_star[1] - pi_prime[1] * sol.pi_star[0]
+    assert abs(cross) >= 0.1 * np.linalg.norm(pi_prime) * np.linalg.norm(sol.pi_star)
 
 
 # ---------------------------------------------------------------------------
