@@ -99,6 +99,11 @@ _UTILITY_SCHEMA = {"oneOf": [
                     "kappa": _NUMBER}},
 ]}
 
+# sweep parameter -> (config section, key) it sets
+_SWEEP_TARGETS = {"a": ("model", "a"), "mu": ("model", "mu"),
+                  "sigma": ("model", "sigma"), "gamma": ("utility", "gamma"),
+                  "kappa": ("utility", "kappa")}
+
 _PAYOFF_SCHEMA = {"oneOf": [
     {"type": "object", "additionalProperties": False, "required": ["kind", "k"],
      "properties": {"kind": {"const": "power"}, "k": {"type": "integer", "minimum": 1}}},
@@ -131,8 +136,7 @@ CONFIG_SCHEMA = {
         "delta_grid": _GRID3,
         "sweep": {"type": "object", "additionalProperties": False,
                   "required": ["parameter", "grid"],
-                  "properties": {"parameter": {"enum": ["a", "mu", "sigma",
-                                                        "gamma", "kappa"]},
+                  "properties": {"parameter": {"enum": list(_SWEEP_TARGETS)},
                                  "grid": _GRID3}},
         "fixture": {"type": "object", "additionalProperties": False,
                     "required": ["name"],
@@ -148,9 +152,6 @@ CONFIG_SCHEMA = {
                                                    "minItems": 2, "maxItems": 2}}},
     },
 }
-
-COMMANDS = ("solve", "sensitivity", "robust", "davis", "sweep", "figures", "oracle-check")
-FIGURE_PRESETS = ("fig1", "fig2-left", "fig2-right", "fig3-left", "fig3-right", "fig4")
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +471,6 @@ def cmd_davis(cfg: dict) -> ResultTable:
                        [[p_d, root, _nz(report.davis_prime0)]])
 
 
-_SWEEP_TARGETS = {"a": ("model", "a"), "mu": ("model", "mu"),
-                  "sigma": ("model", "sigma"), "gamma": ("utility", "gamma"),
-                  "kappa": ("utility", "kappa")}
-
-
 def cmd_sweep(cfg: dict) -> ResultTable:
     sweep = cfg.get("sweep")
     if not sweep:
@@ -685,24 +681,42 @@ def _fig4() -> ResultTable:
                         "pi_prime0_limit", "pi_prime0_variant"], rows)
 
 
-def cmd_figures(preset: str) -> ResultTable:
-    if preset == "fig1":
-        return _fig1()
-    if preset == "fig2-left":
-        return _fig2(lambda: log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
-                     ["V_prime0_q1", "V_prime0_q1_5", "V_prime0_q2", "V_prime0_q3"])
-    if preset == "fig2-right":
-        # orders inf, 4, 2.5 -> conjugates 1, 4/3, 5/3
-        return _fig2(lambda: exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
-                     ["V_prime0_pinf", "V_prime0_p4", "V_prime0_p2_5"])
-    if preset == "fig3-left":
-        return _fig3(lambda: log_shifted(1.0))
-    if preset == "fig3-right":
-        return _fig3(lambda: exponential(1.0))
-    if preset == "fig4":
-        return _fig4()
-    raise ConfigError(f"unknown figure preset {preset!r}; "
-                      f"known: {', '.join(FIGURE_PRESETS)}")
+# preset -> its curve data
+_FIGURES = {
+    "fig1": _fig1,
+    "fig2-left": lambda: _fig2(lambda: log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
+                               ["V_prime0_q1", "V_prime0_q1_5", "V_prime0_q2", "V_prime0_q3"]),
+    # orders inf, 4, 2.5 -> conjugates 1, 4/3, 5/3
+    "fig2-right": lambda: _fig2(lambda: exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
+                                ["V_prime0_pinf", "V_prime0_p4", "V_prime0_p2_5"]),
+    "fig3-left": lambda: _fig3(lambda: log_shifted(1.0)),
+    "fig3-right": lambda: _fig3(lambda: exponential(1.0)),
+    "fig4": _fig4,
+}
+FIGURE_PRESETS = tuple(_FIGURES)
+
+
+def cmd_figures(preset: str | None) -> ResultTable:
+    if not preset:
+        raise ConfigError(f"figures needs a preset argument ({', '.join(FIGURE_PRESETS)})")
+    if preset not in _FIGURES:
+        raise ConfigError(f"unknown figure preset {preset!r}; "
+                          f"known: {', '.join(FIGURE_PRESETS)}")
+    return _FIGURES[preset]()
+
+
+# command -> its table, made from the validated config and the preset (the
+# command functions are looked up when called)
+_COMMANDS = {
+    "solve": lambda cfg, preset: cmd_solve(cfg),
+    "sensitivity": lambda cfg, preset: cmd_sensitivity(cfg),
+    "robust": lambda cfg, preset: cmd_robust(cfg),
+    "davis": lambda cfg, preset: cmd_davis(cfg),
+    "sweep": lambda cfg, preset: cmd_sweep(cfg),
+    "figures": lambda cfg, preset: cmd_figures(preset),
+    "oracle-check": lambda cfg, preset: cmd_oracle_check(cfg),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -736,25 +750,9 @@ def _load_config(path: str | None) -> dict:
 
 def run(command: str, cfg: dict, preset: str | None = None) -> ResultTable:
     """Dispatch one command on a validated config; returns the table."""
-    if command == "solve":
-        table = cmd_solve(cfg)
-    elif command == "sensitivity":
-        table = cmd_sensitivity(cfg)
-    elif command == "robust":
-        table = cmd_robust(cfg)
-    elif command == "davis":
-        table = cmd_davis(cfg)
-    elif command == "sweep":
-        table = cmd_sweep(cfg)
-    elif command == "figures":
-        if not preset:
-            raise ConfigError("figures needs a preset argument "
-                              f"({', '.join(FIGURE_PRESETS)})")
-        table = cmd_figures(preset)
-    elif command == "oracle-check":
-        table = cmd_oracle_check(cfg)
-    else:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    table = _COMMANDS[command](cfg, preset)
     table.provenance.update(_config_hash(cfg, command, preset))
     return table
 
@@ -791,8 +789,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.pop("delta", None)
         if args.sweep is not None:
             param, _, grid = args.sweep.partition("=")
-            if param not in _SWEEP_TARGETS:
-                raise ConfigError(f"unknown sweep parameter {param!r}")
             cfg["sweep"] = {"parameter": param, "grid": _parse_grid_token(grid)}
         validate_config(cfg)
         table = run(args.command, cfg, args.preset)

@@ -1,4 +1,4 @@
-"""The in-tree Brent routines against scipy.optimize, bit for bit."""
+"""The in-tree Brent root finder against scipy.optimize, bit for bit."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import robustfolio as rf
-from robustfolio._brent import brentq, minimize_bounded
+from robustfolio._brent import brentq
 from robustfolio.baseline_solver import _feasible_interval_raw
 from robustfolio.errors import NumericalFailure
 
@@ -100,60 +100,3 @@ def test_brentq_refuses_nan_missing_bracket_and_slow_convergence():
     # roots at the bracket ends come back unchanged
     assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 8.882e-16, 200) == 0.0
     assert brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, 8.882e-16, 200) == 1.0
-
-
-def assert_same_minimum(f, lo, hi, xatol):
-    want = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                    options={"xatol": xatol})
-    x, fun = minimize_bounded(f, lo, hi, xatol)
-    assert x == want.x and fun == want.fun, ((x, fun), (want.x, want.fun))
-
-
-@st.composite
-def unimodal_functions(draw):
-    """(f, lo, hi): smooth and kinked functions with one minimum on [lo, hi]
-    (or at an end of it)."""
-    center = draw(st.floats(-3.0, 3.0))
-    scale = draw(st.floats(1e-2, 1e2))
-    kind = draw(st.sampled_from(["quadratic", "abs", "cosh", "quartic", "log"]))
-    lo = draw(st.floats(-5.0, 4.0))
-    hi = lo + draw(st.floats(1e-4, 8.0))
-    if kind == "quadratic":
-        def f(t):
-            return scale * (t - center) ** 2 - 1.0
-    elif kind == "abs":
-        def f(t):
-            return scale * abs(t - center)
-    elif kind == "cosh":
-        def f(t):
-            return math.cosh(min(scale * (t - center), 700.0))
-    elif kind == "quartic":
-        def f(t):
-            return (t - center) ** 4 + scale * (t - center) ** 2
-    else:  # concave inner value, negated, as in the outer search
-        def f(t):
-            return -math.log1p(-abs(t - center) / (1.0 + abs(t - center)))
-    return f, lo, hi
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=unimodal_functions(), xatol=st.sampled_from([1e-8, 1e-12]))
-def test_minimize_bounded_matches_scipy_on_unimodal_functions(case, xatol):
-    assert_same_minimum(*case, xatol)
-
-
-@settings(max_examples=200, deadline=None)
-@given(K=st.floats(0.05, 1.0), smoothing=st.sampled_from([1e-4, 1e-2]),
-       lo=st.floats(-1.5, 1.0), width=st.floats(1e-6, 2.0),
-       xatol=st.sampled_from([1e-8, 1e-12]))
-def test_minimize_bounded_matches_scipy_on_kinked_payoff(K, smoothing, lo, width, xatol):
-    # the robust pricing window minimum runs the minimizer on payoffs
-    payoff = rf.butterfly_payoff(K, smoothing)
-    assert_same_minimum(lambda t: float(payoff(np.array([t]))[0]), lo, lo + width, xatol)
-
-
-def test_minimize_bounded_refuses_nan_and_slow_convergence():
-    with pytest.raises(NumericalFailure, match="NaN"):
-        minimize_bounded(lambda t: math.nan, 0.0, 1.0, 1e-8)
-    with pytest.raises(NumericalFailure, match="did not converge"):
-        minimize_bounded(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-12, maxiter=3)

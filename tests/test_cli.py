@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,14 @@ from robustfolio import cli
 from robustfolio.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 def base_config(**extra) -> dict:
@@ -494,7 +503,7 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
             "         main(['robust', '--config', sys.argv[2]])]\n"
             "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", code, solve_cfg, robust_cfg],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
@@ -511,7 +520,7 @@ def test_cli_loads_no_jsonschema(tmp_path):
             "                    if m.startswith(('jsonschema', 'referencing', 'attr'))))\n")
     proc = subprocess.run([sys.executable, "-c", code,
                            write_config(tmp_path, base_config()), str(invalid)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 2] []"
     assert "config rejected: config.wasserstein_p" in proc.stderr
@@ -571,6 +580,6 @@ def test_console_script_entry_point(tmp_path):
                            "import sys; from robustfolio.cli import main; "
                            "sys.exit(main(sys.argv[1:]))",
                            "solve", "--config", cfg_path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("pi_star,")

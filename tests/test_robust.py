@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 
 import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
-                         DomainCompatibilityError, robust_solver)
-from robustfolio.robust_solver import _multiplier_plans
+                         DomainCompatibilityError, NumericalFailure, robust_solver)
+from robustfolio.robust_solver import _displacement_grid, _multiplier_plans
 from robustfolio.sensitivity import zero_strategy
 
 from conftest import binomial_log_spec, normal_exp_spec
@@ -19,9 +19,10 @@ from conftest import binomial_log_spec, normal_exp_spec
 INF = rf.WassersteinOrder(math.inf)
 
 # binomial(0.25) on S = [-1.25, 1.25], log_shifted(1), pi = 0.5, delta = 0.1,
-# p = 2: the inner infimum produced by the uniform brute-force reference
-# (displacement grid step 1e-4, two fragments per atom, no refinement) —
-# recorded once and frozen; the adaptive search must stay on it.
+# p = 2: the inner infimum recorded once, and frozen, from a brute-force
+# recipe that is no longer in the library (a uniform displacement grid of
+# step 1e-4, two fragments per atom, no refinement); the adaptive search must
+# stay on it.
 FROZEN_INNER_INF_BINOMIAL_P2 = 0.06850930722573843
 
 
@@ -126,13 +127,8 @@ def test_inner_inf_frozen_reference_value():
     P = rf.binomial(0.25, state_space=rf.StateSpace.interval(-1.25, 1.25))
     u = rf.log_shifted(1.0)
     order = rf.WassersteinOrder(2.0)
-    # the frozen uniform-grid recipe
-    value, adv = rf.adversary_inner_inf(P, u, 0.5, 0.1, order,
-                                        grid_step=1e-4, refinements=0)
+    value, adv = rf.adversary_inner_inf(P, u, 0.5, 0.1, order)
     assert value == pytest.approx(FROZEN_INNER_INF_BINOMIAL_P2, abs=1e-5)
-    # the adaptive default must reproduce it
-    value_adaptive, _ = rf.adversary_inner_inf(P, u, 0.5, 0.1, order)
-    assert value_adaptive == pytest.approx(FROZEN_INNER_INF_BINOMIAL_P2, abs=1e-5)
     # and the attained adversary must certify its own value and budget
     cost = rf.wasserstein_distance(P, adv, order)
     assert cost <= 0.1 * (1.0 + 1e-9)
@@ -185,10 +181,10 @@ def test_inner_inf_needs_bounded_displacement():
                                rf.WassersteinOrder(2.0))
 
 
-def transport_lp_value(P, u, pi, delta, p, step):
-    """The oracle's grid program solved by a generic LP: every atom moves
-    against the position along the uniform grid of the ``grid_step`` recipe,
-    mass m_ij of atom i goes to displacement s_j, and
+def transport_lp_value(P, u, pi, delta, p, grid_points):
+    """The oracle's unrefined grid program solved by a generic LP: every atom
+    moves against the position along its ``_displacement_grid``, mass m_ij of
+    atom i goes to displacement s_j, and
     min sum_ij w_i m_ij u(pi (x_i + s_j)) s.t. sum_j m_ij = 1,
     sum_ij w_i m_ij |s_j|^p <= delta^p, m >= 0."""
     x, w = P.support_1d, P.weights
@@ -196,9 +192,7 @@ def transport_lp_value(P, u, pi, delta, p, step):
     c, a_cost, a_eq = [], [], []
     for i, xi in enumerate(x):
         lo, hi = (floor - xi, 0.0) if pi > 0.0 else (0.0, ceil - xi)
-        s = np.concatenate([[lo, 0.0, hi], np.arange(0.0, hi, step),
-                            -np.arange(0.0, -lo, step)])
-        s = np.unique(np.clip(s, lo, hi))
+        s = _displacement_grid(lo, hi, grid_points)
         c.append(w[i] * u.u(pi * (xi + s)))
         a_cost.append(w[i] * np.abs(s) ** p)
         a_eq.append(np.full(s.size, float(i)))
@@ -223,8 +217,8 @@ def test_inner_inf_matches_transport_lp(points, weights, pi, p):
     u = rf.log_shifted(1.0)
     for delta in (0.02, 0.1, 0.3):
         value, _ = rf.adversary_inner_inf(P, u, pi, delta, rf.WassersteinOrder(p),
-                                          grid_step=5e-3, refinements=0)
-        assert value == pytest.approx(transport_lp_value(P, u, pi, delta, p, 5e-3),
+                                          grid_points=64, refinements=0)
+        assert value == pytest.approx(transport_lp_value(P, u, pi, delta, p, 64),
                                       abs=1e-10)
 
 
@@ -554,6 +548,45 @@ def test_robust_davis_zero_mean_whole_ball_branch():
     assert prices[0] == pytest.approx(base, abs=1e-12)
     for hi, lo in zip(prices[:-1], prices[1:]):
         assert lo <= hi + 1e-12
+
+
+# a zero-mean model at p = inf, so the price is the ball infimum of E[g]: the
+# sum of one window minimum per atom
+ZERO_MEAN_ATOM = 0.6797857857045941
+# a table payoff whose nodes are no declared kinks; around -0.91 it has
+# narrow dips between the points of a window's base grid
+TABLE_XS = [-0.9195936540699688, -0.9140573453231446, -0.9098299756716499,
+            -0.8996783062102456, 0.4276690489601287, 1.4866195684798416]
+TABLE_YS = [0.4789065717204717, -0.2824669179802224, 0.8974760037379441,
+            -0.22669585710878537, 0.9655885145535479, 0.004635228656000523]
+
+
+def window_min_spec() -> rf.ProblemSpec:
+    model = rf.explicit([-ZERO_MEAN_ATOM, ZERO_MEAN_ATOM], [0.5, 0.5],
+                        state_space=rf.StateSpace.interval(-1.5, 1.5))
+    return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-0.5, 0.5), order=INF)
+
+
+def test_ball_infimum_finds_a_table_minimum_between_grid_points():
+    delta = 0.3
+    # a piecewise-linear payoff is least at a window end or at a table node
+    exact = 0.0
+    for x in (-ZERO_MEAN_ATOM, ZERO_MEAN_ATOM):
+        lo, hi = max(x - delta, -1.5), min(x + delta, 1.5)
+        nodes = [lo, hi] + [t for t in TABLE_XS if lo <= t <= hi]
+        exact += 0.5 * float(np.min(np.interp(nodes, TABLE_XS, TABLE_YS)))
+    assert exact == pytest.approx(0.09104938033379179, abs=1e-16)
+    price = rf.robust_davis_price(window_min_spec(), rf.custom_payoff(TABLE_XS, TABLE_YS),
+                                  delta)
+    assert price == pytest.approx(exact, abs=1e-13)
+
+
+def test_ball_infimum_refuses_a_nan_payoff():
+    payoff = dataclasses.replace(rf.power_payoff(2),
+                                 value=lambda x: np.where(np.asarray(x) > 0.5, np.nan, x))
+    with pytest.raises(NumericalFailure, match="NaN"):
+        rf.robust_davis_price(window_min_spec(), payoff, 0.3)
 
 
 @st.composite
