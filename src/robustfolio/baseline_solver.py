@@ -72,7 +72,7 @@ class Payoff:
     Kinked catalog members (call, butterfly, abs_shift) are quadratically
     rounded on [kink - s, kink + s]; outside those bands the smoothed and raw
     payoffs coincide, so the smoothing is inert whenever no atom falls within
-    s of a kink.
+    s of a kink. A table (custom) payoff's nodes are its kinks.
     """
 
     kind: str
@@ -181,6 +181,7 @@ def custom_payoff(xs, ys) -> Payoff:
         kind="custom",
         value=lambda x: np.interp(np.asarray(x, dtype=float), xs, ys),
         grad=lambda x: np.interp(np.asarray(x, dtype=float), xs, dy),
+        kinks=tuple(xs.tolist()),
         params={"n_nodes": int(xs.size)},
     )
 
@@ -242,7 +243,9 @@ class ProblemSpec:
             raise ArbitrageError("baseline model admits arbitrage "
                                  "(some nonzero strategy never gains)")
         if self.model.dim == 1:
-            lo, hi = _feasible_pi_interval(self)
+            lo, hi = _feasible_interval_raw(self.model.support_1d, 0.0, self.utility,
+                                            self.action_space.lower[0],
+                                            self.action_space.upper[0])
             if not lo < hi:
                 raise DomainCompatibilityError(
                     "no strategy in A keeps wealth inside the utility domain")
@@ -252,17 +255,11 @@ class ProblemSpec:
         return self.model.dim
 
 
-def _feasible_pi_interval(spec: ProblemSpec) -> tuple[float, float]:
-    """Maximal sub-interval of A (d=1) on which every atom's wealth sits in the
-    utility domain with margin. Intersection of per-atom half-lines."""
-    return _feasible_interval_raw(spec.model.support_1d, 0.0, spec.utility,
-                                  spec.action_space.lower[0], spec.action_space.upper[0])
-
-
 def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
                            a_lo: float, a_hi: float) -> tuple[float, float]:
-    """Same intersection on raw arrays, wealth pi*x_i + e_i. An atom at 0
-    empties it unless its endowment alone clears the margin; every other atom
+    """Maximal sub-interval of [a_lo, a_hi] on which every wealth pi*x_i + e_i
+    sits in the utility domain with margin: an intersection of per-atom
+    half-lines. An atom at 0 empties it unless its endowment alone clears the margin; every other atom
     bounds pi by its quotients (d_lo + margin - e_i) / x_i and
     (d_hi - margin - e_i) / x_i, the smaller from below and the larger from
     above (an infinite domain end gives a quotient of +-inf, which never binds)."""

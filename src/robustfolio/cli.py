@@ -326,14 +326,6 @@ def validate_config(cfg: dict) -> dict:
     return _integers_as_int(cfg, CONFIG_SCHEMA)
 
 
-def _bound(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
-
-
 def _order_from(cfg: dict) -> WassersteinOrder:
     p_raw = cfg.get("wasserstein_p", "inf")
     return WassersteinOrder(math.inf if p_raw == "inf" else float(p_raw))
@@ -345,11 +337,11 @@ def build_spec(cfg: dict) -> ProblemSpec:
     model = make_model(cfg["model"])
     utility = make_utility(cfg["utility"])
     a_lo, a_hi = cfg.get("action_space", [-1000.0, 1000.0])
-    action = StateSpace.interval(_bound(a_lo), _bound(a_hi))
+    action = StateSpace.interval(a_lo, a_hi)
     state = None
     if "state_space" in cfg:
         s_lo, s_hi = cfg["state_space"]
-        state = StateSpace.interval(_bound(s_lo), _bound(s_hi))
+        state = StateSpace.interval(s_lo, s_hi)
     payoff = make_payoff(cfg["payoff"]) if "payoff" in cfg else None
     return ProblemSpec(model=model, utility=utility, action_space=action,
                        order=_order_from(cfg), payoff=payoff, state_space=state)

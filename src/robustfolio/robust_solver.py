@@ -50,11 +50,11 @@ Robust Davis prices follow the optimizer branch:
     measure P*;
   * pi_delta = 0 with 0 interior to A: the marginal-utility weight is
     constant; at E_P[X] = 0 every ball member prices and the robust (lower)
-    price is the ball infimum of E[g] (at p = inf one minimum of g per atom
-    over its window [x - delta, x + delta] in S, at finite p the transport
-    program above with g as the objective), otherwise the saddle adversary (the
-    cheapest shift that zeroes the mean: uniform, and at finite p stopping
-    atoms at the edge of S) prices;
+    price is the ball infimum of E[g] (the transport program above with g's
+    kinks on its grids; at p = inf on windows [x - delta, x + delta] in S with
+    no shared budget), otherwise the saddle adversary (the cheapest shift
+    that zeroes the mean: uniform, and at finite p stopping atoms at the edge
+    of S) prices;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
     continuity as the limit along feasible strategies pi -> 0, for every
     mean: each atom moves against the feasible direction e, by delta at
@@ -63,8 +63,9 @@ Robust Davis prices follow the optimizer branch:
     of delta when S does not bind); the price is E_P[g] on those atoms.
 ``sensitivity.zero_strategy`` owns these pi = 0 rules and adversaries.
 
-Every worst-case minimum over displacements, the finite-p inner value and
-both ball infima, is a grid minimum refined around the best points found.
+Every worst-case minimum over displacements (the finite-p inner value, and
+both ball infima, at p = inf on per-atom windows with no shared budget) is
+one transport program, ``_transport_minimize``, refined around its optimum.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from .utility import Utility
 _ORACLE_MAX_ATOMS = 16
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
 _EPS = float(np.finfo(float).eps)
-_REFINE_OFFSETS = np.linspace(-1.0, 1.0, 33)  # a window minimum's refined grid
 
 
 @dataclass(frozen=True)
@@ -323,17 +323,19 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
 
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
                         p: float, budget: float, f: Callable[[np.ndarray], np.ndarray],
-                        grid_points: int = 1200, refinements: int = 3
-                        ) -> tuple[float, np.ndarray, np.ndarray]:
+                        kinks: tuple[float, ...] = (), grid_points: int = 1200,
+                        refinements: int = 3) -> tuple[float, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
     subject to sum_i w_i E|s_i|^p <= budget and s_i in [s_lo_i, s_hi_i].
 
     f evaluates the objective at an array of positions; each pass calls it
     once per atom, on that atom's grid positions (one call on every atom's
-    positions measured 5-8% slower per oracle call at 6 and 12 atoms).
-    Returns (value, points, masses): the best plan's fragments, at
-    positions x_i + s, each with mass w_i times the share of atom i it
-    carries.
+    positions measured 5-8% slower per oracle call at 6 and 12 atoms); a NaN
+    value raises NumericalFailure. Each of ``kinks`` (positions where f may
+    bend) joins the base grid of every atom whose bounds hold it. An infinite
+    budget leaves each atom its own window minimum (p only orders each row).
+    Returns (value, points, masses): the best plan's fragments, at positions
+    x_i + s, each with mass w_i times the share of atom i it carries.
 
     Exactness: on the displacement grids the problem is the linear program
     min sum_ij w_i m_ij f(x_i + s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
@@ -351,8 +353,11 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     """
     n = x.shape[0]
     rows = np.arange(n)
-    grids = [_displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points)
-             for i in range(n)]
+    grids = []
+    for i in range(n):
+        grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points)
+        inside = [k - x[i] for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]]
+        grids.append(np.unique(np.concatenate([grid, inside])) if inside else grid)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     lam = 0.0
     for _ in range(max(refinements, 0) + 1):
@@ -365,6 +370,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             s = s[np.argsort(np.abs(s), kind="stable")]
             disp[i, :s.size] = s
             val[i, :s.size] = f(x[i] + s)
+        if np.isnan(val).any():
+            raise NumericalFailure("objective is NaN on a displacement grid")
         cost = np.abs(disp) ** p
         j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam)
         # share of each atom moved from its j_hi cell to its j_lo cell
@@ -582,32 +589,6 @@ def solve_delta_grid(spec: ProblemSpec, deltas, *, grid_points: int = 1200,
 # Robust Davis pricing
 # ---------------------------------------------------------------------------
 
-def _window_min(payoff: Payoff, lo: float, hi: float) -> float:
-    """min of g on [lo, hi]: the best of a 2001-point grid plus the payoff's
-    kinks, then of 33-point grids across the two cells around the best point
-    so far, each 16 times narrower than the last, until a cell is below the
-    float resolution at that point (or, near 0, at the window's width)."""
-    if hi <= lo:
-        return float(payoff(np.array([lo]))[0])
-    t = np.unique(np.clip(np.concatenate([
-        np.linspace(lo, hi, 2001),
-        np.asarray([k for k in payoff.kinks if lo <= k <= hi], dtype=float),
-    ]), lo, hi))
-    cell = (hi - lo) / 2000.0
-    best, at = math.inf, lo
-    while True:
-        vals = payoff(t)
-        if np.isnan(vals).any():
-            raise NumericalFailure(f"payoff is NaN on [{t[0]}, {t[-1]}]")
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, at = float(vals[j]), float(t[j])
-        if cell <= _EPS * max(abs(at), hi - lo):
-            return best
-        t = np.clip(at + cell * _REFINE_OFFSETS, lo, hi)
-        cell /= 16.0
-
-
 def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
                            grid_points: int, refinements: int) -> float:
     """inf over the ball of E[g] — the robust price when the marginal-utility
@@ -615,16 +596,18 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
     x = spec.model.support_1d
     w = spec.model.weights
     space = spec.state_space
-    if spec.order.is_inf:
-        return float(sum(wi * _window_min(payoff, max(xi - delta, space.lower[0]),
-                                          min(xi + delta, space.upper[0]))
-                         for xi, wi in zip(x, w)))
-    if not (math.isfinite(space.lower[0]) and math.isfinite(space.upper[0])):
+    s_lo, s_hi = space.lower[0] - x, space.upper[0] - x
+    if spec.order.is_inf:  # per-atom windows, no budget shared
+        p, budget = 1.0, math.inf
+        s_lo, s_hi = np.maximum(s_lo, -delta), np.minimum(s_hi, delta)
+    elif math.isfinite(space.lower[0]) and math.isfinite(space.upper[0]):
+        p, budget = spec.order.p, delta ** spec.order.p
+    else:
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
-    value, _, _ = _transport_minimize(x, w, space.lower[0] - x, space.upper[0] - x,
-                                      spec.order.p, delta ** spec.order.p, payoff,
-                                      grid_points=grid_points, refinements=refinements)
+    value, _, _ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff,
+                                      kinks=payoff.kinks, grid_points=grid_points,
+                                      refinements=refinements)
     return float(value)
 
 
@@ -632,7 +615,8 @@ def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
                        solution: RobustSolution | None = None, *,
                        grid_points: int = 1200, refinements: int = 3) -> float:
     """Marginal-utility price under the worst-case measure at radius delta;
-    the grid options are the finite-p oracle's (``robust_solve_p``)."""
+    the grid options are the finite-p oracle's (``robust_solve_p``) and, at
+    both orders, those of the ball infimum of E[g]."""
     _check_radius(delta)
     sol = solution if solution is not None else robust_solve(
         spec, delta, grid_points=grid_points, refinements=refinements)

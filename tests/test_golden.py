@@ -4,7 +4,8 @@ The benchmark's own op lists (bench/workloads.py) name the cases: the
 cli_cold commands run in process through ``cli.main`` and must print the
 recorded stdout with the recorded exit code; the closed_forms cases run
 through ``cli.run`` + ``cli.emit`` and must render the recorded CSV bytes.
-Nothing under bench/ is written.
+Every function the benchmark's tracer (bench/spans.py) wraps must still
+exist. Nothing under bench/ is written.
 """
 
 import importlib.util
@@ -20,16 +21,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "bench" / "golden"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-_WORKLOADS = _load_workloads()
+_WORKLOADS = _load_bench("workloads")
 EXIT_CODES = json.loads((GOLDEN / "cli_cold" / "exit_codes.json").read_text())
 CLOSED_FORM_CASES = list(_WORKLOADS.closed_form_cases(None))
 
@@ -57,3 +58,11 @@ def test_closed_forms_golden(name, command, cfg, preset):
     cli.validate_config(cfg)
     text = cli.emit(cli.run(command, cfg, preset))
     assert text.encode() == (GOLDEN / "closed_forms" / f"{name}.csv").read_bytes()
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark wraps these (module, attribute) pairs; a renamed or
+    # deleted function would otherwise surface only in the benchmark's runs
+    for module, attribute in _load_bench("spans").TRACED:
+        found = getattr(importlib.import_module(f"robustfolio.{module}"), attribute, None)
+        assert callable(found), f"robustfolio.{module}.{attribute}"

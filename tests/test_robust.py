@@ -553,19 +553,33 @@ def test_robust_davis_zero_mean_whole_ball_branch():
 # a zero-mean model at p = inf, so the price is the ball infimum of E[g]: the
 # sum of one window minimum per atom
 ZERO_MEAN_ATOM = 0.6797857857045941
-# a table payoff whose nodes are no declared kinks; around -0.91 it has
-# narrow dips between the points of a window's base grid
+# a table payoff with narrow dips around -0.91, between the points of a
+# window's base grid
 TABLE_XS = [-0.9195936540699688, -0.9140573453231446, -0.9098299756716499,
             -0.8996783062102456, 0.4276690489601287, 1.4866195684798416]
 TABLE_YS = [0.4789065717204717, -0.2824669179802224, 0.8974760037379441,
             -0.22669585710878537, 0.9655885145535479, 0.004635228656000523]
 
 
-def window_min_spec() -> rf.ProblemSpec:
-    model = rf.explicit([-ZERO_MEAN_ATOM, ZERO_MEAN_ATOM], [0.5, 0.5],
-                        state_space=rf.StateSpace.interval(-1.5, 1.5))
+def window_min_spec(p: float = math.inf, atom: float = ZERO_MEAN_ATOM,
+                    edge: float = 1.5) -> rf.ProblemSpec:
+    model = rf.explicit([-atom, atom], [0.5, 0.5],
+                        state_space=rf.StateSpace.interval(-edge, edge))
     return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
-                          action_space=rf.StateSpace.interval(-0.5, 0.5), order=INF)
+                          action_space=rf.StateSpace.interval(-0.5, 0.5),
+                          order=rf.WassersteinOrder(p))
+
+
+def node_minimum(xs, ys, atom: float, delta: float, edge: float) -> float:
+    """The ball infimum of a table payoff at p = inf on the model
+    explicit([-atom, atom], [0.5, 0.5]) in S = [-edge, edge]: a
+    piecewise-linear payoff is least on each window at an end or a node."""
+    total = 0.0
+    for x in (-atom, atom):
+        lo, hi = max(x - delta, -edge), min(x + delta, edge)
+        nodes = [lo, hi] + [t for t in xs if lo <= t <= hi]
+        total += 0.5 * float(np.min(np.interp(nodes, xs, ys)))
+    return total
 
 
 def test_ball_infimum_finds_a_table_minimum_between_grid_points():
@@ -582,11 +596,106 @@ def test_ball_infimum_finds_a_table_minimum_between_grid_points():
     assert price == pytest.approx(exact, abs=1e-13)
 
 
-def test_ball_infimum_refuses_a_nan_payoff():
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_ball_infimum_refuses_a_nan_payoff(p):
     payoff = dataclasses.replace(rf.power_payoff(2),
                                  value=lambda x: np.where(np.asarray(x) > 0.5, np.nan, x))
     with pytest.raises(NumericalFailure, match="NaN"):
-        rf.robust_davis_price(window_min_spec(), payoff, 0.3)
+        rf.robust_davis_price(window_min_spec(p), payoff, 0.3)
+
+
+# a table whose dip at its second node is narrower than a cell of the base grid
+# and far from the best base point; its nodes are its kinks, so both orders
+# put the dip on their grids
+DIP_ATOM = 0.09085990739925282
+DIP_XS = [-0.05360310961002867, -0.053537081542747944, -0.0535282796674666,
+          0.5561710304456602, 0.7586011804683679]
+DIP_YS = [0.5535541784763438, -0.9848889164082337, 0.5722476238097518,
+          0.1132950426221997, 0.22013587264244427]
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_ball_infimum_finds_a_dip_between_base_grid_points(p):
+    delta = 0.24663091301599893
+    exact = node_minimum(DIP_XS, DIP_YS, DIP_ATOM, delta, 2.0)
+    assert exact == -0.9848889164082337  # both windows hold the dip
+    price = rf.robust_davis_price(window_min_spec(p, DIP_ATOM, 2.0),
+                                  rf.custom_payoff(DIP_XS, DIP_YS), delta)
+    if math.isinf(p):
+        assert price == pytest.approx(exact, abs=1e-13)
+    else:  # the W_2 ball holds the W_inf ball
+        assert price <= exact + 1e-12
+
+
+@st.composite
+def clustered_tables(draw):
+    """(xs, ys, atom, delta): a table with three nodes within 2e-4 of each
+    other, inside the window of one atom of explicit([-atom, atom])."""
+    atom = draw(st.floats(0.01, 1.0))
+    delta = draw(st.floats(0.01, 0.4))
+    centre = draw(st.sampled_from([-atom, atom])) + draw(st.floats(-delta, delta))
+    gaps = np.cumsum(draw(st.lists(st.floats(1e-6, 1e-4), min_size=2, max_size=2)))
+    far = draw(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2))
+    xs = np.sort(np.concatenate([[centre], centre + gaps, far]))
+    assume(np.all(np.diff(xs) > 0.0))
+    ys = draw(st.lists(st.floats(-1.0, 1.0), min_size=xs.size, max_size=xs.size))
+    return xs, np.array(ys), atom, delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=clustered_tables())
+def test_ball_infimum_at_p_inf_is_the_table_node_minimum(case):
+    xs, ys, atom, delta = case
+    price = rf.robust_davis_price(window_min_spec(math.inf, atom, 1.5),
+                                  rf.custom_payoff(xs, ys), delta)
+    # a node k is reached as the position x + (k - x), which rounding can put
+    # an ulp of max(|x|, |k - x|) off k; the steepest table slope turns that
+    # into the payoff's own resolution at the node
+    slope = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
+    resolution = slope * 2.0 * np.finfo(float).eps * (atom + delta)
+    assert price == pytest.approx(node_minimum(xs, ys, atom, delta, 1.5),
+                                  abs=1e-13 + resolution)
+
+
+@st.composite
+def zero_mean_pricing(draw):
+    """(model, payoff): a zero-mean 2-5-atom model on S = [-1, 1] and a
+    catalog or table payoff."""
+    n = draw(st.integers(2, 5))
+    pts = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n,
+                                 unique=True)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    w = w / w.sum()
+    pts = pts - pts @ w
+    assume(np.all(np.abs(pts) < 1.0) and np.min(np.abs(np.diff(np.sort(pts)))) > 1e-3)
+    nodes = np.sort(draw(st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=6)))
+    assume(np.min(np.diff(nodes)) > 1e-3)
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(nodes), max_size=len(nodes)))
+    payoff = draw(st.one_of(
+        st.integers(1, 3).map(rf.power_payoff),
+        st.floats(-1.0, 1.0).map(rf.call_payoff),
+        st.floats(0.05, 1.0).map(rf.butterfly_payoff),
+        st.floats(-1.0, 1.0).map(rf.abs_shift_payoff),
+        st.just(rf.custom_payoff(nodes, values)),
+    ))
+    return rf.explicit(pts, w, state_space=rf.StateSpace.interval(-1.0, 1.0)), payoff
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=zero_mean_pricing(), delta=st.floats(1e-3, 0.3))
+def test_ball_infimum_price_falls_as_the_ball_grows(case, delta):
+    # W_1.5 <= W_3 <= W_inf, so the W_1.5 ball holds the W_3 ball, which
+    # holds the W_inf ball; the price there is the infimum of E[g]
+    model, payoff = case
+    prices = []
+    for p in (1.5, 3.0, math.inf):
+        spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                              action_space=rf.StateSpace.interval(-0.5, 0.5),
+                              order=rf.WassersteinOrder(p))
+        assert zero_strategy(spec, delta).ball_infimum
+        prices.append(rf.robust_davis_price(spec, payoff, delta))
+    assert prices[0] <= prices[1] + 1e-10
+    assert prices[1] <= prices[2] + 1e-10
 
 
 @st.composite
