@@ -396,8 +396,16 @@ def _maximize(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarray, bool]:
     return np.array([pi]), boundary
 
 
+def _bound_active(pi: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Coordinates at a bound of the box whose gradient points out of it."""
+    return (((pi <= lo + _BOUNDARY_TOL) & (g < 0))
+            | ((pi >= hi - _BOUNDARY_TOL) & (g > 0)))
+
+
 def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarray, bool]:
-    """Damped projected Newton for d > 1."""
+    """Damped projected Newton for d > 1 (Bertsekas 1982): coordinates held
+    at a bound by their gradient stay there, and the Newton step runs on the
+    others with their reduced Hessian."""
     d = spec.dim
     lo = np.asarray(spec.action_space.lower)
     hi = np.asarray(spec.action_space.upper)
@@ -407,10 +415,12 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
     for _ in range(_NEWTON_MAX_ITERATIONS):
         g = _gradient(spec, pi, endowment)
         H = _hessian(spec, pi, endowment)
+        free = np.flatnonzero(~_bound_active(pi, g, lo, hi))
+        step = np.zeros(d)
         try:
-            step = np.linalg.solve(H, -g)
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
         except np.linalg.LinAlgError:
-            step = g  # gradient ascent fallback
+            step[free] = g[free]  # gradient ascent fallback
         f0 = _objective(spec, pi, endowment)
         alpha = 1.0
         improved = False
@@ -427,11 +437,7 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
             alpha *= 0.5
         # Convergence: projected gradient small.
         g = _gradient(spec, pi, endowment)
-        active_lo = (pi <= lo + _BOUNDARY_TOL) & (g < 0)
-        active_hi = (pi >= hi - _BOUNDARY_TOL) & (g > 0)
-        proj = g.copy()
-        proj[active_lo | active_hi] = 0.0
-        norm = np.linalg.norm(proj)
+        norm = np.linalg.norm(np.where(_bound_active(pi, g, lo, hi), 0.0, g))
         if norm <= _NEWTON_TOL or (not improved and norm <= 1e-9):
             return pi, bool(np.any(pi <= lo + _BOUNDARY_TOL) or np.any(pi >= hi - _BOUNDARY_TOL))
     raise NumericalFailure("projected Newton did not converge")

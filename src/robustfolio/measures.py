@@ -23,11 +23,14 @@ This module provides
   equivalent to 0 lying in the interior of the convex hull of the support.
 
 All objects are immutable after construction and every operation is pure, so
-concurrent use from multiple threads is safe.
+concurrent use from multiple threads is safe. Each Gauss-Hermite rule is built
+once per node count and shared read-only; every model scales it into arrays
+of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -220,12 +223,22 @@ def binomial(a: float, state_space: StateSpace | None = None) -> DiscreteMeasure
     )
 
 
+@functools.lru_cache(maxsize=None)  # the 300-node cap bounds it
+def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule (weight e^{-t^2}), read-only: it depends
+    on n alone, so each node count is built once."""
+    t, w = hermgauss(n_nodes)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _gauss_hermite_nodes(mu: float, sigma: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights so that sum_i w_i f(x_i) ~= E[f(Z)], Z ~ N(mu, sigma^2)."""
     if n_nodes > 300:
         # numpy's hermgauss companion-matrix recurrence overflows beyond this
         raise ConfigError(f"n_nodes is capped at 300, got {n_nodes}")
-    t, w = hermgauss(n_nodes)
+    t, w = _hermite_rule(n_nodes)
     x = mu + math.sqrt(2.0) * sigma * t
     return x, w / math.sqrt(math.pi)
 
@@ -355,7 +368,9 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     """Monotone (co-monotone) coupling of two 1-d measures.
 
     Returns (mass, xP, xQ) per coupled segment: the optimal plan for every
-    convex transport cost in d=1 pairs quantiles in order.
+    convex transport cost in d=1 pairs quantiles in order. When both weight
+    vectors agree in quantile order, the coupling pairs atom i of P with atom
+    i of Q, dropping zero-weight pairs.
     """
     xp = P.support_1d
     xq = Q.support_1d
@@ -363,6 +378,9 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     oq = np.argsort(xq, kind="stable")
     xp, wp = xp[op], P.weights[op]
     xq, wq = xq[oq], Q.weights[oq]
+    if np.array_equal(wp, wq):
+        kept = wp > 0.0
+        return wp[kept], xp[kept], xq[kept]
     i = j = 0
     rem_p = wp[0]
     rem_q = wq[0]

@@ -360,7 +360,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         grids.append(np.unique(np.concatenate([grid, inside])) if inside else grid)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     lam = 0.0
-    for _ in range(max(refinements, 0) + 1):
+    passes = max(refinements, 0) + 1
+    for pass_ in range(passes):
         # padded (atoms x grid) arrays, each row sorted by cost; pad cells
         # cost nothing and are never chosen
         size = max(g.size for g in grids)
@@ -409,6 +410,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             kept = [(i, j, m) for i, j, m in fragments if m > 0.0]
             best = (value, np.array([x[i] + disp[i, j] for i, j, _ in kept]),
                     np.array([w[i] * m for i, _, m in kept]))
+        if pass_ == passes - 1:
+            break  # no pass left to use a refined grid
         # refine around the active displacements of each displaced atom
         changed = False
         for i in range(n):

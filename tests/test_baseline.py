@@ -153,6 +153,28 @@ def test_multidimensional_solve():
         sol.pi_star_scalar
 
 
+def test_projected_newton_with_an_active_bound():
+    # 40 random two-asset returns, log utility: on A = [-10, 10]^2 the optimum
+    # (2.1295, 3.8475) is interior; on A = [-3, 3]^2 the second coordinate
+    # binds and the first solves its own first-order condition (L-BFGS-B
+    # finds (2.0767, 3.0) with V0 = 0.22682368832944189). A full Newton step
+    # clipped to the box used to stall there and raise NumericalFailure.
+    pts = np.random.default_rng(0).normal([0.08, 0.05], [0.2, 0.15], (40, 2))
+    spec = rf.ProblemSpec(model=rf.DiscreteMeasure(points=pts, weights=np.full(40, 1 / 40)),
+                          utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace((-3.0, -3.0), (3.0, 3.0)),
+                          order=INF)
+    sol = rf.solve_baseline(spec)
+    assert sol.boundary
+    assert sol.pi_star[1] == 3.0
+    assert sol.pi_star[0] == pytest.approx(2.0767499, abs=1e-5)
+    # the free coordinate meets the solver's stopping rule; the bound one
+    # is held by a gradient pointing out of the box
+    assert abs(sol.foc_residual[0]) <= 1e-9 and sol.foc_residual[1] > 0.0
+    assert sol.V0 == pytest.approx(0.22682368832944189, abs=1e-12)
+    assert sol.V0 >= 0.22682368832944189  # at least as high as L-BFGS-B's
+
+
 def test_concave_argmax_replaces_infinite_ends_by_doubling():
     # a root at 3 on the whole line, an end pinned at 5 beyond an infinite
     # lower end, and a root at -40 past several doublings

@@ -60,6 +60,15 @@ def test_closed_forms_golden(name, command, cfg, preset):
     assert text.encode() == (GOLDEN / "closed_forms" / f"{name}.csv").read_bytes()
 
 
+def test_closed_forms_golden_twice_in_one_process():
+    # every case forward, then every case in reverse, in one process: a
+    # cache that carried state from one case into another would show here
+    cases = CLOSED_FORM_CASES + CLOSED_FORM_CASES[::-1]
+    for name, command, cfg, preset in cases:
+        text = cli.emit(cli.run(command, cfg, preset))
+        assert text.encode() == (GOLDEN / "closed_forms" / f"{name}.csv").read_bytes(), name
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these (module, attribute) pairs; a renamed or
     # deleted function would otherwise surface only in the benchmark's runs

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
 
 import robustfolio as rf
-from robustfolio import ConfigError
+from robustfolio import ConfigError, measures
+from robustfolio.measures import _quantile_coupling_segments
 
 from conftest import random_measure
 
@@ -75,6 +78,33 @@ def test_gauss_hermite_node_cap():
         rf.normal(0.1, 0.2, n_nodes=400)
 
 
+def test_gauss_hermite_rule_is_built_once_per_node_count(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return hermgauss(n)
+
+    measures._hermite_rule.cache_clear()
+    monkeypatch.setattr(measures, "hermgauss", counted)
+    models = [rf.normal(0.1, 0.2, n_nodes=64), rf.normal(-0.3, 1.5, n_nodes=64),
+              rf.normal(2.0, 0.01, n_nodes=64), rf.shifted_lognormal(0.05, 0.3, n_nodes=64)]
+    assert calls == [64]
+    t, w = hermgauss(64)
+    for model in models:
+        mu, sigma = model.params["mu"], model.params["sigma"]
+        z = mu + math.sqrt(2.0) * sigma * t
+        x = np.exp(z) - 1.0 if model.kind == "shifted_lognormal" else z
+        direct = rf.explicit(x, w / math.sqrt(math.pi))
+        assert model.points.tobytes() == direct.points.tobytes()
+        assert model.weights.tobytes() == direct.weights.tobytes()
+    cached_t, cached_w = measures._hermite_rule(64)
+    with pytest.raises(ValueError):
+        cached_t[0] = 0.0
+    with pytest.raises(ValueError):
+        cached_w[0] = 0.0
+
+
 def test_make_model_dispatch():
     P = rf.make_model({"kind": "binomial", "a": 0.25})
     assert P.kind == "binomial"
@@ -124,6 +154,73 @@ def test_renormalized_copy_pairs_atom_for_atom():
     assert not np.array_equal(P.weights, Q.weights)
     for order in ORDERS:
         assert rf.wasserstein_distance(P, Q, order) == pytest.approx(0.0625, rel=1e-12)
+
+
+def coupling_by_loop(P, Q):
+    """The general quantile-coupling loop of ``_quantile_coupling_segments``,
+    kept here as the reference for its equal-weight shortcut."""
+    xp = P.support_1d
+    xq = Q.support_1d
+    op = np.argsort(xp, kind="stable")
+    oq = np.argsort(xq, kind="stable")
+    xp, wp = xp[op], P.weights[op]
+    xq, wq = xq[oq], Q.weights[oq]
+    i = j = 0
+    rem_p = wp[0]
+    rem_q = wq[0]
+    mass, a, b = [], [], []
+    while True:
+        m = min(rem_p, rem_q)
+        if m > 0.0:
+            mass.append(m)
+            a.append(xp[i])
+            b.append(xq[j])
+        rem_p -= m
+        rem_q -= m
+        if rem_p <= measures._COUPLING_RESIDUE:
+            i += 1
+            if i == len(xp):
+                break
+            rem_p = wp[i]
+        if rem_q <= measures._COUPLING_RESIDUE:
+            j += 1
+            if j == len(xq):
+                break
+            rem_q = wq[j]
+    return np.asarray(mass), np.asarray(a), np.asarray(b)
+
+
+@st.composite
+def shared_weight_pairs(draw):
+    """Two 1-d measures whose atoms, sorted, carry one weight vector: dyadic
+    weights summing to exactly 1 (so no renormalization moves them), zeros
+    and tied points included, each measure's atoms listed in its own order."""
+    n = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+    scale = 2 ** max(sum(counts), 1).bit_length()
+    w = np.array(counts + [scale - sum(counts)]) / scale
+    w = np.array(draw(st.permutations(list(w))))
+    # a coarse grid makes ties likely
+    coords = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.5]), st.floats(-2.0, 2.0))
+    measures_ = []
+    for _ in range(2):
+        x = np.sort(draw(st.lists(coords, min_size=n, max_size=n)))
+        order = np.array(draw(st.permutations(range(n))))
+        measures_.append(rf.explicit(x[order], w[order]))
+    return tuple(measures_)
+
+
+@settings(max_examples=200)
+@given(pair=shared_weight_pairs())
+def test_equal_weight_coupling_matches_the_general_loop(pair):
+    # with one weight vector in quantile order the coupling pairs atom i
+    # with atom i; ties may reorder the weights, and then the loop runs
+    P, Q = pair
+    got = _quantile_coupling_segments(P, Q)
+    want = coupling_by_loop(P, Q)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
 
 
 def test_metric_axioms_random_instances():

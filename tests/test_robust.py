@@ -411,6 +411,36 @@ def test_robust_p_value_below_inf_value():
         assert v_p <= v_inf + 1e-9
 
 
+def criterion_08_spec(p: float, a: float = 0.25) -> rf.ProblemSpec:
+    return binomial_log_spec(a, p=p, state=(-1.25, 1.25), action=(-0.75, 0.75))
+
+
+def test_robust_value_rises_with_the_order_toward_the_inf_value():
+    # the W_p balls shrink as p grows, toward the W_inf ball of the same
+    # radius; recorded: 0.0782116, 0.0817991, 0.0837374, 0.0851236, 0.0855920
+    # for p = 1.5, 2, 3, 8, 50 and 0.0856695 at p = inf
+    values = [rf.robust_solve(criterion_08_spec(p), 0.1).V_delta
+              for p in (1.5, 2.0, 3.0, 8.0, 50.0)]
+    v_inf = rf.robust_solve(criterion_08_spec(math.inf), 0.1).V_delta
+    assert all(lower < upper for lower, upper in zip(values, values[1:]))
+    assert values[-1] <= v_inf
+    assert v_inf - values[-1] < 1e-4
+
+
+@settings(max_examples=12)
+@given(a=st.floats(0.1, 0.4), delta=st.floats(0.01, 0.3),
+       orders=st.lists(st.sampled_from([1.5, 2.0, 3.0, 8.0]), min_size=2, max_size=2,
+                       unique=True).map(sorted))
+def test_robust_value_is_nondecreasing_in_the_order(a, delta, orders):
+    v1, v2 = (rf.robust_solve(criterion_08_spec(p, a), delta).V_delta for p in orders)
+    assert v1 <= v2 + 1e-10
+    # the p = inf ball is not capped by S (module docstring of robust_solver):
+    # past delta = 0.25 its shift takes the atom at -1 out of S = [-1.25, 1.25],
+    # so V_inf answers a larger ball than V_p and no order between them holds
+    if delta <= 0.25:
+        assert v2 <= rf.robust_solve(criterion_08_spec(math.inf, a), delta).V_delta + 1e-10
+
+
 def test_robust_p_degenerate_model_stays_flat():
     spec = zero_mean_spec(p=2.0)
     for delta in (0.05, 0.2):
