@@ -53,8 +53,11 @@ _DOMAIN_MARGIN = 1e-9
 
 _BOUNDARY_TOL = 1e-12
 
-# Projected Newton (d > 1) stops once the projected gradient is this small.
+# Projected Newton (d > 1) stops once the projected gradient is this small,
+# and accepts a step that lowers the objective by at most this many ulps (a
+# final step can trade the last ulp of f for the last digits of the gradient).
 _NEWTON_TOL = 1e-12
+_NEWTON_STEP_ULPS = 4.0
 _NEWTON_MAX_ITERATIONS = 200
 
 # Step of the central eps-difference in the root-finding Davis price.
@@ -427,7 +430,7 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
         for _ in range(60):
             cand = np.clip(pi + alpha * step, lo, hi)
             f1 = _objective(spec, cand, endowment)
-            if math.isfinite(f1) and f1 >= f0 - 1e-18:
+            if math.isfinite(f1) and f1 >= f0 - _NEWTON_STEP_ULPS * np.spacing(abs(f0)):
                 if np.linalg.norm(cand - pi) <= 1e-16:
                     improved = False
                     break

@@ -406,6 +406,17 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     return np.asarray(mass), np.asarray(a), np.asarray(b)
 
 
+def coupling_cost(mass: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  order: WassersteinOrder) -> float:
+    """Transport cost of the 1-d coupling that sends mass[k] from a[k] to
+    b[k]: (sum_k mass_k |a_k - b_k|^p)^(1/p), or the largest displacement of
+    positive mass at p = inf. Every coupling's cost bounds W_p from above."""
+    disp = np.abs(a - b)
+    if order.is_inf:
+        return float(disp[mass > 0.0].max(initial=0.0))
+    return float(np.dot(mass, disp ** order.p) ** (1.0 / order.p))
+
+
 def _wasserstein_lp(P: DiscreteMeasure, Q: DiscreteMeasure, p: float) -> float:
     """Exact W_p in d>1 by solving the coupling linear program."""
     from scipy.optimize import linprog
@@ -440,11 +451,7 @@ def wasserstein_distance(P: DiscreteMeasure, Q: DiscreteMeasure,
     if P.dim != Q.dim:
         raise ConfigError("dimension mismatch between measures")
     if P.dim == 1:
-        mass, a, b = _quantile_coupling_segments(P, Q)
-        disp = np.abs(a - b)
-        if order.is_inf:
-            return float(disp.max(initial=0.0))
-        return float(np.dot(mass, disp ** order.p) ** (1.0 / order.p))
+        return coupling_cost(*_quantile_coupling_segments(P, Q), order)
     if order.is_inf:
         raise ConfigError("p = inf transport distance is implemented for d=1 only")
     return _wasserstein_lp(P, Q, order.p)

@@ -3,15 +3,17 @@
 Purpose
 -------
 Solves V(delta) = sup_{pi in A} inf_{W_p(P~, P) <= delta} E_{P~}[u(<X, pi>)]
-for a discrete baseline P (d = 1), two regimes:
+for a discrete baseline P (d = 1). At every order the ball holds the laws on
+the state space S within W_p distance delta of P, so S caps every
+displacement. Two regimes:
 
 p = inf (exact reduction)
-    The inner infimum is attained by shifting every atom a distance delta
-    against the position: inf = E_P[u(<X, pi> - delta |pi|)], concave in pi,
-    with atoms x - delta for pi > 0 and x + delta for pi < 0. The
-    reduction is for the unconstrained ball; the state space never
-    constrains the p = inf adversary (all closed-form targets are of this
-    form), and the worst case is the full Monge shift.
+    Each atom may move anywhere in its window [x - delta, x + delta] in S,
+    and u is increasing, so the inner infimum moves every atom to the end
+    of its window against the position: atoms max(x - delta, S_lo) for
+    pi > 0 and min(x + delta, S_hi) for pi < 0, and the value on them is
+    concave in pi. Where S does not bind this is the Monge shift,
+    inf = E_P[u(<X, pi> - delta |pi|)].
 
 finite p (certified numerical oracle)
     The inner problem is an exact finite-dimensional program over transport
@@ -41,7 +43,7 @@ value is concave in pi (an infimum of concave functions), with a kink at
 pi = 0. Its one-sided slopes at 0 (at +-2 PI_ZERO_THRESHOLD at finite p, as
 the oracle has no worst case inside that band) pick the side that holds the
 maximizer, or pi = 0 (``_side_of_zero``, ``_zero_answer``). On that side
-in-tree Brent brackets the root of the slope, E[X u'(pi X)] on the shifted
+in-tree Brent brackets the root of the slope, E[X u'(pi X)] on the moved
 atoms at p = inf and, by Danskin's theorem, on the oracle's worst case P* at
 finite p, unless its sign pins an end (``_concave_argmax``).
 
@@ -51,17 +53,17 @@ Robust Davis prices follow the optimizer branch:
   * pi_delta = 0 with 0 interior to A: the marginal-utility weight is
     constant; at E_P[X] = 0 every ball member prices and the robust (lower)
     price is the ball infimum of E[g] (the transport program above with g's
-    kinks on its grids; at p = inf on windows [x - delta, x + delta] in S with
-    no shared budget), otherwise the saddle adversary (the cheapest shift
-    that zeroes the mean: uniform, and at finite p stopping atoms at the edge
-    of S) prices;
+    kinks on its grids; at p = inf on the windows with no shared budget),
+    otherwise the saddle adversary (the cheapest shift that zeroes the mean,
+    within the budget) prices;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
     continuity as the limit along feasible strategies pi -> 0, for every
-    mean: each atom moves against the feasible direction e, by delta at
-    p = inf; at finite p by min(dist_i, t), with dist_i its distance to the
-    edge of S in that direction and t spending the budget (a uniform shift
-    of delta when S does not bind); the price is E_P[g] on those atoms.
-``sensitivity.zero_strategy`` owns these pi = 0 rules and adversaries.
+    mean: the shift that spends the budget against the feasible direction
+    e; the price is E_P[g] on those atoms.
+Both pi = 0 shifts move atom i by min(dist_i, t) against a direction, with
+dist_i its distance to the edge of S and t one common distance (at p = inf
+the budget caps the largest move, so t <= delta); ``sensitivity.zero_strategy``
+owns these rules and adversaries.
 
 Every worst-case minimum over displacements (the finite-p inner value, and
 both ball infima, at p = inf on per-atom windows with no shared budget) is
@@ -83,7 +85,7 @@ from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, Payoff,
                               _feasible_interval_raw, solve_baseline)
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure)
-from .measures import DiscreteMeasure, StateSpace, wasserstein_distance
+from .measures import DiscreteMeasure, StateSpace, coupling_cost
 from .sensitivity import (_MEAN_ZERO_TOL, degeneracy_guard, optimizer_sensitivity,
                           transport_direction, zero_strategy)
 from .utility import Utility
@@ -111,12 +113,17 @@ class RobustSolution:
         return float(self.pi_delta[0])
 
 
-def _as_adversary(points: np.ndarray, weights: np.ndarray, *, base: DiscreteMeasure,
-                  delta: float, p: float, space: StateSpace | None) -> DiscreteMeasure:
+def _as_adversary(points: np.ndarray, weights: np.ndarray, sources: np.ndarray, *,
+                  base: DiscreteMeasure, delta: float, p: float,
+                  space: StateSpace | None) -> DiscreteMeasure:
+    """The adversary of a transport plan that moves each atom of ``base``:
+    atom k of it carries weights[k] from the base atom at sources[k] (its
+    plan, kept in ``params["sources"]``) to points[k]."""
     return DiscreteMeasure(points=np.asarray(points, dtype=float).reshape(-1, 1),
                            weights=weights, state_space=space,
                            is_quadrature=base.is_quadrature, kind="adversary",
-                           params={"base": base.kind, "delta": float(delta), "p": float(p)})
+                           params={"base": base.kind, "delta": float(delta), "p": float(p),
+                                   "sources": sources})
 
 
 def _check_radius(delta: float) -> None:
@@ -132,14 +139,20 @@ def _certified(spec: ProblemSpec, delta: float, pi: float, value: float,
                adversary: DiscreteMeasure, method: str) -> RobustSolution:
     """The solution, with the transport cost of its adversary certified <= delta.
 
-    The construction keeps the plan inside the budget; re-measuring the
-    distance reintroduces power/root rounding, so ulp-level excess is clamped
+    The cost is that of the plan that built the adversary, each atom paired
+    with the base atom it came from (``_as_adversary``; the base measure
+    itself, the oracle's witness in its zero band, moves nothing). A plan's
+    cost bounds W_p from above, and it needs no re-coupling, which could
+    pair a rounding fragment of one atom with another atom across the
+    support. The construction keeps the plan inside the budget; re-measuring
+    it reintroduces power/root rounding, so ulp-level excess is clamped
     while anything larger still surfaces as a failure. Re-measuring a shift
     of an atom at coordinate x cannot resolve below ulp(x), so the clamp
     scales with the largest atom magnitude (quadrature stand-ins for heavy
     tails put atoms at 1e10 and beyond)."""
     P = spec.model
-    cost = wasserstein_distance(P, adversary, spec.order)
+    y = adversary.support_1d
+    cost = coupling_cost(adversary.weights, adversary.params.get("sources", y), y, spec.order)
     if not cost <= delta:
         max_abs = max(float(np.max(np.abs(P.points))),
                       float(np.max(np.abs(adversary.points))))
@@ -179,8 +192,8 @@ def _zero_answer(spec: ProblemSpec, delta: float, method: str) -> RobustSolution
         raise AssumptionViolation(
             f"pi = 0 with 0 interior to A, but no shift within the state space "
             f"and radius {delta} zeroes the mean")
-    adversary = _as_adversary(shifted, w, base=spec.model, delta=delta, p=spec.order.p,
-                              space=None if spec.order.is_inf else spec.state_space)
+    adversary = _as_adversary(shifted, w, x, base=spec.model, delta=delta, p=spec.order.p,
+                              space=spec.state_space)
     value = float(np.dot(w, spec.utility.u(0.0 * x)))
     return _certified(spec, delta, 0.0, value, adversary, method)
 
@@ -204,15 +217,20 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
     def slope_at_zero(xs: np.ndarray) -> float:  # as _concave_max_raw takes it
         return float(np.dot(w * u.u_prime(0.0 * xs), xs))
 
+    # every atom moves against the position, as far as delta and S allow
+    space = spec.state_space
+    down = np.maximum(x - delta, space.lower[0])
+    up = np.minimum(x + delta, space.upper[0])
     lo, hi = _side_of_zero(spec.action_space.lower[0], spec.action_space.upper[0],
-                           lambda: slope_at_zero(x - delta), lambda: slope_at_zero(x + delta))
+                           lambda: slope_at_zero(down), lambda: slope_at_zero(up))
     if lo == hi:
         return _zero_answer(spec, delta, "inf_exact")
-    xs = x - delta if hi > 0.0 else x + delta  # every atom moves against the position
+    xs = down if hi > 0.0 else up
     pi, _ = _concave_max_raw(xs, w, u, lo, hi)
     if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
         return _zero_answer(spec, delta, "inf_exact")
-    adversary = _as_adversary(xs, w, base=spec.model, delta=delta, p=math.inf, space=None)
+    adversary = _as_adversary(xs, w, x, base=spec.model, delta=delta, p=math.inf,
+                              space=space)
     return _certified(spec, delta, pi, float(np.dot(w, u.u(pi * xs))), adversary, "inf_exact")
 
 
@@ -324,7 +342,8 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
                         p: float, budget: float, f: Callable[[np.ndarray], np.ndarray],
                         kinks: tuple[float, ...] = (), grid_points: int = 1200,
-                        refinements: int = 3) -> tuple[float, np.ndarray, np.ndarray]:
+                        refinements: int = 3
+                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
     subject to sum_i w_i E|s_i|^p <= budget and s_i in [s_lo_i, s_hi_i].
 
@@ -332,10 +351,13 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     once per atom, on that atom's grid positions (one call on every atom's
     positions measured 5-8% slower per oracle call at 6 and 12 atoms); a NaN
     value raises NumericalFailure. Each of ``kinks`` (positions where f may
-    bend) joins the base grid of every atom whose bounds hold it. An infinite
-    budget leaves each atom its own window minimum (p only orders each row).
-    Returns (value, points, masses): the best plan's fragments, at positions
-    x_i + s, each with mass w_i times the share of atom i it carries.
+    bend) joins the base grid of every atom whose bounds hold it, as the
+    displacement k - x_i, and is evaluated at k itself (x_i + (k - x_i) can
+    round an ulp off k, and a steep f turns that ulp into an error). An
+    infinite budget leaves each atom its own window minimum (p only orders
+    each row). Returns (value, points, masses, atoms): the best plan's
+    fragments, at positions x_i + s (k at a kink), each with mass w_i times
+    the share of atom i it carries, and the index i of that atom.
 
     Exactness: on the displacement grids the problem is the linear program
     min sum_ij w_i m_ij f(x_i + s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
@@ -353,12 +375,13 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     """
     n = x.shape[0]
     rows = np.arange(n)
-    grids = []
+    grids, kink_at = [], []  # kink_at[i]: the kink at each kink displacement of atom i
     for i in range(n):
         grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points)
-        inside = [k - x[i] for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]]
-        grids.append(np.unique(np.concatenate([grid, inside])) if inside else grid)
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
+        at = {k - x[i]: k for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]}
+        grids.append(np.unique(np.concatenate([grid, list(at)])) if at else grid)
+        kink_at.append(at)
+    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
     lam = 0.0
     passes = max(refinements, 0) + 1
     for pass_ in range(passes):
@@ -370,7 +393,10 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         for i, s in enumerate(grids):
             s = s[np.argsort(np.abs(s), kind="stable")]
             disp[i, :s.size] = s
-            val[i, :s.size] = f(x[i] + s)
+            y = x[i] + s
+            for d, k in kink_at[i].items():
+                y[s == d] = k
+            val[i, :s.size] = f(y)
         if np.isnan(val).any():
             raise NumericalFailure("objective is NaN on a displacement grid")
         cost = np.abs(disp) ** p
@@ -408,8 +434,10 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             value += w[i] * shed * (val[i, 0] - val[i, j])
         if best is None or value < best[0]:
             kept = [(i, j, m) for i, j, m in fragments if m > 0.0]
-            best = (value, np.array([x[i] + disp[i, j] for i, j, _ in kept]),
-                    np.array([w[i] * m for i, _, m in kept]))
+            best = (value, np.array([kink_at[i].get(disp[i, j], x[i] + disp[i, j])
+                                     for i, j, _ in kept]),
+                    np.array([w[i] * m for i, _, m in kept]),
+                    np.array([i for i, _, _ in kept]))
         if pass_ == passes - 1:
             break  # no pass left to use a refined grid
         # refine around the active displacements of each displaced atom
@@ -497,10 +525,10 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
         s_lo, s_hi = -extents, np.zeros_like(x)
     else:
         s_lo, s_hi = np.zeros_like(x), extents
-    value, pts, masses = _transport_minimize(
+    value, pts, masses, atoms = _transport_minimize(
         x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y),
         grid_points=grid_points, refinements=refinements)
-    adversary = _as_adversary(pts, masses / masses.sum(), base=P, delta=delta,
+    adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
     return float(value), adversary
 
@@ -608,7 +636,7 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
     else:
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
-    value, _, _ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff,
+    value, *_ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff,
                                       kinks=payoff.kinks, grid_points=grid_points,
                                       refinements=refinements)
     return float(value)

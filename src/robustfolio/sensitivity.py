@@ -34,9 +34,15 @@ Davis price p_d(delta) = E_{P*}[u' g]/E_{P*}[u'], three branches at delta=0:
    direction e while no atom reaches the edge of the state space)
     p_d'(0) = - E_P[ <grad g(X), e> ].
 ``zero_strategy`` owns these pi = 0 rules for the robust solvers too; at
-radius delta and finite p it stops atoms at the edge of the state space and
-moves the others one common distance, which spends the budget (pinned) or
-zeroes the mean (0 interior to A).
+radius delta and every order it stops atoms at the edge of the state space S
+and moves the others one common distance, which spends the budget (pinned)
+or zeroes the mean within it (0 interior to A).
+
+Edge rule: these closed forms move every atom to first order (against pi*,
+against e at a pinned pi* = 0, either way at a zero-mean ball infimum). An
+atom of positive weight on the edge of S that its move points into cannot
+move, so V'(0), pi*'(0) and p_d'(0) refuse it with ``AssumptionViolation``
+(d = 1).
 
 A Kullback-Leibler comparator (radius-constrained relative-entropy ball) and
 the first-order Wasserstein preference score complete the module. Everything
@@ -123,6 +129,26 @@ def _require_usable_optimum(sol: BaselineSolution) -> None:
             "sensitivity formulas require an interior optimizer (or pi* = 0)")
 
 
+def _require_room_to_move(spec: ProblemSpec, sol: BaselineSolution) -> None:
+    """The closed forms move every atom to first order: against pi*, or
+    against ``zero_strategy``'s e at a pinned pi* = 0, or either way at a
+    zero-mean ball infimum. An atom of positive weight on the edge of S that
+    its move points into cannot move, and its one-sided derivative differs
+    from the closed form, so refuse it (d = 1)."""
+    if spec.dim != 1:
+        return
+    if abs(sol.pi_star_scalar) > PI_ZERO_THRESHOLD:
+        directions = [math.copysign(1.0, sol.pi_star_scalar)]
+    else:
+        e = zero_strategy(spec, 0.0).direction
+        directions = [1.0, -1.0] if e is None else [e]
+    live = spec.model.weights > 0.0
+    if any(np.any(_edge_distance(spec, e)[live] <= 0.0) for e in directions):
+        raise AssumptionViolation(
+            "an atom sits on the edge of the state space that its first-order "
+            "move points into; the closed forms at delta = 0 do not apply")
+
+
 def _lq_norm_uprime(spec: ProblemSpec, sol: BaselineSolution) -> float:
     w = spec.model.points @ sol.pi_star
     up = np.abs(spec.utility.u_prime(w))
@@ -137,6 +163,7 @@ def value_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> float:
     norm_pi = float(np.linalg.norm(sol.pi_star))
     if norm_pi <= PI_ZERO_THRESHOLD:
         return 0.0
+    _require_room_to_move(spec, sol)
     return -_lq_norm_uprime(spec, sol) * norm_pi
 
 
@@ -148,6 +175,7 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
     norm_pi = float(np.linalg.norm(sol.pi_star))
     if norm_pi <= PI_ZERO_THRESHOLD:
         raise AssumptionViolation("optimizer sensitivity is undefined at pi* = 0")
+    _require_room_to_move(spec, sol)
     q = spec.order.q
     w = spec.model.points @ sol.pi_star
     up = spec.utility.u_prime(w)
@@ -218,8 +246,9 @@ class ZeroStrategy:
 def _capped_reach(dist: np.ndarray, w: np.ndarray, level: float, p: float) -> float:
     """t with sum_i w_i min(dist_i, t)^p = level^p: the common distance the
     atoms not stopped by their edge move (inf when the edges hold less than
-    the level, the level itself when no edge binds)."""
-    if np.all(dist[w > 0.0] >= level):
+    the level, the level itself when no edge binds). At p = inf the level
+    caps the largest move, so t is the level."""
+    if math.isinf(p) or np.all(dist[w > 0.0] >= level):
         return level
     order = np.argsort(dist)
     d, wd = dist[order], w[order]
@@ -242,51 +271,40 @@ def _edge_distance(spec: ProblemSpec, e: float) -> np.ndarray:
 
 def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
     """The pi = 0 rules at radius delta, decided on A first (see the Davis
-    branch table in the module docstring)."""
+    branch table in the module docstring). Every atom moves against a
+    direction e, stops at the edge of S, and the others move one common
+    distance t."""
     a_lo = spec.action_space.lower[0]
     a_hi = spec.action_space.upper[0]
     x = spec.model.support_1d
     w = spec.model.weights
+    p = spec.order.p
     if a_lo < -_ACTION_ZERO_TOL and a_hi > _ACTION_ZERO_TOL:
         # every ball member attains u(0); the saddle adversary is the cheapest
-        # shift that also makes pi = 0 optimal, and at zero mean every ball
-        # member prices
+        # shift that also makes pi = 0 optimal (t zeroes the mean), unless
+        # that is past the budget (t spends the budget); at zero mean every
+        # ball member prices. Both reaches grow with t, so the smaller binds.
         mean = float(w @ x)
-        ball_infimum = abs(mean) <= _MEAN_ZERO_TOL
-        if spec.order.is_inf:
-            return ZeroStrategy(np.full(x.size, min(max(mean, -delta), delta)),
-                                ball_infimum, None)
-        # at finite p the cheapest shift that zeroes the mean stops atoms at
-        # the edge of S, and the others share the rest of the mean, one
-        # distance t for all; past the budget it spends the budget instead,
-        # as the clip does at p = inf
         e = math.copysign(1.0, mean)
         dist = _edge_distance(spec, e)
-        shift = e * np.minimum(dist, _capped_reach(dist, w, abs(mean), 1.0))
-        p = spec.order.p
-        if w @ np.abs(shift) ** p > delta ** p:
-            shift = e * np.minimum(dist, _capped_reach(dist, w, delta, p))
-        return ZeroStrategy(shift, ball_infimum, None)
+        t = min(_capped_reach(dist, w, abs(mean), 1.0), _capped_reach(dist, w, delta, p))
+        return ZeroStrategy(e * np.minimum(dist, t), abs(mean) <= _MEAN_ZERO_TOL, None)
     if abs(a_lo) <= _ACTION_ZERO_TOL and a_hi > 0.0:
         e = 1.0
     elif abs(a_hi) <= _ACTION_ZERO_TOL and a_lo < 0.0:
         e = -1.0
     else:
         raise AssumptionViolation("pi = 0 needs 0 in the action space A")
-    # pinned: the continuity limit along feasible strategies pi -> 0. Each
-    # atom moves against e; at finite p the state space stops atoms at its
-    # edge and the others share the budget, one distance t for all of them
-    # (the p = inf ball ignores S, as in robust_solve_inf)
-    if spec.order.is_inf:
-        return ZeroStrategy(np.full(x.size, delta * e), False, e)
+    # pinned: the continuity limit along feasible strategies pi -> 0, where
+    # t spends the budget
     dist = _edge_distance(spec, e)
-    t = _capped_reach(dist, w, delta, spec.order.p)
-    return ZeroStrategy(e * np.minimum(dist, t), False, e)
+    return ZeroStrategy(e * np.minimum(dist, _capped_reach(dist, w, delta, p)), False, e)
 
 
 def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:
     """p_d'(0) under the branch dictated by pi* (see module docstring)."""
     degeneracy_guard(spec)
+    _require_room_to_move(spec, sol)
     if sol.pi_is_zero:
         grad = _payoff_grad_atoms(spec, payoff)
         zero = zero_strategy(spec, 0.0)

@@ -179,6 +179,20 @@ def test_boundary_optimum_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", [2.0, "inf"])
+def test_atom_on_the_edge_it_moves_into_exits_three(tmp_path, capsys, order):
+    # pi* > 0 moves every atom down, and the atom at -1 sits on the edge of S
+    cfg = base_config(model={"kind": "explicit", "points": [-1.0, 1.0],
+                             "weights": [0.25, 0.75]},
+                      state_space=[-1.0, 1.0], wasserstein_p=order,
+                      action_space=[-0.75, 0.75])
+    rc = cli.main(["sensitivity", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "edge of the state space" in captured.err
+
+
 def test_unwritable_output_exits_four(tmp_path, capsys):
     rc = cli.main(["solve", "--config", write_config(tmp_path, base_config()),
                    "--out", str(tmp_path / "no_such_dir" / "out.csv")])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import robustfolio as rf
@@ -316,9 +316,8 @@ def test_multiplier_plans_refuse_a_grid_without_its_zero_cell():
 
 @st.composite
 def bounded_problems(draw):
-    """Random 2-4-atom model with atoms on both sides of 0 and at least 0.3
-    inside S = [-1.25, 1.25], so that the p = inf worst case (every atom
-    moved by delta <= 0.25) stays in S."""
+    """Random 2-4-atom model with atoms on both sides of 0, at least 0.3
+    inside S = [-1.25, 1.25], which caps the ball at every order."""
     n_neg = draw(st.integers(1, 2))
     n_pos = draw(st.integers(1, 2))
     pts = (draw(st.lists(st.floats(-0.95, -0.01), min_size=n_neg, max_size=n_neg))
@@ -431,14 +430,46 @@ def test_robust_value_rises_with_the_order_toward_the_inf_value():
 @given(a=st.floats(0.1, 0.4), delta=st.floats(0.01, 0.3),
        orders=st.lists(st.sampled_from([1.5, 2.0, 3.0, 8.0]), min_size=2, max_size=2,
                        unique=True).map(sorted))
+@example(a=0.1, delta=0.3, orders=[3.0, 8.0])  # S binds on the p = inf shift
+@example(a=0.125, delta=0.0390625, orders=[3.0, 8.0])  # a shed fragment at p = 8
 def test_robust_value_is_nondecreasing_in_the_order(a, delta, orders):
     v1, v2 = (rf.robust_solve(criterion_08_spec(p, a), delta).V_delta for p in orders)
     assert v1 <= v2 + 1e-10
-    # the p = inf ball is not capped by S (module docstring of robust_solver):
-    # past delta = 0.25 its shift takes the atom at -1 out of S = [-1.25, 1.25],
-    # so V_inf answers a larger ball than V_p and no order between them holds
-    if delta <= 0.25:
-        assert v2 <= rf.robust_solve(criterion_08_spec(math.inf, a), delta).V_delta + 1e-10
+    assert v2 <= rf.robust_solve(criterion_08_spec(math.inf, a), delta).V_delta + 1e-10
+
+
+def test_state_space_caps_the_inf_ball_as_it_caps_the_finite_p_balls():
+    # a = 0.1, delta = 0.3: the atom at -1 can move only to the edge -1.25 of
+    # S, not to -1.3; the uncapped shift gave V_inf = 0.16760 < V_8 = 0.17644
+    sol = rf.robust_solve(criterion_08_spec(math.inf, 0.1), 0.3)
+    np.testing.assert_allclose(sol.adversary.support_1d, [-1.25, 0.7], rtol=0.0, atol=1e-15)
+    assert sol.adversary.state_space == criterion_08_spec(math.inf).state_space
+    assert sol.transport_cost == 0.3
+    assert sol.V_delta == pytest.approx(0.17758469739529156, abs=1e-14)
+    assert rf.robust_solve(criterion_08_spec(8.0, 0.1), 0.3).V_delta <= sol.V_delta
+    # the mirror image goes short, and S caps the move up at 1.25
+    mirror = dataclasses.replace(criterion_08_spec(math.inf, 0.1),
+                                 model=rf.explicit([1.0, -1.0], [0.1, 0.9],
+                                                   state_space=rf.StateSpace.interval(-1.25, 1.25)))
+    short = rf.robust_solve(mirror, 0.3)
+    assert short.pi_delta_scalar == -sol.pi_delta_scalar
+    np.testing.assert_allclose(short.adversary.support_1d, [1.25, -0.7], rtol=0.0, atol=1e-15)
+    assert short.V_delta == pytest.approx(sol.V_delta, abs=1e-15)
+
+
+def test_certificate_prices_the_plan_not_a_recoupling():
+    # the oracle sheds 3.4e-17 of the atom at -1 back to -1; re-coupling the
+    # renormalized adversary with P paired that fragment with the atom at +1
+    # (distance 2, times 2^8 at p = 8) and reported cost 0.0390703 > delta
+    delta = 0.0390625
+    sol = rf.robust_solve(criterion_08_spec(8.0, 0.125), delta)
+    assert sol.transport_cost == pytest.approx(delta, rel=1e-12)
+    assert sol.transport_cost <= delta
+    # every fragment is paired with the atom it came from, within 0.05 of it
+    y = sol.adversary.support_1d
+    sources = np.array(sol.adversary.params["sources"])
+    np.testing.assert_array_equal(sources, np.where(y < 0.0, -1.0, 1.0))
+    assert np.max(np.abs(y - sources)) < 0.05
 
 
 def test_robust_p_degenerate_model_stays_flat():
@@ -674,17 +705,18 @@ def clustered_tables(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=clustered_tables())
+@example(case=(  # x + (k - x) rounds an ulp off a node; the slope made it 4.4e-13
+    np.array([-0.5782571054398641, 0.018180742695422775, 0.018187436903720725,
+              0.01825244661966155, 1.4549322499346906]),
+    np.array([-0.3875146388730051, -0.09764178050334937, -0.31171011500917145,
+              0.11767330210777405, -0.5747690906604814]),
+    0.17389533089983916, 0.20010416133452513))
 def test_ball_infimum_at_p_inf_is_the_table_node_minimum(case):
+    # each node is evaluated at the node itself, not at x + (k - x)
     xs, ys, atom, delta = case
     price = rf.robust_davis_price(window_min_spec(math.inf, atom, 1.5),
                                   rf.custom_payoff(xs, ys), delta)
-    # a node k is reached as the position x + (k - x), which rounding can put
-    # an ulp of max(|x|, |k - x|) off k; the steepest table slope turns that
-    # into the payoff's own resolution at the node
-    slope = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-    resolution = slope * 2.0 * np.finfo(float).eps * (atom + delta)
-    assert price == pytest.approx(node_minimum(xs, ys, atom, delta, 1.5),
-                                  abs=1e-13 + resolution)
+    assert price == pytest.approx(node_minimum(xs, ys, atom, delta, 1.5), abs=1e-13)
 
 
 @st.composite
@@ -823,30 +855,32 @@ def test_zero_strategy_price_slope_and_adversary(weights, action, p):
 
 
 def test_pinned_zero_strategy_stops_atoms_at_the_state_space_edge():
-    # pi = 0 pinned by A = [0, 0.75] at p = 2: the atom at -0.95 can move only
-    # to the edge -1 of S, and the other two share the rest of the budget
+    # pi = 0 pinned by A = [0, 0.75]: the atom at -0.95 can move only to the
+    # edge -1 of S, and the other two move t, which spends the budget (at
+    # p = 2) or is the radius (at p = inf)
     model = rf.explicit([-0.95, -0.2, 0.5], [0.4, 0.3, 0.3],
                         state_space=rf.StateSpace.interval(-1.0, 1.0))
-    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
-                          action_space=rf.StateSpace.interval(0.0, 0.75),
-                          order=rf.WassersteinOrder(2.0))
     delta, g = 0.1, rf.call_payoff(-0.97)
-    t = math.sqrt((delta ** 2 - 0.4 * 0.05 ** 2) / 0.6)
-    np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t, t],
-                               rtol=0.0, atol=1e-15)
-    sol = rf.robust_solve_p(spec, delta)
-    assert sol.pi_delta_scalar == 0.0
-    np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, -0.2 - t, 0.5 - t],
-                               rtol=0.0, atol=1e-15)
-    assert sol.transport_cost == pytest.approx(delta, rel=1e-12)
-    assert sol.transport_cost <= delta
-    price = rf.robust_davis_price(spec, g, delta, sol)
-    assert price == pytest.approx(0.3 * (0.77 - t) + 0.3 * (1.47 - t), abs=1e-12)
-    # the limit of the marginal-utility prices along feasible pi -> 0+
-    _, adv = rf.adversary_inner_inf(model, spec.utility, 1e-6, delta, spec.order)
-    y = adv.support_1d
-    dens = adv.weights * spec.utility.u_prime(1e-6 * y)
-    assert price == pytest.approx(float(dens @ g(y) / dens.sum()), abs=2e-6)
+    for p in (2.0, math.inf):
+        spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                              action_space=rf.StateSpace.interval(0.0, 0.75),
+                              order=rf.WassersteinOrder(p))
+        t = delta if math.isinf(p) else math.sqrt((delta ** 2 - 0.4 * 0.05 ** 2) / 0.6)
+        np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t, t],
+                                   rtol=0.0, atol=1e-15)
+        sol = rf.robust_solve(spec, delta)
+        assert sol.pi_delta_scalar == 0.0
+        np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, -0.2 - t, 0.5 - t],
+                                   rtol=0.0, atol=1e-15)
+        assert sol.transport_cost == pytest.approx(delta, rel=1e-12)
+        assert sol.transport_cost <= delta
+        price = rf.robust_davis_price(spec, g, delta, sol)
+        assert price == pytest.approx(0.3 * (0.77 - t) + 0.3 * (1.47 - t), abs=1e-12)
+        # the limit of the marginal-utility prices along feasible pi -> 0+
+        near = dataclasses.replace(spec, action_space=rf.StateSpace.interval(1e-6, 0.75))
+        sol_near = rf.robust_solve(near, delta)
+        assert sol_near.pi_delta_scalar == 1e-6
+        assert price == pytest.approx(rf.robust_davis_price(near, g, delta, sol_near), abs=2e-6)
 
 
 def test_pinned_zero_strategy_parks_every_atom_when_the_edge_is_within_reach():
@@ -861,34 +895,35 @@ def test_pinned_zero_strategy_parks_every_atom_when_the_edge_is_within_reach():
                                rtol=0.0, atol=1e-15)
 
 
-def saddle_edge_spec() -> rf.ProblemSpec:
+def saddle_edge_spec(p: float = 2.0) -> rf.ProblemSpec:
     # E_P[X] = 0.1, and the atom at -0.95 is 0.05 from the edge of S
     model = rf.explicit([-0.95, 0.55], [0.3, 0.7],
                         state_space=rf.StateSpace.interval(-1.0, 1.0))
     return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
                           action_space=rf.StateSpace.interval(-0.75, 0.75),
-                          order=rf.WassersteinOrder(2.0))
+                          order=rf.WassersteinOrder(p))
 
 
 def test_saddle_zero_strategy_stops_atoms_at_the_state_space_edge():
-    # pi = 0 interior to A at p = 2 and delta = 0.2: the atom at -0.95 can
-    # move only to the edge -1 of S, and the other carries the rest of the
-    # mean (the uniform shift put an atom at -1.05 and priced the call 0.994)
-    spec = saddle_edge_spec()
+    # pi = 0 interior to A at delta = 0.2: the atom at -0.95 can move only to
+    # the edge -1 of S, and the other carries the rest of the mean (the
+    # uniform shift put an atom at -1.05 and priced the call 0.994)
     delta, g = 0.2, rf.call_payoff(-0.97)
     t = (0.1 - 0.3 * 0.05) / 0.7
-    np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t],
-                               rtol=0.0, atol=1e-15)
-    sol = rf.robust_solve_p(spec, delta)
-    assert sol.pi_delta_scalar == 0.0
-    np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, 0.55 - t],
-                               rtol=0.0, atol=1e-15)
-    assert sol.transport_cost == pytest.approx(math.sqrt(0.3 * 0.05 ** 2 + 0.7 * t ** 2),
-                                               rel=1e-12)
-    assert sol.transport_cost <= delta
-    assert rf.martingale_check_robust(spec, sol) <= 1e-15
-    price = rf.robust_davis_price(spec, g, delta, sol)
-    assert price == pytest.approx(0.7 * (0.55 - t + 0.97), abs=1e-12)
+    for p in (2.0, math.inf):
+        spec = saddle_edge_spec(p)
+        np.testing.assert_allclose(zero_strategy(spec, delta).shift, [0.05, t],
+                                   rtol=0.0, atol=1e-15)
+        sol = rf.robust_solve(spec, delta)
+        assert sol.pi_delta_scalar == 0.0
+        np.testing.assert_allclose(sol.adversary.support_1d, [-1.0, 0.55 - t],
+                                   rtol=0.0, atol=1e-15)
+        cost = t if math.isinf(p) else math.sqrt(0.3 * 0.05 ** 2 + 0.7 * t ** 2)
+        assert sol.transport_cost == pytest.approx(cost, rel=1e-12)
+        assert sol.transport_cost <= delta
+        assert rf.martingale_check_robust(spec, sol) <= 1e-15
+        price = rf.robust_davis_price(spec, g, delta, sol)
+        assert price == pytest.approx(0.7 * (0.55 - t + 0.97), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, math.inf])

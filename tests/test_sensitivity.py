@@ -314,6 +314,45 @@ def test_guard_rejects_tiny_kappa_capped():
         rf.capped_exponential(1.0, 1e-4)
 
 
+def edge_spec(points, weights, action, p) -> rf.ProblemSpec:
+    model = rf.explicit(points, weights, state_space=rf.StateSpace.interval(-1.0, 1.0))
+    return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(*action),
+                          order=rf.WassersteinOrder(p))
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_edge_guard_refuses_an_atom_that_cannot_move(p):
+    # pi* = 0.5 > 0 moves every atom down, but the atom at -1 sits on the
+    # lower edge of S: the robust slope at 0+ is -0.28868 (p = 2) and -0.25
+    # (p = inf), where the closed form V'(0) reads -0.57735 and -0.5
+    spec = edge_spec([-1.0, 1.0], [0.25, 0.75], (-0.75, 0.75), p)
+    sol = rf.solve_baseline(spec)
+    slope = (rf.robust_solve(spec, 1e-6).V_delta - sol.V0) / 1e-6
+    assert slope == pytest.approx(-0.28867513 if p == 2.0 else -0.25, abs=1e-6)
+    for closed_form in (rf.value_sensitivity, rf.optimizer_sensitivity,
+                        lambda s, b: rf.davis_sensitivity(s, b, rf.call_payoff(0.0))):
+        with pytest.raises(AssumptionViolation, match="edge of the state space"):
+            closed_form(spec, sol)
+    # the upper edge is behind the move, so an atom there is no obstacle
+    spec = edge_spec([-0.5, 1.0], [0.6, 0.4], (-0.75, 0.75), p)
+    assert rf.value_sensitivity(spec, rf.solve_baseline(spec)) < 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("points, weights, action", [
+    ([-1.0, 0.5], [0.4, 0.6], (0.0, 0.75)),  # pi* = 0 pinned: atoms move down
+    ([-0.5, 1.0], [2 / 3, 1 / 3], (-0.75, 0.75)),  # zero mean: either edge
+], ids=["pinned", "ball-infimum"])
+def test_edge_guard_refuses_the_zero_price_slope_at_an_edge(points, weights, action, p):
+    spec = edge_spec(points, weights, action, p)
+    sol = rf.solve_baseline(spec)
+    assert sol.pi_is_zero
+    assert rf.value_sensitivity(spec, sol) == 0.0  # V is u(0) at every radius
+    with pytest.raises(AssumptionViolation, match="edge of the state space"):
+        rf.davis_sensitivity(spec, sol, rf.power_payoff(1))
+
+
 def test_guard_inert_at_p_inf_and_bounded_support():
     # p = inf: fine even on the unbounded quadrature model
     sol = rf.solve_baseline(normal_exp_spec())
