@@ -14,8 +14,7 @@ from .errors import (ArbitrageError, AssumptionViolation, BoundaryOptimumError,
                      DomainCompatibilityError, NumericalFailure, RobustfolioError)
 from .measures import (DiscreteMeasure, StateSpace, WassersteinOrder, binomial,
                        explicit, make_model, moments, no_arbitrage_check, normal,
-                       pushforward, shifted_lognormal, truncated_normal,
-                       wasserstein_distance)
+                       shifted_lognormal, truncated_normal, wasserstein_distance)
 from .utility import (Utility, capped_exponential, exponential,
                       finite_difference_check, log_shifted, make_utility, power)
 from .baseline_solver import (BaselineSolution, Payoff, ProblemSpec,
@@ -39,7 +38,7 @@ __all__ = [
     "ConfigError", "DegenerateSensitivityError", "DomainCompatibilityError",
     "NumericalFailure", "RobustfolioError",
     "DiscreteMeasure", "StateSpace", "WassersteinOrder", "binomial", "explicit",
-    "make_model", "moments", "no_arbitrage_check", "normal", "pushforward",
+    "make_model", "moments", "no_arbitrage_check", "normal",
     "shifted_lognormal", "truncated_normal", "wasserstein_distance",
     "Utility", "capped_exponential", "exponential", "finite_difference_check",
     "log_shifted", "make_utility", "power",

@@ -33,7 +33,7 @@ the Davis price root) use the in-tree Brent root finder ``_brent.brentq``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -285,15 +285,13 @@ def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
 class BaselineSolution:
     """Optimal strategy with diagnostics.
 
-    ``q_u`` reweights P by normalized marginal utility; it is well defined for
-    interior optima and for pi* = 0 (constant u'), and None on other boundary
-    solutions. ``hessian`` is E_P[X X^T u''(<X, pi*>)].
+    ``hessian`` is E_P[X X^T u''(<X, pi*>)]. The pricing measure Q_u is not
+    part of the solution: ``q_u_measure`` builds it from ``pi_star``.
     """
 
     pi_star: np.ndarray
     V0: float
     foc_residual: np.ndarray
-    q_u: DiscreteMeasure | None
     hessian: np.ndarray
     boundary: bool
 
@@ -371,6 +369,8 @@ def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
     lo, hi = _feasible_interval_raw(x, e, utility, a_lo, a_hi)
     if not lo < hi:
         raise DomainCompatibilityError("empty feasible strategy interval")
+    if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
+        x, w, e = x[w > 0.0], w[w > 0.0], e[w > 0.0]
 
     def grad(p: float) -> float:
         return float(np.dot(w * utility.u_prime(p * x + e), x))
@@ -459,22 +459,8 @@ def solve_baseline(spec: ProblemSpec) -> BaselineSolution:
     V0 = spec.model.expectation(spec.utility.u(w))
     residual = _gradient(spec, pi)
     hess = _hessian(spec, pi)
-    q_u: DiscreteMeasure | None
-    if boundary and np.linalg.norm(pi) > PI_ZERO_THRESHOLD:
-        q_u = None
-    else:
-        q_u = _q_u(spec, pi)
     return BaselineSolution(pi_star=pi, V0=V0, foc_residual=residual,
-                            q_u=q_u, hessian=hess, boundary=boundary)
-
-
-def _q_u(spec: ProblemSpec, pi: np.ndarray) -> DiscreteMeasure:
-    w = _wealth(spec, pi)
-    dens = spec.model.weights * spec.utility.u_prime(w)
-    return DiscreteMeasure(points=spec.model.points, weights=dens / dens.sum(),
-                           state_space=spec.state_space,
-                           is_quadrature=spec.model.is_quadrature,
-                           kind="q_u", params={"base": spec.model.kind})
+                            hessian=hess, boundary=boundary)
 
 
 def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
@@ -485,16 +471,17 @@ def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
     """
     if sol.boundary and not sol.pi_is_zero:
         raise BoundaryOptimumError("pricing measure requires an interior optimizer (or pi* = 0)")
-    if sol.q_u is not None:
-        return sol.q_u
-    return _q_u(spec, sol.pi_star)
+    dens = spec.model.weights * spec.utility.u_prime(_wealth(spec, sol.pi_star))
+    return DiscreteMeasure(points=spec.model.points, weights=dens / dens.sum(),
+                           state_space=spec.state_space,
+                           is_quadrature=spec.model.is_quadrature,
+                           kind="q_u", params={"base": spec.model.kind})
 
 
 def davis_price(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:
-    """Marginal utility price p_d = E_{Q_u}[g(X)]."""
+    """Marginal utility price p_d = E_{Q_u}[g(X)] (d = 1, as every payoff)."""
     q = q_u_measure(spec, sol)
-    g_vals = payoff(q.support_1d if q.dim == 1 else q.points)
-    return q.expectation(g_vals)
+    return q.expectation(payoff(q.support_1d))
 
 
 def solve_with_endowment(spec: ProblemSpec, endowment: np.ndarray) -> tuple[float, np.ndarray]:
@@ -522,7 +509,7 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ConfigError("bracket must satisfy lo < hi")
-    g_vals = payoff(spec.model.support_1d if spec.dim == 1 else spec.model.points)
+    g_vals = payoff(spec.model.support_1d)
 
     def eps_derivative(p_d: float) -> float:
         if p_d == 0.0:

@@ -43,9 +43,9 @@ import numpy as np
 
 from . import __version__
 from .analytic_fixtures import FIXTURE_NAMES, Fixture, fixture
-from .baseline_solver import (Payoff, ProblemSpec, butterfly_payoff, call_payoff,
-                              davis_price, davis_price_via_root, make_payoff,
-                              power_payoff, solve_baseline)
+from .baseline_solver import (ProblemSpec, butterfly_payoff, call_payoff, davis_price,
+                              davis_price_via_root, make_payoff, power_payoff,
+                              solve_baseline)
 from .errors import ConfigError, NumericalFailure, RobustfolioError
 from .measures import (StateSpace, WassersteinOrder, make_model, moments, normal)
 from .robust_solver import (martingale_check_robust, robust_davis_price, robust_solve,
@@ -203,23 +203,6 @@ def emit(table: ResultTable, fmt: str = "csv", path: str | None = None) -> str:
         except OSError as exc:
             raise NumericalFailure(f"cannot write {path}: {exc}") from exc
     return text
-
-
-def read_result_csv(text: str) -> tuple[list[str], list[list[float]], dict[str, str]]:
-    """Parse a table emitted by ``render(..., "csv")`` (round-trip helper)."""
-    lines = [ln for ln in text.split("\n") if ln]
-    provenance: dict[str, str] = {}
-    data: list[list[float]] = []
-    header: list[str] = []
-    for i, ln in enumerate(lines):
-        if ln.startswith("# "):
-            key, _, value = ln[2:].partition("=")
-            provenance[key] = value
-        elif i == 0:
-            header = ln.split(",")
-        else:
-            data.append([float(tok) for tok in ln.split(",")])
-    return header, data, provenance
 
 
 # ---------------------------------------------------------------------------

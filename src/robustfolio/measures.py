@@ -16,7 +16,7 @@ This module provides
   and a truncated-normal helper),
 * exact p-Wasserstein distances: the sorted-quantile coupling in d=1 (any
   p in (1, inf]), and a linear-program coupling for small instances in d>1,
-* pushforwards, moments, and the no-arbitrage check
+* moments and the no-arbitrage check
 
         for every pi != 0:  P(<X, pi>  > 0) > 0,
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -91,14 +91,10 @@ class StateSpace:
         return len(self.lower)
 
     def contains(self, points: np.ndarray) -> bool:
-        pts = _as_points(points)
+        """Whether every row of an (n, d) float array lies in the box."""
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
-        return bool(np.all(pts >= lo - _CONTAINS_TOL) and np.all(pts <= hi + _CONTAINS_TOL))
-
-    def clip(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
-        return np.clip(pts, np.asarray(self.lower), np.asarray(self.upper))
+        return bool(np.all(points >= lo - _CONTAINS_TOL) and np.all(points <= hi + _CONTAINS_TOL))
 
 
 @dataclass(frozen=True)
@@ -368,9 +364,7 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     """Monotone (co-monotone) coupling of two 1-d measures.
 
     Returns (mass, xP, xQ) per coupled segment: the optimal plan for every
-    convex transport cost in d=1 pairs quantiles in order. When both weight
-    vectors agree in quantile order, the coupling pairs atom i of P with atom
-    i of Q, dropping zero-weight pairs.
+    convex transport cost in d=1 pairs quantiles in order.
     """
     xp = P.support_1d
     xq = Q.support_1d
@@ -378,9 +372,6 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     oq = np.argsort(xq, kind="stable")
     xp, wp = xp[op], P.weights[op]
     xq, wq = xq[oq], Q.weights[oq]
-    if np.array_equal(wp, wq):
-        kept = wp > 0.0
-        return wp[kept], xp[kept], xq[kept]
     i = j = 0
     rem_p = wp[0]
     rem_q = wq[0]
@@ -455,28 +446,6 @@ def wasserstein_distance(P: DiscreteMeasure, Q: DiscreteMeasure,
     if order.is_inf:
         raise ConfigError("p = inf transport distance is implemented for d=1 only")
     return _wasserstein_lp(P, Q, order.p)
-
-
-def pushforward(P: DiscreteMeasure, transform: Callable[[np.ndarray], np.ndarray],
-                clip_to_state_space: bool = False) -> DiscreteMeasure:
-    """Image measure under a pointwise map: atoms transformed, weights kept.
-
-    Images must stay inside the declared state space; pass
-    ``clip_to_state_space=True`` to project them onto it instead (opt-in so
-    that silent clipping cannot corrupt an adversary search).
-    """
-    imgs = _as_points(transform(P.points))
-    if imgs.shape != P.points.shape:
-        raise ConfigError("pushforward map changed the atom array shape")
-    space = P.state_space
-    if space is not None and not space.contains(imgs):
-        if not clip_to_state_space:
-            raise ConfigError("pushforward image leaves the state space (clipping is opt-in)")
-        imgs = space.clip(imgs)
-    return DiscreteMeasure(points=imgs, weights=P.weights, state_space=space,
-                           unbounded_tails=P.unbounded_tails,
-                           is_quadrature=P.is_quadrature,
-                           kind=P.kind, params=dict(P.params))
 
 
 def moments(P: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, float | None]:

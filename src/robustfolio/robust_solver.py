@@ -657,13 +657,12 @@ def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
         dens = sol.adversary.weights * spec.utility.u_prime(pi * y)
         dens = dens / dens.sum()
         return float(dens @ payoff(y))
-    zero = zero_strategy(spec, delta)
-    if zero.ball_infimum:
+    if zero_strategy(spec, 0.0).ball_infimum:  # the branch holds at every radius
         # no trading at any radius: the price degrades to the robust buyer's
         # bound over the whole ball
         return _ball_infimum_of_price(spec, payoff, delta, grid_points, refinements)
-    # the pricing weight u'(0 * y) is constant on the shifted atoms
-    return float(spec.model.weights @ payoff(spec.model.support_1d - zero.shift))
+    # the pricing weight u'(0 * y) is constant on the adversary's shifted atoms
+    return float(spec.model.weights @ payoff(sol.adversary.support_1d))
 
 
 def robust_davis_first_order(spec: ProblemSpec, payoff: Payoff, delta: float) -> float:

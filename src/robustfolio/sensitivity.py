@@ -198,7 +198,8 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
 
 
 def transport_direction(spec: ProblemSpec, sol: BaselineSolution, x) -> np.ndarray:
-    """T(x) for one point or an (n, d) batch; rows are direction vectors.
+    """T(x) for an (n, d) batch of points (in d = 1 also a flat array of n
+    points); rows are direction vectors.
 
     For q = 1 the direction is the constant unit vector pi*/|pi*| (sign(pi*)
     in d=1) regardless of x.
@@ -207,9 +208,7 @@ def transport_direction(spec: ProblemSpec, sol: BaselineSolution, x) -> np.ndarr
     norm_pi = float(np.linalg.norm(sol.pi_star))
     if norm_pi <= PI_ZERO_THRESHOLD:
         raise AssumptionViolation("transport direction is undefined at pi* = 0")
-    pts = np.asarray(x, dtype=float)
-    squeeze = pts.ndim <= 1 and spec.dim == 1 and pts.ndim == 0
-    pts = pts.reshape(-1, spec.dim)
+    pts = np.asarray(x, dtype=float).reshape(-1, spec.dim)
     unit = sol.pi_star / norm_pi
     q = spec.order.q
     if q == 1.0:
@@ -218,10 +217,7 @@ def transport_direction(spec: ProblemSpec, sol: BaselineSolution, x) -> np.ndarr
         up = np.abs(spec.utility.u_prime(pts @ sol.pi_star))
         norm_q = _lq_norm_uprime(spec, sol)
         scale = up ** (q - 1.0) * norm_q ** (1.0 - q)
-    out = scale[:, None] * unit[None, :]
-    if squeeze:
-        return out[0]
-    return out
+    return scale[:, None] * unit[None, :]
 
 
 def _payoff_grad_atoms(spec: ProblemSpec, payoff: Payoff) -> np.ndarray:
@@ -322,7 +318,7 @@ def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) 
     T = transport_direction(spec, sol, x)
     R = spec.utility.risk_aversion(w)
     g_vals = np.asarray(payoff(spec.model.support_1d), dtype=float)
-    p_d = davis_price(spec, sol, payoff)
+    p_d = q_u.expectation(g_vals)
     grad_g = _payoff_grad_atoms(spec, payoff)
     recentering = R * (T @ sol.pi_star - x @ pi_prime) * (g_vals - p_d)
     # d=1: <grad g, T> = g'(x) * T_1(x)

@@ -21,18 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-class UtilityValues(NamedTuple):
-    u: float
-    u_prime: float
-    u_double_prime: float
-    risk_aversion: float
 
 
 @dataclass(frozen=True)
@@ -164,16 +157,6 @@ def make_utility(descriptor: dict) -> Utility:
         return _UTILITY_BUILDERS[kind](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
-
-
-def evaluate(utility: Utility, x: float) -> UtilityValues:
-    """(u, u', u'', R_u) at a point of the domain."""
-    lo, hi = utility.domain
-    if not (lo < x < hi):
-        raise ConfigError(f"{x} outside the utility domain ({lo}, {hi})")
-    up = float(utility.u_prime(x))
-    upp = float(utility.u_double_prime(x))
-    return UtilityValues(float(utility.u(x)), up, upp, -upp / up)
 
 
 def finite_difference_check(utility: Utility, grid, h: float = 1e-5) -> float:

@@ -85,3 +85,20 @@ def random_measure(rng: np.random.Generator, n_max: int = 6) -> rf.DiscreteMeasu
     pts = rng.uniform(-2.0, 2.0, size=n)
     w = rng.uniform(0.1, 1.0, size=n)
     return rf.explicit(pts, w / w.sum())
+
+
+def read_result_csv(text: str) -> tuple[list[str], list[list[float]], dict[str, str]]:
+    """Parse a table the CLI rendered as CSV: header, rows, provenance."""
+    lines = [ln for ln in text.split("\n") if ln]
+    provenance: dict[str, str] = {}
+    data: list[list[float]] = []
+    header: list[str] = []
+    for i, ln in enumerate(lines):
+        if ln.startswith("# "):
+            key, _, value = ln[2:].partition("=")
+            provenance[key] = value
+        elif i == 0:
+            header = ln.split(",")
+        else:
+            data.append([float(tok) for tok in ln.split(",")])
+    return header, data, provenance

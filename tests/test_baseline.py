@@ -266,6 +266,20 @@ def test_q_u_refuses_boundary_optimum():
         rf.q_u_measure(spec, sol)
 
 
+def test_solve_baseline_builds_no_measure(monkeypatch):
+    # only a price reads Q_u, and most solves never price: q_u_measure
+    # builds it on demand
+    spec = normal_exp_spec()
+    built = []
+    check = rf.DiscreteMeasure.__post_init__
+    monkeypatch.setattr(rf.DiscreteMeasure, "__post_init__",
+                        lambda self: built.append(self.kind) or check(self))
+    sol = rf.solve_baseline(spec)
+    assert built == []
+    rf.q_u_measure(spec, sol)
+    assert built == ["q_u"]
+
+
 # ---------------------------------------------------------------------------
 # Davis price
 # ---------------------------------------------------------------------------

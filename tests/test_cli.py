@@ -1,5 +1,6 @@
 """CLI contract: config validation, exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from jsonschema import Draft202012Validator
 import robustfolio as rf
 from robustfolio import cli
 from robustfolio.errors import ConfigError
+
+from conftest import read_result_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,7 +119,7 @@ def test_solve_exits_zero_and_writes_csv(tmp_path):
     rc = cli.main(["solve", "--config", write_config(tmp_path, base_config()),
                    "--out", str(out)])
     assert rc == 0
-    header, rows, prov = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, prov = read_result_csv(out.read_text(encoding="utf-8"))
     assert header == ["pi_star", "V0", "foc_residual", "boundary"]
     assert len(rows) == 1
     assert rows[0][0] == pytest.approx(0.5, abs=1e-8)
@@ -230,7 +233,7 @@ def test_csv_format_contract(tmp_path):
     assert len(data_lines) == 1 + 5  # header + one row per radius
     assert footer and all("=" in ln for ln in footer)
     # reals carry 17 significant digits: the parsed row reproduces the float
-    header, rows, prov = cli.read_result_csv(text)
+    header, rows, prov = read_result_csv(text)
     assert [r[0] for r in rows] == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
     assert prov["method"] == "inf_exact"
     for row in rows:
@@ -245,7 +248,7 @@ def test_csv_round_trip_is_bit_exact():
         rows=[[1.0 / 3.0, 1e-17], [-2.5e300, 0.1]],
         provenance={"note": "round-trip"},
     )
-    header, rows, prov = cli.read_result_csv(cli.render(table, "csv"))
+    header, rows, prov = read_result_csv(cli.render(table, "csv"))
     assert header == ["x", "y"]
     assert rows[0][0] == 1.0 / 3.0 and rows[0][1] == 1e-17
     assert rows[1][0] == -2.5e300 and rows[1][1] == 0.1
@@ -304,8 +307,8 @@ def test_provenance_hash_depends_on_command(tmp_path):
     o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["solve", "--config", path, "--out", str(o1)]) == 0
     assert cli.main(["robust", "--config", path, "--out", str(o2)]) == 0
-    _, _, p1 = cli.read_result_csv(o1.read_text(encoding="utf-8"))
-    _, _, p2 = cli.read_result_csv(o2.read_text(encoding="utf-8"))
+    _, _, p1 = read_result_csv(o1.read_text(encoding="utf-8"))
+    _, _, p2 = read_result_csv(o2.read_text(encoding="utf-8"))
     assert p1["config_sha256"] != p2["config_sha256"]
 
 
@@ -318,7 +321,7 @@ def test_sweep_rows_track_closed_form(tmp_path):
     rc = cli.main(["sweep", "--config", write_config(tmp_path, base_config()),
                    "--sweep", "a=0.05:0.45:0.05", "--out", str(out)])
     assert rc == 0
-    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, _ = read_result_csv(out.read_text(encoding="utf-8"))
     assert header[:2] == ["a", "sharpe"]
     assert len(rows) == 9
     for row in rows:
@@ -335,7 +338,7 @@ def test_davis_command_cross_check(tmp_path):
     rc = cli.main(["davis", "--config", write_config(tmp_path, cfg),
                    "--out", str(out)])
     assert rc == 0
-    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, _ = read_result_csv(out.read_text(encoding="utf-8"))
     assert header == ["davis_price", "davis_price_root", "davis_prime0"]
     price, root, prime = rows[0]
     assert price == pytest.approx(0.5, abs=1e-10)
@@ -352,12 +355,31 @@ def test_unbounded_action_space_finds_the_finite_optimum(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     for command in ("solve", "sensitivity", "davis"):
         assert cli.main([command, "--config", path]) == 0
-        header, rows, _ = cli.read_result_csv(capsys.readouterr().out)
+        header, rows, _ = read_result_csv(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in rows[0]), (command, header, rows)
         if command == "solve":
             assert abs(rows[0][header.index("pi_star")] - math.log(3.0) / 2.0) <= 1e-12
     sol = rf.solve_baseline(cli.build_spec(cfg))
     assert abs(sol.pi_star_scalar - math.log(3.0) / 2.0) <= 1e-12
+
+
+def test_zero_weight_atoms_leave_the_solve_to_the_others(tmp_path, capsys):
+    # the outer Gauss-Legendre weights underflow to 0, and at the end -1000
+    # of the default A their marginal utility overflows: 0 * inf was NaN
+    cfg = {"model": {"kind": "truncated_normal", "mu": -0.15922532224647543,
+                     "sigma": 0.08286459923101319, "radius": 4.193969724871905,
+                     "n_nodes": 7},
+           "utility": {"kind": "exponential", "gamma": 2.4885890320069715}}
+    spec = cli.build_spec(cfg)
+    w = spec.model.weights
+    assert not w.all()
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    header, rows, _ = read_result_csv(capsys.readouterr().out)
+    # the same problem on the atoms that carry weight
+    kept = rf.explicit(spec.model.support_1d[w > 0], w[w > 0])
+    want = rf.solve_baseline(dataclasses.replace(spec, model=kept)).pi_star_scalar
+    assert rows[0][header.index("pi_star")] == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(-49.289204587216751, rel=1e-12)
 
 
 def _with_float_ints(value):
@@ -385,7 +407,7 @@ def test_integral_floats_count_as_integers(tmp_path, capsys, command, cfg):
     for i, config in enumerate((cfg, twin)):
         assert cli.main([command, "--config", write_config(tmp_path, config, f"{i}.json")]) == 0
         rows.append([[repr(v) for v in row]
-                     for row in cli.read_result_csv(capsys.readouterr().out)[1]])
+                     for row in read_result_csv(capsys.readouterr().out)[1]])
     assert rows[0] == rows[1]
 
 
@@ -452,7 +474,7 @@ def test_robust_passes_solver_grid_settings_to_the_oracle(tmp_path):
     out = tmp_path / "robust.csv"
     assert cli.main(["robust", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
-    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, _ = read_result_csv(out.read_text(encoding="utf-8"))
     V = rows[0][header.index("V_delta")]
     spec = cli.build_spec(cfg)
     coarse = rf.robust_solve_p(spec, 0.1, grid_points=64, refinements=0).V_delta
@@ -471,7 +493,7 @@ def test_robust_davis_price_uses_solver_grid_settings(tmp_path):
     out = tmp_path / "robust.csv"
     assert cli.main(["robust", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
-    header, rows, _ = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, _ = read_result_csv(out.read_text(encoding="utf-8"))
     price = rows[0][header.index("davis_price_delta")]
     # the 64-point transport value with no refinement, against the default
     # grid's 0.1042893218813723
@@ -522,6 +544,13 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from robustfolio import *", namespace)
+    assert set(rf.__all__) <= namespace.keys()
+    assert len(set(rf.__all__)) == len(rf.__all__)
+
+
 def test_cli_loads_no_jsonschema(tmp_path):
     # configs are checked in-tree; jsonschema (and what it pulls in) is a test
     # dependency only, on the exit-0 and the exit-2 path alike
@@ -552,7 +581,7 @@ def test_figures_presets_shapes(tmp_path):
         out = tmp_path / f"{preset}.csv"
         rc = cli.main(["figures", preset, "--out", str(out)])
         assert rc == 0
-        header, rows, prov = cli.read_result_csv(out.read_text(encoding="utf-8"))
+        header, rows, prov = read_result_csv(out.read_text(encoding="utf-8"))
         assert header == columns
         assert len(rows) == n_rows
         assert prov["preset"] == preset
@@ -574,7 +603,7 @@ def test_oracle_check_errors_are_small(tmp_path):
     rc = cli.main(["oracle-check", "--config", write_config(tmp_path, cfg),
                    "--out", str(out)])
     assert rc == 0
-    header, rows, prov = cli.read_result_csv(out.read_text(encoding="utf-8"))
+    header, rows, prov = read_result_csv(out.read_text(encoding="utf-8"))
     assert prov["fixture"] == "binomial_log"
     err_cols = [j for j, name in enumerate(header) if name.endswith("_err")]
     assert err_cols

@@ -15,6 +15,8 @@ from jsonschema import Draft202012Validator
 from robustfolio import cli
 from robustfolio.errors import ConfigError
 
+from conftest import read_result_csv
+
 REFERENCE = Draft202012Validator(cli.CONFIG_SCHEMA)
 CHECKED_KEYWORDS = {"type", "const", "enum", "minimum", "exclusiveMinimum", "minItems",
                     "maxItems", "items", "required", "properties",
@@ -234,7 +236,7 @@ def test_cli_exit_code_contract(config_path, cfg, command):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
         return
     # exit 0 reads NaN only where the quantity is documented as undefined
-    header, rows, _ = cli.read_result_csv(out.getvalue())
+    header, rows, _ = read_result_csv(out.getvalue())
     for row in rows:
         for column, value in zip(header, row):
             assert not math.isnan(value) or column in NAN_COLUMNS[command], (column, row)

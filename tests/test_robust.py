@@ -836,6 +836,27 @@ def test_robust_davis_price_is_a_float_on_every_branch(weights, action, branch, 
 
 @pytest.mark.parametrize("p", [2.0, math.inf])
 @pytest.mark.parametrize("weights, action", [
+    ([0.2, 0.25, 0.25, 0.3], (-0.75, 0.75)),
+    (NEGATIVE_DRIFT, (0.0, 0.75)),
+], ids=["saddle", "pinned"])
+def test_zero_price_takes_the_shift_from_the_solution(monkeypatch, weights, action, p):
+    # the pi = 0 adversary already holds zero_strategy's shift; the price asks
+    # the rule only for its branch, which no radius changes
+    spec = four_atom_spec(weights, action, p)
+    sol = rf.robust_solve(spec, 0.1)
+    g = rf.call_payoff(0.0)
+    shifted = spec.model.support_1d - zero_strategy(spec, 0.1).shift
+    radii = []
+    rule = robust_solver.zero_strategy
+    monkeypatch.setattr(robust_solver, "zero_strategy",
+                        lambda s, d: radii.append(d) or rule(s, d))
+    price = rf.robust_davis_price(spec, g, 0.1, sol)
+    assert radii == [0.0]
+    assert price == float(spec.model.weights @ g(shifted))
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("weights, action", [
     (ZERO_MEAN, (-0.75, 0.75)),
     (NEGATIVE_DRIFT, (0.0, 0.75)),
     (ZERO_MEAN, (0.0, 0.75)),  # 0 on the boundary of A decides over the mean

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import robustfolio as rf
-from robustfolio import AssumptionViolation, DegenerateSensitivityError
+from robustfolio import AssumptionViolation, ConfigError, DegenerateSensitivityError
 
 from conftest import binomial_exp_spec, binomial_log_spec, normal_exp_spec
 
@@ -183,6 +183,19 @@ def test_optimizer_sensitivity_two_assets_reweights_the_portfolio():
     pi_prime, _ = rf.optimizer_sensitivity(spec, sol)
     cross = pi_prime[0] * sol.pi_star[1] - pi_prime[1] * sol.pi_star[0]
     assert abs(cross) >= 0.1 * np.linalg.norm(pi_prime) * np.linalg.norm(sol.pi_star)
+
+
+def test_davis_prices_refuse_two_assets():
+    # every payoff is a function of one price increment: a typed refusal, not
+    # a TypeError from applying it to (n, 2) points
+    spec = two_asset_spec()
+    sol = rf.solve_baseline(spec)
+    g = rf.power_payoff(2)
+    for price in (lambda: rf.davis_price(spec, sol, g),
+                  lambda: rf.sensitivity_report(spec, sol, g),
+                  lambda: rf.davis_price_via_root(spec, g, (0.01, 1.0))):
+        with pytest.raises(ConfigError, match="1-d support"):
+            price()
 
 
 # ---------------------------------------------------------------------------

@@ -7,56 +7,49 @@ import pytest
 
 import robustfolio as rf
 from robustfolio import ConfigError
-from robustfolio.utility import evaluate
 
 
 def test_log_shifted_point_values():
     u = rf.log_shifted(1.0)
-    vals = evaluate(u, 0.5)
-    assert vals.u == pytest.approx(math.log(1.5), abs=1e-15)
-    assert vals.u_prime == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert vals.u_double_prime == pytest.approx(-4.0 / 9.0, abs=1e-15)
-    assert vals.risk_aversion == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert u.u(0.5) == pytest.approx(math.log(1.5), abs=1e-15)
+    assert u.u_prime(0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert u.u_double_prime(0.5) == pytest.approx(-4.0 / 9.0, abs=1e-15)
+    assert u.risk_aversion(0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_exponential_point_values():
     u = rf.exponential(1.0)
-    vals = evaluate(u, 0.0)
+    vals = (u.u(0.0), u.u_prime(0.0), u.u_double_prime(0.0), u.risk_aversion(0.0))
     assert vals == pytest.approx((-1.0, 1.0, -1.0, 1.0), abs=1e-15)
 
 
 def test_capped_exponential_linear_branch():
     # below the kink at -1/kappa = -2 the utility is linear with slope e^2
     u = rf.capped_exponential(1.0, 0.5)
-    vals = evaluate(u, -3.0)
     e2 = math.exp(2.0)
-    assert vals.u == pytest.approx(-2.0 * e2, rel=1e-15)
-    assert vals.u_prime == pytest.approx(e2, rel=1e-15)
-    assert vals.u_double_prime == 0.0
+    assert u.u(-3.0) == pytest.approx(-2.0 * e2, rel=1e-15)
+    assert u.u_prime(-3.0) == pytest.approx(e2, rel=1e-15)
+    assert u.u_double_prime(-3.0) == 0.0
 
 
 def test_capped_exponential_continuous_at_kink():
     u = rf.capped_exponential(1.0, 0.5)
-    left = evaluate(u, -2.0 - 1e-12)
-    right = evaluate(u, -2.0 + 1e-12)
-    assert left.u == pytest.approx(right.u, rel=1e-9)
-    assert left.u_prime == pytest.approx(right.u_prime, rel=1e-9)
+    left, right = -2.0 - 1e-12, -2.0 + 1e-12
+    assert u.u(left) == pytest.approx(u.u(right), rel=1e-9)
+    assert u.u_prime(left) == pytest.approx(u.u_prime(right), rel=1e-9)
 
 
 def test_power_point_values():
     u = rf.power(2.0, w0=1.0)
-    vals = evaluate(u, 1.0)
-    assert vals.u == pytest.approx((2.0 ** -1.0 - 1.0) / -1.0, abs=1e-15)
-    assert vals.u_prime == pytest.approx(0.25, abs=1e-15)
-    assert vals.u_double_prime == pytest.approx(-0.25, abs=1e-15)
+    assert u.u(1.0) == pytest.approx((2.0 ** -1.0 - 1.0) / -1.0, abs=1e-15)
+    assert u.u_prime(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert u.u_double_prime(1.0) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_domain_enforced():
     u = rf.log_shifted(1.0)
-    with pytest.raises(ConfigError):
-        evaluate(u, -1.0)
-    with pytest.raises(ConfigError):
-        evaluate(u, -2.0)
+    assert not u.contains(-1.0)
+    assert not u.contains(-2.0)
     assert not u.contains(np.array([-1.5, 0.5]))
     assert u.contains(np.array([-0.5, 0.5]))
 
