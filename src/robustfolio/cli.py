@@ -145,11 +145,6 @@ CONFIG_SCHEMA = {
         "output": {"type": "object", "additionalProperties": False,
                    "properties": {"path": {"type": "string"},
                                   "format": {"enum": ["csv", "json"]}}},
-        "solver": {"type": "object", "additionalProperties": False,
-                   "properties": {"grid_points": {"type": "integer", "minimum": 64},
-                                  "refinements": {"type": "integer", "minimum": 0},
-                                  "root_bracket": {"type": "array", "items": _NUMBER,
-                                                   "minItems": 2, "maxItems": 2}}},
     },
 }
 
@@ -407,14 +402,12 @@ def cmd_sensitivity(cfg: dict) -> ResultTable:
 def cmd_robust(cfg: dict) -> ResultTable:
     spec = build_spec(cfg)
     deltas = _deltas_from(cfg)
-    solver = cfg.get("solver", {})
-    grid = {k: solver[k] for k in ("grid_points", "refinements") if k in solver}
-    solutions = solve_delta_grid(spec, deltas, **grid)
+    solutions = solve_delta_grid(spec, deltas)
     columns = ["delta", "V_delta", "pi_delta", "transport_cost",
                "martingale_residual", "davis_price_delta"]
     rows = []
     for sol in solutions:
-        davis_delta = (robust_davis_price(spec, spec.payoff, sol.delta, sol, **grid)
+        davis_delta = (robust_davis_price(spec, spec.payoff, sol.delta, sol)
                        if spec.payoff is not None else _NAN)
         rows.append([sol.delta, sol.V_delta, sol.pi_delta_scalar, sol.transport_cost,
                      martingale_check_robust(spec, sol), davis_delta])
@@ -431,17 +424,12 @@ def cmd_davis(cfg: dict) -> ResultTable:
     report = sensitivity_report(spec, sol)
     p_d = report.davis_price
     assert p_d is not None
-    bracket = cfg.get("solver", {}).get("root_bracket")
-    if bracket is None:
-        if abs(p_d) < 1e-8:
-            # the root construction has no sign change around a zero price
-            root = _NAN
-        else:
-            bracket = (0.5 * p_d, 1.5 * p_d) if p_d > 0 else (1.5 * p_d, 0.5 * p_d)
-            root = davis_price_via_root(spec, spec.payoff, bracket)
+    if abs(p_d) < 1e-8:
+        # the root construction has no sign change around a zero price
+        root = _NAN
     else:
-        root = davis_price_via_root(spec, spec.payoff, (float(bracket[0]),
-                                                        float(bracket[1])))
+        bracket = (0.5 * p_d, 1.5 * p_d) if p_d > 0 else (1.5 * p_d, 0.5 * p_d)
+        root = davis_price_via_root(spec, spec.payoff, bracket)
     return ResultTable(["davis_price", "davis_price_root", "davis_prime0"],
                        [[p_d, root, _nz(report.davis_prime0)]])
 
@@ -708,12 +696,21 @@ def _parse_grid_token(token: str) -> list[float]:
         raise ConfigError(f"bad grid {token!r}: {exc}") from exc
 
 
+def _finite_number(text: str) -> float:
+    """A JSON float literal, or NaN/Infinity/-Infinity, which Python's json
+    reads; only a finite float passes (1e400 overflows to inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds {text}, which is not a finite number")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -150,8 +150,8 @@ class DiscreteMeasure:
             raise ConfigError(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
         if pts.shape[0] == 0:
             raise ConfigError("a measure needs at least one atom")
-        if np.any(w < -_WEIGHT_TOL):
-            raise ConfigError("weights must be nonnegative")
+        if not np.all(w >= -_WEIGHT_TOL):  # NaN fails here too
+            raise ConfigError("weights must be finite and nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-6:
             raise ConfigError(f"weights sum to {total}, not 1")

@@ -92,6 +92,8 @@ from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
+_GRID_POINTS = 1200  # base points per atom's displacement grid
+_REFINEMENTS = 3  # refinement passes after the base grid
 _EPS = float(np.finfo(float).eps)
 
 
@@ -246,7 +248,7 @@ def _displacement_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     which every strategy of one sign in a solve (and every radius of a grid)
     shares, so each is built once and handed out read-only."""
     pieces = [np.array([lo, 0.0, hi])]
-    half = max(grid_points // 2, 16)
+    half = grid_points // 2
     for side in (lo, hi):
         extent = abs(side)
         if extent > 0.0:
@@ -341,8 +343,7 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
 
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
                         p: float, budget: float, f: Callable[[np.ndarray], np.ndarray],
-                        kinks: tuple[float, ...] = (), grid_points: int = 1200,
-                        refinements: int = 3
+                        kinks: tuple[float, ...] = ()
                         ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
     subject to sum_i w_i E|s_i|^p <= budget and s_i in [s_lo_i, s_hi_i].
@@ -377,14 +378,13 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     rows = np.arange(n)
     grids, kink_at = [], []  # kink_at[i]: the kink at each kink displacement of atom i
     for i in range(n):
-        grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), grid_points)
+        grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), _GRID_POINTS)
         at = {k - x[i]: k for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]}
         grids.append(np.unique(np.concatenate([grid, list(at)])) if at else grid)
         kink_at.append(at)
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
     lam = 0.0
-    passes = max(refinements, 0) + 1
-    for pass_ in range(passes):
+    for pass_ in range(_REFINEMENTS + 1):
         # padded (atoms x grid) arrays, each row sorted by cost; pad cells
         # cost nothing and are never chosen
         size = max(g.size for g in grids)
@@ -438,7 +438,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
                                      for i, j, _ in kept]),
                     np.array([w[i] * m for i, _, m in kept]),
                     np.array([i for i, _, _ in kept]))
-        if pass_ == passes - 1:
+        if pass_ == _REFINEMENTS:
             break  # no pass left to use a refined grid
         # refine around the active displacements of each displaced atom
         changed = False
@@ -465,17 +465,15 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
 
 
 def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
-                        order, *, grid_points: int = 1200, refinements: int = 3
-                        ) -> tuple[float, DiscreteMeasure]:
+                        order) -> tuple[float, DiscreteMeasure]:
     """Certified inner infimum inf_{W_p(P~,P) <= delta} E_{P~}[u(pi X)] (d=1).
 
     Each atom moves against the position (displacement capped by the state
     space S); the value and the attaining two-fragment plan come from the
-    transport program above, with objective u(pi y) at positions y, on
-    displacement grids of ``grid_points`` base points refined ``refinements``
-    times. Unbounded S in the displacement direction is
-    rejected: there the infimum is genuinely -inf (a vanishing-mass fragment
-    sent to the domain edge or along an exponential tail).
+    transport program above, with objective u(pi y) at positions y.
+    Unbounded S in the displacement direction is rejected: there the infimum
+    is genuinely -inf (a vanishing-mass fragment sent to the domain edge or
+    along an exponential tail).
     """
     if P.dim != 1:
         raise ConfigError("the adversary oracle is implemented for d = 1")
@@ -526,15 +524,13 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     else:
         s_lo, s_hi = np.zeros_like(x), extents
     value, pts, masses, atoms = _transport_minimize(
-        x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y),
-        grid_points=grid_points, refinements=refinements)
+        x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y))
     adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
     return float(value), adversary
 
 
-def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
-                   refinements: int = 3) -> RobustSolution:
+def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
     """Outer concave search over A of the certified inner infimum (finite p, d=1)."""
     if spec.order.is_inf:
         raise ConfigError("robust_solve_p needs a finite order (use robust_solve_inf)")
@@ -569,9 +565,8 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
 
     def inner(pi_val: float) -> tuple[float, DiscreteMeasure]:
         if pi_val not in cache:
-            cache[pi_val] = adversary_inner_inf(
-                model, spec.utility, pi_val, delta, spec.order,
-                grid_points=grid_points, refinements=refinements)
+            cache[pi_val] = adversary_inner_inf(model, spec.utility, pi_val, delta,
+                                                spec.order)
         return cache[pi_val]
 
     def slope(t: float) -> float:
@@ -588,23 +583,20 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *, grid_points: int = 1200,
     return _certified(spec, delta, pi, value, adversary, "finite_p_oracle")
 
 
-def robust_solve(spec: ProblemSpec, delta: float, **kwargs) -> RobustSolution:
+def robust_solve(spec: ProblemSpec, delta: float) -> RobustSolution:
     """Dispatch on the order: exact reduction at p = inf, oracle otherwise."""
     if spec.order.is_inf:
         return robust_solve_inf(spec, delta)
-    return robust_solve_p(spec, delta, **kwargs)
+    return robust_solve_p(spec, delta)
 
 
-def solve_delta_grid(spec: ProblemSpec, deltas, *, grid_points: int = 1200,
-                     refinements: int = 3) -> list[RobustSolution]:
+def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
     """Solve along a radius grid and enforce V(delta) nonincreasing.
 
-    ``grid_points`` and ``refinements`` set the finite-p oracle's
-    displacement grid (unused at p = inf). A violation beyond slack flags an
-    oracle failure rather than being returned as data."""
+    A violation beyond slack flags an oracle failure rather than being
+    returned as data."""
     deltas = [float(d) for d in deltas]
-    solutions = [robust_solve(spec, d, grid_points=grid_points, refinements=refinements)
-                 for d in deltas]
+    solutions = [robust_solve(spec, d) for d in deltas]
     order = np.argsort(deltas)
     for a, b in zip(order[:-1], order[1:]):
         slack = 1e-9 * (1.0 + abs(solutions[a].V_delta))
@@ -620,8 +612,7 @@ def solve_delta_grid(spec: ProblemSpec, deltas, *, grid_points: int = 1200,
 # Robust Davis pricing
 # ---------------------------------------------------------------------------
 
-def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
-                           grid_points: int, refinements: int) -> float:
+def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> float:
     """inf over the ball of E[g] — the robust price when the marginal-utility
     weight is constant (pi_delta = 0 interior, zero mean)."""
     x = spec.model.support_1d
@@ -636,21 +627,15 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float,
     else:
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
-    value, *_ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff,
-                                      kinks=payoff.kinks, grid_points=grid_points,
-                                      refinements=refinements)
+    value, *_ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff, kinks=payoff.kinks)
     return float(value)
 
 
 def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
-                       solution: RobustSolution | None = None, *,
-                       grid_points: int = 1200, refinements: int = 3) -> float:
-    """Marginal-utility price under the worst-case measure at radius delta;
-    the grid options are the finite-p oracle's (``robust_solve_p``) and, at
-    both orders, those of the ball infimum of E[g]."""
+                       solution: RobustSolution | None = None) -> float:
+    """Marginal-utility price under the worst-case measure at radius delta."""
     _check_radius(delta)
-    sol = solution if solution is not None else robust_solve(
-        spec, delta, grid_points=grid_points, refinements=refinements)
+    sol = solution if solution is not None else robust_solve(spec, delta)
     pi = sol.pi_delta_scalar
     if abs(pi) > PI_ZERO_THRESHOLD:
         y = sol.adversary.support_1d
@@ -660,7 +645,7 @@ def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
     if zero_strategy(spec, 0.0).ball_infimum:  # the branch holds at every radius
         # no trading at any radius: the price degrades to the robust buyer's
         # bound over the whole ball
-        return _ball_infimum_of_price(spec, payoff, delta, grid_points, refinements)
+        return _ball_infimum_of_price(spec, payoff, delta)
     # the pricing weight u'(0 * y) is constant on the adversary's shifted atoms
     return float(spec.model.weights @ payoff(sol.adversary.support_1d))
 

@@ -64,7 +64,7 @@ from typing import Literal
 import numpy as np
 
 from .baseline_solver import PI_ZERO_THRESHOLD, BaselineSolution, Payoff, ProblemSpec, \
-    davis_price, q_u_measure
+    q_u_measure
 from .errors import AssumptionViolation, BoundaryOptimumError, ConfigError, \
     DegenerateSensitivityError
 from .measures import DiscreteMeasure, WassersteinOrder
@@ -299,31 +299,38 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
 
 def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:
     """p_d'(0) under the branch dictated by pi* (see module docstring)."""
+    return _davis_pair(spec, sol, payoff, None)[1]
+
+
+def _davis_pair(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff,
+                pi_prime: np.ndarray | None) -> tuple[float, float]:
+    """(p_d, p_d'(0)) from one Q_u; ``pi_prime`` is pi*'(0) if the caller
+    already holds it (None computes it at an interior optimum)."""
     degeneracy_guard(spec)
     _require_room_to_move(spec, sol)
+    q_u = q_u_measure(spec, sol)  # refuses a boundary optimum other than 0
+    g_vals = np.asarray(payoff(q_u.support_1d), dtype=float)
+    p_d = q_u.expectation(g_vals)
     if sol.pi_is_zero:
         grad = _payoff_grad_atoms(spec, payoff)
         zero = zero_strategy(spec, 0.0)
         if zero.ball_infimum:
             q = spec.order.q
-            return -float(spec.model.expectation(np.abs(grad) ** q) ** (1.0 / q))
+            return p_d, -float(spec.model.expectation(np.abs(grad) ** q) ** (1.0 / q))
         if zero.direction is None:  # the first-order condition excludes it
             raise AssumptionViolation("pi* = 0 with E_P[X] != 0 and 0 interior to A")
-        return -zero.direction * float(spec.model.expectation(grad))
-    _require_usable_optimum(sol)
-    pi_prime, _ = optimizer_sensitivity(spec, sol)
-    q_u = q_u_measure(spec, sol)
+        return p_d, -zero.direction * float(spec.model.expectation(grad))
+    if pi_prime is None:
+        pi_prime, _ = optimizer_sensitivity(spec, sol)
     x = spec.model.points
     w = x @ sol.pi_star
     T = transport_direction(spec, sol, x)
     R = spec.utility.risk_aversion(w)
-    g_vals = np.asarray(payoff(spec.model.support_1d), dtype=float)
-    p_d = q_u.expectation(g_vals)
     grad_g = _payoff_grad_atoms(spec, payoff)
     recentering = R * (T @ sol.pi_star - x @ pi_prime) * (g_vals - p_d)
     # d=1: <grad g, T> = g'(x) * T_1(x)
     gradient_term = grad_g * T[:, 0]
-    return float(q_u.expectation(recentering - gradient_term))
+    return p_d, float(q_u.expectation(recentering - gradient_term))
 
 
 def kl_value_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> float:
@@ -396,8 +403,7 @@ def sensitivity_report(spec: ProblemSpec, sol: BaselineSolution,
     p_d = p_d_prime = None
     payoff = payoff if payoff is not None else spec.payoff
     if payoff is not None:
-        p_d = davis_price(spec, sol, payoff)
-        p_d_prime = davis_sensitivity(spec, sol, payoff)
+        p_d, p_d_prime = _davis_pair(spec, sol, payoff, pi_prime)
     kl = None
     if not spec.model.is_quadrature:
         kl = kl_value_sensitivity(spec, sol)

@@ -190,7 +190,8 @@ def test_checker_agrees_with_jsonschema(data):
 
 
 @pytest.mark.parametrize("cfg, valid", [
-    (_base(solver={"grid_points": 64.0}), True),    # 64.0 is an integer
+    (_base(model={"kind": "normal", "mu": 0.1, "sigma": 0.2, "n_nodes": 64.0}),
+     True),                                         # 64.0 is an integer
     (_base(model={"kind": "normal", "mu": 0.1, "sigma": 0.2, "n_nodes": 2.5}), False),
     (_base(delta=True), False),                     # a bool is no number
     (_base(payoff={"kind": "power", "k": True}), False),
@@ -222,10 +223,9 @@ NAN_COLUMNS = {"solve": set(),
 @settings(max_examples=100)
 @given(cfg=RUNNABLE, command=st.sampled_from(list(NAN_COLUMNS)))
 def test_cli_exit_code_contract(config_path, cfg, command):
-    # no output files, one radius, and a coarse finite-p oracle keep runs small
+    # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):
         cfg.pop(key, None)
-    cfg["solver"] = dict(cfg.get("solver", {}), grid_points=64, refinements=0)
     config_path.write_text(json.dumps(cfg), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

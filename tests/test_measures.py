@@ -44,6 +44,12 @@ def test_negative_weights_rejected():
         rf.explicit([0.0, 1.0], [1.1, -0.1])
 
 
+def test_nan_weight_rejected():
+    # NaN fails every comparison and used to pass both weight checks
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        rf.explicit([-0.5, 0.1, 0.5], [0.5, math.nan, 0.5])
+
+
 def test_atoms_must_live_in_state_space():
     space = rf.StateSpace.interval(-1.0, 1.0)
     with pytest.raises(ConfigError):

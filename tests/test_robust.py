@@ -212,12 +212,14 @@ def transport_lp_value(P, u, pi, delta, p, grid_points):
     ([-0.6, -0.1, 0.4], [0.3, 0.3, 0.4], -0.7, 3.0),
     ([-0.8, -0.2, 0.3, 0.9], [0.1, 0.2, 0.3, 0.4], 0.6, 1.5),
 ])
-def test_inner_inf_matches_transport_lp(points, weights, pi, p):
+def test_inner_inf_matches_transport_lp(monkeypatch, points, weights, pi, p):
+    # the oracle on a 64-point base grid with no refinement pass
+    monkeypatch.setattr(robust_solver, "_GRID_POINTS", 64)
+    monkeypatch.setattr(robust_solver, "_REFINEMENTS", 0)
     P = rf.explicit(points, weights, state_space=rf.StateSpace.interval(-1.25, 1.25))
     u = rf.log_shifted(1.0)
     for delta in (0.02, 0.1, 0.3):
-        value, _ = rf.adversary_inner_inf(P, u, pi, delta, rf.WassersteinOrder(p),
-                                          grid_points=64, refinements=0)
+        value, _ = rf.adversary_inner_inf(P, u, pi, delta, rf.WassersteinOrder(p))
         assert value == pytest.approx(transport_lp_value(P, u, pi, delta, p, 64),
                                       abs=1e-10)
 

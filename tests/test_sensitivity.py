@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import minimize
 
 import robustfolio as rf
-from robustfolio import AssumptionViolation, ConfigError, DegenerateSensitivityError
+from robustfolio import AssumptionViolation, ConfigError, DegenerateSensitivityError, \
+    sensitivity
 
 from conftest import binomial_exp_spec, binomial_log_spec, normal_exp_spec
 
@@ -481,6 +482,24 @@ def test_sensitivity_report_interior():
     assert report.davis_price == pytest.approx(0.0, abs=1e-12)
     assert report.davis_prime0 == pytest.approx(-2.0, abs=1e-10)
     assert report.kl_V_prime0 is not None
+
+
+def test_sensitivity_report_prices_on_one_pricing_measure(monkeypatch):
+    # the Davis price and its slope read one Q_u and one pi*'(0), and give
+    # the bits of the separate calls
+    spec, g = normal_exp_spec(), rf.call_payoff(0.1)
+    sol = rf.solve_baseline(spec)
+    price, slope = rf.davis_price(spec, sol, g), rf.davis_sensitivity(spec, sol, g)
+    built, solved = [], []
+    check, pi_prime = rf.DiscreteMeasure.__post_init__, sensitivity.optimizer_sensitivity
+    monkeypatch.setattr(rf.DiscreteMeasure, "__post_init__",
+                        lambda self: built.append(self.kind) or check(self))
+    monkeypatch.setattr(sensitivity, "optimizer_sensitivity",
+                        lambda *args: solved.append(1) or pi_prime(*args))
+    report = rf.sensitivity_report(spec, sol, payoff=g)
+    assert built == ["q_u"]
+    assert solved == [1]
+    assert (report.davis_price, report.davis_prime0) == (price, slope)
 
 
 def test_sensitivity_report_pi_zero_branch():
