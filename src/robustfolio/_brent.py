@@ -26,12 +26,16 @@ def _value(f: Callable[[float], float], x: float) -> float:
 
 
 def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
-           rtol: float, maxiter: int) -> float:
+           rtol: float, maxiter: int,
+           stop: Callable[[float, float, float], bool] | None = None) -> float:
     """Root of f on [xa, xb], where f(xa) and f(xb) differ in sign.
 
-    Stops when the bracket half-width falls below (xtol + rtol |x|) / 2.
-    Inverse quadratic (or secant) steps are taken when they land well inside
-    the bracket, bisection otherwise."""
+    Stops when the bracket half-width falls below (xtol + rtol |x|) / 2, or
+    when ``stop(x, f(x), x_other)`` holds for the best point x and the other
+    end x_other of the bracket (checked once per iteration, after that
+    test; without ``stop`` every step is scipy's). Inverse quadratic (or
+    secant) steps are taken when they land well inside the bracket,
+    bisection otherwise."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre = _value(f, xpre)
@@ -53,6 +57,8 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if stop is not None and stop(xcur, fcur, xblk):
             return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):

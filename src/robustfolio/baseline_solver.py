@@ -340,11 +340,14 @@ def _finite_end(grad: Callable[[float], float], sign: float, other: float) -> fl
     return t
 
 
-def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float) -> tuple[float, bool]:
+def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
+                    stop: Callable[[float, float, float], bool] | None = None
+                    ) -> tuple[float, bool]:
     """Maximizer on [lo, hi] of a concave function from its nonincreasing
     (super)gradient: an end where the gradient's sign pins it (flagged True),
-    else the gradient's root, bracketed to ~1e-15. An infinite end gives way
-    to a finite one (``_finite_end``) first."""
+    else the gradient's root, bracketed to ~1e-15 or until ``stop`` (as
+    ``brentq`` takes it) holds. An infinite end gives way to a finite one
+    (``_finite_end``) first."""
     if math.isinf(lo):
         lo = _finite_end(grad, -1.0, hi)
     if math.isinf(hi):
@@ -353,7 +356,7 @@ def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float) -> tup
         return lo, True
     if grad(hi) >= 0.0:
         return hi, True
-    return brentq(grad, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200), False
+    return brentq(grad, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200, stop=stop), False
 
 
 def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,

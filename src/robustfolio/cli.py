@@ -705,12 +705,26 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    """A JSON integer literal whose magnitude a float can hold: the solvers
+    compute in floats, and a larger one would overflow there. A JSON integer
+    has no leading zeros, so one of more than 309 digits is past
+    sys.float_info.max; the message names the length, not the digits."""
+    digits = len(text.lstrip("-"))
+    if digits <= 309:
+        value = int(text)
+        if abs(value) <= sys.float_info.max:
+            return value
+    raise ConfigError(f"config holds an integer of {digits} digits, too large for a float")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            cfg = json.load(fh, parse_float=_finite_number, parse_int=_float_sized_int,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

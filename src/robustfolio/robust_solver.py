@@ -40,12 +40,20 @@ finite p (certified numerical oracle)
 
 The outer maximization is one concave search in both regimes: the robust
 value is concave in pi (an infimum of concave functions), with a kink at
-pi = 0. Its one-sided slopes at 0 (at +-2 PI_ZERO_THRESHOLD at finite p, as
-the oracle has no worst case inside that band) pick the side that holds the
-maximizer, or pi = 0 (``_side_of_zero``, ``_zero_answer``). On that side
-in-tree Brent brackets the root of the slope, E[X u'(pi X)] on the moved
-atoms at p = inf and, by Danskin's theorem, on the oracle's worst case P* at
-finite p, unless its sign pins an end (``_concave_argmax``).
+pi = 0. Its one-sided slopes at 0 pick the side that holds the maximizer, or
+pi = 0 (``_side_of_zero``, ``_zero_answer``). Both come in closed form, as
+E[X u'(0)] on the atoms of the worst case as pi -> 0 from that side: the
+moved atoms at p = inf, and at finite p the pinned shift against that side
+(``_slopes_at_zero``), which stands in for the oracle's slope at
++-2 PI_ZERO_THRESHOLD, just outside the band where the oracle has no worst
+case. A pi = 0 answer so calls no oracle. On the chosen side in-tree Brent
+brackets the root of the slope, E[X u'(pi X)] on the moved atoms at p = inf
+and, by Danskin's theorem, on the oracle's worst case P* at finite p, unless
+its sign pins an end (``_concave_argmax``). At p = inf it brackets to
+~1e-15. At finite p it stops once |slope| times the bracket width, which by
+concavity bounds how far V can still rise, is within V's rounding
+(8 eps E|u| on the worst case): past that point its steps only bisect the
+small jumps of the oracle's grid slope.
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -87,7 +95,7 @@ from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityErro
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, coupling_cost
 from .sensitivity import (_MEAN_ZERO_TOL, degeneracy_guard, optimizer_sensitivity,
-                          transport_direction, zero_strategy)
+                          pinned_shift, transport_direction, zero_strategy)
 from .utility import Utility
 
 _ORACLE_MAX_ATOMS = 16
@@ -167,6 +175,12 @@ def _certified(spec: ProblemSpec, delta: float, pi: float, value: float,
                           adversary=adversary, transport_cost=cost, method=method)
 
 
+def _slope_on(w: np.ndarray, u: Utility, pi: float, y: np.ndarray) -> float:
+    """E[X u'(pi X)] on atoms y with weights w: the slope in pi of the
+    expected utility on them (the Danskin slope on a worst case)."""
+    return float(np.dot(w * u.u_prime(pi * y), y))
+
+
 def _side_of_zero(lo: float, hi: float, right: Callable[[], float],
                   left: Callable[[], float], at: float = 0.0) -> tuple[float, float]:
     """The part of [lo, hi] that holds the maximizer of a concave function,
@@ -216,15 +230,12 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
     w = spec.model.weights
     u = spec.utility
 
-    def slope_at_zero(xs: np.ndarray) -> float:  # as _concave_max_raw takes it
-        return float(np.dot(w * u.u_prime(0.0 * xs), xs))
-
     # every atom moves against the position, as far as delta and S allow
     space = spec.state_space
     down = np.maximum(x - delta, space.lower[0])
     up = np.minimum(x + delta, space.upper[0])
     lo, hi = _side_of_zero(spec.action_space.lower[0], spec.action_space.upper[0],
-                           lambda: slope_at_zero(down), lambda: slope_at_zero(up))
+                           lambda: _slope_on(w, u, 0.0, down), lambda: _slope_on(w, u, 0.0, up))
     if lo == hi:
         return _zero_answer(spec, delta, "inf_exact")
     xs = down if hi > 0.0 else up
@@ -530,6 +541,17 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     return float(value), adversary
 
 
+def _slopes_at_zero(spec: ProblemSpec, delta: float) -> tuple[float, float]:
+    """The right and left slopes at pi = 0 of the finite-p robust value. As
+    pi -> 0 from the side of e the worst case tends to the pinned shift
+    against e (``sensitivity.pinned_shift``), and the slope there is
+    E[X u'(0)] on the shifted atoms."""
+    x, w = spec.model.support_1d, spec.model.weights
+    right, left = (_slope_on(w, spec.utility, 0.0, x - pinned_shift(spec, delta, e))
+                   for e in (1.0, -1.0))
+    return right, left
+
+
 def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
     """Outer concave search over A of the certified inner infimum (finite p, d=1)."""
     if spec.order.is_inf:
@@ -561,24 +583,38 @@ def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
     model = spec.model
     if model.state_space != space:
         model = dataclasses.replace(model, state_space=space)
+    u = spec.utility
     cache: dict[float, tuple[float, DiscreteMeasure]] = {}
+    slopes: dict[float, float] = {}
 
     def inner(pi_val: float) -> tuple[float, DiscreteMeasure]:
         if pi_val not in cache:
-            cache[pi_val] = adversary_inner_inf(model, spec.utility, pi_val, delta,
-                                                spec.order)
+            cache[pi_val] = adversary_inner_inf(model, u, pi_val, delta, spec.order)
         return cache[pi_val]
 
     def slope(t: float) -> float:
-        _, adv = inner(t)
-        y = adv.support_1d
-        return float(np.dot(adv.weights * spec.utility.u_prime(t * y), y))
+        if t not in slopes:
+            _, adv = inner(t)
+            slopes[t] = _slope_on(adv.weights, u, t, adv.support_1d)
+        return slopes[t]
+
+    def settled(t: float, g: float, other: float) -> bool:
+        # by concavity V nowhere in [t, other] exceeds V(t) + |g| |other - t|;
+        # once that is below the rounding of V(t), no step can raise V. A
+        # closed-form slope at +-at has no oracle plan to scale by.
+        if t not in cache:
+            return False
+        _, adv = cache[t]
+        scale = float(adv.weights @ np.abs(u.u(t * adv.support_1d)))
+        return abs(g) * abs(other - t) <= 8.0 * _EPS * scale
 
     at = 2.0 * PI_ZERO_THRESHOLD  # just outside the oracle's zero band
+    if lo <= 0.0 <= hi:  # the slopes at 0 stand in for the oracle's at +-at
+        slopes[at], slopes[-at] = _slopes_at_zero(spec, delta)
     lo, hi = _side_of_zero(lo, hi, lambda: slope(at), lambda: slope(-at), at)
     if lo == hi:
         return _zero_answer(spec, delta, "finite_p_oracle")
-    pi, _ = _concave_argmax(slope, lo, hi)
+    pi, _ = _concave_argmax(slope, lo, hi, settled)
     value, adversary = inner(pi)
     return _certified(spec, delta, pi, value, adversary, "finite_p_oracle")
 
@@ -633,8 +669,12 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> f
 
 def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
                        solution: RobustSolution | None = None) -> float:
-    """Marginal-utility price under the worst-case measure at radius delta."""
+    """Marginal-utility price under the worst-case measure at radius delta;
+    ``solution``, when given, must be the robust solve at that radius."""
     _check_radius(delta)
+    if solution is not None and solution.delta != delta:
+        raise ConfigError(f"the solution was solved at radius {solution.delta}, "
+                          f"not at the price's radius {delta}")
     sol = solution if solution is not None else robust_solve(spec, delta)
     pi = sol.pi_delta_scalar
     if abs(pi) > PI_ZERO_THRESHOLD:

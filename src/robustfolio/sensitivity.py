@@ -265,6 +265,15 @@ def _edge_distance(spec: ProblemSpec, e: float) -> np.ndarray:
     return x - space.lower[0] if e > 0.0 else space.upper[0] - x
 
 
+def pinned_shift(spec: ProblemSpec, delta: float, e: float) -> np.ndarray:
+    """The shift that spends the radius-delta budget against direction e:
+    atom i moves min(dist_i, t) against e, stopped at the edge of S. It is
+    the pinned pi = 0 adversary, and the limit of the worst cases along
+    strategies pi -> 0 of the sign of e."""
+    dist = _edge_distance(spec, e)
+    return e * np.minimum(dist, _capped_reach(dist, spec.model.weights, delta, spec.order.p))
+
+
 def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
     """The pi = 0 rules at radius delta, decided on A first (see the Davis
     branch table in the module docstring). Every atom moves against a
@@ -291,10 +300,8 @@ def zero_strategy(spec: ProblemSpec, delta: float) -> ZeroStrategy:
         e = -1.0
     else:
         raise AssumptionViolation("pi = 0 needs 0 in the action space A")
-    # pinned: the continuity limit along feasible strategies pi -> 0, where
-    # t spends the budget
-    dist = _edge_distance(spec, e)
-    return ZeroStrategy(e * np.minimum(dist, _capped_reach(dist, w, delta, p)), False, e)
+    # pinned: the continuity limit along feasible strategies pi -> 0
+    return ZeroStrategy(pinned_shift(spec, delta, e), False, e)
 
 
 def davis_sensitivity(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> float:

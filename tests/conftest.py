@@ -1,16 +1,46 @@
 """Shared builders for the test suite."""
 
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 import robustfolio as rf
+from robustfolio import robust_solver
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every run draws the same examples: property tests then compare two versions
 # of the code on one input set, and a failure replays without a database.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+@functools.lru_cache(maxsize=None)
+def load_bench(name: str):
+    """bench/<name>.py as a module, loaded once and read only."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch) -> list:
+    """The strategy of every finite-p oracle call (adversary_inner_inf, as
+    the robust solver looks it up) the test makes."""
+    calls = []
+    oracle = robust_solver.adversary_inner_inf
+    monkeypatch.setattr(robust_solver, "adversary_inner_inf",
+                        lambda *args: calls.append(args[2]) or oracle(*args))
+    return calls
 
 
 def wide_interval(half_width: float = 1000.0) -> rf.StateSpace:

@@ -22,6 +22,8 @@ def assert_same_root(f, lo, hi, xtol, rtol):
     got = brentq(f, lo, hi, xtol, rtol, 200)
     assert type(got) is float
     assert got == want, (got, want)
+    # a stop test that never holds changes no step
+    assert brentq(f, lo, hi, xtol, rtol, 200, stop=lambda *args: False) == want
 
 
 @st.composite
@@ -100,3 +102,21 @@ def test_brentq_refuses_nan_missing_bracket_and_slow_convergence():
     # roots at the bracket ends come back unchanged
     assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 8.882e-16, 200) == 0.0
     assert brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, 8.882e-16, 200) == 1.0
+
+
+def test_brentq_stop_returns_the_point_it_accepts():
+    # the stop sees the best point, its value and the other end of the
+    # bracket, and Brent returns that point once the test holds
+    f = lambda x: math.atan(x - 0.3)  # noqa: E731
+    seen = []
+
+    def stop(x, fx, other):
+        seen.append((x, fx, other))
+        return abs(other - x) < 1e-3
+
+    root = brentq(f, 0.0, 1.0, 1e-15, 8.882e-16, 200, stop=stop)
+    x, fx, other = seen[-1]
+    assert root == x and fx == f(x) and abs(other - x) < 1e-3
+    assert all(abs(o - x) >= 1e-3 for x, _, o in seen[:-1])
+    assert (0.0 - root) * (1.0 - root) < 0.0 and (f(root) < 0.0) != (f(other) < 0.0)
+    assert len(seen) < 10

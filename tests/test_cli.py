@@ -177,6 +177,25 @@ def test_non_finite_json_numbers_exit_two(tmp_path, capsys, extra, literal):
     assert f"config holds {literal}," in captured.err
 
 
+@pytest.mark.parametrize("extra", [
+    {"utility": {"kind": "log_shifted", "w0": "X"}},
+    {"utility": {"kind": "log_shifted", "w0": "-X"}},
+    {"model": {"kind": "normal", "mu": 0.1, "sigma": 0.2, "n_nodes": "X"},
+     "utility": {"kind": "exponential", "gamma": 1.0}},
+], ids=["w0", "w0-negative", "n_nodes"])
+def test_oversized_json_integers_exit_two(tmp_path, capsys, extra):
+    # an integer literal past float range used to reach the solvers and exit 4
+    # with an OverflowError (or, for n_nodes, exit 2 echoing all its digits)
+    digits = "1" + "0" * 400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(**extra)).replace('"X"', digits)
+                    .replace('"-X"', "-" + digits), encoding="utf-8")
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err and digits not in captured.err
+
+
 def test_arbitrage_model_exits_three(tmp_path, capsys):
     cfg = base_config(model={"kind": "explicit", "points": [0.5, 1.5],
                              "weights": [0.5, 0.5]})

@@ -5,32 +5,21 @@ cli_cold commands run in process through ``cli.main`` and must print the
 recorded stdout with the recorded exit code; the closed_forms cases run
 through ``cli.run`` + ``cli.emit`` and must render the recorded CSV bytes.
 Every function the benchmark's tracer (bench/spans.py) wraps must still
-exist. Nothing under bench/ is written.
+exist, and each finite_p case must pass the benchmark's own checks with a
+fixed number of finite-p oracle calls. Nothing under bench/ is written.
 """
 
-import importlib.util
+import importlib
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from robustfolio import cli
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_bench
+
 GOLDEN = ROOT / "bench" / "golden"
-
-
-def _load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-_WORKLOADS = _load_bench("workloads")
+_WORKLOADS = load_bench("workloads")
 EXIT_CODES = json.loads((GOLDEN / "cli_cold" / "exit_codes.json").read_text())
 CLOSED_FORM_CASES = list(_WORKLOADS.closed_form_cases(None))
 
@@ -72,6 +61,35 @@ def test_closed_forms_golden_twice_in_one_process():
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these (module, attribute) pairs; a renamed or
     # deleted function would otherwise surface only in the benchmark's runs
-    for module, attribute in _load_bench("spans").TRACED:
+    for module, attribute in load_bench("spans").TRACED:
         found = getattr(importlib.import_module(f"robustfolio.{module}"), attribute, None)
         assert callable(found), f"robustfolio.{module}.{attribute}"
+
+
+# adversary_inner_inf calls per finite_p op: the outer search takes its
+# slopes at 0 in closed form and stops once V cannot rise past its rounding,
+# so a pi = 0 answer (davis-zeromean) calls the oracle not at all
+ORACLE_CALLS = {
+    "grid-binomial.a=0.25": 36,
+    "grid-binomial.a=0.3": 30,
+    "grid-binomial.a=0.35": 30,
+    "solve-truncnormal.mu=0.17": 8,
+    "solve-truncnormal.mu=0.19": 6,
+    "solve-explicit6.weights=0.1-0.15-0.2-0.2-0.2-0.15": 7,
+    "solve-explicit6.weights=0.1-0.15-0.15-0.2-0.25-0.15": 7,
+    "davis-zeromean.strike=0": 0,
+    "davis-zeromean.strike=0.1": 0,
+}
+
+
+@pytest.mark.parametrize("name, family, value", list(_WORKLOADS.finite_p_cases(None)),
+                         ids=[case[0] for case in _WORKLOADS.finite_p_cases(None)])
+def test_finite_p_oracle_call_budget(oracle_calls, name, family, value):
+    refs = json.loads((GOLDEN / "finite_p.json").read_text())
+    spec, radii, payoff = _WORKLOADS.finite_p_instance(family, value)
+    upper = _WORKLOADS.upper_bounds(spec, radii)
+    out = _WORKLOADS.solve_finite_p(family, spec, radii, payoff)
+    # costs within the radii, V falling along them and below V_inf, V (and
+    # the price) within 1e-6 of the recording
+    assert _WORKLOADS.certificate_failure(out, radii, upper, refs[name]) is None
+    assert len(oracle_calls) == ORACLE_CALLS[name]

@@ -11,10 +11,11 @@ from scipy.optimize import linprog
 import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                          DomainCompatibilityError, NumericalFailure, robust_solver)
+from robustfolio.baseline_solver import PI_ZERO_THRESHOLD
 from robustfolio.robust_solver import _displacement_grid, _multiplier_plans
 from robustfolio.sensitivity import zero_strategy
 
-from conftest import binomial_log_spec, normal_exp_spec
+from conftest import binomial_log_spec, load_bench, normal_exp_spec
 
 INF = rf.WassersteinOrder(math.inf)
 
@@ -518,28 +519,81 @@ def test_robust_p_argument_validation():
 
 @pytest.mark.parametrize("p, value_at_006", [(1.5, 0.005606700076295254),
                                               (3.0, 0.005758023512131871)])
-def test_robust_p_settles_a_zero_optimum_from_the_slopes_at_zero(monkeypatch, p, value_at_006):
+def test_robust_p_settles_a_zero_optimum_from_the_slopes_at_zero(oracle_calls, p, value_at_006):
     # at delta = 0.12 both one-sided slopes at 0 point back to 0, so pi = 0
-    # needs no search and a few oracle calls settle it; at 0.06 the search
-    # on the side the slopes pick finds the recorded value
+    # needs no search, and the slopes come in closed form, so no oracle call
+    # (the oracle's slopes at +-2 PI_ZERO_THRESHOLD used to settle it); at
+    # 0.06 the search on the side the slopes pick finds the recorded value
     model = rf.explicit([-0.37, -0.06, 0.33, 0.39], [0.35, 0.05, 0.04, 0.56],
                         state_space=rf.StateSpace.interval(-1.25, 1.25))
     spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
                           action_space=rf.StateSpace.interval(-0.75, 0.75),
                           order=rf.WassersteinOrder(p))
-    calls = []
-    oracle = robust_solver.adversary_inner_inf
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return oracle(*args, **kwargs)
-
-    monkeypatch.setattr(robust_solver, "adversary_inner_inf", counting)
     sol = rf.robust_solve_p(spec, 0.12)
     assert sol.pi_delta_scalar == 0.0 and sol.V_delta == 0.0
-    assert len(calls) <= 3
+    assert oracle_calls == []
     assert sol.transport_cost <= 0.12
     assert rf.robust_solve_p(spec, 0.06).V_delta == pytest.approx(value_at_006, rel=0.0, abs=1e-12)
+
+
+def oracle_slopes_near_zero(spec: rf.ProblemSpec, delta: float) -> tuple[float, float]:
+    """The oracle's Danskin slopes at +-2 PI_ZERO_THRESHOLD, just outside
+    its zero band: E[X u'(pi X)] on its worst case there."""
+    slopes = []
+    for t in (2.0 * PI_ZERO_THRESHOLD, -2.0 * PI_ZERO_THRESHOLD):
+        _, adv = rf.adversary_inner_inf(spec.model, spec.utility, t, delta, spec.order)
+        y = adv.support_1d
+        slopes.append(float(np.dot(adv.weights * spec.utility.u_prime(t * y), y)))
+    return slopes[0], slopes[1]
+
+
+def assert_slopes_at_zero_bound_the_oracle(spec: rf.ProblemSpec, delta: float, gap: float):
+    # the oracle minimizes on a grid inside the ball, so its worst case moves
+    # the mean less than the pinned shift does: its right slope lies above
+    # the closed form and its left slope below
+    right, left = robust_solver._slopes_at_zero(spec, delta)
+    oracle_right, oracle_left = oracle_slopes_near_zero(spec, delta)
+    assert right <= oracle_right + 1e-9
+    assert left >= oracle_left - 1e-9
+    assert abs(right - oracle_right) <= gap and abs(left - oracle_left) <= gap
+
+
+FINITE_P_CASES = list(load_bench("workloads").finite_p_cases(None))
+
+
+@pytest.mark.parametrize("family, value", [case[1:] for case in FINITE_P_CASES],
+                         ids=[case[0] for case in FINITE_P_CASES])
+def test_slopes_at_zero_match_the_oracle_on_the_benchmark_models(family, value):
+    # the largest gap, 2.37e-6, is the left slope of truncnormal mu = 0.19
+    spec, radii, _ = load_bench("workloads").finite_p_instance(family, value)
+    for delta in radii:
+        assert_slopes_at_zero_bound_the_oracle(spec, delta, 3e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=bounded_measures(), p=st.sampled_from([1.5, 2.0, 3.0]),
+       utility=st.sampled_from([rf.exponential(1.0), rf.log_shifted(2.0)]),
+       delta=st.floats(0.01, 0.5))
+def test_slopes_at_zero_match_the_oracle(P, p, utility, delta):
+    # 1500 seeded draws of these models put the largest gap at 5.0e-6
+    x = P.support_1d
+    assume(x.min() < -1e-3 and x.max() > 1e-3)  # no arbitrage
+    spec = rf.ProblemSpec(model=P, utility=utility,
+                          action_space=rf.StateSpace.interval(-0.5, 0.5),
+                          order=rf.WassersteinOrder(p))
+    assert_slopes_at_zero_bound_the_oracle(spec, delta, 1e-5)
+
+
+def test_robust_p_stops_at_the_rounding_of_v_across_a_slope_jump(oracle_calls):
+    # binomial(0.25) at delta = 0.1, p = 2: the oracle's slope jumps by 4e-7
+    # near the optimum, which the search used to bisect to xtol 1e-15 in 39
+    # oracle calls. It now stops once no step can raise V past its rounding;
+    # V and pi were recorded with that full bisection.
+    sol = rf.robust_solve_p(criterion_08_spec(2.0), 0.1)
+    assert abs(sol.V_delta - 0.08179905705942825) <= 1e-15
+    assert abs(sol.pi_delta_scalar - 0.3771708636963544) <= 1e-8
+    assert sol.transport_cost <= 0.1
+    assert len(oracle_calls) == 14
 
 
 @pytest.mark.parametrize("delta, searches", [(0.1, 1), (0.6, 0)])
@@ -575,6 +629,18 @@ def test_robust_davis_binomial_point_values():
         0.495, abs=1e-10)
     assert rf.robust_davis_price(spec, rf.abs_shift_payoff(0.5), 0.1) == pytest.approx(
         1.04, abs=1e-10)
+
+
+def test_robust_davis_price_refuses_a_solution_from_another_radius():
+    # the solution at 0.1 used to price at 0.2 as it prices at 0.1 (0.495,
+    # where the price at 0.2 is 0.48)
+    spec = binomial_log_spec(0.25)
+    g = rf.call_payoff(0.0)
+    sol = rf.robust_solve(spec, 0.1)
+    assert rf.robust_davis_price(spec, g, 0.2) == pytest.approx(0.48, abs=1e-10)
+    with pytest.raises(ConfigError, match="radius 0.1, not at the price's radius 0.2"):
+        rf.robust_davis_price(spec, g, 0.2, sol)
+    assert rf.robust_davis_price(spec, g, 0.1, sol) == pytest.approx(0.495, abs=1e-10)
 
 
 def test_robust_davis_at_delta_zero_is_davis():
