@@ -101,11 +101,17 @@ def _binomial_log(a: float, q: float = 1.0, x0: float = 0.5) -> Fixture:
     pi = 1.0 - 2.0 * a
     V0 = a * math.log(2.0 * a) + (1.0 - a) * math.log(2.0 - 2.0 * a)
     # u'(pi* x) at the two atoms: 1/(2a) at x=-1, 1/(2-2a) at x=+1.
-    moment = a * (2.0 * a) ** (-q) + (1.0 - a) * (2.0 - 2.0 * a) ** (-q)
-    v_prime = -(moment ** (1.0 / q)) * pi
-    pi_prime = (-a * (1.0 - a)
-                * (a ** (1.0 - q) + (1.0 - a) ** (1.0 - q)) ** (1.0 / q - 1.0)
-                * (a ** (-q) + (1.0 - a) ** (-q)))
+    try:
+        moment = a * (2.0 * a) ** (-q) + (1.0 - a) * (2.0 - 2.0 * a) ** (-q)
+        v_prime = -(moment ** (1.0 / q)) * pi
+        pi_prime = (-a * (1.0 - a)
+                    * (a ** (1.0 - q) + (1.0 - a) ** (1.0 - q)) ** (1.0 / q - 1.0)
+                    * (a ** (-q) + (1.0 - a) ** (-q)))
+    except OverflowError:  # q large: the same forms with the powers of a taken out
+        r = a / (1.0 - a)
+        v_prime = -((a + (1.0 - a) * r ** q) ** (1.0 / q)) / (2.0 * a) * pi
+        pi_prime = (-(1.0 - a) * a ** (1.0 / q - 1.0)
+                    * (1.0 + r ** (q - 1.0)) ** (1.0 / q - 1.0) * (1.0 + r ** q))
     log_odds = math.log(a / (1.0 - a))
     kl = -math.sqrt(2.0 * a * (1.0 - a)) * abs(log_odds)
     return Fixture(
@@ -138,8 +144,11 @@ def _binomial_exp(a: float, gamma: float = 1.0, q: float = 1.0) -> Fixture:
     r = a / (1.0 - a)
     pi = math.log((1.0 - a) / a) / (2.0 * gamma)
     V0 = -2.0 * math.sqrt(a * (1.0 - a))
-    moment = a * r ** (-q / 2.0) + (1.0 - a) * r ** (q / 2.0)
-    v_prime = -gamma * moment ** (1.0 / q) * pi
+    try:
+        moment = a * r ** (-q / 2.0) + (1.0 - a) * r ** (q / 2.0)
+        v_prime = -gamma * moment ** (1.0 / q) * pi
+    except OverflowError:  # q large: the same form with r^(-q/2) taken out
+        v_prime = -gamma * (a + (1.0 - a) * r ** q) ** (1.0 / q) / math.sqrt(r) * pi
     kl = -math.sqrt(2.0 * (1.0 - 4.0 * a * (1.0 - a)))
     return Fixture(
         name="binomial_exp",

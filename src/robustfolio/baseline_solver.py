@@ -32,6 +32,7 @@ the Davis price root) use the in-tree Brent root finder ``_brent.brentq``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -347,7 +348,8 @@ def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
     (super)gradient: an end where the gradient's sign pins it (flagged True),
     else the gradient's root, bracketed to ~1e-15 or until ``stop`` (as
     ``brentq`` takes it) holds. An infinite end gives way to a finite one
-    (``_finite_end``) first."""
+    (``_finite_end``) first. The end tests and Brent ask ``grad`` for the
+    same ends, so a costly ``grad`` should remember its values."""
     if math.isinf(lo):
         lo = _finite_end(grad, -1.0, hi)
     if math.isinf(hi):
@@ -375,6 +377,7 @@ def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
     if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
         x, w, e = x[w > 0.0], w[w > 0.0], e[w > 0.0]
 
+    @functools.cache  # the end tests, Brent and the polish share points
     def grad(p: float) -> float:
         return float(np.dot(w * utility.u_prime(p * x + e), x))
 
@@ -507,7 +510,9 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
 
     The eps-derivative is a central finite difference (step ``_DAVIS_FD_STEP``) with a
     full re-optimization of pi at each perturbed problem — an independent
-    validation route for the envelope formula, not a reuse of it.
+    validation route for the envelope formula, not a reuse of it. Brent
+    evaluates each candidate price once, the bracket ends first, and raises
+    ``NumericalFailure`` when they show no sign change.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -522,12 +527,4 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
         v_minus, _ = solve_with_endowment(spec, -e_plus)
         return (v_plus - v_minus) / (2.0 * _DAVIS_FD_STEP)
 
-    f_lo, f_hi = eps_derivative(lo), eps_derivative(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise NumericalFailure(
-            f"no sign change of the eps-derivative in the bracket [{lo}, {hi}]")
     return brentq(eps_derivative, lo, hi, xtol=1e-10, rtol=8.882e-16, maxiter=200)

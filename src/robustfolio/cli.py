@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -484,7 +485,7 @@ def _fixture_deviations(fx: Fixture) -> list[tuple[str, float, float]]:
         q = params["q"]
         spec = ProblemSpec(model=make_model({"kind": "binomial", "a": params["a"]}),
                            utility=log_shifted(1.0),
-                           action_space=StateSpace.interval(-0.95, 0.95),
+                           action_space=StateSpace.interval(-50.0, 50.0),
                            order=WassersteinOrder(_p_for_q(q)))
         sol = solve_baseline(spec)
         pi_prime, _ = optimizer_sensitivity(spec, sol)
@@ -495,12 +496,13 @@ def _fixture_deviations(fx: Fixture) -> list[tuple[str, float, float]]:
                 ("kl_prime0", fx.kl_prime0, kl_value_sensitivity(spec, sol))]
         if q == 1.0:
             payoffs = {"power3": power_payoff(3), "call0": call_payoff(0.0)}
+            robust = robust_solve(spec, 0.1)
             for label, payoff in payoffs.items():
                 out.append((f"davis_price_{label}", fx.davis_price0[label],
                             davis_price(spec, sol, payoff)))
                 curve = fx.price_curves[label]
                 out.append((f"davis_curve_{label}_d01", curve(0.1),
-                            robust_davis_price(spec, payoff, 0.1)))
+                            robust_davis_price(spec, payoff, 0.1, robust)))
     elif fx.name == "binomial_exp":
         q = params["q"]
         spec = ProblemSpec(model=make_model({"kind": "binomial", "a": params["a"]}),
@@ -576,11 +578,16 @@ _A_GRID_TAIL = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6]
 _A_GRID_FULL = sorted(_A_GRID_TAIL + _A_GRID_COARSE)
 
 
-def _binomial_spec(a: float, utility, q: float) -> ProblemSpec:
+def _binomial_spec(a: float, utility) -> ProblemSpec:
     return ProblemSpec(model=make_model({"kind": "binomial", "a": a}),
                        utility=utility,
-                       action_space=StateSpace.interval(-50.0, 50.0),
-                       order=WassersteinOrder(_p_for_q(q)))
+                       action_space=StateSpace.interval(-50.0, 50.0))
+
+
+def _at_q(spec: ProblemSpec, q: float) -> ProblemSpec:
+    """The problem with conjugate exponent q. The baseline optimum does not
+    depend on the order, so one solve serves the sensitivities at every q."""
+    return dataclasses.replace(spec, order=WassersteinOrder(_p_for_q(q)))
 
 
 def _binomial_sharpe(a: float) -> float:
@@ -601,28 +608,25 @@ def _fig1() -> ResultTable:
     return ResultTable(["mu", "sharpe", "V_prime0", "magnitude"], rows)
 
 
-def _fig2(utility_factory, q_list: list[float], labels: list[str]) -> ResultTable:
+def _fig2(utility, q_list: list[float], labels: list[str]) -> ResultTable:
     rows = []
     for a in _A_GRID_FULL:
-        row = [a, _binomial_sharpe(a)]
-        for q in q_list:
-            spec = _binomial_spec(a, utility_factory(), q)
-            row.append(value_sensitivity(spec, solve_baseline(spec)))
-        spec = _binomial_spec(a, utility_factory(), 1.0)
-        row.append(kl_value_sensitivity(spec, solve_baseline(spec)))
-        rows.append(row)
+        spec = _binomial_spec(a, utility)
+        sol = solve_baseline(spec)
+        rows.append([a, _binomial_sharpe(a)]
+                    + [value_sensitivity(_at_q(spec, q), sol) for q in q_list]
+                    + [kl_value_sensitivity(spec, sol)])
     return ResultTable(["a", "sharpe"] + labels + ["kl_V_prime0"], rows)
 
 
-def _fig3(utility_factory) -> ResultTable:
+def _fig3(utility) -> ResultTable:
     rows = []
     for a in _A_GRID_COARSE:
-        row = [a, _binomial_sharpe(a)]
-        for q in (1.0, 2.0, 3.0):
-            spec = _binomial_spec(a, utility_factory(), q)
-            pi_prime, _ = optimizer_sensitivity(spec, solve_baseline(spec))
-            row.append(float(pi_prime[0]))
-        rows.append(row)
+        spec = _binomial_spec(a, utility)
+        sol = solve_baseline(spec)
+        rows.append([a, _binomial_sharpe(a)]
+                    + [float(optimizer_sensitivity(_at_q(spec, q), sol)[0][0])
+                       for q in (1.0, 2.0, 3.0)])
     return ResultTable(["a", "sharpe", "pi_prime0_q1", "pi_prime0_q2",
                         "pi_prime0_q3"], rows)
 
@@ -647,13 +651,13 @@ def _fig4() -> ResultTable:
 # preset -> its curve data
 _FIGURES = {
     "fig1": _fig1,
-    "fig2-left": lambda: _fig2(lambda: log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
+    "fig2-left": lambda: _fig2(log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
                                ["V_prime0_q1", "V_prime0_q1_5", "V_prime0_q2", "V_prime0_q3"]),
     # orders inf, 4, 2.5 -> conjugates 1, 4/3, 5/3
-    "fig2-right": lambda: _fig2(lambda: exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
+    "fig2-right": lambda: _fig2(exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
                                 ["V_prime0_pinf", "V_prime0_p4", "V_prime0_p2_5"]),
-    "fig3-left": lambda: _fig3(lambda: log_shifted(1.0)),
-    "fig3-right": lambda: _fig3(lambda: exponential(1.0)),
+    "fig3-left": lambda: _fig3(log_shifted(1.0)),
+    "fig3-right": lambda: _fig3(exponential(1.0)),
     "fig4": _fig4,
 }
 FIGURE_PRESETS = tuple(_FIGURES)

@@ -149,11 +149,36 @@ def _require_room_to_move(spec: ProblemSpec, sol: BaselineSolution) -> None:
             "move points into; the closed forms at delta = 0 do not apply")
 
 
+def _lq_norm(weights: np.ndarray, values: np.ndarray, q: float) -> float:
+    """(sum_i w_i |v_i|^q)^{1/q}. Near p = 1 (q large) the plain moment of
+    nonzero values can leave float range (inf or 0); it is then taken
+    relative to max |v|."""
+    v = np.abs(values)
+    with np.errstate(over="ignore", under="ignore"):
+        moment = float(np.dot(weights, v ** q))
+    if 0.0 < moment < math.inf or not v.any():
+        return moment ** (1.0 / q)
+    top = float(v.max())
+    return top * float(np.dot(weights, (v / top) ** q)) ** (1.0 / q)
+
+
+def _dual_weights(up: np.ndarray, norm_q: float, q: float) -> tuple[np.ndarray, float]:
+    """(|u'|^{q-1}, ||u'||_q^{1-q}), whose product is the per-atom weight of
+    the L^q duality (the transport direction's scale). Where either factor
+    leaves float range (q large) both are taken relative to max |u'|, which
+    leaves the product unchanged."""
+    a = np.abs(up)
+    with np.errstate(over="ignore", under="ignore"):
+        power, factor = a ** (q - 1.0), np.float64(norm_q) ** (1.0 - q)
+    if np.all(np.isfinite(power)) and power.any() and 0.0 < factor < math.inf:
+        return power, float(factor)
+    top = float(a.max())
+    return (a / top) ** (q - 1.0), (norm_q / top) ** (1.0 - q)
+
+
 def _lq_norm_uprime(spec: ProblemSpec, sol: BaselineSolution) -> float:
     w = spec.model.points @ sol.pi_star
-    up = np.abs(spec.utility.u_prime(w))
-    q = spec.order.q
-    return float(spec.model.expectation(up ** q) ** (1.0 / q))
+    return _lq_norm(spec.model.weights, spec.utility.u_prime(w), spec.order.q)
 
 
 def value_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> float:
@@ -180,9 +205,8 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
     w = spec.model.points @ sol.pi_star
     up = spec.utility.u_prime(w)
     upp = spec.utility.u_double_prime(w)
-    norm_q = _lq_norm_uprime(spec, sol)
-    integrand = (w * upp + up) * np.abs(up) ** (q - 1.0)
-    kappa = norm_q ** (1.0 - q) * spec.model.expectation(integrand)
+    power, factor = _dual_weights(up, _lq_norm_uprime(spec, sol), q)
+    kappa = factor * spec.model.expectation((w * upp + up) * power)
     H = sol.hessian
     eigs = np.linalg.eigvalsh(H)
     if eigs.max() >= 0.0:
@@ -191,8 +215,7 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
     direction = sol.pi_star / norm_pi
     x = spec.model.points
     across = x - np.outer(x @ direction, direction)  # X_perp, exactly 0 in d = 1
-    weight = spec.model.weights * upp * np.abs(up) ** (q - 1.0)
-    tilt = norm_q ** (1.0 - q) * norm_pi * (weight @ across)
+    tilt = factor * norm_pi * ((spec.model.weights * upp * power) @ across)
     pi_prime = np.linalg.solve(H, direction) * kappa + np.linalg.solve(H, tilt)
     return pi_prime, float(kappa)
 
@@ -214,9 +237,9 @@ def transport_direction(spec: ProblemSpec, sol: BaselineSolution, x) -> np.ndarr
     if q == 1.0:
         scale = np.ones(pts.shape[0])
     else:
-        up = np.abs(spec.utility.u_prime(pts @ sol.pi_star))
-        norm_q = _lq_norm_uprime(spec, sol)
-        scale = up ** (q - 1.0) * norm_q ** (1.0 - q)
+        power, factor = _dual_weights(spec.utility.u_prime(pts @ sol.pi_star),
+                                      _lq_norm_uprime(spec, sol), q)
+        scale = power * factor
     return scale[:, None] * unit[None, :]
 
 
@@ -322,8 +345,7 @@ def _davis_pair(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff,
         grad = _payoff_grad_atoms(spec, payoff)
         zero = zero_strategy(spec, 0.0)
         if zero.ball_infimum:
-            q = spec.order.q
-            return p_d, -float(spec.model.expectation(np.abs(grad) ** q) ** (1.0 / q))
+            return p_d, -_lq_norm(spec.model.weights, grad, spec.order.q)
         if zero.direction is None:  # the first-order condition excludes it
             raise AssumptionViolation("pi* = 0 with E_P[X] != 0 and 0 interior to A")
         return p_d, -zero.direction * float(spec.model.expectation(grad))
@@ -380,9 +402,8 @@ def preference_compare(P: DiscreteMeasure, P_alt: DiscreteMeasure, pi,
     def score(M: DiscreteMeasure) -> float:
         w = M.points @ pi
         base = M.expectation(utility.u(w))
-        up = np.abs(utility.u_prime(w))
-        q = order.q
-        penalty = delta * float(np.linalg.norm(pi)) * M.expectation(up ** q) ** (1.0 / q)
+        penalty = delta * float(np.linalg.norm(pi)) * _lq_norm(M.weights, utility.u_prime(w),
+                                                                order.q)
         return base - penalty
 
     s_base, s_alt = score(P), score(P_alt)

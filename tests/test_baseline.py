@@ -14,7 +14,7 @@ from robustfolio import (
     ConfigError,
     NumericalFailure,
 )
-from robustfolio.baseline_solver import (_NEWTON_TOL, _concave_argmax,
+from robustfolio.baseline_solver import (_NEWTON_TOL, _concave_argmax, _concave_max_raw,
                                          _feasible_interval_raw)
 
 from conftest import binomial_log_spec, normal_exp_spec, wide_interval
@@ -192,6 +192,26 @@ def test_concave_argmax_refuses_a_slope_that_never_turns():
         _concave_argmax(lambda t: 1.0, 0.0, math.inf)
     with pytest.raises(NumericalFailure, match="float range"):
         _concave_argmax(lambda t: -1.0, -math.inf, 1.0)
+
+
+@pytest.mark.parametrize("x, w, utility, a_lo, a_hi, endowment", [
+    ([-1.0, 1.0], [0.25, 0.75], rf.log_shifted(1.0), -0.95, 0.95, 0.0),  # root
+    ([-1.0, 1.0], [0.1, 0.9], rf.log_shifted(1.0), -0.5, 0.5, 0.0),  # pinned at A's end
+    ([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3], rf.exponential(1.0), -math.inf, math.inf, 0.0),
+    ([-0.5, 1.5], [0.6, 0.4], rf.exponential(2.0), -math.inf, 0.0, 0.0),  # pinned at 0
+    ([-1.0, 0.2, 1.0], [0.2, 0.5, 0.3], rf.capped_exponential(1.0, 0.1), -50.0, 50.0,
+     np.array([0.01, -0.02, 0.03])),
+])
+def test_concave_max_asks_the_gradient_once_per_point(x, w, utility, a_lo, a_hi, endowment):
+    # the end tests, the doubling of an infinite end, Brent and the Newton
+    # polish share one set of gradient values: u' sees each wealth vector once
+    wealths = []
+    u_prime = utility.u_prime
+    recording = dataclasses.replace(
+        utility, u_prime=lambda v: wealths.append(np.array(v).tobytes()) or u_prime(v))
+    _concave_max_raw(np.array(x), np.array(w), recording, a_lo, a_hi, endowment)
+    assert wealths
+    assert len(set(wealths)) == len(wealths)
 
 
 def _interval_by_atoms(x, endowment, domain, a_lo, a_hi):

@@ -62,6 +62,17 @@ def test_brentq_matches_scipy_on_monotone_functions(case, tols):
     assert_same_root(f, lo, hi, *tols)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=monotone_functions(), tols=st.sampled_from(ROOT_TOLERANCES))
+def test_brentq_evaluates_each_point_once(case, tols):
+    f, lo, hi = case
+    assume(f(lo) * f(hi) < 0.0)
+    seen = []
+    brentq(lambda x: seen.append(x) or f(x), lo, hi, *tols, 200)
+    assert seen[:2] == [lo, hi]
+    assert len(set(seen)) == len(seen)
+
+
 UTILITIES = [rf.log_shifted(1.0), rf.exponential(1.0), rf.exponential(3.0),
              rf.power(2.0, 1.0), rf.capped_exponential(1.0, 0.1)]
 

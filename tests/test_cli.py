@@ -13,10 +13,10 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import robustfolio as rf
-from robustfolio import cli
+from robustfolio import baseline_solver, cli, robust_solver
 from robustfolio.errors import ConfigError
 
-from conftest import read_result_csv
+from conftest import load_bench, read_result_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -610,6 +610,82 @@ def test_oracle_check_errors_are_small(tmp_path):
     assert err_cols
     for j in err_cols:
         assert rows[0][j] <= 1e-8
+
+
+# baseline solves per preset: one per model, the order enters only the
+# sensitivities taken on that solution
+PRESET_SOLVES = {"fig1": 30, "fig2-left": 18, "fig2-right": 18, "fig3-left": 9,
+                 "fig3-right": 9, "fig4": 5}
+
+
+def test_figure_presets_solve_each_model_once(monkeypatch):
+    assert sorted(PRESET_SOLVES) == sorted(cli.FIGURE_PRESETS)
+    solves = []
+    solve = cli.solve_baseline
+    monkeypatch.setattr(cli, "solve_baseline", lambda spec: solves.append(spec) or solve(spec))
+    for preset, count in PRESET_SOLVES.items():
+        solves.clear()
+        cli.run("figures", {}, preset)
+        assert len(solves) == count, preset
+
+
+def test_oracle_check_prices_both_payoffs_on_one_robust_solve(monkeypatch):
+    solves = []
+    solve = robust_solver.robust_solve_inf
+    monkeypatch.setattr(robust_solver, "robust_solve_inf",
+                        lambda *args: solves.append(args) or solve(*args))
+    cli.run("oracle-check", {"fixture": {"name": "binomial_log",
+                                         "params": {"a": 0.25, "q": 1.0}}}, None)
+    assert len(solves) == 1
+
+
+def test_davis_root_solves_each_perturbed_problem_once(monkeypatch):
+    # 9 Brent points, two perturbed problems each; the bracket ends are
+    # Brent's first two points and are not solved again
+    endowments = []
+    solve = baseline_solver.solve_with_endowment
+    monkeypatch.setattr(baseline_solver, "solve_with_endowment",
+                        lambda spec, e: endowments.append(e.tobytes()) or solve(spec, e))
+    cases = [case for case in load_bench("workloads").closed_form_cases(None)
+             if case[0].startswith("davis-root")]
+    assert len(cases) == 3
+    for name, command, cfg, preset in cases:
+        endowments.clear()
+        cli.run(command, cfg, preset)
+        assert len(endowments) == 18, name
+        assert len(set(endowments)) == len(endowments), name
+
+
+NEAR_P_ONE = {"model": {"kind": "explicit", "points": [-1, 1], "weights": [1e-4, 0.9999],
+                        "state_space": [-2, 2]},
+              "utility": {"kind": "log_shifted", "w0": 1.0},
+              "wasserstein_p": 1.0101010101010102}
+
+
+@pytest.mark.filterwarnings("error")
+def test_sensitivity_near_p_one_is_finite(tmp_path, capsys):
+    # |u'|^q overflows at q ~ 100; the closed forms take it relative to max|u'|
+    rc = cli.main(["sensitivity", "--config", write_config(tmp_path, NEAR_P_ONE)])
+    header, rows, _ = read_result_csv(capsys.readouterr().out)
+    assert rc == 0
+    row = dict(zip(header, rows[0]))
+    assert row["V_prime0"] == pytest.approx(-4559.1421859407, rel=1e-12)
+    for name in ("pi_prime0", "kappa_u", "kl_V_prime0"):
+        assert math.isfinite(row[name]), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_check_near_p_one_is_finite(tmp_path, capsys):
+    cfg = {"fixture": {"name": "binomial_log", "params": {"a": 1e-4, "q": 100}}}
+    rc = cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)])
+    header, rows, _ = read_result_csv(capsys.readouterr().out)
+    assert rc == 0
+    values = dict(zip(header, rows[0]))
+    assert values["value_prime0_fixture"] == pytest.approx(-4559.14218594, rel=1e-10)
+    for name in ("pi_star", "V0", "value_prime0", "pi_prime0", "kl_prime0"):
+        fixture_value = values[f"{name}_fixture"]
+        assert math.isfinite(fixture_value), name
+        assert values[f"{name}_err"] <= 1e-12 * max(1.0, abs(fixture_value)), name
 
 
 def test_oracle_check_needs_fixture_section(tmp_path, capsys):

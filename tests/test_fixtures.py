@@ -264,3 +264,22 @@ def test_butterfly_robust_price_tracks_closed_form():
     for d in (0.0, 0.1):
         assert rf.robust_davis_price(spec, g, d) == pytest.approx(
             fx.price_curves["butterfly"](d), abs=5e-3)
+
+
+
+@pytest.mark.parametrize("q", [77.0, 79.0, 100.0, 1e4])
+def test_binomial_fixtures_stay_finite_at_large_q(q):
+    # past q ~ 78 the plain moments at a = 1e-4 overflow; as q -> inf the
+    # L^q norm of u' tends to its largest value, 1/(2a) for the log utility
+    a = 1e-4
+    fx = rf.fixture("binomial_log", a=a, q=q)
+    limit = -(1.0 - 2.0 * a) / (2.0 * a)
+    assert limit < fx.value_prime0 < limit * a ** (1.0 / q) * 0.999
+    spec = binomial_log_spec(a, p=p_for_q(q), action=(-50.0, 50.0))
+    sol = rf.solve_baseline(spec)
+    assert fx.value_prime0 == pytest.approx(rf.value_sensitivity(spec, sol), rel=1e-12)
+    assert fx.pi_prime0 == pytest.approx(rf.optimizer_sensitivity(spec, sol)[0][0], rel=1e-9)
+    fx = rf.fixture("binomial_exp", a=a, q=q)
+    spec = binomial_exp_spec(a, p=p_for_q(q))
+    assert fx.value_prime0 == pytest.approx(
+        rf.value_sensitivity(spec, rf.solve_baseline(spec)), rel=1e-12)

@@ -249,6 +249,29 @@ def test_inner_inf_certificates(P, p, pi, delta):
     assert wider <= value + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(P=bounded_measures(),
+       utility=st.sampled_from([rf.exponential(1.0), rf.log_shifted(2.0),
+                                rf.capped_exponential(1.0, 0.1)]),
+       half_width=st.sampled_from([0.5, 5.0]))
+def test_baseline_solve_does_not_depend_on_the_order(P, utility, half_width):
+    # the figure presets solve each model once and take every order's
+    # sensitivities on that solution; that is exact only if the order never
+    # enters the baseline solve
+    x = P.support_1d
+    assume(x.min() < -1e-3 and x.max() > 1e-3)  # no arbitrage
+    spec = rf.ProblemSpec(model=P, utility=utility,
+                          action_space=rf.StateSpace.interval(-half_width, half_width))
+    fields = ("pi_star", "V0", "foc_residual", "hessian")
+    want = rf.solve_baseline(spec)
+    for p in (1.5, 2.0, 3.0, math.inf):
+        got = rf.solve_baseline(dataclasses.replace(spec, order=rf.WassersteinOrder(p)))
+        for name in fields:
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(getattr(want, name)).tobytes()), (p, name)
+        assert got.boundary == want.boundary
+
+
 @st.composite
 def multiplier_problems(draw):
     """Padded (atoms x grid) cost/value arrays laid out as the oracle lays
@@ -582,6 +605,12 @@ def test_slopes_at_zero_match_the_oracle(P, p, utility, delta):
                           action_space=rf.StateSpace.interval(-0.5, 0.5),
                           order=rf.WassersteinOrder(p))
     assert_slopes_at_zero_bound_the_oracle(spec, delta, 1e-5)
+
+
+def test_robust_p_asks_the_oracle_once_per_strategy(oracle_calls):
+    rf.robust_solve_p(criterion_08_spec(2.0), 0.1)
+    assert oracle_calls
+    assert len(set(oracle_calls)) == len(oracle_calls)
 
 
 def test_robust_p_stops_at_the_rounding_of_v_across_a_slope_jump(oracle_calls):

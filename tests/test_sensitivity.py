@@ -256,6 +256,14 @@ def test_davis_sensitivity_pi_zero_branch():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_davis_sensitivity_pi_zero_branch_with_a_payoff_flat_on_the_atoms():
+    # a call struck past every atom has g' = 0 on them: the slope is 0
+    spec = zero_mean_spec()
+    sol = rf.solve_baseline(spec)
+    assert rf.davis_sensitivity(spec, sol, rf.call_payoff(5.0)) == 0.0
+
+
 def test_davis_sensitivity_sign_unconstrained():
     # the |x + x0| payoff has a positive first-order price response
     spec = binomial_log_spec(0.25)
@@ -517,3 +525,52 @@ def test_sensitivity_report_rejects_positive_value_slope():
         rf.SensitivityReport(q=1.0, V_prime0=0.5, pi_prime0=np.zeros(1),
                              kappa_u=0.0, davis_price=None, davis_prime0=None,
                              branch="interior")
+
+
+# ---------------------------------------------------------------------------
+# orders near p = 1 (q large): the L^q moments leave float range
+# ---------------------------------------------------------------------------
+
+NEAR_ONE = rf.WassersteinOrder(1.0101010101010102)  # q = 100 up to rounding
+
+
+def near_one_spec() -> rf.ProblemSpec:
+    # u'(pi* x) is 5000 at x = -1, so |u'|^q overflows and |u'(+1)|^q underflows
+    model = rf.explicit([-1.0, 1.0], [1e-4, 0.9999],
+                        state_space=rf.StateSpace.interval(-2.0, 2.0))
+    return rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-50.0, 50.0),
+                          order=NEAR_ONE)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_stay_finite_near_p_one():
+    spec = near_one_spec()
+    sol = rf.solve_baseline(spec)
+    fx = rf.fixture("binomial_log", a=1e-4, q=NEAR_ONE.q)
+    v_prime = rf.value_sensitivity(spec, sol)
+    assert v_prime == pytest.approx(-4559.1421859407, rel=1e-12)
+    assert v_prime == pytest.approx(fx.value_prime0, rel=1e-12)
+    pi_prime, kappa = rf.optimizer_sensitivity(spec, sol)
+    assert pi_prime[0] == pytest.approx(fx.pi_prime0, rel=1e-12)
+    assert math.isfinite(kappa) and kappa > 0.0
+    x = spec.model.support_1d
+    T = rf.transport_direction(spec, sol, x)[:, 0]
+    assert np.all(np.isfinite(T)) and T[0] > 0.0
+    # the value identity -<E[u' T], pi*> = V'(0) of the plain orders holds
+    up = spec.utility.u_prime(x * sol.pi_star_scalar)
+    lhs = -spec.model.expectation(up * T) * sol.pi_star_scalar
+    assert lhs == pytest.approx(v_prime, rel=1e-12)
+    assert math.isfinite(rf.robust_davis_first_order(spec, rf.abs_shift_payoff(0.5), 0.01))
+
+
+@pytest.mark.filterwarnings("error")
+def test_preference_penalty_stays_finite_near_p_one():
+    spec = near_one_spec()
+    sol = rf.solve_baseline(spec)
+    delta = 0.01
+    cmp = rf.preference_compare(spec.model, spec.model, sol.pi_star, spec.utility,
+                                NEAR_ONE, delta)
+    penalty = sol.V0 - cmp.score_base
+    assert penalty == pytest.approx(-delta * rf.value_sensitivity(spec, sol), rel=1e-12)
+    assert cmp.ordering == "tie"
