@@ -190,13 +190,21 @@ def _capped_exp_limit(mu: float, sigma: float, gamma: float = 1.0, q: float = 1.
     if q < 1.0:
         raise ConfigError(f"conjugate exponent q must be >= 1, got {q}")
     ratio = mu * mu / (sigma * sigma)
-    v_prime = -math.exp((q - 2.0) * ratio / 2.0) * mu / (sigma * sigma)
-    pi_prime = (-(1.0 / (gamma * sigma * sigma))
-                * (1.0 + (q - 1.0) * ratio)
-                * math.exp((q - 1.0) * ratio / 2.0))
-    variant = (-(gamma ** (1.0 / q + q - 3.0) / (sigma * sigma))
-               * math.exp((q - 1.0) / 2.0)
-               * (1.0 - ratio * (1.0 - q)))
+    try:
+        v_prime = -math.exp((q - 2.0) * ratio / 2.0) * mu / (sigma * sigma)
+        pi_prime = (-(1.0 / (gamma * sigma * sigma))
+                    * (1.0 + (q - 1.0) * ratio)
+                    * math.exp((q - 1.0) * ratio / 2.0))
+        variant = (-(gamma ** (1.0 / q + q - 3.0) / (sigma * sigma))
+                   * math.exp((q - 1.0) / 2.0)
+                   * (1.0 - ratio * (1.0 - q)))
+        finite = all(map(math.isfinite, (v_prime, pi_prime, variant)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        # the limits grow like exp((q - 1) mu^2/sigma^2 / 2)
+        raise ConfigError(f"capped_exp_limit sensitivities leave float range at "
+                          f"q = {q:g} and mu^2/sigma^2 = {ratio:g}")
     return Fixture(
         name="capped_exp_limit",
         params={"mu": mu, "sigma": sigma, "gamma": gamma, "q": q},

@@ -505,9 +505,12 @@ def _fixture_deviations(fx: Fixture) -> list[tuple[str, float, float]]:
                             robust_davis_price(spec, payoff, 0.1, robust)))
     elif fx.name == "binomial_exp":
         q = params["q"]
+        # pi* = ln((1-a)/a)/(2 gamma) grows without bound as a -> 0; A keeps
+        # it interior
+        half = max(10.0, 2.0 * abs(fx.pi_star))
         spec = ProblemSpec(model=make_model({"kind": "binomial", "a": params["a"]}),
                            utility=exponential(params["gamma"]),
-                           action_space=StateSpace.interval(-10.0, 10.0),
+                           action_space=StateSpace.interval(-half, half),
                            order=WassersteinOrder(_p_for_q(q)))
         sol = solve_baseline(spec)
         out += [("pi_star", fx.pi_star, sol.pi_star_scalar),

@@ -32,7 +32,17 @@ finite p (certified numerical oracle)
     one refinement pass to the next, so each pass brackets it next to the
     previous pass's value and searches only the atoms and grid cells between
     the two bracket plans; the base grids depend only on the atoms' extents
-    and are built once (``_displacement_grid``). Displacements are capped by the
+    and are built once (``_displacement_grid``). One outer search calls the
+    oracle at strategies ever closer together, so ``robust_solve_p`` keeps an
+    oracle memory (``_OracleMemory``) of the last call's passes: their
+    displacement and cost arrays, binding multipliers and active
+    displacements. A refined grid is a deterministic function of the grids
+    and active displacements before it, so while a pass's active
+    displacements match the last call's, the next pass takes the last call's
+    arrays unchanged and evaluates only the objective; and each pass seeds
+    its multiplier search with the last call's multiplier there, scaled by
+    the ratio of the strategies. Neither changes the program solved, only
+    the work of building and bracketing it. Displacements are capped by the
     state space S; the cap is what keeps the infimum finite (for utilities
     with a finite domain edge or an exponential tail the uncapped infimum is
     -inf), so S with unbounded sides in the displacement direction is
@@ -102,6 +112,8 @@ _ORACLE_MAX_ATOMS = 16
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
 _GRID_POINTS = 1200  # base points per atom's displacement grid
 _REFINEMENTS = 3  # refinement passes after the base grid
+_PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relative
+_SEED_WIDTH = 1e-2  # widest relative probe step a seed from the last oracle call gets
 _EPS = float(np.finfo(float).eps)
 
 
@@ -274,7 +286,7 @@ def _displacement_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
 
 
 def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
-                      budget: float, lam0: float = 0.0
+                      budget: float, lam0: float = 0.0, width: float = 1e-2
                       ) -> tuple[np.ndarray, np.ndarray, float]:
     """Grid cells (j_hi, j_lo), one per row, of two argmin plans of
     val + lam * cost that are both optimal at the multiplier lam where the
@@ -287,9 +299,12 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
     Each plan J is a line A_J + lam S_J (value plus lam times spend) under
     the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
 
-    Bracket: a guess lam0 > 0 (the previous refinement pass's multiplier) is
-    probed at lam0 (1 -+ 1e-2); a probe that lands on the wrong side of the
-    budget leaves that end to the plain argmin (lam = 0) or the
+    Bracket: a guess lam0 > 0 (the previous pass's or oracle call's
+    multiplier) is probed at lam0 (1 - width), then on the other side of the
+    budget's multiplier at lam0 (1 + width) or, if the first probe spends
+    within the budget, at lam0 (1 - 8 width); each probe that lands on the
+    same side again widens the step x8. Past lam = 0 below or _PROBE_REACH
+    lam0 above, that end falls to the plain argmin (lam = 0) or the
     zero-displacement plan (lam = inf), the bracket of a cold start.
     Steps: each evaluates Phi where the lines of j_hi and j_lo cross and
     replaces the plan on the same side of the budget, until Phi there is no
@@ -304,12 +319,25 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
         raise NumericalFailure("displacement grid lost the zero-displacement point")
     j_hi = j_lo = None
     if lam0 > 0.0:
-        for lam in (lam0 * (1.0 - 1e-2), lam0 * (1.0 + 1e-2)):
-            j = np.argmin(val + lam * cost, axis=1)
-            if w @ cost[rows, j] <= budget:
-                j_hi = j
-                break
-            j_lo = j
+        step = max(width, _EPS)
+        j = np.argmin(val + lam0 * (1.0 - step) * cost, axis=1)
+        if w @ cost[rows, j] <= budget:
+            j_hi = j  # the binding multiplier lies below: widen down
+            while j_lo is None and (step := 8.0 * step) < 1.0:
+                j = np.argmin(val + lam0 * (1.0 - step) * cost, axis=1)
+                if w @ cost[rows, j] <= budget:
+                    j_hi = j
+                else:
+                    j_lo = j
+        else:
+            j_lo = j  # the binding multiplier lies above: widen up
+            while j_hi is None and step < _PROBE_REACH:
+                j = np.argmin(val + lam0 * (1.0 + step) * cost, axis=1)
+                if w @ cost[rows, j] <= budget:
+                    j_hi = j
+                else:
+                    j_lo = j
+                    step *= 8.0
     if j_lo is None:
         j_lo = np.argmin(val, axis=1)
         if w @ cost[rows, j_lo] <= budget:
@@ -352,9 +380,35 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
     raise NumericalFailure("multiplier search did not settle on a breakpoint")
 
 
+@dataclass
+class _Pass:
+    """One refinement pass of a transport program: the (atoms x width)
+    displacements, each row an atom's grid sorted by cost and padded, the
+    grid sizes, the costs, the binding multiplier, and each atom's active
+    displacements (the cells its plan uses)."""
+
+    sizes: list[int]
+    disp: np.ndarray
+    cost: np.ndarray
+    lam: float
+    active: list[set[float]]
+
+
+@dataclass
+class _OracleMemory:
+    """The passes of the last oracle call of one outer search, at strategy
+    ``pi`` on the displacement bounds ``bounds``. ``robust_solve_p`` keeps
+    one per solve and hands it to every oracle call it makes."""
+
+    pi: float = math.nan
+    bounds: tuple[np.ndarray, np.ndarray] | None = None
+    passes: list[_Pass] = dataclasses.field(default_factory=list)
+
+
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
                         p: float, budget: float, f: Callable[[np.ndarray], np.ndarray],
-                        kinks: tuple[float, ...] = ()
+                        kinks: tuple[float, ...] = (), memory: _OracleMemory | None = None,
+                        pi: float = math.nan
                         ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
     subject to sum_i w_i E|s_i|^p <= budget and s_i in [s_lo_i, s_hi_i].
@@ -374,16 +428,34 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     Exactness: on the displacement grids the problem is the linear program
     min sum_ij w_i m_ij f(x_i + s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
     sum_j m_ij = 1, m >= 0, whose Lagrangian dual is a search over one
-    multiplier (``_multiplier_plans``). Each refinement pass hands its
-    binding multiplier to the next as the guess that search brackets first,
-    and the base grids come from the ``_displacement_grid`` cache. Every
-    atom on which the two plans optimal at the binding multiplier differ is
-    indifferent between its two cells, so starting from the cheaper plan and
-    moving atoms to their cell in the dearer one until the budget is spent
-    is optimal; generically one atom is split. The only gap to the true
-    continuum optimum is grid resolution, which the refinement passes shrink
-    around the active displacements: each pass lays 33 points across s +- the
-    wider grid cell next to every active displacement s.
+    multiplier (``_multiplier_plans``). Every atom on which the two plans
+    optimal at the binding multiplier differ is indifferent between its two
+    cells, so starting from the cheaper plan and moving atoms to their cell
+    in the dearer one until the budget is spent is optimal; generically one
+    atom is split. The only gap to the true continuum optimum is grid
+    resolution, which the refinement passes shrink around the active
+    displacements: each pass lays 33 points across s +- the wider grid cell
+    next to every active displacement s.
+
+    Memory: ``memory`` (an outer search's, over strategies pi = ``pi``
+    with f = u(pi y) on one x, w, p and budget; ball infima and direct
+    callers pass none) holds the last call's passes and takes this call's on
+    return. The base grids follow from the bounds alone
+    (``_displacement_grid``), and each refined grid from the grids and
+    active displacements before it. So while a pass's active displacements
+    equal the last call's at that pass, the next pass takes the last call's
+    displacement and cost arrays as they are and evaluates only f: they are
+    the arrays this call would build. (A pass keeps no grids: they are its
+    rows, sorted back, the first time a pass differs.) The multiplier search
+    is seeded with the last call's multiplier at the same pass times
+    pi / pi_last, probed 2 |pi - pi_last| / |pi| either side, while that
+    width is at most _SEED_WIDTH; otherwise with this call's previous pass's
+    multiplier, probed half its drift over the pass before (1e-2 on pass 1;
+    pass 0 starts cold). A seed only brackets the same binding multiplier
+    sooner, so neither reuse changes the program that is solved; plans tied
+    to rounding at the binding multiplier (its search stops within the
+    rounding of the dual) can resolve another way, as between a warm and a
+    cold bracket.
     """
     n = x.shape[0]
     rows = np.arange(n)
@@ -393,25 +465,43 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         at = {k - x[i]: k for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]}
         grids.append(np.unique(np.concatenate([grid, list(at)])) if at else grid)
         kink_at.append(at)
+    last: list[_Pass] = []  # the last call's passes, on this call's base grids
+    if (memory is not None and memory.bounds is not None
+            and np.array_equal(memory.bounds[0], s_lo) and np.array_equal(memory.bounds[1], s_hi)):
+        last = memory.passes
+        seed_width = 2.0 * abs(pi - memory.pi) / abs(pi)
+    passes: list[_Pass] = []
+    same = bool(last)  # this pass's grids are the last call's
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
-    lam = 0.0
+    lam = lam_before = 0.0
     for pass_ in range(_REFINEMENTS + 1):
-        # padded (atoms x grid) arrays, each row sorted by cost; pad cells
-        # cost nothing and are never chosen
-        size = max(g.size for g in grids)
-        disp = np.zeros((n, size))
-        val = np.full((n, size), np.inf)
-        for i, s in enumerate(grids):
-            s = s[np.argsort(np.abs(s), kind="stable")]
-            disp[i, :s.size] = s
+        if same:
+            sizes, disp, cost = last[pass_].sizes, last[pass_].disp, last[pass_].cost
+        else:
+            # padded (atoms x grid) arrays, each row sorted by cost; pad
+            # cells cost nothing and are never chosen
+            sizes = [g.size for g in grids]
+            disp = np.zeros((n, max(sizes)))
+            for i, g in enumerate(grids):
+                disp[i, :g.size] = g[np.argsort(np.abs(g), kind="stable")]
+            cost = np.abs(disp) ** p
+        val = np.full(disp.shape, np.inf)
+        for i, size in enumerate(sizes):
+            s = disp[i, :size]
             y = x[i] + s
             for d, k in kink_at[i].items():
                 y[s == d] = k
-            val[i, :s.size] = f(y)
+            val[i, :size] = f(y)
         if np.isnan(val).any():
             raise NumericalFailure("objective is NaN on a displacement grid")
-        cost = np.abs(disp) ** p
-        j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam)
+        if pass_ < len(last) and seed_width <= _SEED_WIDTH:
+            lam0, width = last[pass_].lam * (pi / memory.pi), seed_width
+        elif pass_ >= 2 and lam > 0.0:
+            lam0, width = lam, 0.5 * abs(lam - lam_before) / lam
+        else:
+            lam0, width = lam, 1e-2
+        lam_before = lam
+        j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam0, width)
         # share of each atom moved from its j_hi cell to its j_lo cell
         moved = np.zeros(n)
         # (the search sums spends in another order: ulps over are shed below)
@@ -449,17 +539,23 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
                                      for i, j, _ in kept]),
                     np.array([w[i] * m for i, _, m in kept]),
                     np.array([i for i, _, _ in kept]))
+        active = [{disp[i, j] for j, _ in pieces[i]} for i in range(n)]
+        passes.append(_Pass(sizes, disp, cost, lam, active))
         if pass_ == _REFINEMENTS:
             break  # no pass left to use a refined grid
+        if same and pass_ + 1 < len(last) and active == last[pass_].active:
+            continue  # the last call refined these grids to its next ones
+        if same:  # the grids are the rows, sorted back
+            grids = [np.sort(disp[i, :size]) for i, size in enumerate(sizes)]
+            same = False
         # refine around the active displacements of each displaced atom
         changed = False
         for i in range(n):
-            active = {disp[i, j] for j, _ in pieces[i]}
-            if active == {0.0}:
+            if active[i] == {0.0}:
                 continue  # atom never moved; nothing to refine
             grid = grids[i]
             extra = []
-            for s_star in active:
+            for s_star in active[i]:
                 j = int(np.searchsorted(grid, s_star))  # grid[j] == s_star
                 gap = max(grid[min(j + 1, grid.size - 1)] - s_star,
                           s_star - grid[max(j - 1, 0)])
@@ -472,11 +568,14 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         if not changed:
             break
     assert best is not None
+    if memory is not None:
+        memory.pi, memory.bounds, memory.passes = pi, (s_lo, s_hi), passes
     return best
 
 
 def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
-                        order) -> tuple[float, DiscreteMeasure]:
+                        order, memory: _OracleMemory | None = None
+                        ) -> tuple[float, DiscreteMeasure]:
     """Certified inner infimum inf_{W_p(P~,P) <= delta} E_{P~}[u(pi X)] (d=1).
 
     Each atom moves against the position (displacement capped by the state
@@ -484,7 +583,9 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     transport program above, with objective u(pi y) at positions y.
     Unbounded S in the displacement direction is rejected: there the infimum
     is genuinely -inf (a vanishing-mass fragment sent to the domain edge or
-    along an exponential tail).
+    along an exponential tail). ``memory`` carries one outer search's
+    passes from call to call (``_transport_minimize``); it is for calls on
+    one P, utility, delta and order only.
     """
     if P.dim != 1:
         raise ConfigError("the adversary oracle is implemented for d = 1")
@@ -535,7 +636,8 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     else:
         s_lo, s_hi = np.zeros_like(x), extents
     value, pts, masses, atoms = _transport_minimize(
-        x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y))
+        x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y),
+        memory=memory, pi=pi_s)
     adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
     return float(value), adversary
@@ -586,10 +688,11 @@ def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
     u = spec.utility
     cache: dict[float, tuple[float, DiscreteMeasure]] = {}
     slopes: dict[float, float] = {}
+    memory = _OracleMemory()  # each oracle call starts from the last one's passes
 
     def inner(pi_val: float) -> tuple[float, DiscreteMeasure]:
         if pi_val not in cache:
-            cache[pi_val] = adversary_inner_inf(model, u, pi_val, delta, spec.order)
+            cache[pi_val] = adversary_inner_inf(model, u, pi_val, delta, spec.order, memory)
         return cache[pi_val]
 
     def slope(t: float) -> float:

@@ -688,6 +688,29 @@ def test_oracle_check_near_p_one_is_finite(tmp_path, capsys):
         assert values[f"{name}_err"] <= 1e-12 * max(1.0, abs(fixture_value)), name
 
 
+def test_oracle_check_capped_exp_limit_out_of_float_range_exits_two(tmp_path, capsys):
+    # exp((q - 1) mu^2/sigma^2 / 2) at q = 1000, mu^2/sigma^2 = 6.25 is past
+    # float range: a typed config error, not an internal failure
+    cfg = {"fixture": {"name": "capped_exp_limit",
+                       "params": {"mu": 0.5, "sigma": 0.2, "q": 1000}}}
+    rc = cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "q = 1000" in err and "mu^2/sigma^2 = 6.25" in err
+
+
+def test_oracle_check_binomial_exp_keeps_a_far_optimum_interior(tmp_path, capsys):
+    # pi* = ln((1-a)/a)/2 = 10.36 at a = 1e-9, past the old box [-10, 10]
+    cfg = {"fixture": {"name": "binomial_exp", "params": {"a": 1e-9}}}
+    rc = cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)])
+    header, rows, _ = read_result_csv(capsys.readouterr().out)
+    assert rc == 0
+    values = dict(zip(header, rows[0]))
+    assert values["pi_star_fixture"] == pytest.approx(10.3616329, rel=1e-8)
+    for name in ("pi_star", "V0", "value_prime0", "kl_prime0"):
+        assert values[f"{name}_err"] <= 1e-8 * max(1.0, abs(values[f"{name}_fixture"])), name
+
+
 def test_oracle_check_needs_fixture_section(tmp_path, capsys):
     rc = cli.main(["oracle-check", "--config", write_config(tmp_path, {})])
     assert rc == 2
