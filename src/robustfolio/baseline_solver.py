@@ -341,15 +341,47 @@ def _finite_end(grad: Callable[[float], float], sign: float, other: float) -> fl
     return t
 
 
+def _bracket_from(grad: Callable[[float], float], start: float, step: float,
+                  lo: float, hi: float) -> tuple[float, float]:
+    """A part of [lo, hi] that holds the maximizer of a concave function,
+    from a ``start`` in [lo, hi]: steps go the way the gradient points
+    there, to start +- step, +- 2 step, +- 4 step, ..., until the gradient
+    at one points back (or is 0); the part runs from the point before it to
+    it, or to the end of [lo, hi] once a step reaches that end.
+
+    ``_finite_end`` doubles the same way but from 0, asks no gradient at a
+    start and keeps the finite end as the bracket's other side; a search
+    without a start (the baseline, p = inf) keeps it, since that bracket,
+    and so every Brent step and the bits of its answer, would change."""
+    g = grad(start)
+    if g == 0.0:
+        return start, start
+    sign, end = (1.0, hi) if g > 0.0 else (-1.0, lo)
+    near = start
+    while (t := start + sign * step) * sign < end * sign:
+        if grad(t) * sign <= 0.0:
+            end = t
+            break
+        near, step = t, 2.0 * step
+    return (near, end) if sign > 0.0 else (end, near)
+
+
 def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
-                    stop: Callable[[float, float, float], bool] | None = None
+                    stop: Callable[[float, float, float], bool] | None = None,
+                    start: float | None = None, step: float = math.inf
                     ) -> tuple[float, bool]:
     """Maximizer on [lo, hi] of a concave function from its nonincreasing
     (super)gradient: an end where the gradient's sign pins it (flagged True),
     else the gradient's root, bracketed to ~1e-15 or until ``stop`` (as
-    ``brentq`` takes it) holds. An infinite end gives way to a finite one
-    (``_finite_end``) first. The end tests and Brent ask ``grad`` for the
-    same ends, so a costly ``grad`` should remember its values."""
+    ``brentq`` takes it) holds. A ``start`` next to the maximizer narrows
+    [lo, hi] first (``_bracket_from``, with steps from ``step``). An
+    infinite end gives way to a finite one (``_finite_end``). The end tests
+    and Brent ask ``grad`` for the same points, so a costly ``grad`` should
+    remember its values."""
+    if start is not None:
+        lo, hi = _bracket_from(grad, start, step, lo, hi)
+        if lo == hi:
+            return lo, grad(lo) != 0.0
     if math.isinf(lo):
         lo = _finite_end(grad, -1.0, hi)
     if math.isinf(hi):

@@ -60,10 +60,24 @@ case. A pi = 0 answer so calls no oracle. On the chosen side in-tree Brent
 brackets the root of the slope, E[X u'(pi X)] on the moved atoms at p = inf
 and, by Danskin's theorem, on the oracle's worst case P* at finite p, unless
 its sign pins an end (``_concave_argmax``). At p = inf it brackets to
-~1e-15. At finite p it stops once |slope| times the bracket width, which by
-concavity bounds how far V can still rise, is within V's rounding
-(8 eps E|u| on the worst case): past that point its steps only bisect the
-small jumps of the oracle's grid slope.
+~1e-15 from the ends of the side.
+
+At finite p each oracle call costs milliseconds, so the search starts next
+to the answer: at the paper's first-order strategy pi*(0) + delta pi*'(0)
+(the baseline solve and ``sensitivity.optimizer_sensitivity``), at pi*(0)
+where those closed forms refuse (an optimum pinned on A, pi* = 0, an atom
+on the edge of S), and along a radius grid on the line through the two
+solved radii below (``solve_delta_grid``), always clipped into the chosen
+side. From a start inside the side it steps the way the slope points, first
+by the Newton step of the worst case at the start, then doubling, until the
+slope turns (``baseline_solver._bracket_from``), and hands that bracket to
+Brent; a start on an end of the side (an optimum pinned on A) leaves Brent
+the whole side, as without a start. It stops once |slope| times the
+bracket width, which by concavity bounds how far V can still rise, is
+within V's rounding (8 eps E|u| on the worst case): past that point its
+steps only bisect the small jumps of the oracle's grid slope. The start changes the oracle calls, not the answer: V
+is concave, so every bracket of the slope's root holds the same maximizer,
+and the same stop ends the search at it to V's rounding.
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -98,7 +112,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, Payoff,
+from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, BaselineSolution, Payoff,
                               ProblemSpec, _concave_argmax, _concave_max_raw,
                               _feasible_interval_raw, solve_baseline)
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
@@ -285,6 +299,34 @@ def _displacement_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     return grid
 
 
+def _first_twin(disp: np.ndarray, j_hi: np.ndarray, j_lo: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Both plans' cells, each moved to the first of its twins. Windows that
+    overlap lay one displacement twice, a few ulps apart; two such cells tie
+    at the binding multiplier, and which one a plan takes would hang on the
+    path of the multiplier search (a warm and a cold bracket part there).
+    Rows are sorted by cost, so a twin sits one cell before, or two with a
+    mirror point of equal cost between. (A loop over rows: it took a
+    quarter of the time of the same check in array operations.)"""
+    def first(row: np.ndarray, j: int) -> int:
+        while j > 0:
+            s = row[j]
+            tol = 4.0 * _EPS * abs(s)
+            if abs(s - row[j - 1]) < tol:
+                j -= 1
+            elif j > 1 and abs(s - row[j - 2]) < tol:
+                j -= 2
+            else:
+                break
+        return j
+
+    hi, lo = j_hi.copy(), j_lo.copy()
+    for i, (a, b) in enumerate(zip(j_hi.tolist(), j_lo.tolist())):
+        hi[i] = first(disp[i], a)
+        lo[i] = hi[i] if b == a else first(disp[i], b)
+    return hi, lo
+
+
 def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
                       budget: float, lam0: float = 0.0, width: float = 1e-2
                       ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -448,14 +490,17 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     the arrays this call would build. (A pass keeps no grids: they are its
     rows, sorted back, the first time a pass differs.) The multiplier search
     is seeded with the last call's multiplier at the same pass times
-    pi / pi_last, probed 2 |pi - pi_last| / |pi| either side, while that
-    width is at most _SEED_WIDTH; otherwise with this call's previous pass's
-    multiplier, probed half its drift over the pass before (1e-2 on pass 1;
-    pass 0 starts cold). A seed only brackets the same binding multiplier
+    pi / pi_last, probed 2 |pi - pi_last| / |pi| either side (at most 0.5)
+    on pass 0, and on later passes while that width is at most _SEED_WIDTH;
+    otherwise with this call's previous pass's multiplier, probed half its
+    drift over the pass before (1e-2 on pass 1; the first call's pass 0
+    starts cold). A seed only brackets the same binding multiplier
     sooner, so neither reuse changes the program that is solved; plans tied
     to rounding at the binding multiplier (its search stops within the
     rounding of the dual) can resolve another way, as between a warm and a
-    cold bracket.
+    cold bracket. Twin cells, one displacement laid twice an ulp or so
+    apart where refinement windows overlap, are such a tie, so a plan takes
+    the first of them (``_first_twin``).
     """
     n = x.shape[0]
     rows = np.arange(n)
@@ -494,14 +539,15 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             val[i, :size] = f(y)
         if np.isnan(val).any():
             raise NumericalFailure("objective is NaN on a displacement grid")
-        if pass_ < len(last) and seed_width <= _SEED_WIDTH:
-            lam0, width = last[pass_].lam * (pi / memory.pi), seed_width
+        if pass_ < len(last) and (pass_ == 0 or seed_width <= _SEED_WIDTH):
+            lam0, width = last[pass_].lam * (pi / memory.pi), min(seed_width, 0.5)
         elif pass_ >= 2 and lam > 0.0:
             lam0, width = lam, 0.5 * abs(lam - lam_before) / lam
         else:
             lam0, width = lam, 1e-2
         lam_before = lam
         j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam0, width)
+        j_hi, j_lo = _first_twin(disp, j_hi, j_lo)
         # share of each atom moved from its j_hi cell to its j_lo cell
         moved = np.zeros(n)
         # (the search sums spends in another order: ulps over are shed below)
@@ -654,19 +700,46 @@ def _slopes_at_zero(spec: ProblemSpec, delta: float) -> tuple[float, float]:
     return right, left
 
 
-def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
-    """Outer concave search over A of the certified inner infimum (finite p, d=1)."""
+def _check_finite_p(spec: ProblemSpec, radii) -> None:
+    """What a finite-p solve needs before any solve: a finite order, d = 1,
+    radii finite and >= 0, and no degenerate exponential tail."""
     if spec.order.is_inf:
         raise ConfigError("robust_solve_p needs a finite order (use robust_solve_inf)")
     if spec.dim != 1:
         raise ConfigError("the finite-order solver is implemented for d = 1")
-    _check_radius(delta)
+    for delta in radii:
+        _check_radius(delta)
     degeneracy_guard(spec)
-    if delta == 0.0:
+
+
+def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution) -> RobustSolution:
+    """The finite-p solution at delta = 0: the baseline's."""
+    return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
+                          adversary=spec.model, transport_cost=0.0, method="finite_p_oracle")
+
+
+def _first_order_rate(spec: ProblemSpec, base: BaselineSolution) -> float:
+    """pi*'(0), the optimizer's closed-form slope in delta; 0 where the
+    closed forms refuse (an optimum pinned on A, pi* = 0, an atom on the
+    edge of S), so the first-order strategy is pi*(0) there."""
+    try:
+        return float(optimizer_sensitivity(spec, base)[0][0])
+    except AssumptionViolation:
+        return 0.0
+
+
+def robust_solve_p(spec: ProblemSpec, delta: float, *,
+                   _start: float | None = None) -> RobustSolution:
+    """Outer concave search over A of the certified inner infimum (finite p,
+    d=1), started at the first-order strategy pi*(0) + delta pi*'(0), or at
+    ``_start``, the start a radius grid takes from the radii below
+    (``solve_delta_grid``)."""
+    _check_finite_p(spec, [delta])
+    if _start is None:
         base = solve_baseline(spec)
-        return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
-                              adversary=spec.model, transport_cost=0.0,
-                              method="finite_p_oracle")
+        if delta == 0.0:
+            return _at_radius_zero(spec, base)
+        _start = base.pi_star_scalar + delta * _first_order_rate(spec, base)
     space = spec.state_space
     corners = np.array([space.lower[0], space.upper[0]])
     if not np.all(np.isfinite(corners)):
@@ -717,7 +790,20 @@ def robust_solve_p(spec: ProblemSpec, delta: float) -> RobustSolution:
     lo, hi = _side_of_zero(lo, hi, lambda: slope(at), lambda: slope(-at), at)
     if lo == hi:
         return _zero_answer(spec, delta, "finite_p_oracle")
-    pi, _ = _concave_argmax(slope, lo, hi, settled)
+    start, step = min(max(_start, lo), hi), math.inf
+    if not lo < start < hi:
+        start = None  # on an end of the side: Brent from the ends, which it asks anyway
+    else:
+        # the Newton step of the expected utility on the worst case at the
+        # start, which touches V there from above: V curves at least as
+        # much, so the step tends to pass the slope's root and bracket it
+        # (no extra oracle call: the start's slope needs its worst case)
+        _, adv = inner(start)
+        y = adv.support_1d
+        curvature = -float(adv.weights @ (y * y * u.u_double_prime(start * y)))
+        if curvature > 0.0:
+            step = abs(slope(start)) / curvature
+    pi, _ = _concave_argmax(slope, lo, hi, settled, start, step)
     value, adversary = inner(pi)
     return _certified(spec, delta, pi, value, adversary, "finite_p_oracle")
 
@@ -732,19 +818,41 @@ def robust_solve(spec: ProblemSpec, delta: float) -> RobustSolution:
 def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
     """Solve along a radius grid and enforce V(delta) nonincreasing.
 
-    A violation beyond slack flags an oracle failure rather than being
-    returned as data."""
+    Each distinct radius is solved once, in ascending order, and the
+    solutions come back in the order of ``deltas``. At finite p the
+    baseline is solved once, and each radius starts its search on the line
+    through the two solved radii below it, (0, pi*(0)) counting as one;
+    above (0, pi*(0)) alone that line is the first-order strategy
+    pi*(0) + delta pi*'(0). A violation of monotonicity beyond slack flags
+    an oracle failure rather than being returned as data."""
     deltas = [float(d) for d in deltas]
-    solutions = [robust_solve(spec, d) for d in deltas]
-    order = np.argsort(deltas)
-    for a, b in zip(order[:-1], order[1:]):
-        slack = 1e-9 * (1.0 + abs(solutions[a].V_delta))
-        if solutions[b].V_delta > solutions[a].V_delta + slack:
+    radii = sorted(set(deltas))
+    solutions = []
+    if spec.order.is_inf:
+        solutions = [robust_solve_inf(spec, d) for d in radii]
+    elif radii:
+        _check_finite_p(spec, radii)
+        base = solve_baseline(spec)
+        # the line's last solved point (d0, pi0), and its slope
+        d0, pi0, rate = 0.0, base.pi_star_scalar, _first_order_rate(spec, base)
+        for d in radii:
+            if d == 0.0:
+                solutions.append(_at_radius_zero(spec, base))
+                continue
+            # through robust_solve_p, so that each radius is one finite-p
+            # solve to whatever wraps that name (bench/spans.py counts there)
+            sol = robust_solve_p(spec, d, _start=pi0 + (d - d0) * rate)
+            rate = (sol.pi_delta_scalar - pi0) / (d - d0)
+            d0, pi0 = d, sol.pi_delta_scalar
+            solutions.append(sol)
+    for a, b in zip(solutions[:-1], solutions[1:]):
+        slack = 1e-9 * (1.0 + abs(a.V_delta))
+        if b.V_delta > a.V_delta + slack:
             raise NumericalFailure(
                 f"robust value increased along the radius grid: "
-                f"V({deltas[a]}) = {solutions[a].V_delta} < "
-                f"V({deltas[b]}) = {solutions[b].V_delta}")
-    return solutions
+                f"V({a.delta}) = {a.V_delta} < V({b.delta}) = {b.V_delta}")
+    solved = dict(zip(radii, solutions))
+    return [solved[d] for d in deltas]
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,29 @@ def test_concave_argmax_refuses_a_slope_that_never_turns():
         _concave_argmax(lambda t: -1.0, -math.inf, 1.0)
 
 
+def test_concave_argmax_brackets_from_a_start():
+    # from a start, steps double the way the gradient points until it turns:
+    # 0 + 0.5, 1, 2, 4 passes the root at 3, and the ends are never asked for
+    asked = []
+
+    def grad(t):
+        asked.append(t)
+        return 3.0 - t
+
+    pi, pinned = _concave_argmax(grad, -10.0, 10.0, start=0.0, step=0.5)
+    assert asked[:5] == [0.0, 0.5, 1.0, 2.0, 4.0]
+    assert -10.0 not in asked and 10.0 not in asked
+    assert pi == pytest.approx(3.0, abs=1e-14) and not pinned
+    # a step past an end brackets with that end, which the gradient pins
+    assert _concave_argmax(lambda t: -5.0 - t, -2.0, 10.0, start=4.0, step=1.0) == (-2.0, True)
+    # a start on an end the gradient points out of, and a start on the root
+    assert _concave_argmax(lambda t: 7.0 - t, -10.0, 5.0, start=5.0, step=0.5) == (5.0, True)
+    assert _concave_argmax(lambda t: 7.0 - t, -10.0, 10.0, start=7.0, step=0.5) == (7.0, False)
+    # an infinite step brackets with the end, as a search without a start
+    pi, _ = _concave_argmax(lambda t: 3.0 - t, 0.0, math.inf, start=1.0)
+    assert pi == pytest.approx(3.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("x, w, utility, a_lo, a_hi, endowment", [
     ([-1.0, 1.0], [0.25, 0.75], rf.log_shifted(1.0), -0.95, 0.95, 0.0),  # root
     ([-1.0, 1.0], [0.1, 0.9], rf.log_shifted(1.0), -0.5, 0.5, 0.0),  # pinned at A's end

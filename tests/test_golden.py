@@ -67,16 +67,18 @@ def test_benchmark_traced_names_resolve():
 
 
 # adversary_inner_inf calls per finite_p op: the outer search takes its
-# slopes at 0 in closed form and stops once V cannot rise past its rounding,
-# so a pi = 0 answer (davis-zeromean) calls the oracle not at all
+# slopes at 0 in closed form, starts next to the answer (the first-order
+# strategy, or the line through the radii below) and stops once V cannot
+# rise past its rounding, so a pi = 0 answer (davis-zeromean) calls the
+# oracle not at all
 ORACLE_CALLS = {
-    "grid-binomial.a=0.25": 36,
-    "grid-binomial.a=0.3": 30,
-    "grid-binomial.a=0.35": 30,
-    "solve-truncnormal.mu=0.17": 8,
+    "grid-binomial.a=0.25": 26,
+    "grid-binomial.a=0.3": 20,
+    "grid-binomial.a=0.35": 20,
+    "solve-truncnormal.mu=0.17": 5,
     "solve-truncnormal.mu=0.19": 6,
-    "solve-explicit6.weights=0.1-0.15-0.2-0.2-0.2-0.15": 7,
-    "solve-explicit6.weights=0.1-0.15-0.15-0.2-0.25-0.15": 7,
+    "solve-explicit6.weights=0.1-0.15-0.2-0.2-0.2-0.15": 5,
+    "solve-explicit6.weights=0.1-0.15-0.15-0.2-0.25-0.15": 5,
     "davis-zeromean.strike=0": 0,
     "davis-zeromean.strike=0.1": 0,
 }

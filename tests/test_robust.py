@@ -378,6 +378,25 @@ def test_robust_value_rises_with_the_order_and_falls_with_the_radius(spec, delta
         assert lower <= upper + 1e-9 * (1.0 + abs(upper))
 
 
+@settings(max_examples=12)
+@given(spec=bounded_problems(), p=st.sampled_from([1.5, 2.0, 3.0]), delta=st.floats(0.01, 0.12))
+def test_no_strategy_next_to_the_robust_p_answer_beats_it(spec, p, delta):
+    # a check on the answer, not on the search that found it: the inner
+    # infimum at pi_delta +- h, h at 1e-4 and 1e-7 of max(1, |pi_delta|),
+    # stays below V_delta up to V's rounding (8 eps E|u| on the worst case)
+    spec = dataclasses.replace(spec, order=rf.WassersteinOrder(p))
+    sol = rf.robust_solve_p(spec, delta)
+    pi = sol.pi_delta_scalar
+    y = sol.adversary.support_1d
+    rounding = 8.0 * EPS * float(sol.adversary.weights @ np.abs(spec.utility.u(pi * y)))
+    lo, hi = spec.action_space.lower[0], spec.action_space.upper[0]
+    for h in (1e-4, 1e-7):
+        for t in (pi - h * max(1.0, abs(pi)), pi + h * max(1.0, abs(pi))):
+            if lo <= t <= hi:
+                inner, _ = rf.adversary_inner_inf(spec.model, spec.utility, t, delta, spec.order)
+                assert sol.V_delta >= inner - rounding, (t, sol.V_delta - inner)
+
+
 def test_robust_p_delta_zero_is_baseline():
     spec = binomial_log_spec(0.25, p=2.0, state=(-1.25, 1.25),
                              action=(-0.75, 0.75))
@@ -645,7 +664,7 @@ def test_oracle_memory_leaves_the_answer_at_the_returned_strategy(name, family, 
 
 
 def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
-    # grid-binomial a = 0.25, 36 oracle calls over four radii: later calls
+    # grid-binomial a = 0.25, 26 oracle calls over four radii: later calls
     # take refined passes from the call before, and every call returns what
     # a memory-free call returns
     reused = []
@@ -665,9 +684,23 @@ def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
     monkeypatch.setattr(robust_solver, "_transport_minimize", traced)
     finite_p_solutions("grid-binomial", 0.25)
     passes = robust_solver._REFINEMENTS + 1
-    assert len(reused) == 36
-    assert sum(1 for k in reused if k >= 2) == 20  # one refined pass or more
-    assert reused.count(passes) == 11
+    assert len(reused) == 26
+    assert sum(1 for k in reused if k >= 2) == 19  # one refined pass or more
+    assert reused.count(passes) == 16
+
+
+def test_a_plan_takes_the_first_of_twin_cells():
+    # overlapping refinement windows lay one displacement twice, an ulp
+    # apart (as on grid-binomial a = 0.25 at delta = 0.1): a plan on either
+    # twin takes the first, nearer 0, even past a mirror point of equal cost
+    s = -0.16235392320534223
+    disp = np.array([[0.0, 0.1, s, np.nextafter(s, -1.0), 0.2],
+                     [0.0, -0.1, 0.1, np.nextafter(0.1, 1.0), 0.3],
+                     [0.0, 0.1, -0.1, np.nextafter(0.1, 1.0), 0.3]])
+    j_hi, j_lo = np.array([3, 3, 3]), np.array([4, 3, 2])
+    hi, lo = robust_solver._first_twin(disp, j_hi, j_lo)
+    assert hi.tolist() == [2, 2, 1] and lo.tolist() == [4, 2, 2]
+    assert j_hi.tolist() == [3, 3, 3] and j_lo.tolist() == [4, 3, 2]
 
 
 def test_oracle_memory_lives_in_one_solve():
@@ -690,13 +723,57 @@ def test_robust_p_asks_the_oracle_once_per_strategy(oracle_calls):
 def test_robust_p_stops_at_the_rounding_of_v_across_a_slope_jump(oracle_calls):
     # binomial(0.25) at delta = 0.1, p = 2: the oracle's slope jumps by 4e-7
     # near the optimum, which the search used to bisect to xtol 1e-15 in 39
-    # oracle calls. It now stops once no step can raise V past its rounding;
+    # oracle calls. It now starts next to the optimum, at pi*(0) +
+    # delta pi*'(0), and stops once no step can raise V past its rounding;
     # V and pi were recorded with that full bisection.
     sol = rf.robust_solve_p(criterion_08_spec(2.0), 0.1)
     assert abs(sol.V_delta - 0.08179905705942825) <= 1e-15
     assert abs(sol.pi_delta_scalar - 0.3771708636963544) <= 1e-8
     assert sol.transport_cost <= 0.1
-    assert len(oracle_calls) == 14
+    assert len(oracle_calls) == 11
+
+
+def test_robust_p_starts_a_baseline_pinned_on_a_at_its_end(oracle_calls):
+    # truncnormal mu = 0.19: pi* sits on the end 18 of A, where the closed
+    # forms refuse, so the start pi*(0) = 18 is an end of the side and the
+    # search runs from the ends as before: the same 6 oracle calls, V and pi
+    spec, radii, _ = load_bench("workloads").finite_p_instance("solve-truncnormal", 0.19)
+    assert rf.solve_baseline(spec).boundary
+    sol = rf.robust_solve_p(spec, radii[0])
+    assert oracle_calls[0] == 18.0
+    assert len(oracle_calls) == 6
+    assert sol.V_delta == -0.17688689883513126
+    assert sol.pi_delta_scalar == 17.826560978008644
+
+
+def test_delta_grid_solves_each_distinct_radius_once_in_ascending_order(monkeypatch):
+    # a repeated radius solves once, and 0 is the baseline point (0, pi*(0))
+    # that starts the radius line, so no line divides by a zero step
+    solved = []
+    solve = robust_solver.robust_solve_p
+
+    def traced(spec, delta, **kwargs):
+        solved.append(delta)
+        return solve(spec, delta, **kwargs)
+
+    monkeypatch.setattr(robust_solver, "robust_solve_p", traced)
+    spec = criterion_08_spec(2.0)
+    sols = rf.solve_delta_grid(spec, [0.1, 0.0, 0.1, 0.05])
+    assert solved == [0.05, 0.1]
+    assert [s.delta for s in sols] == [0.1, 0.0, 0.1, 0.05]
+    assert sols[0].V_delta == sols[2].V_delta
+    assert np.array_equal(sols[0].pi_delta, sols[2].pi_delta)
+    assert sols[1].V_delta == rf.solve_baseline(spec).V0
+    assert sols[1].V_delta > sols[3].V_delta > sols[0].V_delta
+    inf_sols = rf.solve_delta_grid(criterion_08_spec(math.inf), [0.1, 0.0, 0.1, 0.05])
+    assert [s.delta for s in inf_sols] == [0.1, 0.0, 0.1, 0.05]
+    assert inf_sols[0].V_delta == inf_sols[2].V_delta
+
+    # the monotonicity check still runs, on the sorted radii
+    monkeypatch.setattr(robust_solver, "robust_solve_p", lambda spec, delta, **kwargs: (
+        dataclasses.replace(solve(spec, delta, **kwargs), V_delta=1.0 + delta)))
+    with pytest.raises(NumericalFailure, match=r"V\(0.05\) = 1.05 < V\(0.1\) = 1.1"):
+        rf.solve_delta_grid(spec, [0.1, 0.1, 0.05])
 
 
 @pytest.mark.parametrize("delta, searches", [(0.1, 1), (0.6, 0)])
