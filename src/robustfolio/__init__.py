@@ -21,7 +21,8 @@ from .baseline_solver import (BaselineSolution, Payoff, ProblemSpec,
                               abs_shift_payoff, butterfly_payoff, call_payoff,
                               custom_payoff, davis_price, davis_price_via_root,
                               make_payoff, power_payoff, q_u_measure,
-                              solve_baseline, solve_with_endowment)
+                              solve_baseline, solve_baselines, solve_with_endowment,
+                              solve_with_endowments)
 from .sensitivity import (PreferenceComparison, SensitivityReport,
                           davis_sensitivity, degeneracy_guard,
                           kl_value_sensitivity, optimizer_sensitivity,
@@ -45,7 +46,7 @@ __all__ = [
     "BaselineSolution", "Payoff", "ProblemSpec", "abs_shift_payoff",
     "butterfly_payoff", "call_payoff", "custom_payoff", "davis_price",
     "davis_price_via_root", "make_payoff", "power_payoff", "q_u_measure",
-    "solve_baseline", "solve_with_endowment",
+    "solve_baseline", "solve_baselines", "solve_with_endowment", "solve_with_endowments",
     "PreferenceComparison", "SensitivityReport", "davis_sensitivity",
     "degeneracy_guard", "kl_value_sensitivity", "optimizer_sensitivity",
     "preference_compare", "sensitivity_report", "transport_direction",

@@ -27,19 +27,27 @@ Solver: the objective is strictly concave and both derivatives are exact atom
 sums, so d=1 uses a bracketing root find on the gradient with Newton polish,
 and d>1 uses damped projected Newton with a line search that keeps wealth
 inside the utility domain. Both 1-d root finds (the gradient root here and
-the Davis price root) use the in-tree Brent root finder ``_brent.brentq``.
+the Davis price root) use the in-tree Brent root finder (``_brent``). The
+d=1 solve is a generator (``_max_steps``) that yields each point whose
+gradient or curvature it needs and receives that value back, so it runs
+one problem alone (``_concave_max_raw``) or many in lockstep
+(``_concave_max_lanes``, behind ``solve_baselines`` and
+``solve_with_endowments``): the problems of a model family that share one
+Utility object pay one u' (or u'') call per solver round, on their stacked
+wealths, and each takes its own atom sum, so every answer has the bits of
+its solve alone.
 """
 
 from __future__ import annotations
 
-import functools
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._brent import brentq
+from ._brent import brent_steps, brentq, run
 from .errors import (ArbitrageError, BoundaryOptimumError, ConfigError,
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, WassersteinOrder, no_arbitrage_check
@@ -258,6 +266,13 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.model.dim
 
+    def with_order(self, order: WassersteinOrder) -> ProblemSpec:
+        """This problem under another transport order. None of the checks
+        of construction reads the order, so none runs again."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "order", order)
+        return spec
+
 
 def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
                            a_lo: float, a_hi: float) -> tuple[float, float]:
@@ -329,11 +344,11 @@ def _hessian(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     return (weighted[:, None] * spec.model.points).T @ spec.model.points
 
 
-def _finite_end(grad: Callable[[float], float], sign: float, other: float) -> float:
+def _finite_end(sign: float, other: float) -> Generator[float, float, float]:
     """The first of sign * (1, 2, 4, ...) beyond ``other`` at which the
     gradient points back toward ``other``, so that the maximizer lies between."""
     t = sign
-    while not ((t - other) * sign > 0.0 and grad(t) * sign < 0.0):
+    while not ((t - other) * sign > 0.0 and (yield t) * sign < 0.0):
         t *= 2.0
         if math.isinf(t):
             raise NumericalFailure("the gradient keeps its sign to the end of float range: "
@@ -341,8 +356,8 @@ def _finite_end(grad: Callable[[float], float], sign: float, other: float) -> fl
     return t
 
 
-def _bracket_from(grad: Callable[[float], float], start: float, step: float,
-                  lo: float, hi: float) -> tuple[float, float]:
+def _bracket_from(start: float, step: float, lo: float, hi: float
+                  ) -> Generator[float, float, tuple[float, float]]:
     """A part of [lo, hi] that holds the maximizer of a concave function,
     from a ``start`` in [lo, hi]: steps go the way the gradient points
     there, to start +- step, +- 2 step, +- 4 step, ..., until the gradient
@@ -353,87 +368,248 @@ def _bracket_from(grad: Callable[[float], float], start: float, step: float,
     start and keeps the finite end as the bracket's other side; a search
     without a start (the baseline, p = inf) keeps it, since that bracket,
     and so every Brent step and the bits of its answer, would change."""
-    g = grad(start)
+    g = yield start
     if g == 0.0:
         return start, start
     sign, end = (1.0, hi) if g > 0.0 else (-1.0, lo)
     near = start
     while (t := start + sign * step) * sign < end * sign:
-        if grad(t) * sign <= 0.0:
+        if (yield t) * sign <= 0.0:
             end = t
             break
         near, step = t, 2.0 * step
     return (near, end) if sign > 0.0 else (end, near)
 
 
+def _argmax_steps(lo: float, hi: float,
+                  stop: Callable[[float, float, float], bool] | None = None,
+                  start: float | None = None, step: float = math.inf
+                  ) -> Generator[float, float, tuple[float, bool]]:
+    """Maximizer on [lo, hi] of a concave function from its nonincreasing
+    (super)gradient, asked at the points this yields: an end where the
+    gradient's sign pins it (flagged True), else the gradient's root,
+    bracketed to ~1e-15 or until ``stop`` (as ``brent_steps`` takes it)
+    holds. A ``start`` next to the maximizer narrows [lo, hi] first
+    (``_bracket_from``, with steps from ``step``). An infinite end gives way
+    to a finite one (``_finite_end``). The end tests and Brent ask for the
+    same points, so a costly gradient should remember its values."""
+    if start is not None:
+        lo, hi = yield from _bracket_from(start, step, lo, hi)
+        if lo == hi:
+            return lo, (yield lo) != 0.0
+    if math.isinf(lo):
+        lo = yield from _finite_end(-1.0, hi)
+    if math.isinf(hi):
+        hi = yield from _finite_end(1.0, lo)
+    if (yield lo) <= 0.0:
+        return lo, True
+    if (yield hi) >= 0.0:
+        return hi, True
+    return (yield from brent_steps(lo, hi, 1e-15, 8.882e-16, 200, stop)), False
+
+
 def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
                     stop: Callable[[float, float, float], bool] | None = None,
                     start: float | None = None, step: float = math.inf
                     ) -> tuple[float, bool]:
-    """Maximizer on [lo, hi] of a concave function from its nonincreasing
-    (super)gradient: an end where the gradient's sign pins it (flagged True),
-    else the gradient's root, bracketed to ~1e-15 or until ``stop`` (as
-    ``brentq`` takes it) holds. A ``start`` next to the maximizer narrows
-    [lo, hi] first (``_bracket_from``, with steps from ``step``). An
-    infinite end gives way to a finite one (``_finite_end``). The end tests
-    and Brent ask ``grad`` for the same points, so a costly ``grad`` should
-    remember its values."""
-    if start is not None:
-        lo, hi = _bracket_from(grad, start, step, lo, hi)
-        if lo == hi:
-            return lo, grad(lo) != 0.0
-    if math.isinf(lo):
-        lo = _finite_end(grad, -1.0, hi)
-    if math.isinf(hi):
-        hi = _finite_end(grad, 1.0, lo)
-    if grad(lo) <= 0.0:
-        return lo, True
-    if grad(hi) >= 0.0:
-        return hi, True
-    return brentq(grad, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200, stop=stop), False
+    """``_argmax_steps`` on the gradient ``grad``, one point at a time."""
+    return run(_argmax_steps(lo, hi, stop, start, step), grad)
 
 
-def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
-                     a_lo: float, a_hi: float, endowment=0.0) -> tuple[float, bool]:
-    """Concave maximization of sum_i w_i u(pi x_i + e_i) over [a_lo, a_hi]
-    intersected with the domain-feasible interval, on raw arrays.
-
-    The gradient pi -> E[X u'(pi X + e)] is nonincreasing (strictly decreasing
-    off the linear branch of the capped utility), so its root — or the sign of
-    the gradient at the interval ends — pins the maximizer.
-    """
-    e = np.zeros(x.shape[0]) + endowment
-    lo, hi = _feasible_interval_raw(x, e, utility, a_lo, a_hi)
-    if not lo < hi:
-        raise DomainCompatibilityError("empty feasible strategy interval")
-    if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
-        x, w, e = x[w > 0.0], w[w > 0.0], e[w > 0.0]
-
-    @functools.cache  # the end tests, Brent and the polish share points
-    def grad(p: float) -> float:
-        return float(np.dot(w * utility.u_prime(p * x + e), x))
-
-    pi, pinned = _concave_argmax(grad, lo, hi)
+def _max_steps(lo: float, hi: float, a_lo: float, a_hi: float
+               ) -> Generator[float | tuple[float], float, tuple[float, bool]]:
+    """(maximizer, on A's boundary) on [lo, hi] of a lane's concave sum: the
+    gradient's root (``_argmax_steps``) or the end its sign pins, then two
+    Newton steps. It yields a point pi to ask for the gradient there and
+    the 1-tuple (pi,) to ask for the curvature there."""
+    pi, pinned = yield from _argmax_steps(lo, hi)
     if pinned:  # maximizer at an end (A-bound or domain-bound)
         return pi, True
     # Newton polish — the bracketing solve already gives ~1e-15, two damped
     # Newton steps push the residual to rounding level.
     for _ in range(2):
-        h = float(np.dot(w * utility.u_double_prime(pi * x + e), x * x))
+        h = yield (pi,)
         if h >= 0.0:
             break
-        pi = min(max(pi - grad(pi) / h, lo), hi)
+        pi = min(max(pi - (yield pi) / h, lo), hi)
     boundary = (abs(pi - a_lo) <= _BOUNDARY_TOL) or (abs(pi - a_hi) <= _BOUNDARY_TOL)
     return pi, boundary
+
+
+class _Lane:
+    """One concave maximization of sum_i w_i u(pi x_i + e_i) over [a_lo, a_hi]
+    intersected with the domain-feasible interval, on raw arrays: its atoms
+    and its steps (``_max_steps``), which ask for the gradient
+    E[X u'(pi X + e)] at a point pi and for the curvature
+    E[X^2 u''(pi X + e)] at a 1-tuple (pi,). ``memo`` keeps the answers,
+    since the end tests, Brent and the polish share points.
+
+    The gradient is nonincreasing in pi (strictly decreasing off the linear
+    branch of the capped utility), so its root — or the sign of the
+    gradient at the interval ends — pins the maximizer.
+    """
+
+    __slots__ = ("utility", "x", "xx", "w", "e", "steps", "memo")
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, utility: Utility,
+                 a_lo: float, a_hi: float, endowment=0.0) -> None:
+        e = np.zeros(x.shape[0]) + endowment
+        lo, hi = _feasible_interval_raw(x, e, utility, a_lo, a_hi)
+        if not lo < hi:
+            raise DomainCompatibilityError("empty feasible strategy interval")
+        if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
+            x, w, e = x[w > 0.0], w[w > 0.0], e[w > 0.0]
+        self.utility, self.x, self.xx, self.w, self.e = utility, x, x * x, w, e
+        self.steps = _max_steps(lo, hi, a_lo, a_hi)
+        self.memo: dict[float | tuple[float], float] = {}
+
+    def answer(self, request: float | tuple[float]) -> float:
+        """The answer to ``request``, evaluated on this lane alone."""
+        if request not in self.memo:
+            if isinstance(request, tuple):
+                (pi,), derivative, factor = request, self.utility.u_double_prime, self.xx
+            else:
+                pi, derivative, factor = request, self.utility.u_prime, self.x
+            weighted = self.w * derivative(pi * self.x + self.e)
+            self.memo[request] = float(weighted.dot(factor))
+        return self.memo[request]
+
+
+def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
+                     a_lo: float, a_hi: float, endowment=0.0) -> tuple[float, bool]:
+    """(maximizer, on A's boundary) of sum_i w_i u(pi x_i + e_i) over
+    [a_lo, a_hi] intersected with the domain-feasible interval (``_Lane``),
+    solved on its own."""
+    lane = _Lane(x, w, utility, a_lo, a_hi, endowment)
+    return run(lane.steps, lane.answer)
+
+
+def _until_error(make: Callable, items: Iterable) -> tuple[list, Exception | None]:
+    """make(item) for the items in order up to the first failure, and that
+    error, which the caller raises once it is done with the items before
+    it, where a loop over the items would have raised it."""
+    made = []
+    try:
+        for item in items:
+            made.append(make(item))
+    except Exception as exc:
+        return made, exc
+    return made, None
+
+
+def _padded(rows: list[np.ndarray]) -> np.ndarray:
+    """The rows stacked, each padded to the longest with its first entry."""
+    out = np.empty((len(rows), max(row.size for row in rows)))
+    for i, row in enumerate(rows):
+        out[i, :row.size], out[i, row.size:] = row, row[0]
+    return out
+
+
+def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]]:
+    """``_concave_max_raw(*problem)`` of each problem, in order and with the
+    same bits, solved in lockstep. The lanes that share a Utility object
+    form a block; each round evaluates u' (or u'') once per block, on the
+    stacked (lanes x atoms) wealths at each lane's latest point, weights
+    them, and each lane that asked sums its own row as ``_Lane.answer``
+    would (same operands, same order). A row is padded with the lane's
+    first atom, weight and endowment, so every wealth evaluated is one its
+    lane asks for. A lane that shares its Utility with no other, or is the
+    only one to ask in a round, is asked alone. An error raises where a
+    loop of ``_concave_max_raw`` would raise it: at the first failing lane
+    in the order of ``problems``, after the answers of the lanes before
+    it."""
+    lanes, failure = _until_error(lambda problem: _Lane(*problem), problems)
+    live = len(lanes)  # the lanes from the first one that fails on are dropped
+    asking: list = [None] * live  # each lane's open request, None once it is done
+    results: list = [None] * live
+
+    def fail(r: int, exc: Exception) -> None:  # a loop would stop here
+        nonlocal live, failure
+        live, failure, asking[r] = r, exc, None
+
+    def step(r: int, value: float | None = None) -> None:
+        lane = lanes[r]
+        try:
+            request = next(lane.steps) if value is None else lane.steps.send(value)
+            while request in lane.memo:
+                request = lane.steps.send(lane.memo[request])
+        except StopIteration as done:
+            results[r], asking[r] = done.value, None
+        except Exception as exc:
+            fail(r, exc)
+        else:
+            asking[r] = request
+
+    def step_alone(r: int) -> None:
+        try:
+            value = lanes[r].answer(asking[r])
+        except Exception as exc:
+            fail(r, exc)
+        else:
+            step(r, value)
+
+    for r in range(len(lanes)):
+        if r < live:
+            step(r)
+    blocks: dict[int, list[int]] = {}
+    for r in range(live):
+        if asking[r] is not None:
+            blocks.setdefault(id(lanes[r].utility), []).append(r)
+    stacked = []
+    for rows in blocks.values():
+        if len(rows) == 1 or not all(lanes[r].x.size for r in rows):
+            for r in rows:  # solved alone: a lane with no other, or of no atoms
+                while r < live and asking[r] is not None:
+                    step_alone(r)
+            continue
+        stacked.append((lanes[rows[0]].utility, rows, _padded([lanes[r].x for r in rows]),
+                        _padded([lanes[r].e for r in rows]), _padded([lanes[r].w for r in rows]),
+                        np.array([asking[r] for r in rows])))  # a lane's first ask is a point
+    moved = True
+    while moved:
+        moved = False
+        for utility, rows, X, E, W, points in stacked:
+            asked: tuple[list, list] = ([], [])  # (row, lane) asking for u', for u''
+            for i, r in enumerate(rows):
+                if r < live and asking[r] is not None:
+                    curvature = isinstance(asking[r], tuple)
+                    asked[curvature].append((i, r))
+                    points[i] = asking[r][0] if curvature else asking[r]
+            for now, derivative in zip(asked, (utility.u_prime, utility.u_double_prime)):
+                if not now:
+                    continue
+                moved, weighted = True, None  # a lane alone is asked alone
+                if len(now) > 1:
+                    try:
+                        weighted = W * derivative(points[:, None] * X + E)
+                    except Exception:  # the wealth of some lane fails: ask each alone, in order
+                        pass
+                for i, r in now:
+                    if r >= live:
+                        continue
+                    if weighted is None:
+                        step_alone(r)
+                        continue
+                    lane = lanes[r]
+                    factor = lane.xx if isinstance(asking[r], tuple) else lane.x
+                    value = lane.memo[asking[r]] = float(weighted[i, :lane.x.size].dot(factor))
+                    step(r, value)
+    yield from results[:live]
+    if failure is not None:
+        raise failure
+
+
+def _problem(spec: ProblemSpec, endowment=0.0) -> tuple:
+    """The d = 1 maximization over A of ``spec``, as ``_concave_max_raw`` takes it."""
+    return (spec.model.support_1d, spec.model.weights, spec.utility,
+            spec.action_space.lower[0], spec.action_space.upper[0], endowment)
 
 
 def _maximize(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarray, bool]:
     """(maximizer over A, whether it lies on the boundary of A), any d."""
     if spec.dim != 1:
         return _solve_projected_newton(spec, endowment)
-    pi, boundary = _concave_max_raw(spec.model.support_1d, spec.model.weights, spec.utility,
-                                    spec.action_space.lower[0], spec.action_space.upper[0],
-                                    endowment)
+    pi, boundary = _concave_max_raw(*_problem(spec, endowment))
     return np.array([pi]), boundary
 
 
@@ -484,6 +660,13 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
     raise NumericalFailure("projected Newton did not converge")
 
 
+def _solution(spec: ProblemSpec, pi: np.ndarray, boundary: bool) -> BaselineSolution:
+    w = _wealth(spec, pi)
+    V0 = spec.model.expectation(spec.utility.u(w))
+    return BaselineSolution(pi_star=pi, V0=V0, foc_residual=_gradient(spec, pi),
+                            hessian=_hessian(spec, pi), boundary=boundary)
+
+
 def solve_baseline(spec: ProblemSpec) -> BaselineSolution:
     """Maximize E_P[u(<X, pi>)] over the action box A.
 
@@ -492,13 +675,22 @@ def solve_baseline(spec: ProblemSpec) -> BaselineSolution:
     (interiority-based sensitivity formulas then refuse, except the documented
     pi* = 0 case).
     """
-    pi, boundary = _maximize(spec)
-    w = _wealth(spec, pi)
-    V0 = spec.model.expectation(spec.utility.u(w))
-    residual = _gradient(spec, pi)
-    hess = _hessian(spec, pi)
-    return BaselineSolution(pi_star=pi, V0=V0, foc_residual=residual,
-                            hessian=hess, boundary=boundary)
+    return _solution(spec, *_maximize(spec))
+
+
+def solve_baselines(specs: Sequence[ProblemSpec]) -> Iterator[BaselineSolution]:
+    """``solve_baseline`` of each spec, in order and with the same bits. The
+    d = 1 problems solve in lockstep (``_concave_max_lanes``): a family of
+    models that shares one Utility object costs one u' call per solver
+    round, not one per model. An error raises where a loop of
+    ``solve_baseline`` would raise it."""
+    maxima = _concave_max_lanes(_problem(spec) for spec in specs if spec.dim == 1)
+    for spec in specs:
+        if spec.dim == 1:
+            pi, boundary = next(maxima)
+            yield _solution(spec, np.array([pi]), boundary)
+        else:
+            yield solve_baseline(spec)
 
 
 def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
@@ -522,18 +714,35 @@ def davis_price(spec: ProblemSpec, sol: BaselineSolution, payoff: Payoff) -> flo
     return q.expectation(payoff(q.support_1d))
 
 
-def solve_with_endowment(spec: ProblemSpec, endowment: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup_pi E_P[u(<X, pi> + e(X))] for a per-atom endowment vector.
-
-    Used by the root-finding Davis price and by optimizer-continuity
-    diagnostics; returns (value, maximizer).
-    """
+def _endowment(spec: ProblemSpec, endowment) -> np.ndarray:
     endowment = np.asarray(endowment, dtype=float).reshape(-1)
     if endowment.shape[0] != spec.model.n_atoms:
         raise ConfigError("endowment must provide one value per atom")
+    return endowment
+
+
+def solve_with_endowment(spec: ProblemSpec, endowment: np.ndarray) -> tuple[float, np.ndarray]:
+    """sup_pi E_P[u(<X, pi> + e(X))] for a per-atom endowment vector.
+
+    Used by optimizer-continuity diagnostics; returns (value, maximizer).
+    """
+    endowment = _endowment(spec, endowment)
     pi, _ = _maximize(spec, endowment)
-    value = _objective(spec, pi, endowment)
-    return value, pi
+    return _objective(spec, pi, endowment), pi
+
+
+def solve_with_endowments(spec: ProblemSpec, endowments) -> Iterator[tuple[float, np.ndarray]]:
+    """``solve_with_endowment`` of each endowment vector, in order and with
+    the same bits; at d = 1 in lockstep (``_concave_max_lanes``). Every
+    vector is checked before any solve; an error of a solve raises where a
+    loop of ``solve_with_endowment`` would raise it."""
+    endowments = [_endowment(spec, e) for e in endowments]
+    if spec.dim != 1:
+        yield from (solve_with_endowment(spec, e) for e in endowments)
+        return
+    for e, (pi, _) in zip(endowments, _concave_max_lanes(_problem(spec, e) for e in endowments)):
+        pi = np.array([pi])
+        yield _objective(spec, pi, e), pi
 
 
 def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
@@ -542,9 +751,11 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
 
     The eps-derivative is a central finite difference (step ``_DAVIS_FD_STEP``) with a
     full re-optimization of pi at each perturbed problem — an independent
-    validation route for the envelope formula, not a reuse of it. Brent
-    evaluates each candidate price once, the bracket ends first, and raises
-    ``NumericalFailure`` when they show no sign change.
+    validation route for the envelope formula, not a reuse of it; the two
+    perturbed problems of a candidate price solve as two lanes
+    (``solve_with_endowments``). Brent evaluates each candidate price once,
+    the bracket ends first, and raises ``NumericalFailure`` when they show
+    no sign change.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -555,8 +766,7 @@ def davis_price_via_root(spec: ProblemSpec, payoff: Payoff,
         if p_d == 0.0:
             raise ConfigError("candidate price 0 is not admissible")
         e_plus = _DAVIS_FD_STEP * (g_vals / p_d - 1.0)
-        v_plus, _ = solve_with_endowment(spec, e_plus)
-        v_minus, _ = solve_with_endowment(spec, -e_plus)
+        (v_plus, _), (v_minus, _) = solve_with_endowments(spec, [e_plus, -e_plus])
         return (v_plus - v_minus) / (2.0 * _DAVIS_FD_STEP)
 
     return brentq(eps_derivative, lo, hi, xtol=1e-10, rtol=8.882e-16, maxiter=200)

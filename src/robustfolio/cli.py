@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -44,16 +43,16 @@ import numpy as np
 
 from . import __version__
 from .analytic_fixtures import FIXTURE_NAMES, Fixture, fixture
-from .baseline_solver import (ProblemSpec, butterfly_payoff, call_payoff, davis_price,
-                              davis_price_via_root, make_payoff, power_payoff,
-                              solve_baseline)
+from .baseline_solver import (ProblemSpec, _until_error, butterfly_payoff, call_payoff,
+                              davis_price, davis_price_via_root, make_payoff, power_payoff,
+                              solve_baseline, solve_baselines)
 from .errors import ConfigError, NumericalFailure, RobustfolioError
 from .measures import (StateSpace, WassersteinOrder, make_model, moments, normal)
 from .robust_solver import (martingale_check_robust, robust_davis_price, robust_solve,
                             solve_delta_grid)
 from .sensitivity import sensitivity_report, value_sensitivity, optimizer_sensitivity, \
     kl_value_sensitivity
-from .utility import capped_exponential, exponential, log_shifted, make_utility
+from .utility import Utility, capped_exponential, exponential, log_shifted, make_utility
 
 _NUMBER = {"type": "number"}
 _BOUND = {"oneOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
@@ -310,11 +309,14 @@ def _order_from(cfg: dict) -> WassersteinOrder:
     return WassersteinOrder(math.inf if p_raw == "inf" else float(p_raw))
 
 
-def build_spec(cfg: dict) -> ProblemSpec:
+def build_spec(cfg: dict, utility: Utility | None = None) -> ProblemSpec:
+    """The problem a config states; ``utility``, when given, stands for the
+    one its utility section makes."""
     if "model" not in cfg or "utility" not in cfg:
         raise ConfigError("config needs 'model' and 'utility' sections")
     model = make_model(cfg["model"])
-    utility = make_utility(cfg["utility"])
+    if utility is None:
+        utility = make_utility(cfg["utility"])
     a_lo, a_hi = cfg.get("action_space", [-1000.0, 1000.0])
     action = StateSpace.interval(a_lo, a_hi)
     state = None
@@ -441,17 +443,28 @@ def cmd_sweep(cfg: dict) -> ResultTable:
         raise ConfigError("sweep command needs a 'sweep' section")
     parameter = sweep["parameter"]
     section, key = _SWEEP_TARGETS[parameter]
-    rows = []
-    for value in _grid_values(sweep["grid"]):
+    values = _grid_values(sweep["grid"])
+    shared = None  # a sweep over the model makes its utility once: the lanes share it
+
+    def build(value: float) -> ProblemSpec:
+        nonlocal shared
         local = copy.deepcopy(cfg)
         local.setdefault(section, {})[key] = value
-        spec = build_spec(local)
-        sol = solve_baseline(spec)
+        spec = build_spec(local, shared)
+        if section == "model":
+            shared = spec.utility
+        return spec
+
+    specs, failure = _until_error(build, values)
+    rows = []
+    for value, spec, sol in zip(values, specs, solve_baselines(specs)):
         report = sensitivity_report(spec, sol)
         _, _, sharpe = moments(spec.model)
         rows.append([value, _nz(sharpe), sol.pi_star_scalar, sol.V0, report.V_prime0,
                      report.kappa_u, float(report.pi_prime0[0]), _nz(report.kl_V_prime0),
                      _nz(report.davis_price), _nz(report.davis_prime0)])
+    if failure is not None:  # the grid value that failed to build, after the rows before it
+        raise failure
     columns = [parameter, "sharpe", "pi_star", "V0", "V_prime0", "kappa_u",
                "pi_prime0", "kl_V_prime0", "davis_price", "davis_prime0"]
     return ResultTable(columns, rows)
@@ -590,7 +603,7 @@ def _binomial_spec(a: float, utility) -> ProblemSpec:
 def _at_q(spec: ProblemSpec, q: float) -> ProblemSpec:
     """The problem with conjugate exponent q. The baseline optimum does not
     depend on the order, so one solve serves the sensitivities at every q."""
-    return dataclasses.replace(spec, order=WassersteinOrder(_p_for_q(q)))
+    return spec.with_order(WassersteinOrder(_p_for_q(q)))
 
 
 def _binomial_sharpe(a: float) -> float:
@@ -599,23 +612,22 @@ def _binomial_sharpe(a: float) -> float:
 
 def _fig1() -> ResultTable:
     sigma, gamma = 0.2, 1.0
+    utility = exponential(gamma)
+    mus = [0.02 * k for k in range(1, 31)]
+    specs = [ProblemSpec(model=normal(mu, sigma), utility=utility,
+                         action_space=StateSpace.interval(-1000.0, 1000.0),
+                         order=WassersteinOrder(math.inf)) for mu in mus]
     rows = []
-    for k in range(1, 31):
-        mu = 0.02 * k
-        spec = ProblemSpec(model=normal(mu, sigma),
-                           utility=exponential(gamma),
-                           action_space=StateSpace.interval(-1000.0, 1000.0),
-                           order=WassersteinOrder(math.inf))
-        v_prime = value_sensitivity(spec, solve_baseline(spec))
+    for mu, spec, sol in zip(mus, specs, solve_baselines(specs)):
+        v_prime = value_sensitivity(spec, sol)
         rows.append([mu, mu / sigma, v_prime, abs(v_prime)])
     return ResultTable(["mu", "sharpe", "V_prime0", "magnitude"], rows)
 
 
 def _fig2(utility, q_list: list[float], labels: list[str]) -> ResultTable:
+    specs = [_binomial_spec(a, utility) for a in _A_GRID_FULL]
     rows = []
-    for a in _A_GRID_FULL:
-        spec = _binomial_spec(a, utility)
-        sol = solve_baseline(spec)
+    for a, spec, sol in zip(_A_GRID_FULL, specs, solve_baselines(specs)):
         rows.append([a, _binomial_sharpe(a)]
                     + [value_sensitivity(_at_q(spec, q), sol) for q in q_list]
                     + [kl_value_sensitivity(spec, sol)])
@@ -623,10 +635,9 @@ def _fig2(utility, q_list: list[float], labels: list[str]) -> ResultTable:
 
 
 def _fig3(utility) -> ResultTable:
+    specs = [_binomial_spec(a, utility) for a in _A_GRID_COARSE]
     rows = []
-    for a in _A_GRID_COARSE:
-        spec = _binomial_spec(a, utility)
-        sol = solve_baseline(spec)
+    for a, spec, sol in zip(_A_GRID_COARSE, specs, solve_baselines(specs)):
         rows.append([a, _binomial_sharpe(a)]
                     + [float(optimizer_sensitivity(_at_q(spec, q), sol)[0][0])
                        for q in (1.0, 2.0, 3.0)])
@@ -637,13 +648,13 @@ def _fig3(utility) -> ResultTable:
 def _fig4() -> ResultTable:
     mu, sigma, gamma, q = 0.1, 0.2, 1.0, 2.0
     fx = fixture("capped_exp_limit", mu=mu, sigma=sigma, gamma=gamma, q=q)
+    kappas = (1.0, 0.3, 0.1, 0.03, 0.01)
+    specs = [ProblemSpec(model=normal(mu, sigma),
+                         utility=capped_exponential(gamma, kappa),
+                         action_space=StateSpace.interval(-1000.0, 1000.0),
+                         order=WassersteinOrder(_p_for_q(q))) for kappa in kappas]
     rows = []
-    for kappa in (1.0, 0.3, 0.1, 0.03, 0.01):
-        spec = ProblemSpec(model=normal(mu, sigma),
-                           utility=capped_exponential(gamma, kappa),
-                           action_space=StateSpace.interval(-1000.0, 1000.0),
-                           order=WassersteinOrder(_p_for_q(q)))
-        sol = solve_baseline(spec)
+    for kappa, spec, sol in zip(kappas, specs, solve_baselines(specs)):
         pi_prime, _ = optimizer_sensitivity(spec, sol)
         rows.append([kappa, value_sensitivity(spec, sol), fx.value_prime0,
                      float(pi_prime[0]), fx.pi_prime0, fx.pi_prime0_variant])

@@ -60,7 +60,8 @@ case. A pi = 0 answer so calls no oracle. On the chosen side in-tree Brent
 brackets the root of the slope, E[X u'(pi X)] on the moved atoms at p = inf
 and, by Danskin's theorem, on the oracle's worst case P* at finite p, unless
 its sign pins an end (``_concave_argmax``). At p = inf it brackets to
-~1e-15 from the ends of the side.
+~1e-15 from the ends of the side, and a radius grid runs the searches of
+its radii in lockstep (``solve_delta_grid``).
 
 At finite p each oracle call costs milliseconds, so the search starts next
 to the answer: at the paper's first-order strategy pi*(0) + delta pi*'(0)
@@ -112,9 +113,10 @@ from typing import Callable
 
 import numpy as np
 
-from .baseline_solver import (PI_ZERO_THRESHOLD, _DOMAIN_MARGIN, BaselineSolution, Payoff,
-                              ProblemSpec, _concave_argmax, _concave_max_raw,
-                              _feasible_interval_raw, solve_baseline)
+from .baseline_solver import (PI_ZERO_THRESHOLD, BaselineSolution, Payoff, ProblemSpec,
+                              _concave_argmax, _concave_max_lanes, _concave_max_raw,
+                              _feasible_interval_raw, _problem, _solution, _until_error,
+                              solve_baseline)
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure)
 from .measures import DiscreteMeasure, StateSpace, coupling_cost
@@ -240,18 +242,15 @@ def _zero_answer(spec: ProblemSpec, delta: float, method: str) -> RobustSolution
     return _certified(spec, delta, 0.0, value, adversary, method)
 
 
-def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
-    """Exact solve for the infinity-order ball via the shifted-atom reduction."""
-    if not spec.order.is_inf:
-        raise ConfigError("robust_solve_inf needs order p = inf (use robust_solve_p)")
+def _inf_search(spec: ProblemSpec, delta: float) -> tuple | RobustSolution:
+    """At p = inf and radius delta, the concave maximization that decides the
+    solution, as ``_concave_max_raw`` takes it (the baseline's at delta = 0),
+    or the solution itself where the slopes at 0 pick pi = 0."""
     if spec.dim != 1:
         raise ConfigError("the robust reduction is implemented for d = 1")
     _check_radius(delta)
     if delta == 0.0:
-        base = solve_baseline(spec)
-        return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
-                              adversary=spec.model, transport_cost=0.0,
-                              method="inf_exact")
+        return _problem(spec)
     x = spec.model.support_1d
     w = spec.model.weights
     u = spec.utility
@@ -264,13 +263,32 @@ def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
                            lambda: _slope_on(w, u, 0.0, down), lambda: _slope_on(w, u, 0.0, up))
     if lo == hi:
         return _zero_answer(spec, delta, "inf_exact")
-    xs = down if hi > 0.0 else up
-    pi, _ = _concave_max_raw(xs, w, u, lo, hi)
+    return (down if hi > 0.0 else up), w, u, lo, hi, 0.0
+
+
+def _inf_solution(spec: ProblemSpec, delta: float, search: tuple,
+                  pi: float, boundary: bool) -> RobustSolution:
+    """The p = inf solution at radius delta from the maximizer of its search."""
+    if delta == 0.0:
+        base = _solution(spec, np.array([pi]), boundary)
+        return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
+                              adversary=spec.model, transport_cost=0.0, method="inf_exact")
+    xs, w, u, lo, hi, _ = search
     if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
         return _zero_answer(spec, delta, "inf_exact")
-    adversary = _as_adversary(xs, w, x, base=spec.model, delta=delta, p=math.inf,
-                              space=space)
+    adversary = _as_adversary(xs, w, spec.model.support_1d, base=spec.model, delta=delta,
+                              p=math.inf, space=spec.state_space)
     return _certified(spec, delta, pi, float(np.dot(w, u.u(pi * xs))), adversary, "inf_exact")
+
+
+def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
+    """Exact solve for the infinity-order ball via the shifted-atom reduction."""
+    if not spec.order.is_inf:
+        raise ConfigError("robust_solve_inf needs order p = inf (use robust_solve_p)")
+    search = _inf_search(spec, delta)
+    if isinstance(search, RobustSolution):
+        return search
+    return _inf_solution(spec, delta, search, *_concave_max_raw(*search))
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +684,13 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
         raise DomainCompatibilityError(
             "finite-order adversary needs a state space bounded in the "
             "displacement direction")
+    # the worst reachable wealth is pi times the edge of S the atoms move
+    # toward: refuse outside the strategies that keep it in the utility
+    # domain with margin, the interval robust_solve_p searches
     worst_wealth = pi_s * (x + direction * extents)
-    d_lo, d_hi = utility.domain
-    if np.any(worst_wealth <= d_lo + _DOMAIN_MARGIN) or np.any(worst_wealth >= d_hi - _DOMAIN_MARGIN):
+    edge = np.array([s_floor if direction < 0.0 else s_ceil])
+    lo, hi = _feasible_interval_raw(edge, 0.0, utility, -math.inf, math.inf)
+    if not lo <= pi_s <= hi:
         raise DomainCompatibilityError(
             "state space lets wealth reach the utility-domain boundary at this "
             "strategy; the inner infimum is -inf")
@@ -819,7 +841,10 @@ def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
     """Solve along a radius grid and enforce V(delta) nonincreasing.
 
     Each distinct radius is solved once, in ascending order, and the
-    solutions come back in the order of ``deltas``. At finite p the
+    solutions come back in the order of ``deltas``. At p = inf the radii
+    that need a search solve in lockstep (``_concave_max_lanes``), and the
+    pi = 0 answers without one; an error raises where one solve per radius
+    would raise it. At finite p the
     baseline is solved once, and each radius starts its search on the line
     through the two solved radii below it, (0, pi*(0)) counting as one;
     above (0, pi*(0)) alone that line is the first-order strategy
@@ -829,7 +854,13 @@ def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
     radii = sorted(set(deltas))
     solutions = []
     if spec.order.is_inf:
-        solutions = [robust_solve_inf(spec, d) for d in radii]
+        searches, failure = _until_error(lambda d: _inf_search(spec, d), radii)
+        maxima = _concave_max_lanes(s for s in searches if not isinstance(s, RobustSolution))
+        solutions = [s if isinstance(s, RobustSolution)
+                     else _inf_solution(spec, d, s, *next(maxima))
+                     for d, s in zip(radii, searches)]
+        if failure is not None:
+            raise failure
     elif radii:
         _check_finite_p(spec, radii)
         base = solve_baseline(spec)

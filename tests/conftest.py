@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import robustfolio as rf
-from robustfolio import robust_solver
+from robustfolio import baseline_solver, robust_solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +40,22 @@ def oracle_calls(monkeypatch) -> list:
     oracle = robust_solver.adversary_inner_inf
     monkeypatch.setattr(robust_solver, "adversary_inner_inf",
                         lambda *args: calls.append(args[2]) or oracle(*args))
+    return calls
+
+
+@pytest.fixture
+def lockstep_lanes(monkeypatch) -> list:
+    """The problems of every lockstep solve (``_concave_max_lanes``, as the
+    solvers look it up) the test makes, one list per call."""
+    calls = []
+    lanes = baseline_solver._concave_max_lanes
+
+    def traced(problems):
+        calls.append(list(problems))
+        return lanes(calls[-1])
+
+    for module in (baseline_solver, robust_solver):
+        monkeypatch.setattr(module, "_concave_max_lanes", traced)
     return calls
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from robustfolio import (
     BoundaryOptimumError,
     ConfigError,
     NumericalFailure,
+    baseline_solver,
 )
-from robustfolio.baseline_solver import (_NEWTON_TOL, _concave_argmax, _concave_max_raw,
-                                         _feasible_interval_raw)
+from robustfolio.baseline_solver import (_NEWTON_TOL, _concave_argmax, _concave_max_lanes,
+                                         _concave_max_raw, _feasible_interval_raw)
 
 from conftest import binomial_log_spec, normal_exp_spec, wide_interval
 
@@ -177,6 +179,22 @@ def test_projected_newton_with_an_active_bound():
     assert sol.V0 >= 0.22682368832944189  # at least as high as L-BFGS-B's
 
 
+def test_with_order_swaps_the_order_without_checking_again(monkeypatch):
+    # no check of construction reads the order: the copy shares every other
+    # field and runs none of them
+    spec = binomial_log_spec(0.25)
+    checks = []
+    monkeypatch.setattr(baseline_solver, "no_arbitrage_check",
+                        lambda model: checks.append(model) or True)
+    moved = spec.with_order(rf.WassersteinOrder(2.0))
+    assert checks == []
+    assert moved.order.p == 2.0 and spec.order.is_inf
+    for name in ("model", "utility", "action_space", "payoff", "state_space"):
+        assert getattr(moved, name) is getattr(spec, name)
+    rf.ProblemSpec(model=spec.model, utility=spec.utility, action_space=spec.action_space)
+    assert len(checks) == 1
+
+
 def test_concave_argmax_replaces_infinite_ends_by_doubling():
     # a root at 3 on the whole line, an end pinned at 5 beyond an infinite
     # lower end, and a root at -40 past several doublings
@@ -235,6 +253,156 @@ def test_concave_max_asks_the_gradient_once_per_point(x, w, utility, a_lo, a_hi,
     _concave_max_raw(np.array(x), np.array(w), recording, a_lo, a_hi, endowment)
     assert wealths
     assert len(set(wealths)) == len(wealths)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes: the bits and the errors of one solve at a time
+# ---------------------------------------------------------------------------
+
+def nan_band(utility: rf.Utility, lo: float, hi: float) -> rf.Utility:
+    """``utility`` whose u' is NaN at wealths in (lo, hi)."""
+    u_prime = utility.u_prime
+    return dataclasses.replace(utility, u_prime=lambda v: np.where(
+        (np.asarray(v) > lo) & (np.asarray(v) < hi), np.nan, u_prime(v)))
+
+
+LANE_UTILITIES = st.one_of(
+    st.builds(rf.log_shifted, st.sampled_from([0.5, 1.0, 2.0])),
+    st.builds(rf.exponential, st.sampled_from([0.5, 1.0, 3.0])),
+    st.builds(rf.power, st.sampled_from([0.5, 2.0, 3.0]), st.sampled_from([1.0, 2.0])),
+    st.builds(rf.capped_exponential, st.just(1.0), st.sampled_from([0.1, 0.5, 2.0])),
+)
+# A: open both ways, wide, with an infinite end, pinning the optimum on
+# an end, or empty of feasible strategies for the domain-bounded utilities
+LANE_ACTIONS = st.sampled_from([(-math.inf, math.inf), (-50.0, 50.0), (-math.inf, 0.0),
+                                (0.0, math.inf), (0.0, 0.05), (-0.05, 0.0), (40.0, 50.0)])
+COORDINATE = st.floats(0.05, 2.0).map(lambda v: round(v, 3))
+
+
+@st.composite
+def lane_problems(draw, utilities):
+    """One lane: positive-weight atoms on both sides of 0, some zero-weight
+    atoms, an A from LANE_ACTIONS and an endowment of 0 or one per atom."""
+    neg = [-v for v in draw(st.lists(COORDINATE, min_size=1, max_size=4))]
+    pos = draw(st.lists(COORDINATE, min_size=1, max_size=4))
+    idle = draw(st.lists(st.floats(-3.0, 3.0).map(lambda v: round(v, 2)), max_size=2))
+    x = np.array(neg + pos + idle)
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(neg) + len(pos),
+                               max_size=len(neg) + len(pos))) + [0.0] * len(idle))
+    order = draw(st.permutations(range(x.size)))
+    x, w = x[order], w[order] / w.sum()
+    e = draw(st.one_of(st.just(0.0), st.lists(st.floats(-0.1, 0.1), min_size=x.size,
+                                              max_size=x.size).map(np.array)))
+    a_lo, a_hi = draw(LANE_ACTIONS)
+    return x, w, draw(st.sampled_from(utilities)), a_lo, a_hi, e
+
+
+@st.composite
+def lane_families(draw):
+    """1 to 6 lanes over 1 or 2 utilities, each perhaps with a NaN band of u'."""
+    utilities = draw(st.lists(LANE_UTILITIES, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1.0, 1.0))
+        utilities = [nan_band(u, lo, lo + 0.1) for u in utilities]
+    return draw(st.lists(lane_problems(utilities), min_size=1, max_size=6))
+
+
+def outcomes(results) -> tuple[list, tuple | None]:
+    """The items of an iterable up to the error it raises, and that error."""
+    done = []
+    try:
+        for item in results:
+            done.append(item)
+    except Exception as exc:
+        return done, (type(exc), str(exc))
+    return done, None
+
+
+def one_at_a_time(problems):
+    for problem in problems:
+        yield _concave_max_raw(*problem)
+
+
+def as_bits(maxima) -> list:
+    return [(float(pi).hex(), boundary) for pi, boundary in maxima]
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems=lane_families())
+def test_lockstep_lanes_give_the_bits_and_errors_of_one_at_a_time(problems):
+    # ragged lanes, zero-weight atoms, optima pinned on A, infinite ends,
+    # endowments and NaN gradients: the lockstep driver gives each lane's
+    # answer bit for bit, and the error the loop would raise first; its
+    # padded cells warn of nothing the lanes alone do not
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        want, want_error = outcomes(one_at_a_time(problems))
+        alone = len(seen)
+        got, got_error = outcomes(_concave_max_lanes(problems))
+    assert as_bits(got) == as_bits(want)
+    assert got_error == want_error
+    assert alone or not seen
+
+
+def test_lockstep_raises_the_first_failing_lane_in_order():
+    # lane 0 meets its NaN band only once Brent nears its root at 0.5; lane
+    # 1 meets it at its first point: the loop raises lane 0's error, and
+    # so does the lockstep driver, though lane 1 fails rounds earlier
+    u = nan_band(rf.log_shifted(1.0), 0.45, 0.55)
+    x, w = np.array([-1.0, 1.0]), np.array([0.25, 0.75])
+    problems = [(x, w, u, -0.9, 0.9, 0.0), (x, w, u, 0.46, 0.9, 0.0)]
+    want, want_error = outcomes(one_at_a_time(problems))
+    with pytest.raises(NumericalFailure, match="NaN") as lane_1:
+        _concave_max_raw(*problems[1])
+    assert want == [] and want_error[0] is NumericalFailure
+    assert want_error[1] != str(lane_1.value)
+    assert outcomes(_concave_max_lanes(problems)) == (want, want_error)
+    # the same when lane 1's own wealth makes u' raise, in the round's
+    # one u' call for both lanes
+
+    def refusing(v):
+        if np.any(np.asarray(v) > 1.5):
+            raise ValueError("wealth above 1.5")
+        return u.u_prime(v)
+
+    strict = dataclasses.replace(u, u_prime=refusing)
+    problems = [(x, w, strict, -0.9, 0.9, 0.0),
+                (np.array([-0.25, 2.0]), w, strict, 0.8, 0.9, 0.0)]
+    with pytest.raises(ValueError, match="above 1.5"):
+        _concave_max_raw(*problems[1])
+    assert outcomes(_concave_max_lanes(problems)) == outcomes(one_at_a_time(problems))
+    assert outcomes(_concave_max_lanes(problems[1:] + problems[:1]))[1][0] is ValueError
+
+
+def solution_bits(sol: rf.BaselineSolution) -> tuple:
+    return (sol.pi_star.tobytes(), sol.boundary, float(sol.V0).hex(),
+            sol.foc_residual.tobytes(), sol.hessian.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems=lane_families())
+def test_solve_baselines_and_endowments_match_one_at_a_time(problems):
+    specs = []
+    for x, w, utility, a_lo, a_hi, _ in problems:
+        try:
+            specs.append(rf.ProblemSpec(model=rf.explicit(x, w), utility=utility,
+                                        action_space=rf.StateSpace.interval(a_lo, a_hi)))
+        except rf.RobustfolioError:
+            pass
+    want, want_error = outcomes(rf.solve_baseline(spec) for spec in specs)
+    got, got_error = outcomes(rf.solve_baselines(specs))
+    assert [solution_bits(s) for s in got] == [solution_bits(s) for s in want]
+    assert got_error == want_error
+    # the perturbed problems of one model, with endowment vectors
+    if specs:
+        spec = specs[0]
+        endowments = [np.asarray(e) + np.zeros(spec.model.n_atoms)
+                      for *_, e in problems if np.size(e) in (1, spec.model.n_atoms)]
+        want, want_error = outcomes(rf.solve_with_endowment(spec, e) for e in endowments)
+        got, got_error = outcomes(rf.solve_with_endowments(spec, endowments))
+        assert ([(float(v).hex(), pi.tobytes()) for v, pi in got]
+                == [(float(v).hex(), pi.tobytes()) for v, pi in want])
+        assert got_error == want_error
 
 
 def _interval_by_atoms(x, endowment, domain, a_lo, a_hi):

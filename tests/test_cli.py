@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 
 import robustfolio as rf
 from robustfolio import baseline_solver, cli, robust_solver
-from robustfolio.errors import ConfigError
+from robustfolio.errors import ConfigError, DegenerateSensitivityError
 
 from conftest import load_bench, read_result_csv
 
@@ -612,21 +612,61 @@ def test_oracle_check_errors_are_small(tmp_path):
         assert rows[0][j] <= 1e-8
 
 
-# baseline solves per preset: one per model, the order enters only the
-# sensitivities taken on that solution
+# baseline solves per preset: one lockstep lane per model, the order enters
+# only the sensitivities taken on that solution
 PRESET_SOLVES = {"fig1": 30, "fig2-left": 18, "fig2-right": 18, "fig3-left": 9,
                  "fig3-right": 9, "fig4": 5}
 
 
-def test_figure_presets_solve_each_model_once(monkeypatch):
+def test_figure_presets_solve_each_model_once(monkeypatch, lockstep_lanes):
     assert sorted(PRESET_SOLVES) == sorted(cli.FIGURE_PRESETS)
-    solves = []
+    singles = []
     solve = cli.solve_baseline
-    monkeypatch.setattr(cli, "solve_baseline", lambda spec: solves.append(spec) or solve(spec))
+    monkeypatch.setattr(cli, "solve_baseline", lambda spec: singles.append(spec) or solve(spec))
     for preset, count in PRESET_SOLVES.items():
-        solves.clear()
+        lockstep_lanes.clear()
         cli.run("figures", {}, preset)
-        assert len(solves) == count, preset
+        assert [len(lanes) for lanes in lockstep_lanes] == [count], preset
+        assert not singles, preset
+    # fig4's lanes are five utilities on one model; the others share one
+    assert len({id(lane[2]) for lane in lockstep_lanes[0]}) == 5
+
+
+@pytest.mark.parametrize("parameter, grid, utilities", [
+    ("mu", [0.05, 0.40, 0.05], 1), ("a", [0.1, 0.4, 0.1], 1), ("gamma", [0.5, 2.0, 0.5], 4)])
+def test_sweep_solves_each_grid_value_once(lockstep_lanes, parameter, grid, utilities):
+    # one lane per grid value, in one lockstep solve; a sweep over the model
+    # makes its utility once, so its lanes share it
+    model = ({"kind": "binomial", "a": 0.25} if parameter == "a"
+             else {"kind": "normal", "mu": 0.1, "sigma": 0.2})
+    cfg = {"model": model, "utility": {"kind": "exponential", "gamma": 1.0},
+           "sweep": {"parameter": parameter, "grid": grid}}
+    table = cli.run("sweep", cfg)
+    values = [row[0] for row in table.rows]
+    assert len(lockstep_lanes) == 1 and len(lockstep_lanes[0]) == len(values)
+    assert len({id(lane[2]) for lane in lockstep_lanes[0]}) == utilities
+    models = {(lane[0].tobytes(), lane[1].tobytes(), id(lane[2])) for lane in lockstep_lanes[0]}
+    assert len(models) == len(values)
+
+
+def test_sweep_raises_a_build_error_after_the_rows_before_it(monkeypatch):
+    # a grid value that fails to build raises where the one-value-at-a-time
+    # loop raised it: after the reports of the values before it, so an
+    # error there comes first
+    cfg = {"model": {"kind": "binomial", "a": 0.25}, "utility": {"kind": "log_shifted"},
+           "sweep": {"parameter": "a", "grid": [0.4, 1.2, 0.4]}}
+    with pytest.raises(ConfigError, match="a"):
+        cli.run("sweep", cfg)
+    reported = []
+
+    def failing_report(spec, sol):
+        reported.append(spec)
+        raise DegenerateSensitivityError("the first row's report")
+
+    monkeypatch.setattr(cli, "sensitivity_report", failing_report)
+    with pytest.raises(DegenerateSensitivityError, match="first row"):
+        cli.run("sweep", cfg)
+    assert len(reported) == 1
 
 
 def test_oracle_check_prices_both_payoffs_on_one_robust_solve(monkeypatch):
@@ -640,20 +680,21 @@ def test_oracle_check_prices_both_payoffs_on_one_robust_solve(monkeypatch):
 
 
 def test_davis_root_solves_each_perturbed_problem_once(monkeypatch):
-    # 9 Brent points, two perturbed problems each; the bracket ends are
-    # Brent's first two points and are not solved again
+    # 9 Brent points, each one lockstep solve of its two perturbed problems;
+    # the bracket ends are Brent's first two points and are not solved again
     endowments = []
-    solve = baseline_solver.solve_with_endowment
-    monkeypatch.setattr(baseline_solver, "solve_with_endowment",
-                        lambda spec, e: endowments.append(e.tobytes()) or solve(spec, e))
+    solve = baseline_solver.solve_with_endowments
+    monkeypatch.setattr(baseline_solver, "solve_with_endowments", lambda spec, es: (
+        endowments.append([e.tobytes() for e in es]) or solve(spec, es)))
     cases = [case for case in load_bench("workloads").closed_form_cases(None)
              if case[0].startswith("davis-root")]
     assert len(cases) == 3
     for name, command, cfg, preset in cases:
         endowments.clear()
         cli.run(command, cfg, preset)
-        assert len(endowments) == 18, name
-        assert len(set(endowments)) == len(endowments), name
+        assert len(endowments) == 9 and all(len(pair) == 2 for pair in endowments), name
+        flat = [e for pair in endowments for e in pair]
+        assert len(set(flat)) == len(flat) == 18, name
 
 
 NEAR_P_ONE = {"model": {"kind": "explicit", "points": [-1, 1], "weights": [1e-4, 0.9999],

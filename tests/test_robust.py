@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                          DomainCompatibilityError, NumericalFailure, robust_solver)
-from robustfolio.baseline_solver import PI_ZERO_THRESHOLD
+from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
 from robustfolio.robust_solver import _displacement_grid, _multiplier_plans
 from robustfolio.sensitivity import zero_strategy
 
@@ -774,6 +774,54 @@ def test_delta_grid_solves_each_distinct_radius_once_in_ascending_order(monkeypa
         dataclasses.replace(solve(spec, delta, **kwargs), V_delta=1.0 + delta)))
     with pytest.raises(NumericalFailure, match=r"V\(0.05\) = 1.05 < V\(0.1\) = 1.1"):
         rf.solve_delta_grid(spec, [0.1, 0.1, 0.05])
+
+
+def test_inf_delta_grid_solves_each_distinct_radius_once(monkeypatch, lockstep_lanes):
+    # at p = inf each distinct radius is searched once, in ascending order;
+    # the radii whose side of zero is not {0} (here 0, 0.02 and 0.04, below
+    # |E[X]| = 0.05) are lanes of one lockstep solve, the pi = 0 answers
+    # need none, and each solution has the bits of robust_solve_inf's
+    spec = normal_exp_spec(mu=0.05)
+    radii = [0.1, 0.0, 0.02, 0.1, 0.04, 0.3]
+    want = {d: rf.robust_solve_inf(spec, d) for d in radii}
+    searched = []
+    search = robust_solver._inf_search
+    monkeypatch.setattr(robust_solver, "_inf_search",
+                        lambda spec, d: searched.append(d) or search(spec, d))
+    monkeypatch.setattr(robust_solver, "robust_solve_inf", None)
+    sols = rf.solve_delta_grid(spec, radii)
+    assert searched == [0.0, 0.02, 0.04, 0.1, 0.3]
+    assert [len(lanes) for lanes in lockstep_lanes] == [3]
+    for d, sol in zip(radii, sols):
+        assert sol.delta == d and sol.V_delta == want[d].V_delta
+        assert sol.pi_delta.tobytes() == want[d].pi_delta.tobytes()
+        assert sol.adversary.points.tobytes() == want[d].adversary.points.tobytes()
+    assert [s.pi_delta_scalar == 0.0 for s in sols] == [True, False, False, True, False, True]
+
+
+def test_finite_p_search_may_probe_the_domain_bound_end_of_its_interval():
+    # A = [-3, 3] reaches past the utility domain on S = [-1, 1], so the
+    # search interval ends where wealth at a corner of S is d_lo + margin.
+    # The start (pi*(0) = -3, clipped) lies on that end, and the oracle used
+    # to refuse wealth on the margin itself: DomainCompatibilityError,
+    # though the optimum is interior
+    model = rf.explicit([-1.0, -1.0, -1.0, 0.1488], [0.163, 0.610, 0.172, 0.055],
+                        state_space=rf.StateSpace.interval(-1.0, 1.0))
+    spec = rf.ProblemSpec(model=model, utility=rf.power(2.0, 1.0),
+                          action_space=rf.StateSpace.interval(-3.0, 3.0),
+                          order=rf.WassersteinOrder(2.0))
+    lo, hi = _feasible_interval_raw(np.array([-1.0, 1.0]), 0.0, spec.utility, -3.0, 3.0)
+    assert -3.0 < lo and hi < 3.0
+    for end in (lo, hi):  # the oracle accepts both ends of the interval
+        value, _ = rf.adversary_inner_inf(model, spec.utility, end, 0.05, spec.order)
+        assert math.isfinite(value)
+    sol = rf.robust_solve_p(spec, 0.05)
+    assert lo + 0.1 < sol.pi_delta_scalar < -0.5
+    assert sol.transport_cost <= 0.05 and sol.V_delta < rf.solve_baseline(spec).V0
+    # the refusal still holds one ulp past the end
+    with pytest.raises(DomainCompatibilityError, match="utility-domain boundary"):
+        rf.adversary_inner_inf(model, spec.utility, math.nextafter(lo, -math.inf), 0.05,
+                               spec.order)
 
 
 @pytest.mark.parametrize("delta, searches", [(0.1, 1), (0.6, 0)])
