@@ -35,18 +35,24 @@ finite p (certified numerical oracle)
     and are built once (``_displacement_grid``). One outer search calls the
     oracle at strategies ever closer together, so ``robust_solve_p`` keeps an
     oracle memory (``_OracleMemory``) of the last call's passes: their
-    displacement and cost arrays, binding multipliers and active
-    displacements. A refined grid is a deterministic function of the grids
-    and active displacements before it, so while a pass's active
+    displacement and cost arrays, binding multipliers, optimal plans and
+    active displacements. A refined grid is a deterministic function of the
+    grids and active displacements before it, so while a pass's active
     displacements match the last call's, the next pass takes the last call's
-    arrays unchanged and evaluates only the objective; and each pass seeds
-    its multiplier search with the last call's multiplier there, scaled by
-    the ratio of the strategies. Neither changes the program solved, only
-    the work of building and bracketing it. Displacements are capped by the
-    state space S; the cap is what keeps the infimum finite (for utilities
-    with a finite domain edge or an exponential tail the uncapped infimum is
-    -inf), so S with unbounded sides in the displacement direction is
-    rejected rather than silently truncated.
+    arrays unchanged and evaluates only the objective. Such a pass first
+    checks the last call's two optimal plans on the new values: if they
+    still bracket the budget and pass the multiplier search's own stopping
+    test where their value lines cross (``_checked_multiplier``), it keeps
+    them and their fragments and re-sums only the value. Every other pass
+    seeds its multiplier search with the last call's multiplier there,
+    scaled by the ratio of the strategies. None of this changes the program
+    solved, only the work of building and solving it. Displacements are
+    capped by the state space S; the cap is what keeps the infimum finite
+    (for utilities with a finite domain edge or an exponential tail the
+    uncapped infimum is -inf), so S with unbounded sides in the displacement
+    direction is rejected rather than silently truncated. An order so high
+    that the largest displacement's cost in budgets, (D / delta)^p, leaves
+    float range is refused (ConfigError); p = inf solves such a ball.
 
 The outer maximization is one concave search in both regimes: the robust
 value is concave in pi (an infimum of concave functions), with a kink at
@@ -131,6 +137,7 @@ _REFINEMENTS = 3  # refinement passes after the base grid
 _PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relative
 _SEED_WIDTH = 1e-2  # widest relative probe step a seed from the last oracle call gets
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -380,27 +387,27 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
     j_hi = j_lo = None
     if lam0 > 0.0:
         step = max(width, _EPS)
-        j = np.argmin(val + lam0 * (1.0 - step) * cost, axis=1)
-        if w @ cost[rows, j] <= budget:
+        j = _dual_argmin(val, cost, lam0 * (1.0 - step))
+        if w.dot(cost[rows, j]) <= budget:
             j_hi = j  # the binding multiplier lies below: widen down
             while j_lo is None and (step := 8.0 * step) < 1.0:
-                j = np.argmin(val + lam0 * (1.0 - step) * cost, axis=1)
-                if w @ cost[rows, j] <= budget:
+                j = _dual_argmin(val, cost, lam0 * (1.0 - step))
+                if w.dot(cost[rows, j]) <= budget:
                     j_hi = j
                 else:
                     j_lo = j
         else:
             j_lo = j  # the binding multiplier lies above: widen up
             while j_hi is None and step < _PROBE_REACH:
-                j = np.argmin(val + lam0 * (1.0 + step) * cost, axis=1)
-                if w @ cost[rows, j] <= budget:
+                j = _dual_argmin(val, cost, lam0 * (1.0 + step))
+                if w.dot(cost[rows, j]) <= budget:
                     j_hi = j
                 else:
                     j_lo = j
                     step *= 8.0
     if j_lo is None:
         j_lo = np.argmin(val, axis=1)
-        if w @ cost[rows, j_lo] <= budget:
+        if w.dot(cost[rows, j_lo]) <= budget:
             return j_lo, j_lo, 0.0
     if j_hi is None:
         j_hi = np.argmin(np.where(cost == 0.0, val, np.inf), axis=1)
@@ -419,39 +426,147 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
     def line(j: np.ndarray) -> tuple[float, float, float]:
         # (value, |value|, spend) of the plan j on the live rows
         vj = v[sub, j]
-        return wl @ vj, wl @ np.abs(vj), wl @ c[sub, j]
+        return wl.dot(vj), wl.dot(np.abs(vj)), wl.dot(c[sub, j])
 
     k_hi, k_lo = j_hi[live] - first, j_lo[live] - first
-    (a_hi, _, s_hi), (a_lo, b_lo, s_lo) = line(k_hi), line(k_lo)
-    slack_scale = n * _EPS
+    hi, lo = line(k_hi), line(k_lo)
     for _ in range(_MULTIPLIER_STEPS):
-        lam = (a_hi - a_lo) / (s_lo - s_hi)
-        k = np.argmin(v + lam * c, axis=1)
-        a, b, s = line(k)
-        slack = slack_scale * (fixed_abs + b_lo + lam * (fixed_cost + s_lo))
-        if a + lam * s >= min(a_lo + lam * s_lo, a_hi + lam * s_hi) - slack:
+        lam = (hi[0] - lo[0]) / (lo[2] - hi[2])
+        k = _dual_argmin(v, c, lam)
+        at = line(k)
+        if _at_breakpoint(lam, at, hi, lo, n, (fixed_abs, fixed_cost)):
             j_hi[live] = k_hi + first
             j_lo[live] = k_lo + first
             return j_hi, j_lo, lam
-        if fixed_cost + s > budget:
-            k_lo, a_lo, b_lo, s_lo = k, a, b, s
+        if fixed_cost + at[2] > budget:
+            k_lo, lo = k, at
         else:
-            k_hi, a_hi, s_hi = k, a, s
+            k_hi, hi = k, at
     raise NumericalFailure("multiplier search did not settle on a breakpoint")
+
+
+def _dual_argmin(val: np.ndarray, cost: np.ndarray, lam: float) -> np.ndarray:
+    """Each row's cell that minimizes val + lam * cost (the first of ties)."""
+    dual = cost * lam
+    dual += val
+    return dual.argmin(axis=1)
+
+
+def _at_breakpoint(lam: float, at: tuple[float, float, float], hi: tuple[float, float, float],
+                   lo: tuple[float, float, float], n: int,
+                   fixed: tuple[float, float] = (0.0, 0.0)) -> bool:
+    """The multiplier search's stopping test: whether the argmin plan ``at``
+    of val + lam * cost, where the lines of the plans ``hi`` and ``lo``
+    cross, lies no lower than those lines, to the rounding of a sum over n
+    rows; then both plans are optimal at lam. A plan is its (value, |value|,
+    spend), summed over some of the rows; ``fixed`` is the (|value|, spend)
+    of the other rows, where the three plans agree."""
+    a_hi, _, s_hi = hi
+    a_lo, b_lo, s_lo = lo
+    slack = n * _EPS * (fixed[0] + b_lo + lam * (fixed[1] + s_lo))
+    return at[0] + lam * at[2] >= min(a_lo + lam * s_lo, a_hi + lam * s_hi) - slack
+
+
+def _checked_multiplier(w: np.ndarray, cost: np.ndarray, val: np.ndarray, budget: float,
+                        j_hi: np.ndarray, j_lo: np.ndarray) -> float | None:
+    """The multiplier at which the plans j_hi and j_lo (the last oracle
+    call's at this pass) still solve the program with these values, or None:
+    j_hi spends at most the budget and j_lo more, their lines cross at some
+    lam > 0, and one argmin plan of val + lam * cost over every row passes
+    the multiplier search's stopping test there (``_at_breakpoint``)."""
+    rows = np.arange(w.size)
+
+    def line(j: np.ndarray) -> tuple[float, float, float]:
+        vj = val[rows, j]
+        return w.dot(vj), w.dot(np.abs(vj)), w.dot(cost[rows, j])
+
+    hi, lo = line(j_hi), line(j_lo)
+    if not hi[2] <= budget < lo[2]:
+        return None
+    lam = (hi[0] - lo[0]) / (lo[2] - hi[2])
+    if not lam > 0.0:
+        return None
+    at = line(_dual_argmin(val, cost, lam))
+    return lam if _at_breakpoint(lam, at, hi, lo, w.size) else None
 
 
 @dataclass
 class _Pass:
     """One refinement pass of a transport program: the (atoms x width)
     displacements, each row an atom's grid sorted by cost and padded, the
-    grid sizes, the costs, the binding multiplier, and each atom's active
-    displacements (the cells its plan uses)."""
+    grid sizes, the costs, the binding multiplier, and its plan. The plan is
+    the cells (j_hi, j_lo) of the two bracket plans, its fragments (atom,
+    cell, share) in the order its value sums them, the share ``shed`` of
+    fragment k back to zero displacement as (k, share) (or None), and each
+    atom's active displacements (the cells its plan uses). Only the value
+    depends on the objective; the rest follows from the costs and cells."""
 
     sizes: list[int]
     disp: np.ndarray
     cost: np.ndarray
     lam: float
+    cells: tuple[np.ndarray, np.ndarray]
+    fragments: list[tuple[int, int, float]]
+    shed: tuple[int, float] | None
     active: list[set[float]]
+
+    def value(self, w: np.ndarray, val: np.ndarray) -> float:
+        """The plan's value on the objective values ``val``."""
+        value = 0.0
+        for i, j, m in self.fragments:
+            value += w[i] * m * val[i, j]
+        if self.shed is not None:
+            k, share = self.shed
+            i, j, _ = self.fragments[k]
+            value += w[i] * share * (val[i, 0] - val[i, j])
+        return value
+
+    def kept(self) -> list[tuple[int, int, float]]:
+        """The plan's fragments of positive share, after the shed."""
+        fragments = list(self.fragments)
+        if self.shed is not None:
+            k, share = self.shed
+            i, j, m = fragments[k]
+            fragments[k] = (i, j, m - share)
+            fragments.append((i, 0, share))
+        return [(i, j, m) for i, j, m in fragments if m > 0.0]
+
+
+def _planned(w: np.ndarray, sizes: list[int], disp: np.ndarray, cost: np.ndarray, p: float,
+             budget: float, lam: float, j_hi: np.ndarray, j_lo: np.ndarray) -> _Pass:
+    """The pass whose bracket plans at the binding multiplier lam are j_hi
+    and j_lo: starting from j_hi, atoms move their share to their j_lo cell
+    until the budget is spent."""
+    n = w.size
+    # share of each atom moved from its j_hi cell to its j_lo cell
+    moved = np.zeros(n)
+    # (the search sums spends in another order: ulps over are shed below)
+    remaining = max(budget - w @ cost[np.arange(n), j_hi], 0.0)
+    for i in np.flatnonzero(j_lo != j_hi):
+        cap = w[i] * (cost[i, j_lo[i]] - cost[i, j_hi[i]])
+        moved[i] = 1.0 if cap <= remaining else remaining / cap
+        remaining -= moved[i] * cap
+        if moved[i] < 1.0:
+            break
+    # (cell, share) of each atom: its j_hi cell, then its j_lo cell
+    pieces = [[(j, m) for j, m in ((j_hi[i], 1.0 - moved[i]), (j_lo[i], moved[i]))
+               if m > 0.0] for i in range(n)]
+    fragments = [(i, j, m) for i in range(n) for j, m in pieces[i]]
+    used = 0.0
+    for i, j, m in fragments:
+        used += w[i] * m * cost[i, j]
+    if used > budget * (1.0 + 1e-9) + 1e-300:
+        raise NumericalFailure(f"transport plan overspent: {used} > {budget}")
+    shed = None
+    if used > budget:
+        # re-accumulation rounding can overshoot by ulps; shed the excess
+        # mass from the costliest fragment back to zero displacement (cell
+        # 0 of every row) so the returned plan is certified within budget
+        units = [w[i] * abs(float(disp[i, j])) ** p for i, j, _ in fragments]
+        k = int(np.argmax(units))
+        shed = (k, min(fragments[k][2], (used - budget) / units[k]))
+    active = [{disp[i, j] for j, _ in pieces[i]} for i in range(n)]
+    return _Pass(sizes, disp, cost, lam, (j_hi, j_lo), fragments, shed, active)
 
 
 @dataclass
@@ -466,12 +581,12 @@ class _OracleMemory:
 
 
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
-                        p: float, budget: float, f: Callable[[np.ndarray], np.ndarray],
+                        p: float, delta: float, f: Callable[[np.ndarray], np.ndarray],
                         kinks: tuple[float, ...] = (), memory: _OracleMemory | None = None,
                         pi: float = math.nan
                         ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
-    subject to sum_i w_i E|s_i|^p <= budget and s_i in [s_lo_i, s_hi_i].
+    subject to sum_i w_i E|s_i|^p <= budget = delta^p and s_i in [s_lo_i, s_hi_i].
 
     f evaluates the objective at an array of positions; each pass calls it
     once per atom, on that atom's grid positions (one call on every atom's
@@ -480,7 +595,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     bend) joins the base grid of every atom whose bounds hold it, as the
     displacement k - x_i, and is evaluated at k itself (x_i + (k - x_i) can
     round an ulp off k, and a steep f turns that ulp into an error). An
-    infinite budget leaves each atom its own window minimum (p only orders
+    infinite radius leaves each atom its own window minimum (p only orders
     each row). Returns (value, points, masses, atoms): the best plan's
     fragments, at positions x_i + s (k at a kink), each with mass w_i times
     the share of atom i it carries, and the index i of that atom.
@@ -497,8 +612,15 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     displacements: each pass lays 33 points across s +- the wider grid cell
     next to every active displacement s.
 
+    Range: the multiplier search weighs every cell's cost against the
+    budget, so a radius delta > 0 needs the largest displacement D's cost in
+    budgets, (D / delta)^p, inside float range. Past it (high orders: p >
+    ln(float max) / ln(D / delta)) the program is refused with ConfigError,
+    where it would overflow and, once delta^p leaves the normal floats, find
+    no multiplier; p = inf solves such balls exactly.
+
     Memory: ``memory`` (an outer search's, over strategies pi = ``pi``
-    with f = u(pi y) on one x, w, p and budget; ball infima and direct
+    with f = u(pi y) on one x, w, p and delta; ball infima and direct
     callers pass none) holds the last call's passes and takes this call's on
     return. The base grids follow from the bounds alone
     (``_displacement_grid``), and each refined grid from the grids and
@@ -506,22 +628,38 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     equal the last call's at that pass, the next pass takes the last call's
     displacement and cost arrays as they are and evaluates only f: they are
     the arrays this call would build. (A pass keeps no grids: they are its
-    rows, sorted back, the first time a pass differs.) The multiplier search
-    is seeded with the last call's multiplier at the same pass times
-    pi / pi_last, probed 2 |pi - pi_last| / |pi| either side (at most 0.5)
-    on pass 0, and on later passes while that width is at most _SEED_WIDTH;
-    otherwise with this call's previous pass's multiplier, probed half its
-    drift over the pass before (1e-2 on pass 1; the first call's pass 0
-    starts cold). A seed only brackets the same binding multiplier
-    sooner, so neither reuse changes the program that is solved; plans tied
-    to rounding at the binding multiplier (its search stops within the
-    rounding of the dual) can resolve another way, as between a warm and a
-    cold bracket. Twin cells, one displacement laid twice an ulp or so
-    apart where refinement windows overlap, are such a tie, so a plan takes
-    the first of them (``_first_twin``).
+    rows, sorted back, the first time a pass differs.) Such a pass first
+    checks the last call's bracket plans (j_hi, j_lo) at this pass on the
+    new values (``_checked_multiplier``): j_hi spends at most the budget
+    and j_lo more, their value lines cross at some lam > 0, and there one
+    argmin over every row passes the multiplier search's stopping test with
+    its slack (``_at_breakpoint``). Then both plans are optimal at the
+    binding multiplier lam, and the moved shares depend only on costs and
+    cells, so the pass keeps the last call's fragments, shed and active
+    displacements (the rest of its ``_Pass``) and re-sums only the value, in
+    the same order. Otherwise the multiplier search runs, seeded with the
+    last call's multiplier at the same pass times pi / pi_last, probed
+    2 |pi - pi_last| / |pi| either side (at most 0.5) on pass 0, and on
+    later passes while that width is at most _SEED_WIDTH; otherwise with
+    this call's previous pass's multiplier, probed half its drift over the
+    pass before (1e-2 on pass 1; the first call's pass 0 starts cold). A
+    check or a seed only finds the same binding multiplier sooner, so no
+    reuse changes the program that is solved; plans tied to rounding at the
+    binding multiplier (the search and the check stop within the rounding
+    of the dual) can resolve another way, as between a warm and a cold
+    bracket. Twin cells, one displacement laid twice an ulp or so apart
+    where refinement windows overlap, are such a tie, so a searched plan
+    takes the first of them (``_first_twin``).
     """
+    reach = max(float(np.max(-s_lo)), float(np.max(s_hi)))
+    if delta > 0.0 and reach > delta and p * math.log(reach / delta) > _LOG_MAX:
+        raise ConfigError(
+            f"order p = {p} is too high for radius delta = {delta}: the largest "
+            f"displacement, {reach}, costs (displacement / delta)^p = "
+            f"e^{p * math.log(reach / delta):.1f} budgets, past float range "
+            f"(e^{_LOG_MAX:.1f}); use p = inf, which solves such a ball exactly")
+    budget = delta ** p
     n = x.shape[0]
-    rows = np.arange(n)
     grids, kink_at = [], []  # kink_at[i]: the kink at each kink displacement of atom i
     for i in range(n):
         grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), _GRID_POINTS)
@@ -535,7 +673,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         seed_width = 2.0 * abs(pi - memory.pi) / abs(pi)
     passes: list[_Pass] = []
     same = bool(last)  # this pass's grids are the last call's
-    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
+    best: tuple[float, _Pass] | None = None
     lam = lam_before = 0.0
     for pass_ in range(_REFINEMENTS + 1):
         if same:
@@ -557,54 +695,25 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             val[i, :size] = f(y)
         if np.isnan(val).any():
             raise NumericalFailure("objective is NaN on a displacement grid")
-        if pass_ < len(last) and (pass_ == 0 or seed_width <= _SEED_WIDTH):
-            lam0, width = last[pass_].lam * (pi / memory.pi), min(seed_width, 0.5)
-        elif pass_ >= 2 and lam > 0.0:
-            lam0, width = lam, 0.5 * abs(lam - lam_before) / lam
+        checked = _checked_multiplier(w, cost, val, budget, *last[pass_].cells) if same else None
+        if checked is not None:  # the last call's plans still solve this pass
+            step = dataclasses.replace(last[pass_], lam=checked)
         else:
-            lam0, width = lam, 1e-2
-        lam_before = lam
-        j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, lam0, width)
-        j_hi, j_lo = _first_twin(disp, j_hi, j_lo)
-        # share of each atom moved from its j_hi cell to its j_lo cell
-        moved = np.zeros(n)
-        # (the search sums spends in another order: ulps over are shed below)
-        remaining = max(budget - w @ cost[rows, j_hi], 0.0)
-        for i in np.flatnonzero(j_lo != j_hi):
-            cap = w[i] * (cost[i, j_lo[i]] - cost[i, j_hi[i]])
-            moved[i] = 1.0 if cap <= remaining else remaining / cap
-            remaining -= moved[i] * cap
-            if moved[i] < 1.0:
-                break
-        # (cell, share) of each atom: its j_hi cell, then its j_lo cell
-        pieces = [[(j, m) for j, m in ((j_hi[i], 1.0 - moved[i]), (j_lo[i], moved[i]))
-                   if m > 0.0] for i in range(n)]
-        fragments = [(i, j, m) for i in range(n) for j, m in pieces[i]]
-        value = used = 0.0
-        for i, j, m in fragments:
-            value += w[i] * m * val[i, j]
-            used += w[i] * m * cost[i, j]
-        if used > budget * (1.0 + 1e-9) + 1e-300:
-            raise NumericalFailure(f"transport plan overspent: {used} > {budget}")
-        if used > budget:
-            # re-accumulation rounding can overshoot by ulps; shed the excess
-            # mass from the costliest fragment back to zero displacement (cell
-            # 0 of every row) so the returned plan is certified within budget
-            units = [w[i] * abs(float(disp[i, j])) ** p for i, j, _ in fragments]
-            k = int(np.argmax(units))
-            i, j, m = fragments[k]
-            shed = min(m, (used - budget) / units[k])
-            fragments[k] = (i, j, m - shed)
-            fragments.append((i, 0, shed))
-            value += w[i] * shed * (val[i, 0] - val[i, j])
+            if pass_ < len(last) and (pass_ == 0 or seed_width <= _SEED_WIDTH):
+                lam0, width = last[pass_].lam * (pi / memory.pi), min(seed_width, 0.5)
+            elif pass_ >= 2 and lam > 0.0:
+                lam0, width = lam, 0.5 * abs(lam - lam_before) / lam
+            else:
+                lam0, width = lam, 1e-2
+            j_hi, j_lo, lam_found = _multiplier_plans(w, cost, val, budget, lam0, width)
+            step = _planned(w, sizes, disp, cost, p, budget, lam_found,
+                            *_first_twin(disp, j_hi, j_lo))
+        lam_before, lam = lam, step.lam
+        value = step.value(w, val)
         if best is None or value < best[0]:
-            kept = [(i, j, m) for i, j, m in fragments if m > 0.0]
-            best = (value, np.array([kink_at[i].get(disp[i, j], x[i] + disp[i, j])
-                                     for i, j, _ in kept]),
-                    np.array([w[i] * m for i, _, m in kept]),
-                    np.array([i for i, _, _ in kept]))
-        active = [{disp[i, j] for j, _ in pieces[i]} for i in range(n)]
-        passes.append(_Pass(sizes, disp, cost, lam, active))
+            best = (value, step)
+        passes.append(step)
+        active = step.active
         if pass_ == _REFINEMENTS:
             break  # no pass left to use a refined grid
         if same and pass_ + 1 < len(last) and active == last[pass_].active:
@@ -634,7 +743,11 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     assert best is not None
     if memory is not None:
         memory.pi, memory.bounds, memory.passes = pi, (s_lo, s_hi), passes
-    return best
+    value, step = best
+    kept = step.kept()
+    return (value, np.array([kink_at[i].get(step.disp[i, j], x[i] + step.disp[i, j])
+                             for i, j, _ in kept]),
+            np.array([w[i] * m for i, _, m in kept]), np.array([i for i, _, _ in kept]))
 
 
 def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
@@ -704,7 +817,7 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     else:
         s_lo, s_hi = np.zeros_like(x), extents
     value, pts, masses, atoms = _transport_minimize(
-        x, w, s_lo, s_hi, order.p, delta ** order.p, lambda y: utility.u(pi_s * y),
+        x, w, s_lo, s_hi, order.p, delta, lambda y: utility.u(pi_s * y),
         memory=memory, pi=pi_s)
     adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
@@ -897,15 +1010,14 @@ def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> f
     w = spec.model.weights
     space = spec.state_space
     s_lo, s_hi = space.lower[0] - x, space.upper[0] - x
+    p, radius = spec.order.p, delta
     if spec.order.is_inf:  # per-atom windows, no budget shared
-        p, budget = 1.0, math.inf
+        p, radius = 1.0, math.inf
         s_lo, s_hi = np.maximum(s_lo, -delta), np.minimum(s_hi, delta)
-    elif math.isfinite(space.lower[0]) and math.isfinite(space.upper[0]):
-        p, budget = spec.order.p, delta ** spec.order.p
-    else:
+    elif not (math.isfinite(space.lower[0]) and math.isfinite(space.upper[0])):
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
-    value, *_ = _transport_minimize(x, w, s_lo, s_hi, p, budget, payoff, kinks=payoff.kinks)
+    value, *_ = _transport_minimize(x, w, s_lo, s_hi, p, radius, payoff, kinks=payoff.kinks)
     return float(value)
 
 

@@ -484,6 +484,19 @@ def test_nan_radius_exits_two(tmp_path, capsys, order, how):
     assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+def test_robust_at_an_order_past_float_range_exits_two(tmp_path, capsys):
+    # p = 250 exited 0 with overflow warnings on stderr (exit 4 in the test
+    # suite, where RuntimeWarnings are errors); (2.25 / 0.1)^250 budgets is
+    # past float range
+    cfg = base_config(wasserstein_p=250.0, action_space=[-0.75, 0.75], delta=0.1,
+                      model={"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]})
+    rc = cli.main(["robust", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "use p = inf" in captured.err and "Traceback" not in captured.err
+
+
 def test_robust_reads_top_level_state_space(tmp_path, capsys):
     # the finite-p oracle caps displacements by the state space of the
     # problem, whether the config sets it at the top level or on the model

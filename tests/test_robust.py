@@ -12,7 +12,8 @@ import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                          DomainCompatibilityError, NumericalFailure, robust_solver)
 from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
-from robustfolio.robust_solver import _displacement_grid, _multiplier_plans
+from robustfolio.robust_solver import (_checked_multiplier, _displacement_grid,
+                                       _multiplier_plans)
 from robustfolio.sensitivity import zero_strategy
 
 from conftest import binomial_log_spec, load_bench, normal_exp_spec
@@ -331,6 +332,54 @@ def test_multiplier_plans_bracket_the_budget_from_any_guess(problem, guess, widt
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * (w @ np.abs(val[:, 0])))
 
 
+@settings(max_examples=120)
+@given(problem=multiplier_problems())
+def test_the_last_calls_plans_pass_the_check_only_where_they_solve_the_program(problem):
+    # a warm pass keeps the last oracle call's plans if they pass the
+    # multiplier search's own stopping test on its values: the cold plans
+    # pass it, at their multiplier; no pair that misses the budget does; and
+    # any pair that passes has the optimal value when mixed
+    w, cost, val, budget = problem
+    j_hi, j_lo, lam_star = _multiplier_plans(w, cost, val, budget)
+    lam = _checked_multiplier(w, cost, val, budget, j_hi, j_lo)
+    if lam_star == 0.0:  # the plain argmin fits: no pair brackets the budget
+        assert lam is None
+        return
+    assert lam == pytest.approx(lam_star, rel=1e-12)
+    assert _checked_multiplier(w, cost, val, budget, j_lo, j_hi) is None
+    assert _checked_multiplier(w, cost, val, budget, j_hi, j_hi) is None
+    optimum = mixed_value(w, cost, val, budget, j_hi, j_lo)
+    scale = 1e-12 * (w @ np.abs(val[:, 0]))
+    # the cold plans of a budget 10% larger hold here only where they
+    # bracket this budget too (one breakpoint binds both budgets)
+    wider = _multiplier_plans(w, cost, val, 1.1 * budget)[:2]
+    spends = [plan_spend_and_value(w, cost, val, j)[0] for j in wider]
+    held = _checked_multiplier(w, cost, val, budget, *wider)
+    assert (held is not None) == (spends[0] <= budget < spends[1])
+    # the cold search's first bracket, the zero-displacement plan and the
+    # plain argmin, holds only where the search stops on it
+    first = (np.argmin(np.where(cost == 0.0, val, np.inf), axis=1), np.argmin(val, axis=1))
+    for pair in (wider, first):
+        if _checked_multiplier(w, cost, val, budget, *pair) is not None:
+            assert mixed_value(w, cost, val, budget, *pair) == pytest.approx(
+                optimum, rel=1e-12, abs=scale)
+
+
+def test_the_check_refuses_the_plans_of_a_larger_budget():
+    # two atoms whose moves gain 1 and 0.5 per unit of spend, the first's
+    # spending 1: budget 0.95 moves part of the first (multiplier 1), and
+    # budget 1.045 all of it and part of the second (multiplier 0.5)
+    w = np.array([0.5, 0.5])
+    cost = np.array([[0.0, 2.0], [0.0, 2.0]])
+    val = np.array([[0.0, -2.0], [0.0, -1.0]])
+    j_hi, j_lo, lam = _multiplier_plans(w, cost, val, 0.95)
+    assert lam == 1.0 and _checked_multiplier(w, cost, val, 0.95, j_hi, j_lo) == 1.0
+    wider = _multiplier_plans(w, cost, val, 1.1 * 0.95)
+    assert wider[2] == 0.5
+    assert _checked_multiplier(w, cost, val, 1.1 * 0.95, *wider[:2]) == 0.5
+    assert _checked_multiplier(w, cost, val, 0.95, *wider[:2]) is None
+
+
 def test_multiplier_plans_refuse_a_grid_without_its_zero_cell():
     cost = np.array([[0.5, 1.0, 2.0]])
     val = np.array([[1.0, 0.0, -1.0]])
@@ -459,6 +508,29 @@ def test_robust_p_value_below_inf_value():
 
 def criterion_08_spec(p: float, a: float = 0.25) -> rf.ProblemSpec:
     return binomial_log_spec(a, p=p, state=(-1.25, 1.25), action=(-0.75, 0.75))
+
+
+# criterion 08 at delta = 0.1: the largest displacement is 2.25 (the atom at 1
+# to the edge -1.25 of S), whose cost in budgets, (2.25 / 0.1)^p, leaves
+# float range past p = ln(float max) / ln(22.5) = 227.97
+
+def test_robust_p_solves_the_highest_order_in_float_range():
+    # (RuntimeWarnings are errors in the test suite: no overflow either)
+    v = rf.robust_solve(criterion_08_spec(227.0), 0.1).V_delta
+    assert v <= rf.robust_solve(criterion_08_spec(math.inf), 0.1).V_delta
+
+
+@pytest.mark.parametrize("p", [228.0, 235.0, 320.0, 400.0])
+def test_robust_p_refuses_an_order_past_float_range(p):
+    # the multiplier search overflowed from p = 231 and, once delta^p left
+    # the normal floats (p = 320, 400), found no multiplier
+    with pytest.raises(ConfigError, match="use p = inf") as refusal:
+        rf.robust_solve(criterion_08_spec(p), 0.1)
+    message = str(refusal.value)
+    assert f"p = {p}" in message and "delta = 0.1" in message and "2.25" in message
+    # the ball infimum of a price is the same transport program
+    with pytest.raises(ConfigError, match="use p = inf"):
+        robust_solver._ball_infimum_of_price(criterion_08_spec(p), rf.call_payoff(0.1), 0.1)
 
 
 def test_robust_value_rises_with_the_order_toward_the_inf_value():
@@ -687,6 +759,21 @@ def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
     assert len(reused) == 26
     assert sum(1 for k in reused if k >= 2) == 19  # one refined pass or more
     assert reused.count(passes) == 16
+
+
+def test_warm_passes_search_for_the_multiplier_only_where_the_last_plans_fail(monkeypatch):
+    # grid-binomial a = 0.25: 26 oracle calls of up to 4 passes made 104
+    # multiplier searches when every pass searched
+    searches = []
+    search = robust_solver._multiplier_plans
+
+    def traced(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(robust_solver, "_multiplier_plans", traced)
+    finite_p_solutions("grid-binomial", 0.25)
+    assert len(searches) == 45
 
 
 def test_a_plan_takes_the_first_of_twin_cells():
