@@ -25,34 +25,30 @@ digits, LF line endings, and trailing '# key=value' provenance lines (config
 hash, package version); JSON is a column-oriented object with the same
 provenance. Identical configs produce byte-identical files — nothing in the
 pipeline is randomized, and sweep rows follow the grid order.
+
+Start-up: the engine modules this one names are the package's lazily loaded
+modules, and every engine call goes through them
+(``baseline_solver.solve_baseline(spec)``), as do the numpy imports inside
+the functions that use numpy. So a command runs only what it calls into:
+parsing, config loading and validation need the standard library, ``errors``
+and ``analytic_fixtures`` (whose fixture names the schema lists), and a
+rejected config exits before numpy loads. hashlib (OpenSSL) loads only to
+hash a finished table's config, traceback only to place an internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import math
 import sys
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .analytic_fixtures import FIXTURE_NAMES, Fixture, fixture
-from .baseline_solver import (ProblemSpec, _until_error, butterfly_payoff, call_payoff,
-                              davis_price, davis_price_via_root, make_payoff, power_payoff,
-                              solve_baseline, solve_baselines)
+from . import __version__, analytic_fixtures, baseline_solver, measures, robust_solver, sensitivity
+from . import utility as utilities
 from .errors import ConfigError, NumericalFailure, RobustfolioError
-from .measures import (StateSpace, WassersteinOrder, make_model, moments, normal)
-from .robust_solver import (martingale_check_robust, robust_davis_price, robust_solve,
-                            solve_delta_grid)
-from .sensitivity import sensitivity_report, value_sensitivity, optimizer_sensitivity, \
-    kl_value_sensitivity
-from .utility import Utility, capped_exponential, exponential, log_shifted, make_utility
 
 _NUMBER = {"type": "number"}
 _BOUND = {"oneOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
@@ -140,7 +136,7 @@ CONFIG_SCHEMA = {
                                  "grid": _GRID3}},
         "fixture": {"type": "object", "additionalProperties": False,
                     "required": ["name"],
-                    "properties": {"name": {"enum": list(FIXTURE_NAMES)},
+                    "properties": {"name": {"enum": list(analytic_fixtures.FIXTURE_NAMES)},
                                    "params": {"type": "object"}}},
         "output": {"type": "object", "additionalProperties": False,
                    "properties": {"path": {"type": "string"},
@@ -304,31 +300,34 @@ def validate_config(cfg: dict) -> dict:
     return _integers_as_int(cfg, CONFIG_SCHEMA)
 
 
-def _order_from(cfg: dict) -> WassersteinOrder:
+def _order_from(cfg: dict) -> measures.WassersteinOrder:
     p_raw = cfg.get("wasserstein_p", "inf")
-    return WassersteinOrder(math.inf if p_raw == "inf" else float(p_raw))
+    return measures.WassersteinOrder(math.inf if p_raw == "inf" else float(p_raw))
 
 
-def build_spec(cfg: dict, utility: Utility | None = None) -> ProblemSpec:
+def build_spec(cfg: dict,
+               utility: utilities.Utility | None = None) -> baseline_solver.ProblemSpec:
     """The problem a config states; ``utility``, when given, stands for the
     one its utility section makes."""
     if "model" not in cfg or "utility" not in cfg:
         raise ConfigError("config needs 'model' and 'utility' sections")
-    model = make_model(cfg["model"])
+    model = measures.make_model(cfg["model"])
     if utility is None:
-        utility = make_utility(cfg["utility"])
+        utility = utilities.make_utility(cfg["utility"])
     a_lo, a_hi = cfg.get("action_space", [-1000.0, 1000.0])
-    action = StateSpace.interval(a_lo, a_hi)
+    action = measures.StateSpace.interval(a_lo, a_hi)
     state = None
     if "state_space" in cfg:
         s_lo, s_hi = cfg["state_space"]
-        state = StateSpace.interval(s_lo, s_hi)
-    payoff = make_payoff(cfg["payoff"]) if "payoff" in cfg else None
-    return ProblemSpec(model=model, utility=utility, action_space=action,
-                       order=_order_from(cfg), payoff=payoff, state_space=state)
+        state = measures.StateSpace.interval(s_lo, s_hi)
+    payoff = baseline_solver.make_payoff(cfg["payoff"]) if "payoff" in cfg else None
+    return baseline_solver.ProblemSpec(model=model, utility=utility, action_space=action,
+                                       order=_order_from(cfg), payoff=payoff,
+                                       state_space=state)
 
 
 def _config_hash(cfg: dict, command: str, preset: str | None) -> dict[str, str]:
+    import hashlib
     digest = hashlib.sha256(
         json.dumps({"config": cfg, "command": command, "preset": preset},
                    sort_keys=True).encode()).hexdigest()
@@ -347,6 +346,7 @@ def _grid_values(grid) -> list[float]:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ConfigError("grid stop must be >= start")
+    import numpy as np
     return [float(v) for v in np.arange(start, stop + step * 0.5, step)]
 
 
@@ -374,14 +374,15 @@ def _nz(value, fallback=_NAN) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg: dict) -> ResultTable:
+    import numpy as np
     spec = build_spec(cfg)
-    sol = solve_baseline(spec)
+    sol = baseline_solver.solve_baseline(spec)
     columns = ["pi_star", "V0", "foc_residual", "boundary"]
     row = [sol.pi_star_scalar, sol.V0, float(np.linalg.norm(sol.foc_residual)),
            1.0 if sol.boundary else 0.0]
     if spec.payoff is not None:
         columns.append("davis_price")
-        row.append(davis_price(spec, sol, spec.payoff))
+        row.append(baseline_solver.davis_price(spec, sol, spec.payoff))
     return ResultTable(columns, [row])
 
 
@@ -392,8 +393,8 @@ _BRANCH_CODE = {"interior": 0.0, "pi_star_zero": 1.0}
 
 def cmd_sensitivity(cfg: dict) -> ResultTable:
     spec = build_spec(cfg)
-    sol = solve_baseline(spec)
-    report = sensitivity_report(spec, sol)
+    sol = baseline_solver.solve_baseline(spec)
+    report = sensitivity.sensitivity_report(spec, sol)
     columns = ["q", "V_prime0", "pi_prime0", "kappa_u", "branch",
                "kl_V_prime0", "davis_price", "davis_prime0"]
     row = [report.q, report.V_prime0, float(report.pi_prime0[0]), report.kappa_u,
@@ -405,15 +406,15 @@ def cmd_sensitivity(cfg: dict) -> ResultTable:
 def cmd_robust(cfg: dict) -> ResultTable:
     spec = build_spec(cfg)
     deltas = _deltas_from(cfg)
-    solutions = solve_delta_grid(spec, deltas)
+    solutions = robust_solver.solve_delta_grid(spec, deltas)
     columns = ["delta", "V_delta", "pi_delta", "transport_cost",
                "martingale_residual", "davis_price_delta"]
     rows = []
     for sol in solutions:
-        davis_delta = (robust_davis_price(spec, spec.payoff, sol.delta, sol)
+        davis_delta = (robust_solver.robust_davis_price(spec, spec.payoff, sol.delta, sol)
                        if spec.payoff is not None else _NAN)
         rows.append([sol.delta, sol.V_delta, sol.pi_delta_scalar, sol.transport_cost,
-                     martingale_check_robust(spec, sol), davis_delta])
+                     robust_solver.martingale_check_robust(spec, sol), davis_delta])
     table = ResultTable(columns, rows)
     table.provenance["method"] = solutions[0].method if solutions else "none"
     return table
@@ -423,8 +424,8 @@ def cmd_davis(cfg: dict) -> ResultTable:
     spec = build_spec(cfg)
     if spec.payoff is None:
         raise ConfigError("davis command needs a payoff")
-    sol = solve_baseline(spec)
-    report = sensitivity_report(spec, sol)
+    sol = baseline_solver.solve_baseline(spec)
+    report = sensitivity.sensitivity_report(spec, sol)
     p_d = report.davis_price
     assert p_d is not None
     if abs(p_d) < 1e-8:
@@ -432,7 +433,7 @@ def cmd_davis(cfg: dict) -> ResultTable:
         root = _NAN
     else:
         bracket = (0.5 * p_d, 1.5 * p_d) if p_d > 0 else (1.5 * p_d, 0.5 * p_d)
-        root = davis_price_via_root(spec, spec.payoff, bracket)
+        root = baseline_solver.davis_price_via_root(spec, spec.payoff, bracket)
     return ResultTable(["davis_price", "davis_price_root", "davis_prime0"],
                        [[p_d, root, _nz(report.davis_prime0)]])
 
@@ -446,7 +447,7 @@ def cmd_sweep(cfg: dict) -> ResultTable:
     values = _grid_values(sweep["grid"])
     shared = None  # a sweep over the model makes its utility once: the lanes share it
 
-    def build(value: float) -> ProblemSpec:
+    def build(value: float) -> baseline_solver.ProblemSpec:
         nonlocal shared
         local = copy.deepcopy(cfg)
         local.setdefault(section, {})[key] = value
@@ -455,11 +456,11 @@ def cmd_sweep(cfg: dict) -> ResultTable:
             shared = spec.utility
         return spec
 
-    specs, failure = _until_error(build, values)
+    specs, failure = baseline_solver._until_error(build, values)
     rows = []
-    for value, spec, sol in zip(values, specs, solve_baselines(specs)):
-        report = sensitivity_report(spec, sol)
-        _, _, sharpe = moments(spec.model)
+    for value, spec, sol in zip(values, specs, baseline_solver.solve_baselines(specs)):
+        report = sensitivity.sensitivity_report(spec, sol)
+        _, _, sharpe = measures.moments(spec.model)
         rows.append([value, _nz(sharpe), sol.pi_star_scalar, sol.V0, report.V_prime0,
                      report.kappa_u, float(report.pi_prime0[0]), _nz(report.kl_V_prime0),
                      _nz(report.davis_price), _nz(report.davis_prime0)])
@@ -474,7 +475,7 @@ def cmd_oracle_check(cfg: dict) -> ResultTable:
     fx_cfg = cfg.get("fixture")
     if not fx_cfg:
         raise ConfigError("oracle-check needs a 'fixture' section")
-    fx = fixture(fx_cfg["name"], **fx_cfg.get("params", {}))
+    fx = analytic_fixtures.fixture(fx_cfg["name"], **fx_cfg.get("params", {}))
     triples = _fixture_deviations(fx)
     columns: list[str] = []
     row: list[float] = []
@@ -490,96 +491,95 @@ def _p_for_q(q: float) -> float:
     return math.inf if q == 1.0 else q / (q - 1.0)
 
 
-def _fixture_deviations(fx: Fixture) -> list[tuple[str, float, float]]:
+def _spec(model, utility, action: tuple[float, float], p: float = math.inf,
+          payoff=None) -> baseline_solver.ProblemSpec:
+    """The problem of ``model`` and ``utility`` on the action interval, at order p."""
+    return baseline_solver.ProblemSpec(model=model, utility=utility,
+                                       action_space=measures.StateSpace.interval(*action),
+                                       order=measures.WassersteinOrder(p), payoff=payoff)
+
+
+def _fixture_deviations(fx: analytic_fixtures.Fixture) -> list[tuple[str, float, float]]:
     """(quantity, fixture value, module value) triples for one fixture."""
     out: list[tuple[str, float, float]] = []
     params = fx.params
     if fx.name == "binomial_log":
         q = params["q"]
-        spec = ProblemSpec(model=make_model({"kind": "binomial", "a": params["a"]}),
-                           utility=log_shifted(1.0),
-                           action_space=StateSpace.interval(-50.0, 50.0),
-                           order=WassersteinOrder(_p_for_q(q)))
-        sol = solve_baseline(spec)
-        pi_prime, _ = optimizer_sensitivity(spec, sol)
+        spec = _spec(measures.make_model({"kind": "binomial", "a": params["a"]}),
+                     utilities.log_shifted(1.0), (-50.0, 50.0), _p_for_q(q))
+        sol = baseline_solver.solve_baseline(spec)
+        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
         out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
                 ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, value_sensitivity(spec, sol)),
+                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
                 ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
-                ("kl_prime0", fx.kl_prime0, kl_value_sensitivity(spec, sol))]
+                ("kl_prime0", fx.kl_prime0, sensitivity.kl_value_sensitivity(spec, sol))]
         if q == 1.0:
-            payoffs = {"power3": power_payoff(3), "call0": call_payoff(0.0)}
-            robust = robust_solve(spec, 0.1)
+            payoffs = {"power3": baseline_solver.power_payoff(3),
+                       "call0": baseline_solver.call_payoff(0.0)}
+            robust = robust_solver.robust_solve(spec, 0.1)
             for label, payoff in payoffs.items():
                 out.append((f"davis_price_{label}", fx.davis_price0[label],
-                            davis_price(spec, sol, payoff)))
+                            baseline_solver.davis_price(spec, sol, payoff)))
                 curve = fx.price_curves[label]
                 out.append((f"davis_curve_{label}_d01", curve(0.1),
-                            robust_davis_price(spec, payoff, 0.1, robust)))
+                            robust_solver.robust_davis_price(spec, payoff, 0.1, robust)))
     elif fx.name == "binomial_exp":
         q = params["q"]
         # pi* = ln((1-a)/a)/(2 gamma) grows without bound as a -> 0; A keeps
         # it interior
         half = max(10.0, 2.0 * abs(fx.pi_star))
-        spec = ProblemSpec(model=make_model({"kind": "binomial", "a": params["a"]}),
-                           utility=exponential(params["gamma"]),
-                           action_space=StateSpace.interval(-half, half),
-                           order=WassersteinOrder(_p_for_q(q)))
-        sol = solve_baseline(spec)
+        spec = _spec(measures.make_model({"kind": "binomial", "a": params["a"]}),
+                     utilities.exponential(params["gamma"]), (-half, half), _p_for_q(q))
+        sol = baseline_solver.solve_baseline(spec)
         out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
                 ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, value_sensitivity(spec, sol)),
-                ("kl_prime0", fx.kl_prime0, kl_value_sensitivity(spec, sol))]
+                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
+                ("kl_prime0", fx.kl_prime0, sensitivity.kl_value_sensitivity(spec, sol))]
     elif fx.name == "normal_exp":
-        spec = ProblemSpec(model=normal(params["mu"], params["sigma"]),
-                           utility=exponential(params["gamma"]),
-                           action_space=StateSpace.interval(-1000.0, 1000.0),
-                           order=WassersteinOrder(math.inf))
-        sol = solve_baseline(spec)
-        pi_prime, _ = optimizer_sensitivity(spec, sol)
-        payoff = power_payoff(2)
+        spec = _spec(measures.normal(params["mu"], params["sigma"]),
+                     utilities.exponential(params["gamma"]), (-1000.0, 1000.0))
+        sol = baseline_solver.solve_baseline(spec)
+        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
+        payoff = baseline_solver.power_payoff(2)
         out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
                 ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, value_sensitivity(spec, sol)),
+                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
                 ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
                 ("davis_price_power2", fx.davis_price0["power2"],
-                 davis_price(spec, sol, payoff))]
+                 baseline_solver.davis_price(spec, sol, payoff))]
         for d in (0.02, 0.05, 0.1):
-            rs = robust_solve(spec, d)
+            rs = robust_solver.robust_solve(spec, d)
             tag = f"{d:g}".replace(".", "p")
             out += [(f"V_delta_{tag}", fx.value_curve(d), rs.V_delta),
                     (f"pi_delta_{tag}", fx.pi_curve(d), rs.pi_delta_scalar),
                     (f"davis_curve_power2_{tag}", fx.price_curves["power2"](d),
-                     robust_davis_price(spec, payoff, d, rs))]
+                     robust_solver.robust_davis_price(spec, payoff, d, rs))]
     elif fx.name == "capped_exp_limit":
         # module at a small cap parameter vs the kappa -> 0 closed-form limits
         kappa = 0.01
         q = params["q"]
-        spec = ProblemSpec(model=normal(params["mu"], params["sigma"]),
-                           utility=capped_exponential(params["gamma"], kappa),
-                           action_space=StateSpace.interval(-1000.0, 1000.0),
-                           order=WassersteinOrder(_p_for_q(q)))
-        sol = solve_baseline(spec)
-        pi_prime, _ = optimizer_sensitivity(spec, sol)
-        out += [("value_prime0", fx.value_prime0, value_sensitivity(spec, sol)),
+        spec = _spec(measures.normal(params["mu"], params["sigma"]),
+                     utilities.capped_exponential(params["gamma"], kappa), (-1000.0, 1000.0),
+                     _p_for_q(q))
+        sol = baseline_solver.solve_baseline(spec)
+        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
+        out += [("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
                 ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
                 ("pi_prime0_variant", fx.pi_prime0_variant, float(pi_prime[0]))]
     elif fx.name == "lognormal_butterfly":
-        payoff = butterfly_payoff(params["K"])
-        spec = ProblemSpec(model=make_model({"kind": "shifted_lognormal",
-                                             "mu": params["mu"],
-                                             "sigma": params["sigma"]}),
-                           utility=log_shifted(1.0),
-                           action_space=StateSpace.interval(0.0, 1.0),
-                           order=WassersteinOrder(math.inf), payoff=payoff)
-        sol = solve_baseline(spec)
-        report = sensitivity_report(spec, sol, payoff)
+        payoff = baseline_solver.butterfly_payoff(params["K"])
+        spec = _spec(measures.make_model({"kind": "shifted_lognormal", "mu": params["mu"],
+                                          "sigma": params["sigma"]}),
+                     utilities.log_shifted(1.0), (0.0, 1.0), payoff=payoff)
+        sol = baseline_solver.solve_baseline(spec)
+        report = sensitivity.sensitivity_report(spec, sol, payoff)
         out.append(("davis_prime0", fx.davis_prime0["butterfly"],
                     _nz(report.davis_prime0)))
         for d in (0.0, 0.05, 0.1):
             tag = f"{d:g}".replace(".", "p")
             out.append((f"davis_curve_{tag}", fx.price_curves["butterfly"](d),
-                        robust_davis_price(spec, payoff, d)))
+                        robust_solver.robust_davis_price(spec, payoff, d)))
     else:  # pragma: no cover - catalog and dispatch kept in sync
         raise ConfigError(f"no oracle check wired for fixture {fx.name!r}")
     return [(n, float(a), float(b)) for n, a, b in out]
@@ -594,16 +594,14 @@ _A_GRID_TAIL = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6]
 _A_GRID_FULL = sorted(_A_GRID_TAIL + _A_GRID_COARSE)
 
 
-def _binomial_spec(a: float, utility) -> ProblemSpec:
-    return ProblemSpec(model=make_model({"kind": "binomial", "a": a}),
-                       utility=utility,
-                       action_space=StateSpace.interval(-50.0, 50.0))
+def _binomial_spec(a: float, utility) -> baseline_solver.ProblemSpec:
+    return _spec(measures.make_model({"kind": "binomial", "a": a}), utility, (-50.0, 50.0))
 
 
-def _at_q(spec: ProblemSpec, q: float) -> ProblemSpec:
+def _at_q(spec: baseline_solver.ProblemSpec, q: float) -> baseline_solver.ProblemSpec:
     """The problem with conjugate exponent q. The baseline optimum does not
     depend on the order, so one solve serves the sensitivities at every q."""
-    return spec.with_order(WassersteinOrder(_p_for_q(q)))
+    return spec.with_order(measures.WassersteinOrder(_p_for_q(q)))
 
 
 def _binomial_sharpe(a: float) -> float:
@@ -612,14 +610,12 @@ def _binomial_sharpe(a: float) -> float:
 
 def _fig1() -> ResultTable:
     sigma, gamma = 0.2, 1.0
-    utility = exponential(gamma)
+    utility = utilities.exponential(gamma)
     mus = [0.02 * k for k in range(1, 31)]
-    specs = [ProblemSpec(model=normal(mu, sigma), utility=utility,
-                         action_space=StateSpace.interval(-1000.0, 1000.0),
-                         order=WassersteinOrder(math.inf)) for mu in mus]
+    specs = [_spec(measures.normal(mu, sigma), utility, (-1000.0, 1000.0)) for mu in mus]
     rows = []
-    for mu, spec, sol in zip(mus, specs, solve_baselines(specs)):
-        v_prime = value_sensitivity(spec, sol)
+    for mu, spec, sol in zip(mus, specs, baseline_solver.solve_baselines(specs)):
+        v_prime = sensitivity.value_sensitivity(spec, sol)
         rows.append([mu, mu / sigma, v_prime, abs(v_prime)])
     return ResultTable(["mu", "sharpe", "V_prime0", "magnitude"], rows)
 
@@ -627,19 +623,19 @@ def _fig1() -> ResultTable:
 def _fig2(utility, q_list: list[float], labels: list[str]) -> ResultTable:
     specs = [_binomial_spec(a, utility) for a in _A_GRID_FULL]
     rows = []
-    for a, spec, sol in zip(_A_GRID_FULL, specs, solve_baselines(specs)):
+    for a, spec, sol in zip(_A_GRID_FULL, specs, baseline_solver.solve_baselines(specs)):
         rows.append([a, _binomial_sharpe(a)]
-                    + [value_sensitivity(_at_q(spec, q), sol) for q in q_list]
-                    + [kl_value_sensitivity(spec, sol)])
+                    + [sensitivity.value_sensitivity(_at_q(spec, q), sol) for q in q_list]
+                    + [sensitivity.kl_value_sensitivity(spec, sol)])
     return ResultTable(["a", "sharpe"] + labels + ["kl_V_prime0"], rows)
 
 
 def _fig3(utility) -> ResultTable:
     specs = [_binomial_spec(a, utility) for a in _A_GRID_COARSE]
     rows = []
-    for a, spec, sol in zip(_A_GRID_COARSE, specs, solve_baselines(specs)):
+    for a, spec, sol in zip(_A_GRID_COARSE, specs, baseline_solver.solve_baselines(specs)):
         rows.append([a, _binomial_sharpe(a)]
-                    + [float(optimizer_sensitivity(_at_q(spec, q), sol)[0][0])
+                    + [float(sensitivity.optimizer_sensitivity(_at_q(spec, q), sol)[0][0])
                        for q in (1.0, 2.0, 3.0)])
     return ResultTable(["a", "sharpe", "pi_prime0_q1", "pi_prime0_q2",
                         "pi_prime0_q3"], rows)
@@ -647,16 +643,14 @@ def _fig3(utility) -> ResultTable:
 
 def _fig4() -> ResultTable:
     mu, sigma, gamma, q = 0.1, 0.2, 1.0, 2.0
-    fx = fixture("capped_exp_limit", mu=mu, sigma=sigma, gamma=gamma, q=q)
+    fx = analytic_fixtures.fixture("capped_exp_limit", mu=mu, sigma=sigma, gamma=gamma, q=q)
     kappas = (1.0, 0.3, 0.1, 0.03, 0.01)
-    specs = [ProblemSpec(model=normal(mu, sigma),
-                         utility=capped_exponential(gamma, kappa),
-                         action_space=StateSpace.interval(-1000.0, 1000.0),
-                         order=WassersteinOrder(_p_for_q(q))) for kappa in kappas]
+    specs = [_spec(measures.normal(mu, sigma), utilities.capped_exponential(gamma, kappa),
+                   (-1000.0, 1000.0), _p_for_q(q)) for kappa in kappas]
     rows = []
-    for kappa, spec, sol in zip(kappas, specs, solve_baselines(specs)):
-        pi_prime, _ = optimizer_sensitivity(spec, sol)
-        rows.append([kappa, value_sensitivity(spec, sol), fx.value_prime0,
+    for kappa, spec, sol in zip(kappas, specs, baseline_solver.solve_baselines(specs)):
+        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
+        rows.append([kappa, sensitivity.value_sensitivity(spec, sol), fx.value_prime0,
                      float(pi_prime[0]), fx.pi_prime0, fx.pi_prime0_variant])
     return ResultTable(["kappa", "V_prime0", "V_prime0_limit", "pi_prime0",
                         "pi_prime0_limit", "pi_prime0_variant"], rows)
@@ -665,13 +659,13 @@ def _fig4() -> ResultTable:
 # preset -> its curve data
 _FIGURES = {
     "fig1": _fig1,
-    "fig2-left": lambda: _fig2(log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
+    "fig2-left": lambda: _fig2(utilities.log_shifted(1.0), [1.0, 1.5, 2.0, 3.0],
                                ["V_prime0_q1", "V_prime0_q1_5", "V_prime0_q2", "V_prime0_q3"]),
     # orders inf, 4, 2.5 -> conjugates 1, 4/3, 5/3
-    "fig2-right": lambda: _fig2(exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
+    "fig2-right": lambda: _fig2(utilities.exponential(1.0), [1.0, 4.0 / 3.0, 5.0 / 3.0],
                                 ["V_prime0_pinf", "V_prime0_p4", "V_prime0_p2_5"]),
-    "fig3-left": lambda: _fig3(log_shifted(1.0)),
-    "fig3-right": lambda: _fig3(exponential(1.0)),
+    "fig3-left": lambda: _fig3(utilities.log_shifted(1.0)),
+    "fig3-right": lambda: _fig3(utilities.exponential(1.0)),
     "fig4": _fig4,
 }
 FIGURE_PRESETS = tuple(_FIGURES)
@@ -806,6 +800,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:  # no failure may leave as a traceback with exit 1
+        import traceback
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"error: internal failure ({type(exc).__name__} at "
               f"{Path(where.filename).name}:{where.lineno}): {exc}", file=sys.stderr)

@@ -301,6 +301,11 @@ def truncated_normal(mu: float, sigma: float, radius: float, n_nodes: int = 12,
     x = mu + radius * t
     dens = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
     weights = w * dens
+    if weights.sum() == 0.0:
+        raise ConfigError(
+            f"truncated normal with sigma = {sigma}, radius = {radius} and n_nodes = "
+            f"{n_nodes}: every node is so many sigmas from mu that its density "
+            f"underflows to 0; use a smaller radius or more nodes")
     weights = weights / weights.sum()
     space = state_space if state_space is not None else StateSpace.interval(mu - radius, mu + radius)
     return DiscreteMeasure(

@@ -138,6 +138,7 @@ _PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relati
 _SEED_WIDTH = 1e-2  # widest relative probe step a seed from the last oracle call gets
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(float(np.finfo(float).max))
+_LOG_TINY = math.log(float(np.finfo(float).tiny))  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -652,12 +653,20 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     takes the first of them (``_first_twin``).
     """
     reach = max(float(np.max(-s_lo)), float(np.max(s_hi)))
-    if delta > 0.0 and reach > delta and p * math.log(reach / delta) > _LOG_MAX:
-        raise ConfigError(
-            f"order p = {p} is too high for radius delta = {delta}: the largest "
-            f"displacement, {reach}, costs (displacement / delta)^p = "
-            f"e^{p * math.log(reach / delta):.1f} budgets, past float range "
-            f"(e^{_LOG_MAX:.1f}); use p = inf, which solves such a ball exactly")
+    if 0.0 < delta < math.inf:
+        log_budget, log_reach = p * math.log(delta), p * math.log(max(reach, delta))
+        if log_reach - log_budget > _LOG_MAX:
+            raise ConfigError(
+                f"order p = {p} is too high for radius delta = {delta}: the largest "
+                f"displacement, {reach}, costs (displacement / delta)^p = "
+                f"e^{log_reach - log_budget:.1f} budgets, past float range "
+                f"(e^{_LOG_MAX:.1f}); use p = inf, which solves such a ball exactly")
+        if log_budget < _LOG_TINY or log_reach > _LOG_MAX:
+            raise ConfigError(
+                f"order p = {p} at radius delta = {delta} leaves the normal floats "
+                f"(e^{_LOG_TINY:.1f} to e^{_LOG_MAX:.1f}): the budget delta^p is "
+                f"e^{log_budget:.1f} and the largest displacement, {reach}, costs "
+                f"e^{log_reach:.1f}; use p = inf, which solves such a ball exactly")
     budget = delta ** p
     n = x.shape[0]
     grids, kink_at = [], []  # kink_at[i]: the kink at each kink displacement of atom i

@@ -266,18 +266,24 @@ def _capped_reach(dist: np.ndarray, w: np.ndarray, level: float, p: float) -> fl
     """t with sum_i w_i min(dist_i, t)^p = level^p: the common distance the
     atoms not stopped by their edge move (inf when the edges hold less than
     the level, the level itself when no edge binds). At p = inf the level
-    caps the largest move, so t is the level."""
+    caps the largest move, so t is the level.
+
+    Distances are taken in units of the level, and an atom's power only once
+    the reach has passed it, so r^p stays below 1 / (weight left): no power
+    leaves float range at a high order or a radius far from 1."""
     if math.isinf(p) or np.all(dist[w > 0.0] >= level):
         return level
     order = np.argsort(dist)
-    d, wd = dist[order], w[order]
-    spent = np.concatenate([[0.0], np.cumsum(wd * d ** p)])  # by the k nearest
-    free = np.concatenate([np.cumsum(wd[::-1])[::-1], [0.0]])  # by the others
-    for k in range(d.size):
-        if free[k] > 0.0:
-            t = ((level ** p - spent[k]) / free[k]) ** (1.0 / p)
-            if t <= d[k]:
-                return t
+    r, wd = dist[order] / level, w[order]
+    free = np.cumsum(wd[::-1])[::-1]  # by the atoms from the k-th nearest on
+    spent = 0.0  # sum_j w_j r_j^p by the k nearest
+    for k in range(r.size):
+        if free[k] == 0.0:
+            break
+        tau = ((1.0 - spent) / free[k]) ** (1.0 / p)
+        if tau <= r[k]:
+            return level * tau
+        spent += wd[k] * r[k] ** p
     return math.inf
 
 

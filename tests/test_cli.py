@@ -13,7 +13,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import robustfolio as rf
-from robustfolio import baseline_solver, cli, robust_solver
+from robustfolio import baseline_solver, cli, robust_solver, sensitivity
 from robustfolio.errors import ConfigError, DegenerateSensitivityError
 
 from conftest import load_bench, read_result_csv
@@ -497,6 +497,53 @@ def test_robust_at_an_order_past_float_range_exits_two(tmp_path, capsys):
     assert "use p = inf" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("model, utility, action, p, delta", [
+    # 2^1100 and 2.25^1100 overflowed in the pi = 0 shift: exit 4
+    ({"kind": "binomial", "a": 0.25, "state_space": [-1.25, 1.25]},
+     {"kind": "log_shifted", "w0": 1.0}, [-0.75, 0.75], 1100.0, 2.0),
+    # 0.5^1100 underflowed to 0 there, the slopes at 0 missed the shift and
+    # the oracle ran on a zero budget: "multiplier search did not settle"
+    ({"kind": "truncated_normal", "mu": -0.2, "sigma": 0.1, "radius": 0.4},
+     {"kind": "exponential", "gamma": 5.0}, [-18.0, 18.0], 1100.0, 0.5),
+], ids=["overflow", "underflow"])
+def test_robust_at_a_high_order_finds_the_zero_strategy_of_the_inf_ball(
+        tmp_path, capsys, model, utility, action, p, delta):
+    # pi = 0 is optimal in the p = inf ball, whose value V_p cannot exceed,
+    # and pi = 0 already attains it at every order
+    rows = {}
+    for order in (p, "inf"):
+        cfg = base_config(model=model, utility=utility, action_space=action,
+                          wasserstein_p=order, delta=delta)
+        out = tmp_path / f"{order}.csv"
+        rc = cli.main(["robust", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        header, table, _ = read_result_csv(out.read_text(encoding="utf-8"))
+        rows[order] = dict(zip(header, table[0]))
+    assert rows[p]["pi_delta"] == rows["inf"]["pi_delta"] == 0.0
+    assert rows[p]["V_delta"] == rows["inf"]["V_delta"]
+    assert rows[p]["transport_cost"] <= delta
+
+
+@pytest.mark.parametrize("model, p, delta, reason", [
+    # 0.3^700 underflows: the multiplier search divided by zero (exit 4)
+    ({"kind": "truncated_normal", "mu": 0.3, "sigma": 0.1, "radius": 0.4}, 700.0, 0.3,
+     "the budget delta^p is e^-842.8"),
+    # 26.25^227 overflows in the cost of the far atom's largest move
+    ({"kind": "explicit", "points": [-1, 1, 25], "weights": [0.3, 0.6, 0.1],
+      "state_space": [-1.25, 30]}, 227.0, 2.0, "26.25, costs e^741.8"),
+], ids=["budget-underflow", "cost-overflow"])
+def test_robust_at_costs_outside_the_normal_floats_exits_two(tmp_path, capsys, model, p,
+                                                             delta, reason):
+    cfg = base_config(model=model, utility={"kind": "exponential", "gamma": 1.0},
+                      action_space=[-0.9, 0.9], wasserstein_p=p, delta=delta)
+    rc = cli.main(["robust", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.out == ""
+    assert f"p = {p}" in captured.err and f"delta = {delta}" in captured.err
+    assert reason in captured.err and "use p = inf" in captured.err
+
+
 def test_robust_reads_top_level_state_space(tmp_path, capsys):
     # the finite-p oracle caps displacements by the state space of the
     # problem, whether the config sets it at the top level or on the model
@@ -583,6 +630,43 @@ def test_cli_loads_no_jsonschema(tmp_path):
     assert "config rejected: config.wasserstein_p" in proc.stderr
 
 
+# the robustfolio modules each benchmark command runs, beside errors and
+# analytic_fixtures (the config schema lists its fixture names); the others
+# stay unexecuted placeholders in sys.modules
+_BASELINE = ["_brent", "baseline_solver", "measures", "utility"]
+_CLOSED_FORMS = sorted(_BASELINE + ["sensitivity"])
+_ROBUST = sorted(_CLOSED_FORMS + ["robust_solver"])
+COMMAND_MODULES = {"solve": _BASELINE, "sensitivity": _CLOSED_FORMS, "robust": _ROBUST,
+                   "davis": _CLOSED_FORMS, "sweep": _CLOSED_FORMS, "figures": _CLOSED_FORMS,
+                   "oracle-check": _ROBUST, "exit2-invalid": [], "exit3-degenerate": _ROBUST}
+
+# ``python -m robustfolio.cli`` through runpy's own entry, reporting at exit
+# which robustfolio modules ran and whether numpy was imported
+MODULES_RUN = ("import atexit, json, runpy, sys, types\n"
+               "atexit.register(lambda: print(json.dumps([sorted(\n"
+               "    n for n, m in sys.modules.items()\n"
+               "    if n.startswith('robustfolio.') and type(m) is types.ModuleType),\n"
+               "    'numpy' in sys.modules]), file=sys.stderr))\n"
+               "runpy.run_module('robustfolio.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("name", list(COMMAND_MODULES))
+def test_cli_command_runs_only_the_modules_it_uses(name):
+    # a rejected config exits before numpy loads, and a command never runs a
+    # module it makes no call into; warnings as errors: runpy warns when the
+    # module it is to run as __main__ is in sys.modules already
+    golden = ROOT / "bench" / "golden" / "cli_cold"
+    argv = load_bench("workloads").CLI_OPS[name]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", MODULES_RUN,
+                           *argv], capture_output=True, cwd=ROOT, env=child_env())
+    assert proc.returncode == json.loads((golden / "exit_codes.json").read_text())[name]
+    assert proc.stdout == (golden / f"{name}.stdout").read_bytes()
+    ran, numpy = json.loads(proc.stderr.decode().splitlines()[-1])
+    assert ran == sorted(f"robustfolio.{m}" for m in
+                         ["analytic_fixtures", "errors", *COMMAND_MODULES[name]])
+    assert numpy == (name != "exit2-invalid")
+
+
 def test_figures_presets_shapes(tmp_path):
     expected = {
         "fig1": (30, ["mu", "sharpe", "V_prime0", "magnitude"]),
@@ -634,8 +718,9 @@ PRESET_SOLVES = {"fig1": 30, "fig2-left": 18, "fig2-right": 18, "fig3-left": 9,
 def test_figure_presets_solve_each_model_once(monkeypatch, lockstep_lanes):
     assert sorted(PRESET_SOLVES) == sorted(cli.FIGURE_PRESETS)
     singles = []
-    solve = cli.solve_baseline
-    monkeypatch.setattr(cli, "solve_baseline", lambda spec: singles.append(spec) or solve(spec))
+    solve = baseline_solver.solve_baseline
+    monkeypatch.setattr(baseline_solver, "solve_baseline",
+                        lambda spec: singles.append(spec) or solve(spec))
     for preset, count in PRESET_SOLVES.items():
         lockstep_lanes.clear()
         cli.run("figures", {}, preset)
@@ -676,7 +761,7 @@ def test_sweep_raises_a_build_error_after_the_rows_before_it(monkeypatch):
         reported.append(spec)
         raise DegenerateSensitivityError("the first row's report")
 
-    monkeypatch.setattr(cli, "sensitivity_report", failing_report)
+    monkeypatch.setattr(sensitivity, "sensitivity_report", failing_report)
     with pytest.raises(DegenerateSensitivityError, match="first row"):
         cli.run("sweep", cfg)
     assert len(reported) == 1

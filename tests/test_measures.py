@@ -316,6 +316,15 @@ def test_truncated_normal_support():
     assert not P.unbounded_tails
 
 
+def test_truncated_normal_whose_densities_all_underflow_names_its_parameters():
+    # two nodes at mu +- radius / sqrt(3), 57.7 sigmas out: both densities
+    # underflow to 0, and normalizing divided 0 by 0 (a RuntimeWarning, then
+    # "weights must be finite and nonnegative", which hid the cause)
+    with pytest.raises(ConfigError, match="sigma = 0.01, radius = 1.0 and n_nodes = 2"):
+        rf.truncated_normal(0.1, 0.01, radius=1.0, n_nodes=2)
+    assert rf.truncated_normal(0.1, 0.01, radius=1.0, n_nodes=3).weights[1] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # arbitrage
 # ---------------------------------------------------------------------------

@@ -375,6 +375,25 @@ def test_edge_guard_refuses_the_zero_price_slope_at_an_edge(points, weights, act
         rf.davis_sensitivity(spec, sol, rf.power_payoff(1))
 
 
+@pytest.mark.parametrize("p, points, weights, space", [
+    (1100.0, [-1.0, 1.0], [0.25, 0.75], (-1.25, 1.25)),  # 2^1100, 2.25^1100 overflow
+    (227.0, [-1.0, 1.0, 25.0], [0.3, 0.6, 0.1], (-1.25, 30.0)),  # 26.25^227 overflows
+], ids=["p1100", "p227"])
+def test_pinned_shift_spends_a_wide_radius_at_a_high_order(p, points, weights, space):
+    # the reach was solved from delta^p and dist^p in floats, which overflow
+    # at delta = 2 (an OverflowError, or a RuntimeWarning from the far atom
+    # however early the reach settled); in units of delta they stay in range
+    spec = rf.ProblemSpec(model=rf.explicit(points, weights, rf.StateSpace.interval(*space)),
+                          utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-0.75, 0.75),
+                          order=rf.WassersteinOrder(p))
+    shift = sensitivity.pinned_shift(spec, 2.0, 1.0)
+    dist = np.array(points) - space[0]
+    assert np.all((0.0 <= shift) & (shift <= dist))
+    assert shift[0] == dist[0]  # the atom next to the edge stops there
+    assert np.sum(np.array(weights) * (shift / 2.0) ** p) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_guard_inert_at_p_inf_and_bounded_support():
     # p = inf: fine even on the unbounded quadrature model
     sol = rf.solve_baseline(normal_exp_spec())
