@@ -137,6 +137,7 @@ _REFINEMENTS = 3  # refinement passes after the base grid
 _PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relative
 _SEED_WIDTH = 1e-2  # widest relative probe step a seed from the last oracle call gets
 _EPS = float(np.finfo(float).eps)
+_WINDOW_STEPS = np.arange(33.0)  # a refinement window's 33 points, unscaled
 _LOG_MAX = math.log(float(np.finfo(float).max))
 _LOG_TINY = math.log(float(np.finfo(float).tiny))  # the smallest normal float
 
@@ -323,6 +324,40 @@ def _displacement_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     grid = np.unique(np.clip(np.concatenate(pieces), lo, hi))
     grid.flags.writeable = False
     return grid
+
+
+def _window(a: float, b: float) -> np.ndarray:
+    """np.linspace(a, b, 33) for a < b, bit for bit, without its argument
+    handling, nor its other arithmetic where (b - a) / 32 underflows to 0."""
+    y = _WINDOW_STEPS * ((b - a) / 32)
+    y += a
+    y[-1] = b
+    return y
+
+
+def _merged(grid: np.ndarray, windows: list[np.ndarray], lo: float, hi: float) -> np.ndarray:
+    """np.unique(np.clip(np.concatenate([grid] + windows), lo, hi)) in value
+    (either zero may stay) for a grid on [lo, hi], from one sort."""
+    merged = np.concatenate([grid] + windows)
+    new = merged[grid.size:]
+    np.maximum(new, lo, out=new)
+    np.minimum(new, hi, out=new)
+    merged.sort()
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
+def _cost_order(g: np.ndarray, lo: float, hi: float, back: bool = False) -> np.ndarray:
+    """A sorted grid on [lo, hi] laid out by cost |s| as a stable argsort
+    lays it or, ``back``, such a row sorted back. A grid on one side of 0
+    (lo = 0 or hi = 0) is its own row, or that row reversed."""
+    if lo >= 0.0:
+        return g
+    if hi <= 0.0:
+        return g[::-1]
+    return np.sort(g) if back else g[np.argsort(np.abs(g), kind="stable")]
 
 
 def _first_twin(disp: np.ndarray, j_hi: np.ndarray, j_lo: np.ndarray
@@ -611,7 +646,11 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     atom is split. The only gap to the true continuum optimum is grid
     resolution, which the refinement passes shrink around the active
     displacements: each pass lays 33 points across s +- the wider grid cell
-    next to every active displacement s.
+    next to every active displacement s (``_window``, np.linspace's points)
+    and merges them, clipped to the atom's bounds, into its grid with one
+    sort (``_merged``). A pass lays each grid out as a row in cost order and
+    sorts rows back into grids with ``_cost_order``: an inner infimum's
+    grids lie on one side of 0, so a row is its grid or that grid reversed.
 
     Range: the multiplier search weighs every cell's cost against the
     budget, so a radius delta > 0 needs the largest displacement D's cost in
@@ -693,7 +732,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             sizes = [g.size for g in grids]
             disp = np.zeros((n, max(sizes)))
             for i, g in enumerate(grids):
-                disp[i, :g.size] = g[np.argsort(np.abs(g), kind="stable")]
+                disp[i, :g.size] = _cost_order(g, s_lo[i], s_hi[i])
             cost = np.abs(disp) ** p
         val = np.full(disp.shape, np.inf)
         for i, size in enumerate(sizes):
@@ -728,7 +767,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         if same and pass_ + 1 < len(last) and active == last[pass_].active:
             continue  # the last call refined these grids to its next ones
         if same:  # the grids are the rows, sorted back
-            grids = [np.sort(disp[i, :size]) for i, size in enumerate(sizes)]
+            grids = [_cost_order(disp[i, :size], s_lo[i], s_hi[i], back=True)
+                     for i, size in enumerate(sizes)]
             same = False
         # refine around the active displacements of each displaced atom
         changed = False
@@ -738,15 +778,14 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             grid = grids[i]
             extra = []
             for s_star in active[i]:
-                j = int(np.searchsorted(grid, s_star))  # grid[j] == s_star
+                j = int(grid.searchsorted(s_star))  # grid[j] == s_star
                 gap = max(grid[min(j + 1, grid.size - 1)] - s_star,
                           s_star - grid[max(j - 1, 0)])
                 if gap > 0.0:
-                    extra.append(np.linspace(s_star - gap, s_star + gap, 33))
+                    extra.append(_window(s_star - gap, s_star + gap))
             if extra:
                 changed = True
-                grids[i] = np.unique(np.clip(np.concatenate([grid] + extra),
-                                             s_lo[i], s_hi[i]))
+                grids[i] = _merged(grid, extra, s_lo[i], s_hi[i])
         if not changed:
             break
     assert best is not None

@@ -45,8 +45,12 @@ class Utility:
         return bool(np.all(x > lo) and np.all(x < hi))
 
     def risk_aversion(self, x: np.ndarray) -> np.ndarray:
-        """Absolute risk aversion R_u(x) = -u''(x)/u'(x)."""
-        return -np.asarray(self.u_double_prime(x)) / np.asarray(self.u_prime(x))
+        """Absolute risk aversion R_u(x) = -u''(x)/u'(x). Where u' underflows
+        to 0 (and u'' with it) the ratio takes its limit there: gamma on an
+        exponential branch, 0 at the far wealth of log and power members."""
+        u1 = np.asarray(self.u_prime(x))
+        limit = np.full(u1.shape, self.params.get("gamma", 0.0))
+        return np.divide(-np.asarray(self.u_double_prime(x)), u1, out=limit, where=u1 != 0.0)[()]
 
 
 def log_shifted(w0: float = 1.0) -> Utility:

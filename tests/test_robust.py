@@ -1,6 +1,8 @@
 """Robust solves: exact p=inf reduction and the finite-p adversarial oracle."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,11 +14,11 @@ import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                          DomainCompatibilityError, NumericalFailure, robust_solver)
 from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
-from robustfolio.robust_solver import (_checked_multiplier, _displacement_grid,
-                                       _multiplier_plans)
+from robustfolio.robust_solver import (_checked_multiplier, _cost_order, _displacement_grid,
+                                       _merged, _multiplier_plans, _window)
 from robustfolio.sensitivity import zero_strategy
 
-from conftest import binomial_log_spec, load_bench, normal_exp_spec
+from conftest import ROOT, binomial_log_spec, load_bench, normal_exp_spec
 
 INF = rf.WassersteinOrder(math.inf)
 EPS = float(np.finfo(float).eps)
@@ -708,6 +710,36 @@ def finite_p_solutions(family, value):
     return spec, [rf.robust_solve_p(spec, radii[0])]
 
 
+def finite_p_bits(family, value) -> dict:
+    """The answers of one benchmark finite_p case as float.hex: V, pi_delta
+    and transport cost per radius, the price where the case has a payoff,
+    and a sha256 of each adversary's points and weights (as float.hex)."""
+    spec, sols = finite_p_solutions(family, value)
+    payoff = load_bench("workloads").finite_p_instance(family, value)[2]
+
+    def digest(adv):
+        words = map(float.hex, np.concatenate([adv.support_1d, adv.weights]).tolist())
+        return hashlib.sha256(" ".join(words).encode()).hexdigest()
+
+    out = {"V": [s.V_delta.hex() for s in sols],
+           "pi_delta": [s.pi_delta_scalar.hex() for s in sols],
+           "transport_cost": [float(s.transport_cost).hex() for s in sols],
+           "adversary": [digest(s.adversary) for s in sols]}
+    if payoff is not None:
+        out["price"] = rf.robust_davis_price(spec, payoff, sols[0].delta, sols[0]).hex()
+    return out
+
+
+@pytest.mark.parametrize("name, family, value", FINITE_P_CASES,
+                         ids=[case[0] for case in FINITE_P_CASES])
+def test_finite_p_answers_keep_their_bits(name, family, value):
+    # recorded before the oracle's grid bookkeeping (refinement windows, the
+    # merge, rows in cost order) was rewritten: the rewrite makes cheaper
+    # calls with the same results, so every answer keeps its bits
+    recorded = json.loads((ROOT / "tests" / "data" / "finite_p_bits.json").read_text())
+    assert finite_p_bits(family, value) == recorded[name]
+
+
 # cases where an oracle call that starts from the last call's passes lands on
 # another plan of the same value to rounding (a near tie between grid cells)
 NEAR_TIE_CASES = {"solve-truncnormal.mu=0.17", "solve-truncnormal.mu=0.19"}
@@ -774,6 +806,72 @@ def test_warm_passes_search_for_the_multiplier_only_where_the_last_plans_fail(mo
     monkeypatch.setattr(robust_solver, "_multiplier_plans", traced)
     finite_p_solutions("grid-binomial", 0.25)
     assert len(searches) == 45
+
+
+def float_bits(a: np.ndarray) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def window_ends(draw):
+    """(a, b) of a refinement window around s: a gap of a few ulps of s up
+    to a unit, on either side of 0."""
+    s = draw(st.floats(-2.0, 2.0, allow_subnormal=False))
+    if draw(st.booleans()):
+        gap = draw(st.integers(1, 64)) * math.ulp(s if s != 0.0 else 1e-300)
+    else:
+        gap = draw(st.floats(1e-300, 1.0))
+    a, b = s - gap, s + gap
+    assume(a < b and (b - a) / 32 > 0.0)
+    return a, b
+
+
+@st.composite
+def bounded_grids(draw):
+    """(grid, lo, hi): a sorted grid of distinct points on [lo, hi], holding
+    0; lo = 0 or hi = 0 (the one-signed grids of inner infima) or neither."""
+    side = draw(st.sampled_from(["up", "down", "both"]))
+    lo = 0.0 if side == "up" else -draw(st.floats(1e-6, 2.0))
+    hi = 0.0 if side == "down" else draw(st.floats(1e-6, 2.0))
+    pts = draw(st.lists(st.floats(lo, hi), max_size=40))
+    return np.unique(np.array(pts + [lo, 0.0, hi])), lo, hi
+
+
+@settings(max_examples=300)
+@given(ends=window_ends(), cut=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+def test_window_is_linspace_bit_for_bit(ends, cut):
+    # also once clipped (maximum, then minimum, as np.clip) to bounds that
+    # may cut into it
+    a, b = ends
+    s, gap = 0.5 * (a + b), 0.5 * (b - a)
+    lo, hi = s - cut[0] * gap, s + cut[1] * gap
+    window, reference = _window(a, b), np.linspace(a, b, 33)
+    assert float_bits(window) == float_bits(reference)
+    clipped = np.minimum(np.maximum(window, lo), hi)
+    assert float_bits(clipped) == float_bits(np.clip(reference, lo, hi))
+
+
+@settings(max_examples=200)
+@given(case=bounded_grids(), data=st.data())
+def test_merge_is_unique_of_the_clipped_concatenation(case, data):
+    # windows around grid points, some past the bounds, as refinement lays
+    # them; the merge sorts and drops equal neighbours, so the two zeros
+    # compare equal and either may stay
+    grid, lo, hi = case
+    picks = data.draw(st.lists(st.sampled_from(grid.tolist()), min_size=1, max_size=3))
+    gaps = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=len(picks), max_size=len(picks)))
+    wins = [_window(s - g, s + g) for s, g in zip(picks, gaps)]
+    expected = np.unique(np.clip(np.concatenate([grid] + wins), lo, hi))
+    assert _merged(grid, wins, lo, hi).tolist() == expected.tolist()
+
+
+@settings(max_examples=200)
+@given(case=bounded_grids())
+def test_cost_order_is_the_stable_argsort_and_sorts_back(case):
+    grid, lo, hi = case
+    row = grid[np.argsort(np.abs(grid), kind="stable")]
+    assert float_bits(_cost_order(grid, lo, hi)) == float_bits(row)
+    assert float_bits(_cost_order(row, lo, hi, back=True)) == float_bits(np.sort(row))
 
 
 def test_a_plan_takes_the_first_of_twin_cells():

@@ -23,6 +23,20 @@ def test_exponential_point_values():
     assert vals == pytest.approx((-1.0, 1.0, -1.0, 1.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("u, far, limit", [(rf.exponential(50.0), 20.0, 50.0),
+                                            (rf.capped_exponential(50.0, 1.0), 20.0, 50.0),
+                                            (rf.power(2.0, 1.0), 1e200, 0.0)],
+                         ids=["exponential", "capped_exponential", "power"])
+def test_risk_aversion_takes_its_limit_where_u_prime_underflows(u, far, limit):
+    # u' and u'' both underflow to 0 at the far wealth (e^{-50 * 20}, and
+    # 1e200^-2); the ratio there is its limit, gamma on an exponential
+    # branch and 0 for power, and where u' > 0 it keeps its bits
+    assert u.u_prime(far) == 0.0 and u.u_double_prime(far) == 0.0
+    ra = u.risk_aversion(np.array([1.0, far]))
+    assert ra[0] == -u.u_double_prime(1.0) / u.u_prime(1.0)
+    assert ra[1] == limit
+
+
 def test_capped_exponential_linear_branch():
     # below the kink at -1/kappa = -2 the utility is linear with slope e^2
     u = rf.capped_exponential(1.0, 0.5)
