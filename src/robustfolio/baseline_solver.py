@@ -245,10 +245,12 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.action_space.dim != self.model.dim:
             raise ConfigError("action-space dimension does not match the model")
+        # the model checked its atoms against its own state space, and every
+        # (finite) atom lies in the unbounded one
         space = self.state_space if self.state_space is not None else self.model.state_space
         if space is None:
             space = StateSpace.unbounded(self.model.dim)
-        if not space.contains(self.model.points):
+        elif space is not self.model.state_space and not space.contains(self.model.points):
             raise ConfigError("model atoms outside the declared state space")
         object.__setattr__(self, "state_space", space)
         if not no_arbitrage_check(self.model):
@@ -283,6 +285,8 @@ def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
     (d_hi - margin - e_i) / x_i, the smaller from below and the larger from
     above (an infinite domain end gives a quotient of +-inf, which never binds)."""
     d_lo, d_hi = utility.domain
+    if d_lo == -math.inf and d_hi == math.inf and x.all():
+        return a_lo, a_hi  # every quotient is +-inf (or NaN), which never binds
     e = endowment  # a scalar, or one value per atom
     if not x.all():
         e = np.zeros(x.shape[0]) + endowment
@@ -442,7 +446,10 @@ class _Lane:
     and its steps (``_max_steps``), which ask for the gradient
     E[X u'(pi X + e)] at a point pi and for the curvature
     E[X^2 u''(pi X + e)] at a 1-tuple (pi,). ``memo`` keeps the answers,
-    since the end tests, Brent and the polish share points.
+    since the end tests, Brent and the polish share points. A lane of zero
+    endowment keeps ``e`` None and evaluates at the wealths pi x_i alone:
+    adding 0.0 would only turn a wealth of -0.0 into 0.0, where u' and u''
+    of every catalog member agree.
 
     The gradient is nonincreasing in pi (strictly decreasing off the linear
     branch of the capped utility), so its root — or the sign of the
@@ -453,12 +460,13 @@ class _Lane:
 
     def __init__(self, x: np.ndarray, w: np.ndarray, utility: Utility,
                  a_lo: float, a_hi: float, endowment=0.0) -> None:
-        e = np.zeros(x.shape[0]) + endowment
-        lo, hi = _feasible_interval_raw(x, e, utility, a_lo, a_hi)
+        lo, hi = _feasible_interval_raw(x, endowment, utility, a_lo, a_hi)
         if not lo < hi:
             raise DomainCompatibilityError("empty feasible strategy interval")
+        e = (None if isinstance(endowment, float) and endowment == 0.0
+             else np.zeros(x.shape[0]) + endowment)
         if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
-            x, w, e = x[w > 0.0], w[w > 0.0], e[w > 0.0]
+            x, w, e = x[w > 0.0], w[w > 0.0], None if e is None else e[w > 0.0]
         self.utility, self.x, self.xx, self.w, self.e = utility, x, x * x, w, e
         self.steps = _max_steps(lo, hi, a_lo, a_hi)
         self.memo: dict[float | tuple[float], float] = {}
@@ -470,8 +478,8 @@ class _Lane:
                 (pi,), derivative, factor = request, self.utility.u_double_prime, self.xx
             else:
                 pi, derivative, factor = request, self.utility.u_prime, self.x
-            weighted = self.w * derivative(pi * self.x + self.e)
-            self.memo[request] = float(weighted.dot(factor))
+            wealth = pi * self.x if self.e is None else pi * self.x + self.e
+            self.memo[request] = float((self.w * derivative(wealth)).dot(factor))
         return self.memo[request]
 
 
@@ -507,25 +515,29 @@ def _padded(rows: list[np.ndarray]) -> np.ndarray:
 
 def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]]:
     """``_concave_max_raw(*problem)`` of each problem, in order and with the
-    same bits, solved in lockstep. The lanes that share a Utility object
-    form a block; each round evaluates u' (or u'') once per block, on the
-    stacked (lanes x atoms) wealths at each lane's latest point, weights
-    them, and each lane that asked sums its own row as ``_Lane.answer``
-    would (same operands, same order). A row is padded with the lane's
-    first atom, weight and endowment, so every wealth evaluated is one its
-    lane asks for. A lane that shares its Utility with no other, or is the
-    only one to ask in a round, is asked alone. An error raises where a
-    loop of ``_concave_max_raw`` would raise it: at the first failing lane
-    in the order of ``problems``, after the answers of the lanes before
-    it."""
+    same bits, solved in lockstep. The lanes that share a Utility object,
+    and either all have an endowment or none has, form a block; each round
+    evaluates u' (or u'') once per block, on the stacked (lanes x atoms)
+    wealths at each lane's latest point, weights them, and each lane that
+    asked sums its own row as ``_Lane.answer`` would (same operands, same
+    order). A row is padded with the lane's first atom, weight and
+    endowment, so every wealth evaluated is one its lane asks for; a block
+    without endowments stacks none. A lane that shares its block with no
+    other, or is the only one to ask in a round, is asked alone. An error
+    raises where a loop of ``_concave_max_raw`` would raise it: at the
+    first failing lane in the order of ``problems``, after the answers of
+    the lanes before it."""
     lanes, failure = _until_error(lambda problem: _Lane(*problem), problems)
-    live = len(lanes)  # the lanes from the first one that fails on are dropped
-    asking: list = [None] * live  # each lane's open request, None once it is done
-    results: list = [None] * live
+    # each lane's open request, None once it is done or dropped; the
+    # results (and with them the lanes that may still run) stop before the
+    # first lane that fails
+    asking: list = [None] * len(lanes)
+    results: list = [None] * len(lanes)
 
     def fail(r: int, exc: Exception) -> None:  # a loop would stop here
-        nonlocal live, failure
-        live, failure, asking[r] = r, exc, None
+        nonlocal failure
+        failure, asking[r:] = exc, [None] * (len(asking) - r)
+        del results[r:]
 
     def step(r: int, value: float | None = None) -> None:
         lane = lanes[r]
@@ -549,52 +561,58 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
             step(r, value)
 
     for r in range(len(lanes)):
-        if r < live:
+        if r < len(results):
             step(r)
-    blocks: dict[int, list[int]] = {}
-    for r in range(live):
-        if asking[r] is not None:
-            blocks.setdefault(id(lanes[r].utility), []).append(r)
+    blocks: dict[tuple, list[int]] = {}
+    for r, request in enumerate(asking):
+        if request is not None:
+            blocks.setdefault((id(lanes[r].utility), lanes[r].e is None), []).append(r)
     stacked = []
     for rows in blocks.values():
         if len(rows) == 1 or not all(lanes[r].x.size for r in rows):
             for r in rows:  # solved alone: a lane with no other, or of no atoms
-                while r < live and asking[r] is not None:
+                while asking[r] is not None:
                     step_alone(r)
             continue
+        E = None if lanes[rows[0]].e is None else _padded([lanes[r].e for r in rows])
+        points = [asking[r] for r in rows]  # a lane's first ask is a point
         stacked.append((lanes[rows[0]].utility, rows, _padded([lanes[r].x for r in rows]),
-                        _padded([lanes[r].e for r in rows]), _padded([lanes[r].w for r in rows]),
-                        np.array([asking[r] for r in rows])))  # a lane's first ask is a point
+                        E, _padded([lanes[r].w for r in rows]), points))
     moved = True
     while moved:
         moved = False
         for utility, rows, X, E, W, points in stacked:
-            asked: tuple[list, list] = ([], [])  # (row, lane) asking for u', for u''
+            gradient, curvature = [], []  # the (row, lane) of each ask for u', for u''
             for i, r in enumerate(rows):
-                if r < live and asking[r] is not None:
-                    curvature = isinstance(asking[r], tuple)
-                    asked[curvature].append((i, r))
-                    points[i] = asking[r][0] if curvature else asking[r]
-            for now, derivative in zip(asked, (utility.u_prime, utility.u_double_prime)):
+                request = asking[r]
+                if isinstance(request, tuple):
+                    points[i] = request[0]
+                    curvature.append((i, r))
+                elif request is not None:
+                    points[i] = request
+                    gradient.append((i, r))
+            for now, derivative, factor in ((gradient, utility.u_prime, "x"),
+                                            (curvature, utility.u_double_prime, "xx")):
                 if not now:
                     continue
                 moved, weighted = True, None  # a lane alone is asked alone
                 if len(now) > 1:
+                    wealth = np.array(points)[:, None] * X
                     try:
-                        weighted = W * derivative(points[:, None] * X + E)
+                        weighted = W * derivative(wealth if E is None else wealth + E)
                     except Exception:  # the wealth of some lane fails: ask each alone, in order
                         pass
                 for i, r in now:
-                    if r >= live:
+                    if asking[r] is None:  # dropped by a failure before it
                         continue
                     if weighted is None:
                         step_alone(r)
                         continue
                     lane = lanes[r]
-                    factor = lane.xx if isinstance(asking[r], tuple) else lane.x
-                    value = lane.memo[asking[r]] = float(weighted[i, :lane.x.size].dot(factor))
+                    value = lane.memo[asking[r]] = float(
+                        weighted[i, :lane.x.size].dot(getattr(lane, factor)))
                     step(r, value)
-    yield from results[:live]
+    yield from results
     if failure is not None:
         raise failure
 

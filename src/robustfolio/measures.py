@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
 
@@ -59,7 +57,7 @@ def _as_points(points: Iterable) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise ConfigError(f"points must be scalars, vectors, or an (n, d) array; got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigError("points must be finite")
     return arr
 
@@ -90,11 +88,15 @@ class StateSpace:
     def dim(self) -> int:
         return len(self.lower)
 
+    @functools.cached_property
+    def _tolerant_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds as arrays, widened by the containment tolerance."""
+        return np.asarray(self.lower) - _CONTAINS_TOL, np.asarray(self.upper) + _CONTAINS_TOL
+
     def contains(self, points: np.ndarray) -> bool:
         """Whether every row of an (n, d) float array lies in the box."""
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return bool(np.all(points >= lo - _CONTAINS_TOL) and np.all(points <= hi + _CONTAINS_TOL))
+        lo, hi = self._tolerant_bounds
+        return bool((points >= lo).all() and (points <= hi).all())
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,12 @@ class DiscreteMeasure:
             raise ConfigError(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
         if pts.shape[0] == 0:
             raise ConfigError("a measure needs at least one atom")
-        if not np.all(w >= -_WEIGHT_TOL):  # NaN fails here too
+        if not (w >= -_WEIGHT_TOL).all():  # NaN fails here too
             raise ConfigError("weights must be finite and nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-6:
             raise ConfigError(f"weights sum to {total}, not 1")
-        w = np.clip(w, 0.0, None)
+        w = np.maximum(w, 0.0)
         w = w / w.sum()
         if self.state_space is not None:
             if self.state_space.dim != pts.shape[1]:
@@ -222,7 +224,10 @@ def binomial(a: float, state_space: StateSpace | None = None) -> DiscreteMeasure
 @functools.lru_cache(maxsize=None)  # the 300-node cap bounds it
 def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Hermite rule (weight e^{-t^2}), read-only: it depends
-    on n alone, so each node count is built once."""
+    on n alone, so each node count is built once. numpy.polynomial loads on
+    the first call."""
+    from numpy.polynomial.hermite import hermgauss
+
     t, w = hermgauss(n_nodes)
     t.setflags(write=False)
     w.setflags(write=False)
@@ -297,6 +302,8 @@ def truncated_normal(mu: float, sigma: float, radius: float, n_nodes: int = 12,
     """
     if sigma <= 0.0 or radius <= 0.0:
         raise ConfigError("sigma and radius must be positive")
+    from numpy.polynomial.legendre import leggauss
+
     t, w = leggauss(n_nodes)
     x = mu + radius * t
     dens = np.exp(-0.5 * ((x - mu) / sigma) ** 2)

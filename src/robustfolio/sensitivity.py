@@ -143,34 +143,37 @@ def _require_room_to_move(spec: ProblemSpec, sol: BaselineSolution) -> None:
         e = zero_strategy(spec, 0.0).direction
         directions = [1.0, -1.0] if e is None else [e]
     live = spec.model.weights > 0.0
-    if any(np.any(_edge_distance(spec, e)[live] <= 0.0) for e in directions):
+    if any((_edge_distance(spec, e)[live] <= 0.0).any() for e in directions):
         raise AssumptionViolation(
             "an atom sits on the edge of the state space that its first-order "
             "move points into; the closed forms at delta = 0 do not apply")
 
 
+# The two functions below rescale a power of |u'| that leaves float range,
+# so they run with overflow silenced (underflow too, as numpy's default
+# has it); nothing else in them can overflow.
+@np.errstate(over="ignore", under="ignore")
 def _lq_norm(weights: np.ndarray, values: np.ndarray, q: float) -> float:
     """(sum_i w_i |v_i|^q)^{1/q}. Near p = 1 (q large) the plain moment of
     nonzero values can leave float range (inf or 0); it is then taken
     relative to max |v|."""
     v = np.abs(values)
-    with np.errstate(over="ignore", under="ignore"):
-        moment = float(np.dot(weights, v ** q))
+    moment = float(np.dot(weights, v ** q))
     if 0.0 < moment < math.inf or not v.any():
         return moment ** (1.0 / q)
     top = float(v.max())
     return top * float(np.dot(weights, (v / top) ** q)) ** (1.0 / q)
 
 
+@np.errstate(over="ignore", under="ignore")
 def _dual_weights(up: np.ndarray, norm_q: float, q: float) -> tuple[np.ndarray, float]:
     """(|u'|^{q-1}, ||u'||_q^{1-q}), whose product is the per-atom weight of
     the L^q duality (the transport direction's scale). Where either factor
     leaves float range (q large) both are taken relative to max |u'|, which
     leaves the product unchanged."""
     a = np.abs(up)
-    with np.errstate(over="ignore", under="ignore"):
-        power, factor = a ** (q - 1.0), np.float64(norm_q) ** (1.0 - q)
-    if np.all(np.isfinite(power)) and power.any() and 0.0 < factor < math.inf:
+    power, factor = a ** (q - 1.0), np.float64(norm_q) ** (1.0 - q)
+    if np.isfinite(power).all() and power.any() and 0.0 < factor < math.inf:
         return power, float(factor)
     top = float(a.max())
     return (a / top) ** (q - 1.0), (norm_q / top) ** (1.0 - q)
@@ -271,7 +274,7 @@ def _capped_reach(dist: np.ndarray, w: np.ndarray, level: float, p: float) -> fl
     Distances are taken in units of the level, and an atom's power only once
     the reach has passed it, so r^p stays below 1 / (weight left): no power
     leaves float range at a high order or a radius far from 1."""
-    if math.isinf(p) or np.all(dist[w > 0.0] >= level):
+    if math.isinf(p) or (dist[w > 0.0] >= level).all():
         return level
     order = np.argsort(dist)
     r, wd = dist[order] / level, w[order]

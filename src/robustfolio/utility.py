@@ -42,15 +42,19 @@ class Utility:
     def contains(self, x: np.ndarray) -> bool:
         lo, hi = self.domain
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x > lo) and np.all(x < hi))
+        return bool((x > lo).all() and (x < hi).all())
 
     def risk_aversion(self, x: np.ndarray) -> np.ndarray:
         """Absolute risk aversion R_u(x) = -u''(x)/u'(x). Where u' underflows
         to 0 (and u'' with it) the ratio takes its limit there: gamma on an
-        exponential branch, 0 at the far wealth of log and power members."""
+        exponential branch, 0 at the far wealth of log and power members.
+        Where an exponential branch's u' overflows to inf (and u'' to -inf)
+        the limit is gamma as well."""
         u1 = np.asarray(self.u_prime(x))
-        limit = np.full(u1.shape, self.params.get("gamma", 0.0))
-        return np.divide(-np.asarray(self.u_double_prime(x)), u1, out=limit, where=u1 != 0.0)[()]
+        gamma = self.params.get("gamma")
+        limit = np.full(u1.shape, 0.0 if gamma is None else gamma)
+        ratio = (u1 != 0.0) if gamma is None else (u1 != 0.0) & (u1 != math.inf)
+        return np.divide(-np.asarray(self.u_double_prime(x)), u1, out=limit, where=ratio)[()]
 
 
 def log_shifted(w0: float = 1.0) -> Utility:
@@ -66,11 +70,11 @@ def log_shifted(w0: float = 1.0) -> Utility:
     )
 
 
+@np.errstate(over="ignore")  # a decorator builds no errstate object per call
 def _exp_saturating(z: np.ndarray) -> np.ndarray:
     # exp that saturates to inf without the overflow warning; solver line
     # searches probe wealths where this is the correct limiting value
-    with np.errstate(over="ignore"):
-        return np.exp(z)
+    return np.exp(z)
 
 
 def exponential(gamma: float) -> Utility:

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -57,6 +58,55 @@ def lockstep_lanes(monkeypatch) -> list:
     for module in (baseline_solver, robust_solver):
         monkeypatch.setattr(module, "_concave_max_lanes", traced)
     return calls
+
+
+@pytest.fixture
+def lockstep_counts(monkeypatch) -> dict:
+    """What the lockstep solves (``_concave_max_lanes``, as the solvers look
+    it up) of the test do: the lanes of each call, the u' and u'' calls on
+    a block's stacked (lanes x atoms) wealths and on one lane's alone, and
+    the requests the lanes' solves (``_max_steps``) yield. A change to the
+    rounds or to a Brent path moves these counts."""
+    counts = {"lanes": [], "stacked": 0, "alone": 0, "steps": 0}
+
+    def counted(derivative):
+        def call(wealth):
+            counts["stacked" if np.ndim(wealth) == 2 else "alone"] += 1
+            return derivative(wealth)
+        return call
+
+    lanes = baseline_solver._concave_max_lanes
+
+    def traced(problems):
+        wrapped = {}  # one counting copy per Utility object, so the blocks stay as they were
+
+        def wrap(utility):
+            if id(utility) not in wrapped:
+                wrapped[id(utility)] = dataclasses.replace(
+                    utility, u_prime=counted(utility.u_prime),
+                    u_double_prime=counted(utility.u_double_prime))
+            return wrapped[id(utility)]
+
+        problems = [(x, w, wrap(utility), *rest) for x, w, utility, *rest in problems]
+        counts["lanes"].append(len(problems))
+        return lanes(problems)
+
+    steps = baseline_solver._max_steps
+
+    def counted_steps(*args):
+        inner, value = steps(*args), None
+        try:
+            while True:
+                request = inner.send(value)
+                counts["steps"] += 1
+                value = yield request
+        except StopIteration as done:
+            return done.value
+
+    for module in (baseline_solver, robust_solver):
+        monkeypatch.setattr(module, "_concave_max_lanes", traced)
+    monkeypatch.setattr(baseline_solver, "_max_steps", counted_steps)
+    return counts
 
 
 def wide_interval(half_width: float = 1000.0) -> rf.StateSpace:

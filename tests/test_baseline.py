@@ -374,6 +374,57 @@ def test_lockstep_raises_the_first_failing_lane_in_order():
     assert outcomes(_concave_max_lanes(problems[1:] + problems[:1]))[1][0] is ValueError
 
 
+CATALOG = {"log_shifted": rf.log_shifted(1.0), "power": rf.power(3.0, 1.0),
+           "exponential": rf.exponential(2.0), "capped_exponential": rf.capped_exponential(2.0, 0.5)}
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def lane_points(draw, member: str):
+    """(atoms, weights, strategy): the wealths pi * x hold signed zeros,
+    ordinary values and, for the exponential members, wealths whose exp
+    argument -gamma * pi * x passes 709.78 (gamma = 2, |pi x| >= 400); an
+    atom may have no weight."""
+    # wealth inside the log and power domains at |pi| <= 1
+    near = st.floats(-0.4, 0.4, allow_subnormal=False)
+    atom = st.one_of(SIGNED_ZEROS, near)
+    if member.endswith("exponential"):
+        atom = st.one_of(atom, st.floats(400.0, 1e4), st.floats(-1e4, -400.0))
+    x = np.array(draw(st.lists(atom, min_size=1, max_size=6)))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=x.size,
+                               max_size=x.size).filter(any)))
+    return x, w / w.sum(), draw(st.one_of(SIGNED_ZEROS, st.floats(-1.0, 1.0, allow_subnormal=False)))
+
+
+@pytest.mark.parametrize("member", sorted(CATALOG))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_a_lane_of_zero_endowment_keeps_the_bits_of_explicit_zeros(member, data):
+    # a lane without endowment evaluates at pi * x alone, one with zeros at
+    # pi * x + 0.0, which turns -0.0 into 0.0: the u' and u'' sums agree bit
+    # for bit (a sum of saturated terms is inf or NaN, and warns so, on both
+    # alike), and past exp's range u, u' and u'' saturate to -inf, inf and
+    # -inf without a warning
+    u = CATALOG[member]
+    x, w, pi = data.draw(lane_points(member))
+    bare = baseline_solver._Lane(x, w, u, -1.0, 1.0)
+    zeros = baseline_solver._Lane(x, w, u, -1.0, 1.0, np.zeros(x.size))
+    assert bare.e is None and zeros.e is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for request in (pi, (pi,)):
+            assert np.float64(bare.answer(request)).tobytes() == \
+                np.float64(zeros.answer(request)).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wealth = pi * x
+        values = u.u(wealth), u.u_prime(wealth), u.u_double_prime(wealth)
+    overflow = -2.0 * wealth > 709.78
+    if member == "exponential":
+        assert [v[overflow].tolist() for v in values] == [
+            [-math.inf] * overflow.sum(), [math.inf] * overflow.sum(), [-math.inf] * overflow.sum()]
+    assert all(np.isfinite(v[~overflow]).all() for v in values)
+
+
 def solution_bits(sol: rf.BaselineSolution) -> tuple:
     return (sol.pi_star.tobytes(), sol.boundary, float(sol.V0).hex(),
             sol.foc_residual.tobytes(), sol.hessian.tobytes())

@@ -640,31 +640,39 @@ COMMAND_MODULES = {"solve": _BASELINE, "sensitivity": _CLOSED_FORMS, "robust": _
                    "davis": _CLOSED_FORMS, "sweep": _CLOSED_FORMS, "figures": _CLOSED_FORMS,
                    "oracle-check": _ROBUST, "exit2-invalid": [], "exit3-degenerate": _ROBUST}
 
+# the commands whose models are Gauss-Hermite rules of normal laws, which
+# alone load numpy.polynomial
+POLYNOMIAL_COMMANDS = {"sensitivity", "davis", "figures", "exit3-degenerate"}
+
 # ``python -m robustfolio.cli`` through runpy's own entry, reporting at exit
-# which robustfolio modules ran and whether numpy was imported
+# which robustfolio modules ran and whether numpy and numpy.polynomial were
+# imported
 MODULES_RUN = ("import atexit, json, runpy, sys, types\n"
                "atexit.register(lambda: print(json.dumps([sorted(\n"
                "    n for n, m in sys.modules.items()\n"
                "    if n.startswith('robustfolio.') and type(m) is types.ModuleType),\n"
-               "    'numpy' in sys.modules]), file=sys.stderr))\n"
+               "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules]),\n"
+               "    file=sys.stderr))\n"
                "runpy.run_module('robustfolio.cli', run_name='__main__', alter_sys=True)\n")
 
 
 @pytest.mark.parametrize("name", list(COMMAND_MODULES))
 def test_cli_command_runs_only_the_modules_it_uses(name):
-    # a rejected config exits before numpy loads, and a command never runs a
-    # module it makes no call into; warnings as errors: runpy warns when the
-    # module it is to run as __main__ is in sys.modules already
+    # a rejected config exits before numpy loads, a command never runs a
+    # module it makes no call into, and numpy.polynomial loads only with a
+    # quadrature rule; warnings as errors: runpy warns when the module it is
+    # to run as __main__ is in sys.modules already
     golden = ROOT / "bench" / "golden" / "cli_cold"
     argv = load_bench("workloads").CLI_OPS[name]
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", MODULES_RUN,
                            *argv], capture_output=True, cwd=ROOT, env=child_env())
     assert proc.returncode == json.loads((golden / "exit_codes.json").read_text())[name]
     assert proc.stdout == (golden / f"{name}.stdout").read_bytes()
-    ran, numpy = json.loads(proc.stderr.decode().splitlines()[-1])
+    ran, numpy, polynomial = json.loads(proc.stderr.decode().splitlines()[-1])
     assert ran == sorted(f"robustfolio.{m}" for m in
                          ["analytic_fixtures", "errors", *COMMAND_MODULES[name]])
     assert numpy == (name != "exit2-invalid")
+    assert polynomial == (name in POLYNOMIAL_COMMANDS)
 
 
 def test_figures_presets_shapes(tmp_path):
@@ -793,6 +801,24 @@ def test_davis_root_solves_each_perturbed_problem_once(monkeypatch):
         assert len(endowments) == 9 and all(len(pair) == 2 for pair in endowments), name
         flat = [e for pair in endowments for e in pair]
         assert len(set(flat)) == len(flat) == 18, name
+
+
+# (stacked u'/u'' calls, calls on one lane alone, lane steps) of the
+# lockstep solves: fig1's one call of 30 lanes, and the davis root's 9
+# calls of two lanes each
+LOCKSTEP_COUNTS = {"figures-fig1": (38, 4, 899), "davis-root.mu=0.05": (162, 53, 464),
+                   "davis-root.mu=0.1": (172, 50, 485), "davis-root.mu=0.15": (206, 20, 543)}
+
+
+@pytest.mark.parametrize("name", list(LOCKSTEP_COUNTS))
+def test_lockstep_solves_keep_their_rounds(lockstep_counts, name):
+    # the 17-digit goldens can hold while a trim moves a Brent path or a
+    # round; these counts cannot
+    cases = {case[0]: case[1:] for case in load_bench("workloads").closed_form_cases(None)}
+    cli.run(*cases[name])
+    counts = lockstep_counts
+    assert counts["lanes"] == ([30] if name == "figures-fig1" else [2] * 9)
+    assert (counts["stacked"], counts["alone"], counts["steps"]) == LOCKSTEP_COUNTS[name]
 
 
 NEAR_P_ONE = {"model": {"kind": "explicit", "points": [-1, 1], "weights": [1e-4, 0.9999],

@@ -37,6 +37,15 @@ def test_risk_aversion_takes_its_limit_where_u_prime_underflows(u, far, limit):
     assert ra[1] == limit
 
 
+def test_risk_aversion_takes_gamma_where_an_exponential_u_prime_overflows():
+    # e^{800} overflows: u' = inf and u'' = -inf at -800, where the ratio's
+    # limit is gamma; the division there is skipped, so it warns of nothing
+    u = rf.exponential(1.0)
+    assert u.u_prime(-800.0) == math.inf and u.u_double_prime(-800.0) == -math.inf
+    assert u.risk_aversion(np.array([0.0, -800.0])).tolist() == [1.0, 1.0]
+    assert u.risk_aversion(-800.0) == 1.0
+
+
 def test_capped_exponential_linear_branch():
     # below the kink at -1/kappa = -2 the utility is linear with slope e^2
     u = rf.capped_exponential(1.0, 0.5)
