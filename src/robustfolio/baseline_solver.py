@@ -276,6 +276,13 @@ class ProblemSpec:
         return spec
 
 
+@np.errstate(over="ignore")  # a decorator builds no errstate object per call
+def _quotients(floor, ceil, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor / x and ceil / x. A subnormal atom's quotient may overflow to
+    +-inf without the warning: that is its limit, and it never binds."""
+    return floor / x, ceil / x
+
+
 def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
                            a_lo: float, a_hi: float) -> tuple[float, float]:
     """Maximal sub-interval of [a_lo, a_hi] on which every wealth pi*x_i + e_i
@@ -294,8 +301,7 @@ def _feasible_interval_raw(x: np.ndarray, endowment, utility: Utility,
         if not ((d_lo + _DOMAIN_MARGIN <= e[still]) & (e[still] <= d_hi - _DOMAIN_MARGIN)).all():
             return 1.0, 0.0  # empty
         x, e = x[~still], e[~still]
-    q_floor = (d_lo + _DOMAIN_MARGIN - e) / x
-    q_ceil = (d_hi - _DOMAIN_MARGIN - e) / x
+    q_floor, q_ceil = _quotients(d_lo + _DOMAIN_MARGIN - e, d_hi - _DOMAIN_MARGIN - e, x)
     lo = max(a_lo, float(np.minimum(q_floor, q_ceil).max(initial=-math.inf)))
     hi = min(a_hi, float(np.maximum(q_floor, q_ceil).min(initial=math.inf)))
     return lo, hi

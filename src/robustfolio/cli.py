@@ -32,8 +32,9 @@ modules, and every engine call goes through them
 the functions that use numpy. So a command runs only what it calls into:
 parsing, config loading and validation need the standard library, ``errors``
 and ``analytic_fixtures`` (whose fixture names the schema lists), and a
-rejected config exits before numpy loads. hashlib (OpenSSL) loads only to
-hash a finished table's config, traceback only to place an internal failure.
+rejected config exits before numpy loads. A finished table's config is
+hashed with CPython's built-in SHA-256, so no process maps OpenSSL, and
+traceback loads only to place an internal failure.
 """
 
 from __future__ import annotations
@@ -326,9 +327,22 @@ def build_spec(cfg: dict,
                                        state_space=state)
 
 
+def _sha256():
+    """CPython's built-in SHA-256, the one hashlib falls back to (``_sha2``
+    from 3.12, ``_sha256`` before): the same digest as hashlib's without
+    mapping OpenSSL. hashlib's own only on an interpreter built without it."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def _config_hash(cfg: dict, command: str, preset: str | None) -> dict[str, str]:
-    import hashlib
-    digest = hashlib.sha256(
+    digest = _sha256()(
         json.dumps({"config": cfg, "command": command, "preset": preset},
                    sort_keys=True).encode()).hexdigest()
     out = {"config_sha256": digest, "command": command,

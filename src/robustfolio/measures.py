@@ -221,14 +221,46 @@ def binomial(a: float, state_space: StateSpace | None = None) -> DiscreteMeasure
     )
 
 
+def _normed_hermite(t: np.ndarray, n: int) -> np.ndarray:
+    """The normalized Hermite polynomial of degree n >= 1 at t, by its
+    three-term recurrence run downward (numpy's ``_normed_hermite_n``, in
+    the same float operations; the plain H_n overflows from n = 207)."""
+    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * t * math.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * t * math.sqrt(2.0)
+
+
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule for n >= 2, bit for bit
+    ``numpy.polynomial.hermite.hermgauss(n)`` and built by its steps: the
+    eigenvalues of the symmetric companion matrix of H_n (off-diagonals
+    sqrt(k / 2)), one Newton step on the normalized H_n, weights
+    1 / h_{n-1}^2 scaled by its largest |h_{n-1}|, both symmetrized about 0
+    and the weights scaled to sum to sqrt(pi). In-tree, so a model build
+    does not import numpy.polynomial's six series modules."""
+    companion = np.zeros((n, n))
+    off = np.sqrt(0.5 * np.arange(1, n))
+    companion.reshape(-1)[1::n + 1] = off
+    companion.reshape(-1)[n::n + 1] = off
+    t = np.linalg.eigvalsh(companion)
+    t -= _normed_hermite(t, n) / (_normed_hermite(t, n - 1) * math.sqrt(2 * n))
+    fm = _normed_hermite(t, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    t = (t - t[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
+    return t, w
+
+
 @functools.lru_cache(maxsize=None)  # the 300-node cap bounds it
 def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Hermite rule (weight e^{-t^2}), read-only: it depends
-    on n alone, so each node count is built once. numpy.polynomial loads on
-    the first call."""
-    from numpy.polynomial.hermite import hermgauss
-
-    t, w = hermgauss(n_nodes)
+    """The n-node Gauss-Hermite rule (weight e^{-t^2}, ``_hermgauss``),
+    read-only: it depends on n alone, so each node count is built once."""
+    t, w = _hermgauss(n_nodes)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
@@ -237,7 +269,7 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_hermite_nodes(mu: float, sigma: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights so that sum_i w_i f(x_i) ~= E[f(Z)], Z ~ N(mu, sigma^2)."""
     if n_nodes > 300:
-        # numpy's hermgauss companion-matrix recurrence overflows beyond this
+        # from n = 371 the outer nodes' weights overflow (h_{n-1} underflows there)
         raise ConfigError(f"n_nodes is capped at 300, got {n_nodes}")
     t, w = _hermite_rule(n_nodes)
     x = mu + math.sqrt(2.0) * sigma * t

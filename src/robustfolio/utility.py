@@ -71,10 +71,12 @@ def log_shifted(w0: float = 1.0) -> Utility:
 
 
 @np.errstate(over="ignore")  # a decorator builds no errstate object per call
-def _exp_saturating(z: np.ndarray) -> np.ndarray:
-    # exp that saturates to inf without the overflow warning; solver line
-    # searches probe wealths where this is the correct limiting value
-    return np.exp(z)
+def _exp_saturating(z: np.ndarray, scale: float | None = None) -> np.ndarray:
+    # exp(z), or scale * exp(z), saturating to +-inf without the overflow
+    # warning, in the exp or in the product; solver line searches probe
+    # wealths where this is the correct limiting value
+    e = np.exp(z)
+    return e if scale is None else scale * e
 
 
 def exponential(gamma: float) -> Utility:
@@ -83,8 +85,8 @@ def exponential(gamma: float) -> Utility:
     return Utility(
         kind="exponential",
         u=lambda x: -_exp_saturating(-gamma * np.asarray(x, dtype=float)),
-        u_prime=lambda x: gamma * _exp_saturating(-gamma * np.asarray(x, dtype=float)),
-        u_double_prime=lambda x: -gamma * gamma * _exp_saturating(-gamma * np.asarray(x, dtype=float)),
+        u_prime=lambda x: _exp_saturating(-gamma * np.asarray(x, dtype=float), gamma),
+        u_double_prime=lambda x: _exp_saturating(-gamma * np.asarray(x, dtype=float), -gamma * gamma),
         domain=(-math.inf, math.inf),
         params={"gamma": float(gamma)},
     )

@@ -13,9 +13,11 @@ from robustfolio import (
     ArbitrageError,
     BoundaryOptimumError,
     ConfigError,
+    DomainCompatibilityError,
     NumericalFailure,
     baseline_solver,
 )
+from robustfolio._brent import run
 from robustfolio.baseline_solver import (_NEWTON_TOL, _concave_argmax, _concave_max_lanes,
                                          _concave_max_raw, _feasible_interval_raw)
 
@@ -323,6 +325,31 @@ def one_at_a_time(problems):
         yield _concave_max_raw(*problem)
 
 
+def by_hand(x, w, utility, a_lo, a_hi, e):
+    """``_concave_max_raw`` without ``_Lane``: the steps of ``_max_steps`` on
+    the feasible interval of every atom, answered by sums over the atoms of
+    positive weight alone, each with its own endowment."""
+    lo, hi = _feasible_interval_raw(x, e, utility, a_lo, a_hi)
+    if not lo < hi:
+        raise DomainCompatibilityError("empty feasible strategy interval")
+    keep = w > 0.0
+    x, w, e = x[keep], w[keep], (np.zeros(x.size) + e)[keep]
+
+    def answer(request):
+        if isinstance(request, tuple):
+            return float((w * utility.u_double_prime(request[0] * x + e)).dot(x * x))
+        return float((w * utility.u_prime(request * x + e)).dot(x))
+
+    return run(baseline_solver._max_steps(lo, hi, a_lo, a_hi), answer)
+
+
+def by_hand_quietly(problems):
+    """``by_hand`` of each problem; its warnings are the loop's own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return outcomes(by_hand(*problem) for problem in problems)
+
+
 def as_bits(maxima) -> list:
     return [(float(pi).hex(), boundary) for pi, boundary in maxima]
 
@@ -333,7 +360,10 @@ def test_lockstep_lanes_give_the_bits_and_errors_of_one_at_a_time(problems):
     # ragged lanes, zero-weight atoms, optima pinned on A, infinite ends,
     # endowments and NaN gradients: the lockstep driver gives each lane's
     # answer bit for bit, and the error the loop would raise first; its
-    # padded cells warn of nothing the lanes alone do not
+    # padded cells warn of nothing the lanes alone do not. Both build
+    # ``_Lane``, so both are also checked against a solve that does not: a
+    # lane that dropped an atom's endowment with its zero weight wrongly
+    # would fail both alike
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         want, want_error = outcomes(one_at_a_time(problems))
@@ -342,6 +372,9 @@ def test_lockstep_lanes_give_the_bits_and_errors_of_one_at_a_time(problems):
     assert as_bits(got) == as_bits(want)
     assert got_error == want_error
     assert alone or not seen
+    hand, hand_error = by_hand_quietly(problems)
+    assert as_bits(want) == as_bits(hand)
+    assert want_error == hand_error
 
 
 def test_lockstep_raises_the_first_failing_lane_in_order():
@@ -454,6 +487,11 @@ def test_solve_baselines_and_endowments_match_one_at_a_time(problems):
         assert ([(float(v).hex(), pi.tobytes()) for v, pi in got]
                 == [(float(v).hex(), pi.tobytes()) for v, pi in want])
         assert got_error == want_error
+        # the model keeps its zero-weight atoms, each with its endowment
+        hand, hand_error = by_hand_quietly(
+            baseline_solver._problem(spec, e) for e in endowments)
+        assert [pi.tobytes() for _, pi in want] == [np.array([pi]).tobytes() for pi, _ in hand]
+        assert want_error == hand_error
 
 
 def _interval_by_atoms(x, endowment, domain, a_lo, a_hi):
@@ -490,6 +528,17 @@ def test_feasible_interval_is_the_intersection_of_per_atom_half_lines(x, endowme
     utility = dataclasses.replace(rf.log_shifted(1.0), domain=domain)
     got = _feasible_interval_raw(np.array(x), endowment, utility, *action)
     assert got == _interval_by_atoms(x, endowment, domain, *action)
+
+
+@pytest.mark.parametrize("atom", [2.2e-313, -2.2e-313, 5e-324])
+@pytest.mark.parametrize("action", [(-0.5, 0.5), (-math.inf, math.inf)])
+def test_a_subnormal_atom_bounds_the_feasible_interval_at_its_limit(atom, action):
+    # (1e-9 - 1) / 2.2e-313 overflows: the quotient's limit, -inf (+inf for
+    # a negative atom), never binds, and it comes without a warning (the
+    # pytest configuration raises RuntimeWarnings)
+    utility = rf.log_shifted(1.0)
+    got = _feasible_interval_raw(np.array([atom, -1.0, 1.0]), 0.0, utility, *action)
+    assert got == _feasible_interval_raw(np.array([-1.0, 1.0]), 0.0, utility, *action)
 
 
 # ---------------------------------------------------------------------------

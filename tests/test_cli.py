@@ -350,6 +350,25 @@ def test_provenance_hash_depends_on_command(tmp_path):
     assert p1["config_sha256"] != p2["config_sha256"]
 
 
+def test_config_digest_is_hashlibs_on_the_golden_configs(monkeypatch):
+    # the config hash uses CPython's built-in SHA-256, and hashlib's own on
+    # an interpreter built without it; both give hashlib.sha256's digest
+    import hashlib
+    cases = [case[1:] for case in load_bench("workloads").closed_form_cases(None)]
+    assert len(cases) == 28
+    want = [hashlib.sha256(json.dumps({"config": cfg, "command": command, "preset": preset},
+                                      sort_keys=True).encode()).hexdigest()
+            for command, cfg, preset in cases]
+    assert cli._sha256() is not hashlib.sha256
+    assert [cli._config_hash(cfg, command, preset)["config_sha256"]
+            for command, cfg, preset in cases] == want
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # importing either raises ImportError
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert cli._sha256() is hashlib.sha256
+    assert [cli._config_hash(cfg, command, preset)["config_sha256"]
+            for command, cfg, preset in cases] == want
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 # ---------------------------------------------------------------------------
@@ -544,6 +563,29 @@ def test_robust_at_costs_outside_the_normal_floats_exits_two(tmp_path, capsys, m
     assert reason in captured.err and "use p = inf" in captured.err
 
 
+@pytest.mark.parametrize("model, utility, action, pi_star", [
+    # (1e-9 - 1) / 2.2e-313 overflowed in the feasible interval
+    ({"kind": "explicit", "points": [2.2e-313, -1, 1], "weights": [0.2, 0.4, 0.4]},
+     {"kind": "log_shifted", "w0": 1.0}, [-0.5, 0.5], 0.0),
+    # e^z is finite where 50 e^z is not: u' overflowed in the product by gamma
+    ({"kind": "shifted_lognormal", "mu": 0.05, "sigma": 0.01, "n_nodes": 128},
+     {"kind": "exponential", "gamma": 50.0}, [-1000.0, 1000.0], 10.009523364265723),
+], ids=["subnormal-atom", "exponential-product"])
+def test_solve_past_float_range_takes_the_limit_without_a_warning(tmp_path, capsys, model,
+                                                                   utility, action, pi_star):
+    # each exited 0 with a RuntimeWarning on stderr (exit 4 in the test
+    # suite, where RuntimeWarnings are errors); the overflowed value, +-inf,
+    # was the right limit, so the optimum is unchanged
+    cfg = {"model": model, "utility": utility, "action_space": action}
+    rc = cli.main(["solve", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.err == ""
+    header, rows, _ = read_result_csv(captured.out)
+    assert rows[0][header.index("pi_star")] == pi_star
+    assert all(math.isfinite(v) for v in rows[0])
+
+
 def test_robust_reads_top_level_state_space(tmp_path, capsys):
     # the finite-p oracle caps displacements by the state space of the
     # problem, whether the config sets it at the top level or on the model
@@ -640,18 +682,15 @@ COMMAND_MODULES = {"solve": _BASELINE, "sensitivity": _CLOSED_FORMS, "robust": _
                    "davis": _CLOSED_FORMS, "sweep": _CLOSED_FORMS, "figures": _CLOSED_FORMS,
                    "oracle-check": _ROBUST, "exit2-invalid": [], "exit3-degenerate": _ROBUST}
 
-# the commands whose models are Gauss-Hermite rules of normal laws, which
-# alone load numpy.polynomial
-POLYNOMIAL_COMMANDS = {"sensitivity", "davis", "figures", "exit3-degenerate"}
-
 # ``python -m robustfolio.cli`` through runpy's own entry, reporting at exit
-# which robustfolio modules ran and whether numpy and numpy.polynomial were
-# imported
+# which robustfolio modules ran and whether numpy, numpy.polynomial and
+# OpenSSL's hashlib binding were imported
 MODULES_RUN = ("import atexit, json, runpy, sys, types\n"
                "atexit.register(lambda: print(json.dumps([sorted(\n"
                "    n for n, m in sys.modules.items()\n"
                "    if n.startswith('robustfolio.') and type(m) is types.ModuleType),\n"
-               "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules]),\n"
+               "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules,\n"
+               "    '_hashlib' in sys.modules]),\n"
                "    file=sys.stderr))\n"
                "runpy.run_module('robustfolio.cli', run_name='__main__', alter_sys=True)\n")
 
@@ -659,20 +698,21 @@ MODULES_RUN = ("import atexit, json, runpy, sys, types\n"
 @pytest.mark.parametrize("name", list(COMMAND_MODULES))
 def test_cli_command_runs_only_the_modules_it_uses(name):
     # a rejected config exits before numpy loads, a command never runs a
-    # module it makes no call into, and numpy.polynomial loads only with a
-    # quadrature rule; warnings as errors: runpy warns when the module it is
-    # to run as __main__ is in sys.modules already
+    # module it makes no call into, the Gauss-Hermite rule loads no
+    # numpy.polynomial and the config hash no OpenSSL; warnings as errors:
+    # runpy warns when the module it is to run as __main__ is in
+    # sys.modules already
     golden = ROOT / "bench" / "golden" / "cli_cold"
     argv = load_bench("workloads").CLI_OPS[name]
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", MODULES_RUN,
                            *argv], capture_output=True, cwd=ROOT, env=child_env())
     assert proc.returncode == json.loads((golden / "exit_codes.json").read_text())[name]
     assert proc.stdout == (golden / f"{name}.stdout").read_bytes()
-    ran, numpy, polynomial = json.loads(proc.stderr.decode().splitlines()[-1])
+    ran, numpy, polynomial, openssl = json.loads(proc.stderr.decode().splitlines()[-1])
     assert ran == sorted(f"robustfolio.{m}" for m in
                          ["analytic_fixtures", "errors", *COMMAND_MODULES[name]])
     assert numpy == (name != "exit2-invalid")
-    assert polynomial == (name in POLYNOMIAL_COMMANDS)
+    assert not polynomial and not openssl
 
 
 def test_figures_presets_shapes(tmp_path):

@@ -84,6 +84,16 @@ def test_gauss_hermite_node_cap():
         rf.normal(0.1, 0.2, n_nodes=400)
 
 
+def test_gauss_hermite_rule_is_numpys_bit_for_bit():
+    # the in-tree rule follows numpy.polynomial.hermite.hermgauss operation
+    # for operation, over every node count a model may ask for
+    for n in range(2, 301):
+        t, w = measures._hermgauss(n)
+        want_t, want_w = hermgauss(n)
+        assert t.tobytes() == want_t.tobytes(), n
+        assert w.tobytes() == want_w.tobytes(), n
+
+
 def test_gauss_hermite_rule_is_built_once_per_node_count(monkeypatch):
     calls = []
 
@@ -92,8 +102,7 @@ def test_gauss_hermite_rule_is_built_once_per_node_count(monkeypatch):
         return hermgauss(n)
 
     measures._hermite_rule.cache_clear()
-    # the rule imports hermgauss from numpy.polynomial on each build
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+    monkeypatch.setattr(measures, "_hermgauss", counted)
     models = [rf.normal(0.1, 0.2, n_nodes=64), rf.normal(-0.3, 1.5, n_nodes=64),
               rf.normal(2.0, 0.01, n_nodes=64), rf.shifted_lognormal(0.05, 0.3, n_nodes=64)]
     assert calls == [64]

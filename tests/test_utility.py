@@ -1,6 +1,7 @@
 """Utility catalog: values, derivatives, domains, risk aversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,24 @@ def test_capped_dominates_exponential_and_converges():
             assert gap <= prev_gap + 1e-12
         prev_gap = gap
     assert prev_gap <= 1e-10  # kappa = 0.01: kink at -100, far below the grid
+
+
+def test_exponential_derivatives_saturate_in_the_product_by_gamma():
+    # e^{709} is finite and 50 e^{709} is not: u' and u'' overflow in the
+    # product by gamma (a RuntimeWarning, exit 0, from `solve` on a shifted
+    # lognormal(0.05, 0.01) with exponential(50) and A = [-1000, 1000]);
+    # they saturate to inf and -inf, and where finite keep the bits of
+    # gamma * e^z and -gamma * gamma * e^z
+    u = rf.exponential(50.0)
+    x = np.array([-709.0 / 50.0, 0.3, -1.0, -14.0])
+    z = -50.0 * x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1, u2 = u.u_prime(x), u.u_double_prime(x)
+    assert u1[0] == math.inf and u2[0] == -math.inf
+    assert u1[1:].tobytes() == (50.0 * np.exp(z[1:])).tobytes()
+    assert u2[1:].tobytes() == (-50.0 * 50.0 * np.exp(z[1:])).tobytes()
+    assert u.risk_aversion(x)[0] == 50.0
 
 
 def test_exponential_saturates_without_warnings():
