@@ -20,6 +20,11 @@ from .errors import (ArbitrageError, AssumptionViolation, BoundaryOptimumError,
                      ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure, RobustfolioError)
 
+# the analytic fixtures' names, which key analytic_fixtures' catalog; they
+# live here so that the CLI's config schema lists them without running it
+FIXTURE_NAMES = ("binomial_exp", "binomial_log", "capped_exp_limit", "lognormal_butterfly",
+                 "normal_exp")
+
 # engine module -> the names the package exports from it
 _EXPORTS = {
     "measures": ("DiscreteMeasure", "StateSpace", "WassersteinOrder", "binomial", "explicit",
@@ -39,7 +44,8 @@ _EXPORTS = {
     "robust_solver": ("RobustSolution", "adversary_inner_inf", "martingale_check_robust",
                       "robust_davis_first_order", "robust_davis_price", "robust_solve",
                       "robust_solve_inf", "robust_solve_p", "solve_delta_grid"),
-    "analytic_fixtures": ("FIXTURE_NAMES", "Fixture", "bs_value", "fixture"),
+    "transport": (),
+    "analytic_fixtures": ("Fixture", "bs_value", "fixture"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -74,7 +80,7 @@ def __dir__() -> list[str]:
 __all__ = [
     "ArbitrageError", "AssumptionViolation", "BoundaryOptimumError",
     "ConfigError", "DegenerateSensitivityError", "DomainCompatibilityError",
-    "NumericalFailure", "RobustfolioError",
+    "NumericalFailure", "RobustfolioError", "FIXTURE_NAMES",
     *_OWNER,
     "__version__",
 ]

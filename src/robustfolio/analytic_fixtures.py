@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import FIXTURE_NAMES
 from .errors import ConfigError
 
 
@@ -250,15 +251,10 @@ def _lognormal_butterfly(mu: float, sigma: float, K: float = 0.5) -> Fixture:
     )
 
 
-_CATALOG: dict[str, Callable[..., Fixture]] = {
-    "binomial_log": _binomial_log,
-    "binomial_exp": _binomial_exp,
-    "normal_exp": _normal_exp,
-    "capped_exp_limit": _capped_exp_limit,
-    "lognormal_butterfly": _lognormal_butterfly,
-}
-
-FIXTURE_NAMES = tuple(sorted(_CATALOG))
+# fixture name -> the builder of that name above, for each of the package's
+# FIXTURE_NAMES (the CLI's config schema lists them without running this module)
+_CATALOG: dict[str, Callable[..., Fixture]] = {name: globals()[f"_{name}"]
+                                               for name in FIXTURE_NAMES}
 
 
 def fixture(name: str, **params) -> Fixture:

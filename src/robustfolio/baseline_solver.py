@@ -50,7 +50,7 @@ import numpy as np
 from ._brent import brent_steps, brentq, run
 from .errors import (ArbitrageError, BoundaryOptimumError, ConfigError,
                      DomainCompatibilityError, NumericalFailure)
-from .measures import DiscreteMeasure, StateSpace, WassersteinOrder, no_arbitrage_check
+from .measures import DiscreteMeasure, StateSpace, WassersteinOrder, live_values, no_arbitrage_check
 from .utility import Utility
 
 # |pi*| at or below this routes to the pi*=0 branches of the sensitivity and
@@ -345,12 +345,14 @@ def _objective(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> float:
 
 def _gradient(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     w = _wealth(spec, pi, endowment)
-    return (spec.model.weights * spec.utility.u_prime(w)) @ spec.model.points
+    weights = spec.model.weights
+    return (weights * live_values(weights, spec.utility.u_prime(w))) @ spec.model.points
 
 
 def _hessian(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     w = _wealth(spec, pi, endowment)
-    weighted = spec.model.weights * spec.utility.u_double_prime(w)
+    weighted = spec.model.weights * live_values(spec.model.weights,
+                                                spec.utility.u_double_prime(w))
     return (weighted[:, None] * spec.model.points).T @ spec.model.points
 
 
@@ -725,7 +727,8 @@ def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
     """
     if sol.boundary and not sol.pi_is_zero:
         raise BoundaryOptimumError("pricing measure requires an interior optimizer (or pi* = 0)")
-    dens = spec.model.weights * spec.utility.u_prime(_wealth(spec, sol.pi_star))
+    weights = spec.model.weights
+    dens = weights * live_values(weights, spec.utility.u_prime(_wealth(spec, sol.pi_star)))
     return DiscreteMeasure(points=spec.model.points, weights=dens / dens.sum(),
                            state_space=spec.state_space,
                            is_quadrature=spec.model.is_quadrature,

@@ -19,6 +19,8 @@ Exit codes: 0 success; 2 invalid config/arguments; 3 assumption violation
 (arbitrage, degeneracy guard, boundary optimum, domain incompatibility);
 4 numerical failure, unwritable output, or any other unexpected error (one
 'error:' line naming the exception and where it was raised, no traceback).
+An unwritable stdout (its descriptor closed, or a pipe no one reads, found
+on the write or on the flush at exit) is exit 4 with one 'error:' line.
 
 Output contract: CSV has a header row, '.'-decimal reals at 17 significant
 digits, LF line endings, and trailing '# key=value' provenance lines (config
@@ -30,11 +32,14 @@ Start-up: the engine modules this one names are the package's lazily loaded
 modules, and every engine call goes through them
 (``baseline_solver.solve_baseline(spec)``), as do the numpy imports inside
 the functions that use numpy. So a command runs only what it calls into:
-parsing, config loading and validation need the standard library, ``errors``
-and ``analytic_fixtures`` (whose fixture names the schema lists), and a
-rejected config exits before numpy loads. A finished table's config is
-hashed with CPython's built-in SHA-256, so no process maps OpenSSL, and
-traceback loads only to place an internal failure.
+parsing, config loading and validation need the standard library and
+``errors`` (the schema takes the fixture names from the package, without
+running ``analytic_fixtures``), and a rejected config exits before numpy or
+dataclasses loads. A finished table's config is hashed with CPython's
+built-in SHA-256, so no process maps OpenSSL, and traceback loads only to
+place an internal failure. The process ends in ``entry``: the atexit
+handlers run and stdout and stderr are flushed, then ``os._exit`` skips the
+interpreter's teardown (a profiled process exits normally).
 """
 
 from __future__ import annotations
@@ -43,11 +48,12 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, analytic_fixtures, baseline_solver, measures, robust_solver, sensitivity
+from . import (FIXTURE_NAMES, __version__, analytic_fixtures, baseline_solver, measures,
+               robust_solver, sensitivity)
 from . import utility as utilities
 from .errors import ConfigError, NumericalFailure, RobustfolioError
 
@@ -137,7 +143,7 @@ CONFIG_SCHEMA = {
                                  "grid": _GRID3}},
         "fixture": {"type": "object", "additionalProperties": False,
                     "required": ["name"],
-                    "properties": {"name": {"enum": list(analytic_fixtures.FIXTURE_NAMES)},
+                    "properties": {"name": {"enum": list(FIXTURE_NAMES)},
                                    "params": {"type": "object"}}},
         "output": {"type": "object", "additionalProperties": False,
                    "properties": {"path": {"type": "string"},
@@ -150,18 +156,17 @@ CONFIG_SCHEMA = {
 # Result table + emission
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ResultTable:
     """Rectangular numeric table with provenance; the single output shape."""
 
-    columns: list[str]
-    rows: list[list[float]]
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def __init__(self, columns: list[str], rows: list[list[float]],
+                 provenance: dict[str, str] | None = None) -> None:
+        for row in rows:
+            if len(row) != len(columns):
                 raise NumericalFailure("ragged result table")
+        self.columns = columns
+        self.rows = rows
+        self.provenance = {} if provenance is None else provenance
 
 
 def _fmt_real(x: float) -> str:
@@ -769,6 +774,9 @@ def run(command: str, cfg: dict, preset: str | None = None) -> ResultTable:
     return table
 
 
+_STDOUT_FAILURE = "cannot write the table to stdout"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="robustfolio",
@@ -808,7 +816,12 @@ def main(argv: list[str] | None = None) -> int:
         path = args.out or cfg.get("output", {}).get("path")
         text = emit(table, fmt, path)
         if path is None:
-            sys.stdout.write(text)
+            if sys.stdout is None:
+                raise NumericalFailure(f"{_STDOUT_FAILURE}: it is closed")
+            try:
+                sys.stdout.write(text)
+            except OSError as exc:
+                raise NumericalFailure(f"{_STDOUT_FAILURE}: {exc}") from exc
         return 0
     except RobustfolioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -821,5 +834,46 @@ def main(argv: list[str] | None = None) -> int:
         return NumericalFailure.exit_code
 
 
+def _watched() -> bool:
+    """Whether a trace or profile function watches this process, or from
+    Python 3.12 a sys.monitoring tool (cProfile's, say)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(monitoring.get_tool(i) is not None
+                                              for i in range(6)))
+
+
+def entry() -> None:
+    """Run ``main`` as a process and end it: the entry of
+    ``python -m robustfolio.cli`` and of the ``robustfolio`` script.
+
+    The process ends with ``os._exit``, which skips the interpreter's module
+    teardown and garbage collection, after what a normal exit does first:
+    the atexit handlers run, then stdout and stderr are flushed. stdout may
+    be None (its descriptor closed) or fail its flush (a pipe with no
+    reader); a flush that fails after a successful run prints one error line
+    and ends with exit 4. A process under a trace or profile function exits
+    normally instead, so that, say, ``python -m cProfile`` prints its
+    statistics."""
+    code = main()
+    if _watched():
+        sys.exit(code)
+    import atexit
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            print(f"error: {_STDOUT_FAILURE}: {exc}", file=sys.stderr)
+            code = NumericalFailure.exit_code
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -48,6 +48,21 @@ _CONTAINS_TOL = 1e-12  # points this far outside a state space still count as in
 _COUPLING_RESIDUE = 1e-14
 
 
+def live_values(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the atoms of ``weights``, with 0 for a value that is not
+    finite at an atom of zero weight. Such an atom still bounds the utility
+    domain, but it carries no mass, so it adds exactly 0 to every weighted
+    sum, as it does where its value is finite, and not 0 * inf = nan (a
+    truncated normal's far nodes, whose weights underflow, reach wealths
+    whose u or u' overflows). ``values`` comes back itself where every
+    weight is positive or no such value occurs, so a sum keeps its bits
+    wherever it was finite."""
+    if np.count_nonzero(weights) == weights.size:  # a third of weights.all()'s time
+        return values
+    dead = (weights == 0.0) & ~np.isfinite(values)
+    return np.where(dead, 0.0, values) if dead.any() else values
+
+
 def _as_points(points: Iterable) -> np.ndarray:
     """Normalize input to an (n, d) float array."""
     arr = np.asarray(points, dtype=float)
@@ -185,8 +200,10 @@ class DiscreteMeasure:
         return self.points[:, 0]
 
     def expectation(self, values: np.ndarray) -> float:
-        """Exact atom sum  sum_i w_i * values_i."""
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
+        """Exact atom sum  sum_i w_i * values_i; an atom of zero weight adds 0
+        (``live_values``)."""
+        return float(np.dot(self.weights,
+                            live_values(self.weights, np.asarray(values, dtype=float))))
 
     def support_diameter(self) -> float:
         if self.n_atoms == 1:

@@ -66,8 +66,8 @@ import numpy as np
 from .baseline_solver import PI_ZERO_THRESHOLD, BaselineSolution, Payoff, ProblemSpec, \
     q_u_measure
 from .errors import AssumptionViolation, BoundaryOptimumError, ConfigError, \
-    DegenerateSensitivityError
-from .measures import DiscreteMeasure, WassersteinOrder
+    DegenerateSensitivityError, NumericalFailure
+from .measures import DiscreteMeasure, WassersteinOrder, live_values
 from .utility import Utility
 
 # Guard thresholds (see module docstring).
@@ -156,13 +156,16 @@ def _require_room_to_move(spec: ProblemSpec, sol: BaselineSolution) -> None:
 def _lq_norm(weights: np.ndarray, values: np.ndarray, q: float) -> float:
     """(sum_i w_i |v_i|^q)^{1/q}. Near p = 1 (q large) the plain moment of
     nonzero values can leave float range (inf or 0); it is then taken
-    relative to max |v|."""
+    relative to max |v|. An atom of zero weight adds 0 (``live_values``) and
+    sets no scale."""
     v = np.abs(values)
-    moment = float(np.dot(weights, v ** q))
-    if 0.0 < moment < math.inf or not v.any():
+    moment = float(np.dot(weights, live_values(weights, v ** q)))
+    if 0.0 < moment < math.inf:
         return moment ** (1.0 / q)
-    top = float(v.max())
-    return top * float(np.dot(weights, (v / top) ** q)) ** (1.0 / q)
+    top = float(np.max(v, where=weights > 0.0, initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.dot(weights, live_values(weights, (v / top) ** q))) ** (1.0 / q)
 
 
 @np.errstate(over="ignore", under="ignore")
@@ -206,10 +209,15 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
     _require_room_to_move(spec, sol)
     q = spec.order.q
     w = spec.model.points @ sol.pi_star
-    up = spec.utility.u_prime(w)
-    upp = spec.utility.u_double_prime(w)
+    up = live_values(spec.model.weights, spec.utility.u_prime(w))
+    upp = live_values(spec.model.weights, spec.utility.u_double_prime(w))
     power, factor = _dual_weights(up, _lq_norm_uprime(spec, sol), q)
-    kappa = factor * spec.model.expectation((w * upp + up) * power)
+    with np.errstate(over="ignore"):
+        kappa = factor * spec.model.expectation((w * upp + up) * power)
+    if not math.isfinite(kappa):
+        raise NumericalFailure(
+            "optimizer sensitivity leaves float range: an atom's u' weighted by "
+            f"|u'|^(q - 1) overflows (q = {q})")
     H = sol.hessian
     eigs = np.linalg.eigvalsh(H)
     if eigs.max() >= 0.0:

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jsonschema import Draft202012Validator
@@ -586,6 +588,52 @@ def test_solve_past_float_range_takes_the_limit_without_a_warning(tmp_path, caps
     assert all(math.isfinite(v) for v in rows[0])
 
 
+@pytest.mark.parametrize("command, cfg, zero_weights, nan_columns", [
+    # V0 and foc_residual read nan: 0 * inf in the atom sums (exit 4 in the
+    # test suite, where RuntimeWarnings are errors)
+    ("solve", {"model": {"kind": "truncated_normal", "mu": 0.17, "sigma": 0.01, "radius": 1.0,
+                         "n_nodes": 16},
+               "utility": {"kind": "exponential", "gamma": 50.0}, "wasserstein_p": 1100.0,
+               "state_space": [-1.5, 1.5]}, 12, []),
+    # the L^q norm of u' came out 0, then divided by zero: exit 4
+    ("robust", {"model": {"kind": "truncated_normal", "mu": -0.2, "sigma": 0.01, "radius": 0.4,
+                          "n_nodes": 16},
+                "utility": {"kind": "exponential", "gamma": 5.0}, "wasserstein_p": 2.0,
+                "delta": 1e-6}, 2, ["davis_price_delta"]),
+], ids=["solve", "robust"])
+def test_zero_weight_atoms_add_nothing_to_the_sums(tmp_path, capsys, command, cfg,
+                                                   zero_weights, nan_columns):
+    # the far nodes' weights underflow to 0 while their u or u' overflows
+    assert np.count_nonzero(rf.make_model(cfg["model"]).weights == 0.0) == zero_weights
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.err == ""
+    header, rows, _ = read_result_csv(captured.out)
+    assert all(math.isfinite(v) for name, v in zip(header, rows[0]) if name not in nan_columns)
+    if command == "robust":
+        assert rows[0][header.index("transport_cost")] <= cfg["delta"]
+
+
+def test_robust_prices_the_radius_zero_ball_at_the_atoms(tmp_path, capsys):
+    # p = 100: cells whose cost |s|^100 underflows to 0 let the radius-0 ball
+    # infimum move atoms for free, and its multiplier search overflowed, then
+    # exited 4 "multiplier search did not settle on a breakpoint"
+    cfg = {"model": {"kind": "truncated_normal", "mu": 0.0, "sigma": 0.3, "radius": 0.05,
+                     "n_nodes": 12},
+           "utility": {"kind": "exponential", "gamma": 1.0}, "wasserstein_p": 100.0,
+           "delta_grid": [0.0, 0.2, 0.05], "payoff": {"kind": "butterfly", "K": 0.1}}
+    rc = cli.main(["robust", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.err == ""
+    header, rows, _ = read_result_csv(captured.out)
+    assert len(rows) == 5 and all(math.isfinite(v) for row in rows for v in row)
+    model = rf.make_model(cfg["model"])
+    expected = float(model.weights @ rf.butterfly_payoff(0.1)(model.support_1d))
+    assert rows[0][header.index("davis_price_delta")] == pytest.approx(expected, rel=1e-15)
+
+
 def test_robust_reads_top_level_state_space(tmp_path, capsys):
     # the finite-p oracle caps displacements by the state space of the
     # problem, whether the config sets it at the top level or on the model
@@ -672,34 +720,40 @@ def test_cli_loads_no_jsonschema(tmp_path):
     assert "config rejected: config.wasserstein_p" in proc.stderr
 
 
-# the robustfolio modules each benchmark command runs, beside errors and
-# analytic_fixtures (the config schema lists its fixture names); the others
-# stay unexecuted placeholders in sys.modules
+# the robustfolio modules each benchmark command runs, beside errors; the
+# others stay unexecuted placeholders in sys.modules. The config schema lists
+# the fixture names without running analytic_fixtures, a p = inf solve with
+# pi != 0 runs no sensitivity, and no command runs the finite-p transport
+# program
 _BASELINE = ["_brent", "baseline_solver", "measures", "utility"]
 _CLOSED_FORMS = sorted(_BASELINE + ["sensitivity"])
-_ROBUST = sorted(_CLOSED_FORMS + ["robust_solver"])
-COMMAND_MODULES = {"solve": _BASELINE, "sensitivity": _CLOSED_FORMS, "robust": _ROBUST,
-                   "davis": _CLOSED_FORMS, "sweep": _CLOSED_FORMS, "figures": _CLOSED_FORMS,
-                   "oracle-check": _ROBUST, "exit2-invalid": [], "exit3-degenerate": _ROBUST}
+COMMAND_MODULES = {"solve": _BASELINE, "sensitivity": _CLOSED_FORMS,
+                   "robust": sorted(_BASELINE + ["robust_solver"]),
+                   "davis": _CLOSED_FORMS, "sweep": _CLOSED_FORMS,
+                   "figures": sorted(_CLOSED_FORMS + ["analytic_fixtures"]),
+                   "oracle-check": sorted(_CLOSED_FORMS + ["analytic_fixtures", "robust_solver"]),
+                   "exit2-invalid": [],
+                   "exit3-degenerate": sorted(_CLOSED_FORMS + ["robust_solver"])}
 
 # ``python -m robustfolio.cli`` through runpy's own entry, reporting at exit
-# which robustfolio modules ran and whether numpy, numpy.polynomial and
-# OpenSSL's hashlib binding were imported
+# which robustfolio modules ran and whether numpy, numpy.polynomial,
+# OpenSSL's hashlib binding and dataclasses were imported
 MODULES_RUN = ("import atexit, json, runpy, sys, types\n"
                "atexit.register(lambda: print(json.dumps([sorted(\n"
                "    n for n, m in sys.modules.items()\n"
                "    if n.startswith('robustfolio.') and type(m) is types.ModuleType),\n"
                "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules,\n"
-               "    '_hashlib' in sys.modules]),\n"
+               "    '_hashlib' in sys.modules, 'dataclasses' in sys.modules]),\n"
                "    file=sys.stderr))\n"
                "runpy.run_module('robustfolio.cli', run_name='__main__', alter_sys=True)\n")
 
 
 @pytest.mark.parametrize("name", list(COMMAND_MODULES))
 def test_cli_command_runs_only_the_modules_it_uses(name):
-    # a rejected config exits before numpy loads, a command never runs a
-    # module it makes no call into, the Gauss-Hermite rule loads no
-    # numpy.polynomial and the config hash no OpenSSL; warnings as errors:
+    # a rejected config exits before numpy or dataclasses loads, a command
+    # never runs a module it makes no call into, the Gauss-Hermite rule loads
+    # no numpy.polynomial and the config hash no OpenSSL; the process's
+    # atexit handlers run before its fast exit; warnings as errors:
     # runpy warns when the module it is to run as __main__ is in
     # sys.modules already
     golden = ROOT / "bench" / "golden" / "cli_cold"
@@ -708,10 +762,10 @@ def test_cli_command_runs_only_the_modules_it_uses(name):
                            *argv], capture_output=True, cwd=ROOT, env=child_env())
     assert proc.returncode == json.loads((golden / "exit_codes.json").read_text())[name]
     assert proc.stdout == (golden / f"{name}.stdout").read_bytes()
-    ran, numpy, polynomial, openssl = json.loads(proc.stderr.decode().splitlines()[-1])
-    assert ran == sorted(f"robustfolio.{m}" for m in
-                         ["analytic_fixtures", "errors", *COMMAND_MODULES[name]])
-    assert numpy == (name != "exit2-invalid")
+    ran, numpy, polynomial, openssl, with_dataclasses = json.loads(
+        proc.stderr.decode().splitlines()[-1])
+    assert ran == sorted(f"robustfolio.{m}" for m in ["errors", *COMMAND_MODULES[name]])
+    assert numpy == with_dataclasses == (name != "exit2-invalid")
     assert not polynomial and not openssl
 
 
@@ -923,11 +977,55 @@ def test_oracle_check_needs_fixture_section(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the [project.scripts] target, called as pip's wrapper calls it
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^robustfolio = "robustfolio\.cli:(\w+)"$', pyproject, re.M).group(1)
     cfg_path = write_config(tmp_path, base_config())
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys; from robustfolio.cli import main; "
-                           "sys.exit(main(sys.argv[1:]))",
+                           f"import sys; from robustfolio.cli import {target}; "
+                           f"sys.exit({target}())",
                            "solve", "--config", cfg_path],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("pi_star,")
+
+
+SOLVE_CONFIG = ROOT / "bench" / "configs" / "solve_binomial_log.json"
+
+
+@pytest.mark.parametrize("stdout", ["closed", "pipe-buffered", "pipe-unbuffered"])
+def test_unwritable_stdout_exits_four(stdout):
+    # closed (>&-): exit 4 as an internal failure (AttributeError); a pipe no
+    # one reads: exit 120 with "Exception ignored ... BrokenPipeError" from
+    # the flush at exit where stdout is block-buffered, exit 4 as an internal
+    # failure (BrokenPipeError) where it is not
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "pipe-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "robustfolio.cli", "solve", "--config", str(SOLVE_CONFIG)]
+    if stdout == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              stderr=subprocess.PIPE, env=env)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 4, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write the table to stdout: ")
+
+
+def test_profiled_cli_process_prints_its_statistics():
+    # the process entry skips interpreter teardown, except under a profile
+    # function, whose statistics print at the normal exit
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "robustfolio.cli",
+                           "solve", "--config", str(SOLVE_CONFIG)],
+                          capture_output=True, cwd=ROOT, env=child_env())
+    table = (ROOT / "bench" / "golden" / "cli_cold" / "solve.stdout").read_bytes()
+    assert proc.stdout.startswith(table), proc.stderr
+    assert b" function calls " in proc.stdout[len(table):]

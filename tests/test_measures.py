@@ -361,3 +361,16 @@ def test_no_arbitrage_check_2d():
     R = rf.DiscreteMeasure(points=np.vstack([Q.points, [[-1.0, 0.0]]]),
                            weights=np.array([0.25, 0.25, 0.5, 0.0]))
     assert not rf.no_arbitrage_check(R)
+
+
+def test_live_values_zero_only_what_a_zero_weight_atom_cannot_add():
+    # an atom of zero weight adds exactly 0 to a weighted sum; elsewhere the
+    # values come back as they are, so every finite sum keeps its bits
+    w = np.array([0.0, 0.5, 0.0, 0.5])
+    v = np.array([np.inf, 1.0, -2.0, np.inf])
+    assert measures.live_values(w, v).tolist() == [0.0, 1.0, -2.0, np.inf]
+    finite = np.array([3.0, 1.0, -2.0, 4.0])
+    assert measures.live_values(w, finite) is finite
+    assert measures.live_values(np.full(4, 0.25), v) is v
+    P = rf.explicit([-1.0, 0.0, 1.0], [0.0, 0.5, 0.5])
+    assert P.expectation(np.array([-np.inf, 2.0, 4.0])) == 3.0

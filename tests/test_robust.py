@@ -12,11 +12,12 @@ from scipy.optimize import linprog
 
 import robustfolio as rf
 from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
-                         DomainCompatibilityError, NumericalFailure, robust_solver)
+                         DomainCompatibilityError, NumericalFailure, robust_solver, sensitivity,
+                         transport)
 from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
-from robustfolio.robust_solver import (_checked_multiplier, _cost_order, _displacement_grid,
-                                       _merged, _multiplier_plans, _window)
 from robustfolio.sensitivity import zero_strategy
+from robustfolio.transport import (_checked_multiplier, _cost_order, _displacement_grid, _merged,
+                                   _multiplier_plans, _window)
 
 from conftest import ROOT, binomial_log_spec, load_bench, normal_exp_spec
 
@@ -219,8 +220,8 @@ def transport_lp_value(P, u, pi, delta, p, grid_points):
 ])
 def test_inner_inf_matches_transport_lp(monkeypatch, points, weights, pi, p):
     # the oracle on a 64-point base grid with no refinement pass
-    monkeypatch.setattr(robust_solver, "_GRID_POINTS", 64)
-    monkeypatch.setattr(robust_solver, "_REFINEMENTS", 0)
+    monkeypatch.setattr(transport, "_GRID_POINTS", 64)
+    monkeypatch.setattr(transport, "_REFINEMENTS", 0)
     P = rf.explicit(points, weights, state_space=rf.StateSpace.interval(-1.25, 1.25))
     u = rf.log_shifted(1.0)
     for delta in (0.02, 0.1, 0.3):
@@ -772,7 +773,7 @@ def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
     # take refined passes from the call before, and every call returns what
     # a memory-free call returns
     reused = []
-    minimize = robust_solver._transport_minimize
+    minimize = transport._transport_minimize
 
     def traced(*args, memory=None, **kwargs):
         before = [step.disp for step in memory.passes] if memory is not None else []
@@ -785,9 +786,9 @@ def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(out[1:], free[1:]))
         return out
 
-    monkeypatch.setattr(robust_solver, "_transport_minimize", traced)
+    monkeypatch.setattr(transport, "_transport_minimize", traced)
     finite_p_solutions("grid-binomial", 0.25)
-    passes = robust_solver._REFINEMENTS + 1
+    passes = transport._REFINEMENTS + 1
     assert len(reused) == 26
     assert sum(1 for k in reused if k >= 2) == 19  # one refined pass or more
     assert reused.count(passes) == 16
@@ -797,13 +798,13 @@ def test_warm_passes_search_for_the_multiplier_only_where_the_last_plans_fail(mo
     # grid-binomial a = 0.25: 26 oracle calls of up to 4 passes made 104
     # multiplier searches when every pass searched
     searches = []
-    search = robust_solver._multiplier_plans
+    search = transport._multiplier_plans
 
     def traced(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(robust_solver, "_multiplier_plans", traced)
+    monkeypatch.setattr(transport, "_multiplier_plans", traced)
     finite_p_solutions("grid-binomial", 0.25)
     assert len(searches) == 45
 
@@ -835,6 +836,24 @@ def bounded_grids(draw):
     hi = 0.0 if side == "down" else draw(st.floats(1e-6, 2.0))
     pts = draw(st.lists(st.floats(lo, hi), max_size=40))
     return np.unique(np.array(pts + [lo, 0.0, hi])), lo, hi
+
+
+@pytest.mark.parametrize("p", [2.0, 100.0])
+def test_transport_program_at_radius_zero_leaves_every_atom(p):
+    # the ball of radius 0 is the baseline alone; at p = 100 the costs of the
+    # small displacements underflow to 0, and the multiplier search on the
+    # budget 0 overflowed where their lines cross
+    x = np.linspace(-0.05, 0.05, 12)
+    w = np.full(12, 1.0 / 12.0)
+    g = rf.butterfly_payoff(0.1)
+    value, points, masses, atoms = transport._transport_minimize(
+        x, w, -0.05 - x, 0.05 - x, p, 0.0, g, kinks=g.kinks)
+    by_atom = 0.0
+    for w_i, g_i in zip(w, g(x)):
+        by_atom += w_i * g_i
+    assert value == by_atom
+    assert np.array_equal(points, x) and np.array_equal(masses, w)
+    assert atoms.tolist() == list(range(12))
 
 
 @settings(max_examples=300)
@@ -883,7 +902,7 @@ def test_a_plan_takes_the_first_of_twin_cells():
                      [0.0, -0.1, 0.1, np.nextafter(0.1, 1.0), 0.3],
                      [0.0, 0.1, -0.1, np.nextafter(0.1, 1.0), 0.3]])
     j_hi, j_lo = np.array([3, 3, 3]), np.array([4, 3, 2])
-    hi, lo = robust_solver._first_twin(disp, j_hi, j_lo)
+    hi, lo = transport._first_twin(disp, j_hi, j_lo)
     assert hi.tolist() == [2, 2, 1] and lo.tolist() == [4, 2, 2]
     assert j_hi.tolist() == [3, 3, 3] and j_lo.tolist() == [4, 3, 2]
 
@@ -1328,8 +1347,8 @@ def test_zero_price_takes_the_shift_from_the_solution(monkeypatch, weights, acti
     g = rf.call_payoff(0.0)
     shifted = spec.model.support_1d - zero_strategy(spec, 0.1).shift
     radii = []
-    rule = robust_solver.zero_strategy
-    monkeypatch.setattr(robust_solver, "zero_strategy",
+    rule = sensitivity.zero_strategy
+    monkeypatch.setattr(sensitivity, "zero_strategy",
                         lambda s, d: radii.append(d) or rule(s, d))
     price = rf.robust_davis_price(spec, g, 0.1, sol)
     assert radii == [0.0]
