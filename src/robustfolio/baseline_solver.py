@@ -62,6 +62,10 @@ _DOMAIN_MARGIN = 1e-9
 
 _BOUNDARY_TOL = 1e-12
 
+# Brent's tolerances in the 1-d solve: it stops with the root within
+# _ROOT_XTOL + _ROOT_RTOL |pi| of its point pi.
+_ROOT_XTOL, _ROOT_RTOL = 1e-15, 8.882e-16
+
 # Projected Newton (d > 1) stops once the projected gradient is this small,
 # and accepts a step that lowers the objective by at most this many ulps (a
 # final step can trade the last ulp of f for the last digits of the gradient).
@@ -110,24 +114,26 @@ def power_payoff(k: int) -> Payoff:
     )
 
 
+def _in_band(out, y, s: float, formula: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``out`` with formula(y) on the entries where |y| <= s, evaluated on
+    those entries only: far from a narrow band the formula's quotient by s
+    would overflow."""
+    out = np.asarray(out)
+    band = np.abs(y) <= s
+    out[band] = formula(np.asarray(y)[band])
+    return out
+
+
 def _smoothed_call(strike: float, s: float):
     """(x - strike)^+ with a C^1 quadratic cap on [strike - s, strike + s]."""
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        y = x - strike
-        out = np.maximum(y, 0.0)
-        band = np.abs(y) <= s
-        out = np.where(band, (y + s) ** 2 / (4.0 * s), out)
-        return out
+        y = np.asarray(x, dtype=float) - strike
+        return _in_band(np.maximum(y, 0.0), y, s, lambda y: (y + s) ** 2 / (4.0 * s))
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        y = x - strike
-        out = np.where(y > 0.0, 1.0, 0.0)
-        band = np.abs(y) <= s
-        out = np.where(band, (y + s) / (2.0 * s), out)
-        return out
+        y = np.asarray(x, dtype=float) - strike
+        return _in_band(np.where(y > 0.0, 1.0, 0.0), y, s, lambda y: (y + s) / (2.0 * s))
 
     return value, grad
 
@@ -167,13 +173,11 @@ def abs_shift_payoff(x0: float, smoothing: float = 1e-4) -> Payoff:
 
     def value(x):
         y = np.asarray(x, dtype=float) + x0
-        out = np.abs(y)
-        return np.where(np.abs(y) <= s, (y * y + s * s) / (2.0 * s), out)
+        return _in_band(np.abs(y), y, s, lambda y: (y * y + s * s) / (2.0 * s))
 
     def grad(x):
         y = np.asarray(x, dtype=float) + x0
-        out = np.sign(y)
-        return np.where(np.abs(y) <= s, y / s, out)
+        return _in_band(np.sign(y), y, s, lambda y: y / s)
 
     return Payoff(kind="abs_shift", value=value, grad=grad, kinks=(-float(x0),),
                   smoothing=s, params={"x0": float(x0)})
@@ -417,7 +421,7 @@ def _argmax_steps(lo: float, hi: float,
         return lo, True
     if (yield hi) >= 0.0:
         return hi, True
-    return (yield from brent_steps(lo, hi, 1e-15, 8.882e-16, 200, stop)), False
+    return (yield from brent_steps(lo, hi, _ROOT_XTOL, _ROOT_RTOL, 200, stop)), False
 
 
 def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
@@ -428,22 +432,28 @@ def _concave_argmax(grad: Callable[[float], float], lo: float, hi: float,
     return run(_argmax_steps(lo, hi, stop, start, step), grad)
 
 
-def _max_steps(lo: float, hi: float, a_lo: float, a_hi: float
+def _max_steps(lo: float, hi: float, a_lo: float, a_hi: float, polish: bool = True
                ) -> Generator[float | tuple[float], float, tuple[float, bool]]:
     """(maximizer, on A's boundary) on [lo, hi] of a lane's concave sum: the
-    gradient's root (``_argmax_steps``) or the end its sign pins, then two
-    Newton steps. It yields a point pi to ask for the gradient there and
-    the 1-tuple (pi,) to ask for the curvature there."""
+    gradient's root (``_argmax_steps``) or the end its sign pins, then, if
+    ``polish``, two Newton steps. It yields a point pi to ask for the
+    gradient there and the 1-tuple (pi,) to ask for the curvature there."""
     pi, pinned = yield from _argmax_steps(lo, hi)
     if pinned:  # maximizer at an end (A-bound or domain-bound)
         return pi, True
     # Newton polish — the bracketing solve already gives ~1e-15, two damped
-    # Newton steps push the residual to rounding level.
-    for _ in range(2):
+    # Newton steps push the residual to rounding level. A step that leaves
+    # Brent's bracket (a curvature far from the one between pi and the root)
+    # or lands on no number keeps the point before it.
+    root, reach = pi, _ROOT_XTOL + _ROOT_RTOL * abs(pi)
+    for _ in range(2 if polish else 0):
         h = yield (pi,)
-        if h >= 0.0:
+        if not h < 0.0:
             break
-        pi = min(max(pi - (yield pi) / h, lo), hi)
+        step = pi - (yield pi) / h
+        if not abs(step - root) <= reach:
+            break
+        pi = min(max(step, lo), hi)
     boundary = (abs(pi - a_lo) <= _BOUNDARY_TOL) or (abs(pi - a_hi) <= _BOUNDARY_TOL)
     return pi, boundary
 
@@ -466,6 +476,7 @@ class _Lane:
 
     __slots__ = ("utility", "x", "xx", "w", "e", "steps", "memo")
 
+    @np.errstate(over="ignore")  # an atom's square past float range is inf
     def __init__(self, x: np.ndarray, w: np.ndarray, utility: Utility,
                  a_lo: float, a_hi: float, endowment=0.0) -> None:
         lo, hi = _feasible_interval_raw(x, endowment, utility, a_lo, a_hi)
@@ -476,7 +487,8 @@ class _Lane:
         if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
             x, w, e = x[w > 0.0], w[w > 0.0], None if e is None else e[w > 0.0]
         self.utility, self.x, self.xx, self.w, self.e = utility, x, x * x, w, e
-        self.steps = _max_steps(lo, hi, a_lo, a_hi)
+        # an infinite square leaves the curvature no number: no polish
+        self.steps = _max_steps(lo, hi, a_lo, a_hi, self.xx.max(initial=0.0) < math.inf)
         self.memo: dict[float | tuple[float], float] = {}
 
     def answer(self, request: float | tuple[float]) -> float:
@@ -719,6 +731,13 @@ def solve_baselines(specs: Sequence[ProblemSpec]) -> Iterator[BaselineSolution]:
             yield solve_baseline(spec)
 
 
+def _pricing_density(weights: np.ndarray, utility: Utility, wealth: np.ndarray) -> np.ndarray:
+    """The marginal-utility pricing density w_i u'(wealth_i) / sum_j w_j u'(wealth_j)
+    on atoms of weights w."""
+    dens = weights * live_values(weights, utility.u_prime(wealth))
+    return dens / dens.sum()
+
+
 def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
     """P reweighted by normalized marginal utility at the optimum.
 
@@ -727,9 +746,8 @@ def q_u_measure(spec: ProblemSpec, sol: BaselineSolution) -> DiscreteMeasure:
     """
     if sol.boundary and not sol.pi_is_zero:
         raise BoundaryOptimumError("pricing measure requires an interior optimizer (or pi* = 0)")
-    weights = spec.model.weights
-    dens = weights * live_values(weights, spec.utility.u_prime(_wealth(spec, sol.pi_star)))
-    return DiscreteMeasure(points=spec.model.points, weights=dens / dens.sum(),
+    dens = _pricing_density(spec.model.weights, spec.utility, _wealth(spec, sol.pi_star))
+    return DiscreteMeasure(points=spec.model.points, weights=dens,
                            state_space=spec.state_space,
                            is_quadrature=spec.model.is_quadrature,
                            kind="q_u", params={"base": spec.model.kind})

@@ -97,8 +97,8 @@ import numpy as np
 
 from .baseline_solver import (PI_ZERO_THRESHOLD, BaselineSolution, Payoff, ProblemSpec,
                               _concave_argmax, _concave_max_lanes, _concave_max_raw,
-                              _feasible_interval_raw, _problem, _solution, _until_error,
-                              solve_baseline)
+                              _feasible_interval_raw, _pricing_density, _problem, _solution,
+                              _until_error, solve_baseline)
 from .errors import (AssumptionViolation, ConfigError, DegenerateSensitivityError,
                      DomainCompatibilityError, NumericalFailure)
 from . import sensitivity, transport
@@ -143,6 +143,12 @@ def _as_adversary(points: np.ndarray, weights: np.ndarray, sources: np.ndarray, 
 def _check_radius(delta: float) -> None:
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"delta must be finite and nonnegative, got {delta}")
+
+
+def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution, method: str) -> RobustSolution:
+    """The solution at delta = 0: the baseline's."""
+    return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
+                          adversary=spec.model, transport_cost=0.0, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +252,7 @@ def _inf_solution(spec: ProblemSpec, delta: float, search: tuple,
                   pi: float, boundary: bool) -> RobustSolution:
     """The p = inf solution at radius delta from the maximizer of its search."""
     if delta == 0.0:
-        base = _solution(spec, np.array([pi]), boundary)
-        return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
-                              adversary=spec.model, transport_cost=0.0, method="inf_exact")
+        return _at_radius_zero(spec, _solution(spec, np.array([pi]), boundary), "inf_exact")
     xs, w, u, lo, hi, _ = search
     if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
         return _zero_answer(spec, delta, "inf_exact")
@@ -340,8 +344,7 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
     else:
         s_lo, s_hi = np.zeros_like(x), extents
     value, pts, masses, atoms = transport._transport_minimize(
-        x, w, s_lo, s_hi, order.p, delta, lambda y: utility.u(pi_s * y),
-        memory=memory, pi=pi_s)
+        x, w, s_lo, s_hi, order.p, delta, lambda y: utility.u(pi_s * y), memory=memory)
     adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
     return float(value), adversary
@@ -371,12 +374,6 @@ def _check_finite_p(spec: ProblemSpec, radii) -> None:
     sensitivity.degeneracy_guard(spec)
 
 
-def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution) -> RobustSolution:
-    """The finite-p solution at delta = 0: the baseline's."""
-    return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
-                          adversary=spec.model, transport_cost=0.0, method="finite_p_oracle")
-
-
 def _first_order_rate(spec: ProblemSpec, base: BaselineSolution) -> float:
     """pi*'(0), the optimizer's closed-form slope in delta; 0 where the
     closed forms refuse (an optimum pinned on A, pi* = 0, an atom on the
@@ -398,7 +395,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
     if _start is None:
         base = solve_baseline(spec)
         if delta == 0.0:
-            return _at_radius_zero(spec, base)
+            return _at_radius_zero(spec, base, "finite_p_oracle")
         _start = base.pi_star_scalar + delta * _first_order_rate(spec, base)
     space = spec.state_space
     corners = np.array([space.lower[0], space.upper[0]])
@@ -507,7 +504,7 @@ def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
         d0, pi0, rate = 0.0, base.pi_star_scalar, _first_order_rate(spec, base)
         for d in radii:
             if d == 0.0:
-                solutions.append(_at_radius_zero(spec, base))
+                solutions.append(_at_radius_zero(spec, base, "finite_p_oracle"))
                 continue
             # through robust_solve_p, so that each radius is one finite-p
             # solve to whatever wraps that name (bench/spans.py counts there)
@@ -560,9 +557,7 @@ def robust_davis_price(spec: ProblemSpec, payoff: Payoff, delta: float,
     pi = sol.pi_delta_scalar
     if abs(pi) > PI_ZERO_THRESHOLD:
         y = sol.adversary.support_1d
-        weights = sol.adversary.weights
-        dens = weights * live_values(weights, spec.utility.u_prime(pi * y))
-        dens = dens / dens.sum()
+        dens = _pricing_density(sol.adversary.weights, spec.utility, pi * y)
         return float(dens @ payoff(y))
     if sensitivity.zero_strategy(spec, 0.0).ball_infimum:  # the branch holds at every radius
         # no trading at any radius: the price degrades to the robust buyer's
@@ -587,9 +582,7 @@ def robust_davis_first_order(spec: ProblemSpec, payoff: Payoff, delta: float) ->
     T = sensitivity.transport_direction(spec, sol, spec.model.points)
     y = spec.model.support_1d - delta * T[:, 0]
     pi_new = sol.pi_star_scalar + delta * float(pi_prime[0])
-    dens = spec.model.weights * live_values(spec.model.weights,
-                                            spec.utility.u_prime(pi_new * y))
-    dens = dens / dens.sum()
+    dens = _pricing_density(spec.model.weights, spec.utility, pi_new * y)
     return float(dens @ payoff(y))
 
 
@@ -598,7 +591,5 @@ def martingale_check_robust(spec: ProblemSpec, solution: RobustSolution) -> floa
     adversary). Zero to solver tolerance for interior pi_delta."""
     pi = np.atleast_1d(solution.pi_delta)
     y = solution.adversary.points
-    weights = solution.adversary.weights
-    dens = weights * live_values(weights, spec.utility.u_prime(y @ pi))
-    dens = dens / dens.sum()
+    dens = _pricing_density(solution.adversary.weights, spec.utility, y @ pi)
     return float(np.linalg.norm(dens @ y))

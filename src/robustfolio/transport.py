@@ -34,7 +34,6 @@ _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
 _GRID_POINTS = 1200  # base points per atom's displacement grid
 _REFINEMENTS = 3  # refinement passes after the base grid
 _PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relative
-_SEED_WIDTH = 1e-2  # widest relative probe step a seed from the last oracle call gets
 _EPS = float(np.finfo(float).eps)
 _WINDOW_STEPS = np.arange(33.0)  # a refinement window's 33 points, unscaled
 _LOG_MAX = math.log(float(np.finfo(float).max))
@@ -139,13 +138,13 @@ def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
     Each plan J is a line A_J + lam S_J (value plus lam times spend) under
     the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
 
-    Bracket: a guess lam0 > 0 (the previous pass's or oracle call's
-    multiplier) is probed at lam0 (1 - width), then on the other side of the
-    budget's multiplier at lam0 (1 + width) or, if the first probe spends
-    within the budget, at lam0 (1 - 8 width); each probe that lands on the
-    same side again widens the step x8. Past lam = 0 below or _PROBE_REACH
-    lam0 above, that end falls to the plain argmin (lam = 0) or the
-    zero-displacement plan (lam = inf), the bracket of a cold start.
+    Bracket: a guess lam0 > 0 (the previous pass's multiplier) is probed
+    at lam0 (1 - width), then on the other side of the budget's multiplier
+    at lam0 (1 + width) or, if the first probe spends within the budget, at
+    lam0 (1 - 8 width); each probe that lands on the same side again widens
+    the step x8. Past lam = 0 below or _PROBE_REACH lam0 above, that end
+    falls to the plain argmin (lam = 0) or the zero-displacement plan
+    (lam = inf), the bracket of a cold start.
     Steps: each evaluates Phi where the lines of j_hi and j_lo cross and
     replaces the plan on the same side of the budget, until Phi there is no
     lower than the lines, to the rounding of the sum. Every plan optimal
@@ -344,19 +343,17 @@ def _planned(w: np.ndarray, sizes: list[int], disp: np.ndarray, cost: np.ndarray
 
 @dataclass
 class _OracleMemory:
-    """The passes of the last oracle call of one outer search, at strategy
-    ``pi`` on the displacement bounds ``bounds``. ``robust_solve_p`` keeps
-    one per solve and hands it to every oracle call it makes."""
+    """The passes of the last oracle call of one outer search, on the
+    displacement bounds ``bounds``. ``robust_solve_p`` keeps one per solve
+    and hands it to every oracle call it makes."""
 
-    pi: float = math.nan
     bounds: tuple[np.ndarray, np.ndarray] | None = None
     passes: list[_Pass] = dataclasses.field(default_factory=list)
 
 
 def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
                         p: float, delta: float, f: Callable[[np.ndarray], np.ndarray],
-                        kinks: tuple[float, ...] = (), memory: _OracleMemory | None = None,
-                        pi: float = math.nan
+                        kinks: tuple[float, ...] = (), memory: _OracleMemory | None = None
                         ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
     subject to sum_i w_i E|s_i|^p <= budget = delta^p and s_i in [s_lo_i, s_hi_i].
@@ -399,35 +396,31 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     its budget 0 would otherwise meet cells whose cost |s|^p underflows to 0
     (high orders), moves the search takes as free.
 
-    Memory: ``memory`` (an outer search's, over strategies pi = ``pi``
-    with f = u(pi y) on one x, w, p and delta; ball infima and direct
-    callers pass none) holds the last call's passes and takes this call's on
-    return. The base grids follow from the bounds alone
-    (``_displacement_grid``), and each refined grid from the grids and
-    active displacements before it. So while a pass's active displacements
-    equal the last call's at that pass, the next pass takes the last call's
-    displacement and cost arrays as they are and evaluates only f: they are
-    the arrays this call would build. (A pass keeps no grids: they are its
-    rows, sorted back, the first time a pass differs.) Such a pass first
-    checks the last call's bracket plans (j_hi, j_lo) at this pass on the
-    new values (``_checked_multiplier``): j_hi spends at most the budget
-    and j_lo more, their value lines cross at some lam > 0, and there one
-    argmin over every row passes the multiplier search's stopping test with
-    its slack (``_at_breakpoint``). Then both plans are optimal at the
-    binding multiplier lam, and the moved shares depend only on costs and
-    cells, so the pass keeps the last call's fragments, shed and active
-    displacements (the rest of its ``_Pass``) and re-sums only the value, in
-    the same order. Otherwise the multiplier search runs, seeded with the
-    last call's multiplier at the same pass times pi / pi_last, probed
-    2 |pi - pi_last| / |pi| either side (at most 0.5) on pass 0, and on
-    later passes while that width is at most _SEED_WIDTH; otherwise with
-    this call's previous pass's multiplier, probed half its drift over the
-    pass before (1e-2 on pass 1; the first call's pass 0 starts cold). A
-    check or a seed only finds the same binding multiplier sooner, so no
-    reuse changes the program that is solved; plans tied to rounding at the
-    binding multiplier (the search and the check stop within the rounding
-    of the dual) can resolve another way, as between a warm and a cold
-    bracket. Twin cells, one displacement laid twice an ulp or so apart
+    Memory: ``memory`` (an outer search's, with f = u(pi y) over strategies
+    pi on one x, w, p and delta; ball infima and direct callers pass none)
+    holds the last call's passes and takes this call's on return. The base
+    grids follow from the bounds alone (``_displacement_grid``), and each
+    refined grid from the grids and active displacements before it. So
+    while a pass's active displacements equal the last call's at that pass,
+    the next pass takes the last call's displacement and cost arrays as they
+    are and evaluates only f: they are the arrays this call would build. (A
+    pass keeps no grids: they are its rows, sorted back, the first time a
+    pass differs.) Such a pass first checks the last call's bracket plans
+    (j_hi, j_lo) at this pass on the new values (``_checked_multiplier``):
+    j_hi spends at most the budget and j_lo more, their value lines cross at
+    some lam > 0, and there one argmin over every row passes the multiplier
+    search's stopping test with its slack (``_at_breakpoint``). Then both
+    plans are optimal at the binding multiplier lam, and the moved shares
+    depend only on costs and cells, so the pass keeps the last call's
+    fragments, shed and active displacements (the rest of its ``_Pass``)
+    and re-sums only the value, in the same order. Otherwise the multiplier
+    search runs, seeded with this call's previous pass's multiplier, probed
+    half its drift over the pass before (1e-2 on pass 1); pass 0 starts
+    cold. A check or a seed only finds the same binding multiplier sooner,
+    so no reuse changes the program that is solved; plans tied to rounding
+    at the binding multiplier (the search and the check stop within the
+    rounding of the dual) can resolve another way, as between a warm and a
+    cold bracket. Twin cells, one displacement laid twice an ulp or so apart
     where refinement windows overlap, are such a tie, so a searched plan
     takes the first of them (``_first_twin``).
     """
@@ -466,7 +459,6 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     if (memory is not None and memory.bounds is not None
             and np.array_equal(memory.bounds[0], s_lo) and np.array_equal(memory.bounds[1], s_hi)):
         last = memory.passes
-        seed_width = 2.0 * abs(pi - memory.pi) / abs(pi)
     passes: list[_Pass] = []
     same = bool(last)  # this pass's grids are the last call's
     best: tuple[float, _Pass] | None = None
@@ -495,13 +487,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         if checked is not None:  # the last call's plans still solve this pass
             step = dataclasses.replace(last[pass_], lam=checked)
         else:
-            if pass_ < len(last) and (pass_ == 0 or seed_width <= _SEED_WIDTH):
-                lam0, width = last[pass_].lam * (pi / memory.pi), min(seed_width, 0.5)
-            elif pass_ >= 2 and lam > 0.0:
-                lam0, width = lam, 0.5 * abs(lam - lam_before) / lam
-            else:
-                lam0, width = lam, 1e-2
-            j_hi, j_lo, lam_found = _multiplier_plans(w, cost, val, budget, lam0, width)
+            width = 0.5 * abs(lam - lam_before) / lam if pass_ >= 2 and lam > 0.0 else 1e-2
+            j_hi, j_lo, lam_found = _multiplier_plans(w, cost, val, budget, lam, width)
             step = _planned(w, sizes, disp, cost, p, budget, lam_found,
                             *_first_twin(disp, j_hi, j_lo))
         lam_before, lam = lam, step.lam
@@ -538,7 +525,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             break
     assert best is not None
     if memory is not None:
-        memory.pi, memory.bounds, memory.passes = pi, (s_lo, s_hi), passes
+        memory.bounds, memory.passes = (s_lo, s_hi), passes
     value, step = best
     kept = step.kept()
     return (value, np.array([kink_at[i].get(step.disp[i, j], x[i] + step.disp[i, j])

@@ -64,7 +64,9 @@ def log_shifted(w0: float = 1.0) -> Utility:
         kind="log_shifted",
         u=lambda x: np.log(np.asarray(x, dtype=float) + w0),
         u_prime=lambda x: 1.0 / (np.asarray(x, dtype=float) + w0),
-        u_double_prime=lambda x: -1.0 / (np.asarray(x, dtype=float) + w0) ** 2,
+        # -0.0, without the warning, where (x + w0)^2 leaves float range
+        u_double_prime=np.errstate(over="ignore")(
+            lambda x: -1.0 / (np.asarray(x, dtype=float) + w0) ** 2),
         domain=(-w0, math.inf),
         params={"w0": float(w0)},
     )

@@ -320,6 +320,20 @@ def outcomes(results) -> tuple[list, tuple | None]:
     return done, None
 
 
+@pytest.mark.parametrize("far", [1e20, 1e155])
+def test_a_polish_step_that_leaves_brents_bracket_keeps_brents_root(far):
+    # the gradient's root, near ln(far) / far, lies below Brent's tolerance,
+    # so Brent stops at 3.3e-16 with gradient -0.5; a Newton step there
+    # (curvature -0.5) went to A's end, and the next one to NaN. At 1e155 the
+    # far atom's square leaves float range, and the curvature with it
+    x, w = np.array([-1.0, far]), np.array([0.5, 0.5])
+    for utility in (rf.exponential(1.0), rf.capped_exponential(1.0, 1.0)):
+        problem = (x, w, utility, -1.0, 1.0, 0.0)
+        pi, boundary = _concave_max_raw(*problem)
+        assert 0.0 < pi <= 1e-15 and not boundary
+        assert list(_concave_max_lanes([problem, problem])) == [(pi, False)] * 2
+
+
 def one_at_a_time(problems):
     for problem in problems:
         yield _concave_max_raw(*problem)
@@ -682,6 +696,41 @@ def test_payoff_smoothing_band():
     assert g.grad(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-12)
     assert g.grad(np.array([1e-4]))[0] == pytest.approx(1.0, abs=1e-12)
     assert g.grad(np.array([-1e-4]))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=100)
+@given(x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+       s=st.floats(1e-8, 1.0), k=st.floats(-1.0, 1.0))
+def test_smoothed_payoffs_keep_the_bits_of_the_band_formula_everywhere(x, s, k):
+    # the band formulas run on the entries in the band only, with the float
+    # operations np.where once ran on every entry
+    x = np.array(x)
+    y, band = x - k, np.abs(x - k) <= s
+    call = rf.call_payoff(k, s)
+    assert _bits(call(x)) == _bits(np.where(band, (y + s) ** 2 / (4.0 * s), np.maximum(y, 0.0)))
+    assert _bits(call.grad(x)) == _bits(np.where(band, (y + s) / (2.0 * s),
+                                                 np.where(y > 0.0, 1.0, 0.0)))
+    y, band = x + k, np.abs(x + k) <= s
+    shift = rf.abs_shift_payoff(k, s)
+    assert _bits(shift(x)) == _bits(np.where(band, (y * y + s * s) / (2.0 * s), np.abs(y)))
+    assert _bits(shift.grad(x)) == _bits(np.where(band, y / s, np.sign(y)))
+
+
+def test_a_subnormal_smoothing_width_meets_no_overflow():
+    # off the band the formulas' quotients by s = 1e-310 overflowed (a
+    # RuntimeWarning, an error in this suite); there the payoffs read as
+    # without smoothing
+    x = np.array([-0.5, -2e-310, 0.0, 2e-310, 0.5])
+    for g in (rf.call_payoff(0.0, 1e-310), rf.butterfly_payoff(0.25, 1e-310),
+              rf.abs_shift_payoff(0.0, 1e-310)):
+        for values in (g(x), g.grad(x)):
+            assert np.isfinite(values).all()
+    assert rf.call_payoff(0.0, 1e-310)(x)[[0, 4]].tolist() == [0.0, 0.5]
+    assert rf.abs_shift_payoff(0.0, 1e-310).grad(x)[[0, 4]].tolist() == [-1.0, 1.0]
 
 
 def test_custom_payoff_interpolation():

@@ -6,9 +6,10 @@ import copy
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -220,8 +221,22 @@ NAN_COLUMNS = {"solve": set(),
                "robust": {"davis_price_delta"}}
 
 
+# an atom so far out that the gradient's root lies below Brent's tolerance,
+# where the Newton polish stepped to the end of A and on to NaN (a NaN row
+# with exit 0); at 1e155 its square also leaves float range
+FAR_ATOM = json.loads((Path(__file__).parent / "data" / "far_atom.json").read_text())
+FARTHER_ATOM = dict(FAR_ATOM, model=dict(FAR_ATOM["model"], points=[-1.0, 1e155]), delta=0.1)
+# a smoothing width so narrow that the band's formula overflowed off the band
+NARROW_BAND = {"model": {"kind": "binomial", "a": 0.25}, "utility": {"kind": "log_shifted"},
+               "action_space": [-0.95, 0.95],
+               "payoff": {"kind": "call", "strike": 0.0, "smoothing": 1e-310}}
+
+
 @settings(max_examples=100)
 @given(cfg=RUNNABLE, command=st.sampled_from(list(NAN_COLUMNS)))
+@example(cfg=FAR_ATOM, command="solve")
+@example(cfg=FARTHER_ATOM, command="robust")
+@example(cfg=NARROW_BAND, command="sensitivity")
 def test_cli_exit_code_contract(config_path, cfg, command):
     # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):
@@ -232,6 +247,8 @@ def test_cli_exit_code_contract(config_path, cfg, command):
         code = cli.main([command, "--config", str(config_path)])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    # a RuntimeWarning, an error under pytest, maps to "internal failure"
+    assert "internal failure" not in err.getvalue(), err.getvalue()
     if code != 0:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
         return

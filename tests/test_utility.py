@@ -192,3 +192,10 @@ def test_exponential_saturates_without_warnings():
     with np.errstate(over="raise"):
         vals = u.u(np.array([-800.0]))
     assert vals[0] == -math.inf
+
+
+def test_log_u_double_prime_goes_to_zero_without_warnings():
+    # (1e155 + w0)^2 leaves float range, where u'' = -1 / inf = -0.0
+    u = rf.log_shifted(2.0)
+    assert u.u_double_prime(np.array([0.5, 1e155])).tolist() == [-1.0 / 2.5 ** 2, -0.0]
+    assert math.copysign(1.0, u.u_double_prime(1e155)) == -1.0
