@@ -27,15 +27,16 @@ Solver: the objective is strictly concave and both derivatives are exact atom
 sums, so d=1 uses a bracketing root find on the gradient with Newton polish,
 and d>1 uses damped projected Newton with a line search that keeps wealth
 inside the utility domain. Both 1-d root finds (the gradient root here and
-the Davis price root) use the in-tree Brent root finder (``_brent``). The
-d=1 solve is a generator (``_max_steps``) that yields each point whose
-gradient or curvature it needs and receives that value back, so it runs
-one problem alone (``_concave_max_raw``) or many in lockstep
-(``_concave_max_lanes``, behind ``solve_baselines`` and
-``solve_with_endowments``): the problems of a model family that share one
-Utility object pay one u' (or u'') call per solver round, on their stacked
-wealths, and each takes its own atom sum, so every answer has the bits of
-its solve alone.
+the Davis price root) use the in-tree Brent root finder (``_brent``); an
+infinite end of the interval first gives way to steps that double from 0
+until the gradient turns (``_bracket_from``). The d=1 solve is a generator
+(``_max_steps``) that yields each point whose gradient or curvature it
+needs and receives that value back, so it runs one problem alone
+(``_concave_max_raw``) or many in lockstep (``_concave_max_lanes``, behind
+``solve_baselines`` and ``solve_with_endowments``): the problems of a model
+family that share one Utility object pay one u' (or u'') call per solver
+round, on their stacked wealths, and each lane sums its own row of them
+(``_Lane.answer``), so every answer has the bits of its solve alone.
 """
 
 from __future__ import annotations
@@ -360,30 +361,14 @@ def _hessian(spec: ProblemSpec, pi: np.ndarray, endowment=0.0) -> np.ndarray:
     return (weighted[:, None] * spec.model.points).T @ spec.model.points
 
 
-def _finite_end(sign: float, other: float) -> Generator[float, float, float]:
-    """The first of sign * (1, 2, 4, ...) beyond ``other`` at which the
-    gradient points back toward ``other``, so that the maximizer lies between."""
-    t = sign
-    while not ((t - other) * sign > 0.0 and (yield t) * sign < 0.0):
-        t *= 2.0
-        if math.isinf(t):
-            raise NumericalFailure("the gradient keeps its sign to the end of float range: "
-                                   "no finite maximizer")
-    return t
-
-
 def _bracket_from(start: float, step: float, lo: float, hi: float
                   ) -> Generator[float, float, tuple[float, float]]:
     """A part of [lo, hi] that holds the maximizer of a concave function,
     from a ``start`` in [lo, hi]: steps go the way the gradient points
     there, to start +- step, +- 2 step, +- 4 step, ..., until the gradient
     at one points back (or is 0); the part runs from the point before it to
-    it, or to the end of [lo, hi] once a step reaches that end.
-
-    ``_finite_end`` doubles the same way but from 0, asks no gradient at a
-    start and keeps the finite end as the bracket's other side; a search
-    without a start (the baseline, p = inf) keeps it, since that bracket,
-    and so every Brent step and the bits of its answer, would change."""
+    it, or to the end of [lo, hi] once a step reaches that end. Toward an
+    infinite end the steps double until one turns or leaves float range."""
     g = yield start
     if g == 0.0:
         return start, start
@@ -406,17 +391,21 @@ def _argmax_steps(lo: float, hi: float,
     gradient's sign pins it (flagged True), else the gradient's root,
     bracketed to ~1e-15 or until ``stop`` (as ``brent_steps`` takes it)
     holds. A ``start`` next to the maximizer narrows [lo, hi] first
-    (``_bracket_from``, with steps from ``step``). An infinite end gives way
-    to a finite one (``_finite_end``). The end tests and Brent ask for the
-    same points, so a costly gradient should remember its values."""
+    (``_bracket_from``, with steps from ``step``). So does an infinite end,
+    from ``start`` or else from 0 clipped into [lo, hi], with steps from 1
+    unless ``step`` is finite; a bracket still infinite after that is
+    refused. The end tests and Brent ask for the same points, so a costly
+    gradient should remember its values."""
+    if math.isinf(lo) or math.isinf(hi):
+        start = min(max(0.0, lo), hi) if start is None else start
+        step = 1.0 if math.isinf(step) else step
     if start is not None:
         lo, hi = yield from _bracket_from(start, step, lo, hi)
         if lo == hi:
             return lo, (yield lo) != 0.0
-    if math.isinf(lo):
-        lo = yield from _finite_end(-1.0, hi)
-    if math.isinf(hi):
-        hi = yield from _finite_end(1.0, lo)
+        if math.isinf(lo) or math.isinf(hi):
+            raise NumericalFailure("the gradient keeps its sign to the end of float range: "
+                                   "no finite maximizer")
     if (yield lo) <= 0.0:
         return lo, True
     if (yield hi) >= 0.0:
@@ -476,7 +465,6 @@ class _Lane:
 
     __slots__ = ("utility", "x", "xx", "w", "e", "steps", "memo")
 
-    @np.errstate(over="ignore")  # an atom's square past float range is inf
     def __init__(self, x: np.ndarray, w: np.ndarray, utility: Utility,
                  a_lo: float, a_hi: float, endowment=0.0) -> None:
         lo, hi = _feasible_interval_raw(x, endowment, utility, a_lo, a_hi)
@@ -487,27 +475,35 @@ class _Lane:
         if not w.all():  # an atom of no weight bounds the domain, not the sums (0 * inf)
             x, w, e = x[w > 0.0], w[w > 0.0], None if e is None else e[w > 0.0]
         self.utility, self.x, self.xx, self.w, self.e = utility, x, x * x, w, e
-        # an infinite square leaves the curvature no number: no polish
+        # an atom's square past float range is inf and leaves the curvature
+        # no number: no polish
         self.steps = _max_steps(lo, hi, a_lo, a_hi, self.xx.max(initial=0.0) < math.inf)
         self.memo: dict[float | tuple[float], float] = {}
 
-    def answer(self, request: float | tuple[float]) -> float:
-        """The answer to ``request``, evaluated on this lane alone."""
+    def answer(self, request: float | tuple[float], weighted: np.ndarray | None = None) -> float:
+        """The answer to ``request``: the atom sum of ``weighted``, the row
+        w_i u'(pi x_i + e_i) (w_i u''(...) for a curvature) that a lockstep
+        round evaluated for this lane, or else that row evaluated here."""
         if request not in self.memo:
-            if isinstance(request, tuple):
-                (pi,), derivative, factor = request, self.utility.u_double_prime, self.xx
-            else:
-                pi, derivative, factor = request, self.utility.u_prime, self.x
-            wealth = pi * self.x if self.e is None else pi * self.x + self.e
-            self.memo[request] = float((self.w * derivative(wealth)).dot(factor))
+            curvature = isinstance(request, tuple)
+            if weighted is None:
+                pi = request[0] if curvature else request
+                wealth = pi * self.x if self.e is None else pi * self.x + self.e
+                derivative = self.utility.u_double_prime if curvature else self.utility.u_prime
+                weighted = self.w * derivative(wealth)
+            self.memo[request] = float(weighted.dot(self.xx if curvature else self.x))
         return self.memo[request]
 
 
+@np.errstate(over="ignore")  # a decorator builds no errstate object per call
 def _concave_max_raw(x: np.ndarray, w: np.ndarray, utility: Utility,
                      a_lo: float, a_hi: float, endowment=0.0) -> tuple[float, bool]:
     """(maximizer, on A's boundary) of sum_i w_i u(pi x_i + e_i) over
     [a_lo, a_hi] intersected with the domain-feasible interval (``_Lane``),
-    solved on its own."""
+    solved on its own. Overflow is quiet in the solve, as in the lockstep
+    rounds (``_lockstep``): a wealth, u', u'' or atom sum past float range
+    (an atom near float max, or a u' near it) is +-inf, whose sign the
+    solve reads."""
     lane = _Lane(x, w, utility, a_lo, a_hi, endowment)
     return run(lane.steps, lane.answer)
 
@@ -538,15 +534,25 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
     same bits, solved in lockstep. The lanes that share a Utility object,
     and either all have an endowment or none has, form a block; each round
     evaluates u' (or u'') once per block, on the stacked (lanes x atoms)
-    wealths at each lane's latest point, weights them, and each lane that
-    asked sums its own row as ``_Lane.answer`` would (same operands, same
-    order). A row is padded with the lane's first atom, weight and
-    endowment, so every wealth evaluated is one its lane asks for; a block
-    without endowments stacks none. A lane that shares its block with no
-    other, or is the only one to ask in a round, is asked alone. An error
-    raises where a loop of ``_concave_max_raw`` would raise it: at the
-    first failing lane in the order of ``problems``, after the answers of
-    the lanes before it."""
+    wealths at each lane's latest point, weights them, and hands each lane
+    that asked its row, which ``_Lane.answer`` sums as it sums its own
+    (same operands, same order). A row is padded with the lane's first
+    atom, weight and endowment, so every wealth evaluated is one its lane
+    asks for; a block without endowments stacks none. A lane that shares
+    its block with no other, or is the only one to ask in a round, is asked
+    alone. An error raises where a loop of ``_concave_max_raw`` would raise
+    it: at the first failing lane in the order of ``problems``, after the
+    answers of the lanes before it."""
+    results, failure = _lockstep(problems)
+    yield from results
+    if failure is not None:
+        raise failure
+
+
+@np.errstate(over="ignore")  # here: on the generator it would end before the body runs
+def _lockstep(problems: Iterable[tuple]) -> tuple[list, Exception | None]:
+    """The answers of ``_concave_max_lanes`` up to the first failing lane,
+    and that lane's error (None if none fails)."""
     lanes, failure = _until_error(lambda problem: _Lane(*problem), problems)
     # each lane's open request, None once it is done or dropped; the
     # results (and with them the lanes that may still run) stop before the
@@ -572,9 +578,9 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
         else:
             asking[r] = request
 
-    def step_alone(r: int) -> None:
+    def answer(r: int, weighted: np.ndarray | None = None) -> None:
         try:
-            value = lanes[r].answer(asking[r])
+            value = lanes[r].answer(asking[r], weighted)
         except Exception as exc:
             fail(r, exc)
         else:
@@ -592,7 +598,7 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
         if len(rows) == 1 or not all(lanes[r].x.size for r in rows):
             for r in rows:  # solved alone: a lane with no other, or of no atoms
                 while asking[r] is not None:
-                    step_alone(r)
+                    answer(r)
             continue
         E = None if lanes[rows[0]].e is None else _padded([lanes[r].e for r in rows])
         points = [asking[r] for r in rows]  # a lane's first ask is a point
@@ -611,8 +617,8 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
                 elif request is not None:
                     points[i] = request
                     gradient.append((i, r))
-            for now, derivative, factor in ((gradient, utility.u_prime, "x"),
-                                            (curvature, utility.u_double_prime, "xx")):
+            for now, derivative in ((gradient, utility.u_prime),
+                                    (curvature, utility.u_double_prime)):
                 if not now:
                     continue
                 moved, weighted = True, None  # a lane alone is asked alone
@@ -623,18 +629,9 @@ def _concave_max_lanes(problems: Iterable[tuple]) -> Iterator[tuple[float, bool]
                     except Exception:  # the wealth of some lane fails: ask each alone, in order
                         pass
                 for i, r in now:
-                    if asking[r] is None:  # dropped by a failure before it
-                        continue
-                    if weighted is None:
-                        step_alone(r)
-                        continue
-                    lane = lanes[r]
-                    value = lane.memo[asking[r]] = float(
-                        weighted[i, :lane.x.size].dot(getattr(lane, factor)))
-                    step(r, value)
-    yield from results
-    if failure is not None:
-        raise failure
+                    if asking[r] is not None:  # else dropped by a failure before it
+                        answer(r, None if weighted is None else weighted[i, :lanes[r].x.size])
+    return results, failure
 
 
 def _problem(spec: ProblemSpec, endowment=0.0) -> tuple:

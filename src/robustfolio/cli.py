@@ -63,43 +63,31 @@ _INTERVAL = {"type": "array", "items": _BOUND, "minItems": 2, "maxItems": 2}
 _GRID3 = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
 _POS_INT = {"type": "integer", "minimum": 2}
 
+
+def _tagged(kind: str, required: list[str], **properties) -> dict:
+    """A catalog branch: an object of this ``kind`` with no other keys than
+    ``properties``, of which ``required`` must be present."""
+    return {"type": "object", "additionalProperties": False, "required": ["kind", *required],
+            "properties": {"kind": {"const": kind}, **properties}}
+
+
 _MODEL_SCHEMA = {"oneOf": [
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "a"],
-     "properties": {"kind": {"const": "binomial"}, "a": _NUMBER,
-                    "state_space": _INTERVAL}},
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "mu", "sigma"],
-     "properties": {"kind": {"const": "normal"}, "mu": _NUMBER, "sigma": _NUMBER,
-                    "n_nodes": _POS_INT, "state_space": _INTERVAL}},
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "mu", "sigma"],
-     "properties": {"kind": {"const": "shifted_lognormal"}, "mu": _NUMBER,
-                    "sigma": _NUMBER, "n_nodes": _POS_INT, "state_space": _INTERVAL}},
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "mu", "sigma", "radius"],
-     "properties": {"kind": {"const": "truncated_normal"}, "mu": _NUMBER,
-                    "sigma": _NUMBER, "radius": _NUMBER, "n_nodes": _POS_INT,
-                    "state_space": _INTERVAL}},
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "points", "weights"],
-     "properties": {"kind": {"const": "explicit"},
-                    "points": {"type": "array", "minItems": 1},
-                    "weights": {"type": "array", "items": _NUMBER, "minItems": 1},
-                    "state_space": _INTERVAL}},
+    _tagged("binomial", ["a"], a=_NUMBER, state_space=_INTERVAL),
+    _tagged("normal", ["mu", "sigma"], mu=_NUMBER, sigma=_NUMBER, n_nodes=_POS_INT,
+            state_space=_INTERVAL),
+    _tagged("shifted_lognormal", ["mu", "sigma"], mu=_NUMBER, sigma=_NUMBER, n_nodes=_POS_INT,
+            state_space=_INTERVAL),
+    _tagged("truncated_normal", ["mu", "sigma", "radius"], mu=_NUMBER, sigma=_NUMBER,
+            radius=_NUMBER, n_nodes=_POS_INT, state_space=_INTERVAL),
+    _tagged("explicit", ["points", "weights"], points={"type": "array", "minItems": 1},
+            weights={"type": "array", "items": _NUMBER, "minItems": 1}, state_space=_INTERVAL),
 ]}
 
 _UTILITY_SCHEMA = {"oneOf": [
-    {"type": "object", "additionalProperties": False, "required": ["kind"],
-     "properties": {"kind": {"const": "log_shifted"}, "w0": _NUMBER}},
-    {"type": "object", "additionalProperties": False, "required": ["kind", "gamma"],
-     "properties": {"kind": {"const": "exponential"}, "gamma": _NUMBER}},
-    {"type": "object", "additionalProperties": False, "required": ["kind", "eta"],
-     "properties": {"kind": {"const": "power"}, "eta": _NUMBER, "w0": _NUMBER}},
-    {"type": "object", "additionalProperties": False,
-     "required": ["kind", "gamma", "kappa"],
-     "properties": {"kind": {"const": "capped_exponential"}, "gamma": _NUMBER,
-                    "kappa": _NUMBER}},
+    _tagged("log_shifted", [], w0=_NUMBER),
+    _tagged("exponential", ["gamma"], gamma=_NUMBER),
+    _tagged("power", ["eta"], eta=_NUMBER, w0=_NUMBER),
+    _tagged("capped_exponential", ["gamma", "kappa"], gamma=_NUMBER, kappa=_NUMBER),
 ]}
 
 # sweep parameter -> (config section, key) it sets
@@ -108,18 +96,12 @@ _SWEEP_TARGETS = {"a": ("model", "a"), "mu": ("model", "mu"),
                   "kappa": ("utility", "kappa")}
 
 _PAYOFF_SCHEMA = {"oneOf": [
-    {"type": "object", "additionalProperties": False, "required": ["kind", "k"],
-     "properties": {"kind": {"const": "power"}, "k": {"type": "integer", "minimum": 1}}},
-    {"type": "object", "additionalProperties": False, "required": ["kind"],
-     "properties": {"kind": {"const": "call"}, "strike": _NUMBER, "smoothing": _NUMBER}},
-    {"type": "object", "additionalProperties": False, "required": ["kind", "K"],
-     "properties": {"kind": {"const": "butterfly"}, "K": _NUMBER, "smoothing": _NUMBER}},
-    {"type": "object", "additionalProperties": False, "required": ["kind", "x0"],
-     "properties": {"kind": {"const": "abs_shift"}, "x0": _NUMBER, "smoothing": _NUMBER}},
-    {"type": "object", "additionalProperties": False, "required": ["kind", "xs", "ys"],
-     "properties": {"kind": {"const": "custom"},
-                    "xs": {"type": "array", "items": _NUMBER, "minItems": 2},
-                    "ys": {"type": "array", "items": _NUMBER, "minItems": 2}}},
+    _tagged("power", ["k"], k={"type": "integer", "minimum": 1}),
+    _tagged("call", [], strike=_NUMBER, smoothing=_NUMBER),
+    _tagged("butterfly", ["K"], K=_NUMBER, smoothing=_NUMBER),
+    _tagged("abs_shift", ["x0"], x0=_NUMBER, smoothing=_NUMBER),
+    _tagged("custom", ["xs", "ys"], xs={"type": "array", "items": _NUMBER, "minItems": 2},
+            ys={"type": "array", "items": _NUMBER, "minItems": 2}),
 ]}
 
 CONFIG_SCHEMA = {

@@ -145,10 +145,9 @@ def _check_radius(delta: float) -> None:
         raise ConfigError(f"delta must be finite and nonnegative, got {delta}")
 
 
-def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution, method: str) -> RobustSolution:
+def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution) -> RobustSolution:
     """The solution at delta = 0: the baseline's."""
-    return RobustSolution(delta=0.0, V_delta=base.V0, pi_delta=base.pi_star,
-                          adversary=spec.model, transport_cost=0.0, method=method)
+    return _certified(spec, 0.0, base.pi_star_scalar, base.V0, spec.model)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +155,9 @@ def _at_radius_zero(spec: ProblemSpec, base: BaselineSolution, method: str) -> R
 # ---------------------------------------------------------------------------
 
 def _certified(spec: ProblemSpec, delta: float, pi: float, value: float,
-               adversary: DiscreteMeasure, method: str) -> RobustSolution:
-    """The solution, with the transport cost of its adversary certified <= delta.
+               adversary: DiscreteMeasure) -> RobustSolution:
+    """The solution, with the transport cost of its adversary certified <= delta,
+    and the method of its order.
 
     The cost is that of the plan that built the adversary, each atom paired
     with the base atom it came from (``_as_adversary``; the base measure
@@ -182,7 +182,8 @@ def _certified(spec: ProblemSpec, delta: float, pi: float, value: float,
                 f"adversary left the ball: cost {cost} > radius {delta}")
         cost = delta
     return RobustSolution(delta=float(delta), V_delta=value, pi_delta=np.array([pi]),
-                          adversary=adversary, transport_cost=cost, method=method)
+                          adversary=adversary, transport_cost=cost,
+                          method="inf_exact" if spec.order.is_inf else "finite_p_oracle")
 
 
 def _slope_on(w: np.ndarray, u: Utility, pi: float, y: np.ndarray) -> float:
@@ -206,7 +207,7 @@ def _side_of_zero(lo: float, hi: float, right: Callable[[], float],
     return 0.0, 0.0
 
 
-def _zero_answer(spec: ProblemSpec, delta: float, method: str) -> RobustSolution:
+def _zero_answer(spec: ProblemSpec, delta: float) -> RobustSolution:
     """The robust solution with pi = 0: every ball member attains u(0), and
     the adversary is ``zero_strategy``'s shift. With 0 interior to A, pi = 0
     is optimal only against a ball member of zero mean."""
@@ -221,7 +222,7 @@ def _zero_answer(spec: ProblemSpec, delta: float, method: str) -> RobustSolution
     adversary = _as_adversary(shifted, w, x, base=spec.model, delta=delta, p=spec.order.p,
                               space=spec.state_space)
     value = float(np.dot(w, spec.utility.u(0.0 * x)))
-    return _certified(spec, delta, 0.0, value, adversary, method)
+    return _certified(spec, delta, 0.0, value, adversary)
 
 
 def _inf_search(spec: ProblemSpec, delta: float) -> tuple | RobustSolution:
@@ -244,7 +245,7 @@ def _inf_search(spec: ProblemSpec, delta: float) -> tuple | RobustSolution:
     lo, hi = _side_of_zero(spec.action_space.lower[0], spec.action_space.upper[0],
                            lambda: _slope_on(w, u, 0.0, down), lambda: _slope_on(w, u, 0.0, up))
     if lo == hi:
-        return _zero_answer(spec, delta, "inf_exact")
+        return _zero_answer(spec, delta)
     return (down if hi > 0.0 else up), w, u, lo, hi, 0.0
 
 
@@ -252,14 +253,20 @@ def _inf_solution(spec: ProblemSpec, delta: float, search: tuple,
                   pi: float, boundary: bool) -> RobustSolution:
     """The p = inf solution at radius delta from the maximizer of its search."""
     if delta == 0.0:
-        return _at_radius_zero(spec, _solution(spec, np.array([pi]), boundary), "inf_exact")
+        return _at_radius_zero(spec, _solution(spec, np.array([pi]), boundary))
     xs, w, u, lo, hi, _ = search
     if abs(pi) <= PI_ZERO_THRESHOLD and lo <= 0.0 <= hi:
-        return _zero_answer(spec, delta, "inf_exact")
+        # 0 where a ball member of zero mean makes it optimal; else the root
+        # lies closer to 0 than Brent resolves (an atom far out), and the
+        # maximizer Brent found stands, as it does at delta = 0
+        try:
+            return _zero_answer(spec, delta)
+        except AssumptionViolation:
+            pass
     adversary = _as_adversary(xs, w, spec.model.support_1d, base=spec.model, delta=delta,
                               p=math.inf, space=spec.state_space)
     value = float(np.dot(w, live_values(w, u.u(pi * xs))))
-    return _certified(spec, delta, pi, value, adversary, "inf_exact")
+    return _certified(spec, delta, pi, value, adversary)
 
 
 def robust_solve_inf(spec: ProblemSpec, delta: float) -> RobustSolution:
@@ -395,7 +402,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
     if _start is None:
         base = solve_baseline(spec)
         if delta == 0.0:
-            return _at_radius_zero(spec, base, "finite_p_oracle")
+            return _at_radius_zero(spec, base)
         _start = base.pi_star_scalar + delta * _first_order_rate(spec, base)
     space = spec.state_space
     corners = np.array([space.lower[0], space.upper[0]])
@@ -446,7 +453,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
         slopes[at], slopes[-at] = _slopes_at_zero(spec, delta)
     lo, hi = _side_of_zero(lo, hi, lambda: slope(at), lambda: slope(-at), at)
     if lo == hi:
-        return _zero_answer(spec, delta, "finite_p_oracle")
+        return _zero_answer(spec, delta)
     start, step = min(max(_start, lo), hi), math.inf
     if not lo < start < hi:
         start = None  # on an end of the side: Brent from the ends, which it asks anyway
@@ -463,7 +470,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
             step = abs(slope(start)) / curvature
     pi, _ = _concave_argmax(slope, lo, hi, settled, start, step)
     value, adversary = inner(pi)
-    return _certified(spec, delta, pi, value, adversary, "finite_p_oracle")
+    return _certified(spec, delta, pi, value, adversary)
 
 
 def robust_solve(spec: ProblemSpec, delta: float) -> RobustSolution:
@@ -504,7 +511,7 @@ def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
         d0, pi0, rate = 0.0, base.pi_star_scalar, _first_order_rate(spec, base)
         for d in radii:
             if d == 0.0:
-                solutions.append(_at_radius_zero(spec, base, "finite_p_oracle"))
+                solutions.append(_at_radius_zero(spec, base))
                 continue
             # through robust_solve_p, so that each radius is one finite-p
             # solve to whatever wraps that name (bench/spans.py counts there)

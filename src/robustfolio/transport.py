@@ -7,7 +7,11 @@ atom into at most two fragments. On a displacement grid per atom it is a
 linear program under the one budget delta^p, whose Lagrangian dual
 (Gao & Kleywegt 2016) is a search over one multiplier
 (``_multiplier_plans``); refinement passes around the active displacements
-shrink the grid's error to rounding level. One outer search calls the
+shrink the grid's error, which stays of the order of the squared cell
+width, not of rounding: the grid value is a feasible plan's, so it lies
+above the exact infimum (by up to 5.1e-13, relative 6.3e-12, on a binomial
+at a = 0.25, p = 2 and delta = 0.1, where the exact plan moves an atom to a
+point between two refined cells 1.6e-6 apart). One outer search calls the
 program at strategies ever closer together, so an oracle memory
 (``_OracleMemory``) carries the last call's passes to the next call.
 ``_transport_minimize`` states the program, its exactness, its float range

@@ -212,6 +212,8 @@ def test_concave_argmax_refuses_a_slope_that_never_turns():
         _concave_argmax(lambda t: 1.0, 0.0, math.inf)
     with pytest.raises(NumericalFailure, match="float range"):
         _concave_argmax(lambda t: -1.0, -math.inf, 1.0)
+    with pytest.raises(NumericalFailure, match="float range"):
+        _concave_argmax(lambda t: 1.0, 0.0, math.inf, start=1.0)
 
 
 def test_concave_argmax_brackets_from_a_start():
@@ -232,7 +234,7 @@ def test_concave_argmax_brackets_from_a_start():
     # a start on an end the gradient points out of, and a start on the root
     assert _concave_argmax(lambda t: 7.0 - t, -10.0, 5.0, start=5.0, step=0.5) == (5.0, True)
     assert _concave_argmax(lambda t: 7.0 - t, -10.0, 10.0, start=7.0, step=0.5) == (7.0, False)
-    # an infinite step brackets with the end, as a search without a start
+    # toward an infinite end an infinite step gives way to steps from 1
     pi, _ = _concave_argmax(lambda t: 3.0 - t, 0.0, math.inf, start=1.0)
     assert pi == pytest.approx(3.0, abs=1e-14)
 

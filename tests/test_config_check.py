@@ -226,6 +226,12 @@ NAN_COLUMNS = {"solve": set(),
 # with exit 0); at 1e155 its square also leaves float range
 FAR_ATOM = json.loads((Path(__file__).parent / "data" / "far_atom.json").read_text())
 FARTHER_ATOM = dict(FAR_ATOM, model=dict(FAR_ATOM["model"], points=[-1.0, 1e155]), delta=0.1)
+# the gradient's atom sum past float range: u' about 1e9 at the lower end of
+# the feasible interval times an atom at 1e300, and u' near float max at an
+# end of A times a moderate atom
+OVERFLOW_ATOM = json.loads((Path(__file__).parent / "data" / "overflow_atom.json").read_text())
+SATURATED_SLOPE = {"model": {"kind": "explicit", "points": [-709.0, 1.0], "weights": [0.5, 0.5]},
+                   "utility": {"kind": "exponential", "gamma": 1.0}, "action_space": [-1, 1]}
 # a smoothing width so narrow that the band's formula overflowed off the band
 NARROW_BAND = {"model": {"kind": "binomial", "a": 0.25}, "utility": {"kind": "log_shifted"},
                "action_space": [-0.95, 0.95],
@@ -237,6 +243,8 @@ NARROW_BAND = {"model": {"kind": "binomial", "a": 0.25}, "utility": {"kind": "lo
 @example(cfg=FAR_ATOM, command="solve")
 @example(cfg=FARTHER_ATOM, command="robust")
 @example(cfg=NARROW_BAND, command="sensitivity")
+@example(cfg=OVERFLOW_ATOM, command="solve")
+@example(cfg=SATURATED_SLOPE, command="solve")
 def test_cli_exit_code_contract(config_path, cfg, command):
     # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):

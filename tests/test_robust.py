@@ -93,6 +93,20 @@ def test_robust_inf_past_the_mean_parks_at_zero():
     assert abs(mean_adv) <= 1e-10
 
 
+@pytest.mark.parametrize("utility, far", [(rf.exponential(1.0), 1e20),
+                                          (rf.capped_exponential(1.0, 1.0), 1e20),
+                                          (rf.power(2.0, 2.0), 1e155)])
+def test_robust_inf_keeps_a_maximizer_brent_cannot_tell_from_zero(utility, far):
+    # an atom far out puts the root within PI_ZERO_THRESHOLD of 0, though the
+    # slope at 0 is far above 0 and no shift within the radius zeroes the
+    # mean: the answer is the positive maximizer, not a refusal of pi = 0
+    spec = rf.ProblemSpec(model=rf.explicit(np.array([-1.0, far]), np.array([0.5, 0.5])),
+                          utility=utility, action_space=rf.StateSpace.interval(-1.0, 1.0))
+    sol = rf.robust_solve_inf(spec, 0.1)
+    assert 0.0 < sol.pi_delta_scalar <= PI_ZERO_THRESHOLD
+    assert sol.transport_cost <= 0.1 and math.isfinite(sol.V_delta)
+
+
 def test_robust_inf_monotone_in_delta():
     spec = binomial_log_spec(0.25)
     sols = rf.solve_delta_grid(spec, np.arange(0.0, 0.31, 0.05))
