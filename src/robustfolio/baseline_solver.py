@@ -50,7 +50,7 @@ import numpy as np
 
 from ._brent import brent_steps, brentq, run
 from .errors import (ArbitrageError, BoundaryOptimumError, ConfigError,
-                     DomainCompatibilityError, NumericalFailure)
+                     DomainCompatibilityError, NumericalFailure, catalog_member)
 from .measures import DiscreteMeasure, StateSpace, WassersteinOrder, live_values, no_arbitrage_check
 from .utility import Utility
 
@@ -213,16 +213,7 @@ _PAYOFF_BUILDERS: dict[str, Callable[..., Payoff]] = {
 
 
 def make_payoff(descriptor: dict) -> Payoff:
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ConfigError("payoff descriptor needs a 'kind' field")
-    kind = descriptor["kind"]
-    if kind not in _PAYOFF_BUILDERS:
-        raise ConfigError(f"unknown payoff kind {kind!r}")
-    kwargs = {k: v for k, v in descriptor.items() if k != "kind"}
-    try:
-        return _PAYOFF_BUILDERS[kind](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for payoff kind {kind!r}: {exc}") from exc
+    return catalog_member(_PAYOFF_BUILDERS, descriptor, "payoff")
 
 
 # ---------------------------------------------------------------------------

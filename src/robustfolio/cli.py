@@ -500,21 +500,28 @@ def _spec(model, utility, action: tuple[float, float], p: float = math.inf,
                                        order=measures.WassersteinOrder(p), payoff=payoff)
 
 
+def _baseline_triples(fx: analytic_fixtures.Fixture, spec: baseline_solver.ProblemSpec,
+                      *names: str) -> tuple[baseline_solver.BaselineSolution,
+                                            list[tuple[str, float, float]]]:
+    """The baseline solve of ``spec``, and the (quantity, fixture value,
+    module value) triple of each of ``names`` on it, in that order."""
+    sol = baseline_solver.solve_baseline(spec)
+    module = {"pi_star": lambda: sol.pi_star_scalar, "V0": lambda: sol.V0,
+              "value_prime0": lambda: sensitivity.value_sensitivity(spec, sol),
+              "pi_prime0": lambda: float(sensitivity.optimizer_sensitivity(spec, sol)[0][0]),
+              "kl_prime0": lambda: sensitivity.kl_value_sensitivity(spec, sol)}
+    return sol, [(name, getattr(fx, name), module[name]()) for name in names]
+
+
 def _fixture_deviations(fx: analytic_fixtures.Fixture) -> list[tuple[str, float, float]]:
     """(quantity, fixture value, module value) triples for one fixture."""
-    out: list[tuple[str, float, float]] = []
     params = fx.params
     if fx.name == "binomial_log":
         q = params["q"]
         spec = _spec(measures.make_model({"kind": "binomial", "a": params["a"]}),
                      utilities.log_shifted(1.0), (-50.0, 50.0), _p_for_q(q))
-        sol = baseline_solver.solve_baseline(spec)
-        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
-        out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
-                ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
-                ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
-                ("kl_prime0", fx.kl_prime0, sensitivity.kl_value_sensitivity(spec, sol))]
+        sol, out = _baseline_triples(fx, spec, "pi_star", "V0", "value_prime0", "pi_prime0",
+                                     "kl_prime0")
         if q == 1.0:
             payoffs = {"power3": baseline_solver.power_payoff(3),
                        "call0": baseline_solver.call_payoff(0.0)}
@@ -532,23 +539,14 @@ def _fixture_deviations(fx: analytic_fixtures.Fixture) -> list[tuple[str, float,
         half = max(10.0, 2.0 * abs(fx.pi_star))
         spec = _spec(measures.make_model({"kind": "binomial", "a": params["a"]}),
                      utilities.exponential(params["gamma"]), (-half, half), _p_for_q(q))
-        sol = baseline_solver.solve_baseline(spec)
-        out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
-                ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
-                ("kl_prime0", fx.kl_prime0, sensitivity.kl_value_sensitivity(spec, sol))]
+        _, out = _baseline_triples(fx, spec, "pi_star", "V0", "value_prime0", "kl_prime0")
     elif fx.name == "normal_exp":
         spec = _spec(measures.normal(params["mu"], params["sigma"]),
                      utilities.exponential(params["gamma"]), (-1000.0, 1000.0))
-        sol = baseline_solver.solve_baseline(spec)
-        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
+        sol, out = _baseline_triples(fx, spec, "pi_star", "V0", "value_prime0", "pi_prime0")
         payoff = baseline_solver.power_payoff(2)
-        out += [("pi_star", fx.pi_star, sol.pi_star_scalar),
-                ("V0", fx.V0, sol.V0),
-                ("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
-                ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
-                ("davis_price_power2", fx.davis_price0["power2"],
-                 baseline_solver.davis_price(spec, sol, payoff))]
+        out.append(("davis_price_power2", fx.davis_price0["power2"],
+                    baseline_solver.davis_price(spec, sol, payoff)))
         for d in (0.02, 0.05, 0.1):
             rs = robust_solver.robust_solve(spec, d)
             tag = f"{d:g}".replace(".", "p")
@@ -563,11 +561,8 @@ def _fixture_deviations(fx: analytic_fixtures.Fixture) -> list[tuple[str, float,
         spec = _spec(measures.normal(params["mu"], params["sigma"]),
                      utilities.capped_exponential(params["gamma"], kappa), (-1000.0, 1000.0),
                      _p_for_q(q))
-        sol = baseline_solver.solve_baseline(spec)
-        pi_prime, _ = sensitivity.optimizer_sensitivity(spec, sol)
-        out += [("value_prime0", fx.value_prime0, sensitivity.value_sensitivity(spec, sol)),
-                ("pi_prime0", fx.pi_prime0, float(pi_prime[0])),
-                ("pi_prime0_variant", fx.pi_prime0_variant, float(pi_prime[0]))]
+        _, out = _baseline_triples(fx, spec, "value_prime0", "pi_prime0")
+        out.append(("pi_prime0_variant", fx.pi_prime0_variant, out[-1][2]))
     elif fx.name == "lognormal_butterfly":
         payoff = baseline_solver.butterfly_payoff(params["K"])
         spec = _spec(measures.make_model({"kind": "shifted_lognormal", "mu": params["mu"],
@@ -575,8 +570,7 @@ def _fixture_deviations(fx: analytic_fixtures.Fixture) -> list[tuple[str, float,
                      utilities.log_shifted(1.0), (0.0, 1.0), payoff=payoff)
         sol = baseline_solver.solve_baseline(spec)
         report = sensitivity.sensitivity_report(spec, sol, payoff)
-        out.append(("davis_prime0", fx.davis_prime0["butterfly"],
-                    _nz(report.davis_prime0)))
+        out = [("davis_prime0", fx.davis_prime0["butterfly"], _nz(report.davis_prime0))]
         for d in (0.0, 0.05, 0.1):
             tag = f"{d:g}".replace(".", "p")
             out.append((f"davis_curve_{tag}", fx.price_curves["butterfly"](d),

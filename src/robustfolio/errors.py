@@ -46,3 +46,20 @@ class DomainCompatibilityError(AssumptionViolation):
 
 class NumericalFailure(RobustfolioError):
     exit_code = 4
+
+
+def catalog_member(builders: dict, descriptor, what: str):
+    """The catalog member a config-style descriptor names, e.g.
+    ``{"kind": "binomial", "a": 0.25}``: ``builders[kind]`` called with the
+    other keys. ``what`` names the catalog in the ConfigError that refuses a
+    descriptor with no kind, an unknown kind, or parameters the builder does
+    not take."""
+    if not isinstance(descriptor, dict) or "kind" not in descriptor:
+        raise ConfigError(f"{what} descriptor needs a 'kind' field")
+    kind = descriptor["kind"]
+    if kind not in builders:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    try:
+        return builders[kind](**{k: v for k, v in descriptor.items() if k != "kind"})
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for {what} kind {kind!r}: {exc}") from exc

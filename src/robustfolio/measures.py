@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, catalog_member
 
 _WEIGHT_TOL = 1e-12
 _LP_ATOM_CAP = 12
@@ -293,28 +293,41 @@ def _gauss_hermite_nodes(mu: float, sigma: float, n_nodes: int) -> tuple[np.ndar
     return x, w / math.sqrt(math.pi)
 
 
-def normal(mu: float, sigma: float, n_nodes: int = 128,
-           state_space: StateSpace | None = None) -> DiscreteMeasure:
-    """Gauss-Hermite discretization of N(mu, sigma^2); spectrally accurate.
-
-    The first two moments match the analytic law to quadrature accuracy; the
-    measure is flagged ``unbounded_tails`` because it stands in for a law with
-    full support (the degeneracy guard keys on this).
-    """
+def _gauss_hermite_model(kind: str, mu: float, sigma: float, n_nodes: int,
+                         state_space: StateSpace | None, default: tuple[float, float],
+                         node_map: Callable[[np.ndarray], np.ndarray] | None = None
+                         ) -> DiscreteMeasure:
+    """The ``kind`` model whose atoms are the Gauss-Hermite nodes of
+    N(mu, sigma^2), through ``node_map`` when given, on ``state_space`` or
+    else the interval ``default``. Flagged ``unbounded_tails``: it stands in
+    for a law with unbounded support (the degeneracy guard keys on this)."""
     if sigma <= 0.0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     if n_nodes < 2:
         raise ConfigError("need at least 2 quadrature nodes")
     x, w = _gauss_hermite_nodes(mu, sigma, n_nodes)
+    if node_map is not None:
+        x = node_map(x)
     return DiscreteMeasure(
         points=x.reshape(-1, 1),
         weights=w,
-        state_space=state_space if state_space is not None else StateSpace.unbounded(),
+        state_space=state_space if state_space is not None else StateSpace.interval(*default),
         unbounded_tails=True,
         is_quadrature=True,
-        kind="normal",
+        kind=kind,
         params={"mu": float(mu), "sigma": float(sigma), "n_nodes": int(n_nodes)},
     )
+
+
+def normal(mu: float, sigma: float, n_nodes: int = 128,
+           state_space: StateSpace | None = None) -> DiscreteMeasure:
+    """Gauss-Hermite discretization of N(mu, sigma^2); spectrally accurate.
+
+    The first two moments match the analytic law to quadrature accuracy; the
+    measure stands in for a law with full support.
+    """
+    return _gauss_hermite_model("normal", mu, sigma, n_nodes, state_space,
+                                (-math.inf, math.inf))
 
 
 def shifted_lognormal(mu: float, sigma: float, n_nodes: int = 128,
@@ -324,21 +337,8 @@ def shifted_lognormal(mu: float, sigma: float, n_nodes: int = 128,
     Mean is e^{mu + sigma^2/2} - 1; support is (-1, inf), so the lower tail is
     bounded but the upper tail is not.
     """
-    if sigma <= 0.0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if n_nodes < 2:
-        raise ConfigError("need at least 2 quadrature nodes")
-    z, w = _gauss_hermite_nodes(mu, sigma, n_nodes)
-    x = np.exp(z) - 1.0
-    return DiscreteMeasure(
-        points=x.reshape(-1, 1),
-        weights=w,
-        state_space=state_space if state_space is not None else StateSpace.interval(-1.0, math.inf),
-        unbounded_tails=True,
-        is_quadrature=True,
-        kind="shifted_lognormal",
-        params={"mu": float(mu), "sigma": float(sigma), "n_nodes": int(n_nodes)},
-    )
+    return _gauss_hermite_model("shifted_lognormal", mu, sigma, n_nodes, state_space,
+                                (-1.0, math.inf), lambda z: np.exp(z) - 1.0)
 
 
 def truncated_normal(mu: float, sigma: float, radius: float, n_nodes: int = 12,
@@ -401,19 +401,11 @@ def make_model(descriptor: dict) -> DiscreteMeasure:
     ``{"kind": "binomial", "a": 0.25}`` or
     ``{"kind": "normal", "mu": 0.1, "sigma": 0.2, "n_nodes": 128}``.
     """
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ConfigError("model descriptor needs a 'kind' field")
-    kind = descriptor["kind"]
-    if kind not in _MODEL_BUILDERS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    kwargs = {k: v for k, v in descriptor.items() if k != "kind"}
-    if "state_space" in kwargs:
-        lo, hi = kwargs.pop("state_space")
-        kwargs["state_space"] = StateSpace.interval(float(lo), float(hi))
-    try:
-        return _MODEL_BUILDERS[kind](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for model kind {kind!r}: {exc}") from exc
+    if (isinstance(descriptor, dict) and descriptor.get("kind") in _MODEL_BUILDERS
+            and "state_space" in descriptor):
+        lo, hi = descriptor["state_space"]
+        descriptor = {**descriptor, "state_space": StateSpace.interval(float(lo), float(hi))}
+    return catalog_member(_MODEL_BUILDERS, descriptor, "model")
 
 
 # ---------------------------------------------------------------------------

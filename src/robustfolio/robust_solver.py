@@ -56,9 +56,12 @@ Brent; a start on an end of the side (an optimum pinned on A) leaves Brent
 the whole side, as without a start. It stops once |slope| times the
 bracket width, which by concavity bounds how far V can still rise, is
 within V's rounding (8 eps E|u| on the worst case): past that point its
-steps only bisect the small jumps of the oracle's grid slope. The start changes the oracle calls, not the answer: V
-is concave, so every bracket of the slope's root holds the same maximizer,
-and the same stop ends the search at it to V's rounding.
+steps only bisect the small jumps of the oracle's grid slope. A strategy
+whose worst case leaves float range (the oracle's V = -inf) has an infinite
+slope toward 0 and never stops the search. The start changes the oracle
+calls, not the answer: V is concave, so every bracket of the slope's root
+holds the same maximizer, and the same stop ends the search at it to V's
+rounding.
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -433,16 +436,20 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
         return cache[pi_val]
 
     def slope(t: float) -> float:
+        # where the worst case leaves float range (V = -inf) the oracle's
+        # stand-in plan has no slope: V rises back toward 0
         if t not in slopes:
-            _, adv = inner(t)
-            slopes[t] = _slope_on(adv.weights, u, t, adv.support_1d)
+            value, adv = inner(t)
+            slopes[t] = (-math.copysign(math.inf, t) if value == -math.inf
+                         else _slope_on(adv.weights, u, t, adv.support_1d))
         return slopes[t]
 
     def settled(t: float, g: float, other: float) -> bool:
         # by concavity V nowhere in [t, other] exceeds V(t) + |g| |other - t|;
         # once that is below the rounding of V(t), no step can raise V. A
-        # closed-form slope at +-at has no oracle plan to scale by.
-        if t not in cache:
+        # closed-form slope at +-at has no oracle plan to scale by, and a
+        # V(t) of -inf no rounding.
+        if t not in cache or cache[t][0] == -math.inf:
             return False
         _, adv = cache[t]
         scale = float(adv.weights @ np.abs(live_values(adv.weights, u.u(t * adv.support_1d))))

@@ -172,19 +172,14 @@ def _lq_norm(weights: np.ndarray, values: np.ndarray, q: float) -> float:
 def _dual_weights(up: np.ndarray, norm_q: float, q: float) -> tuple[np.ndarray, float]:
     """(|u'|^{q-1}, ||u'||_q^{1-q}), whose product is the per-atom weight of
     the L^q duality (the transport direction's scale). Where either factor
-    leaves float range (q large) both are taken relative to max |u'|, which
-    leaves the product unchanged."""
+    leaves float range (q large) the product is taken whole, as
+    (|u'| / ||u'||_q)^{q-1}, which is at most w_i^{-1/p} at an atom of
+    weight w_i."""
     a = np.abs(up)
     power, factor = a ** (q - 1.0), np.float64(norm_q) ** (1.0 - q)
     if np.isfinite(power).all() and power.any() and 0.0 < factor < math.inf:
         return power, float(factor)
-    top = float(a.max())
-    return (a / top) ** (q - 1.0), (norm_q / top) ** (1.0 - q)
-
-
-def _lq_norm_uprime(spec: ProblemSpec, sol: BaselineSolution) -> float:
-    w = spec.model.points @ sol.pi_star
-    return _lq_norm(spec.model.weights, spec.utility.u_prime(w), spec.order.q)
+    return (a / norm_q) ** (q - 1.0), 1.0
 
 
 def value_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> float:
@@ -195,7 +190,8 @@ def value_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> float:
     if norm_pi <= PI_ZERO_THRESHOLD:
         return 0.0
     _require_room_to_move(spec, sol)
-    return -_lq_norm_uprime(spec, sol) * norm_pi
+    up = spec.utility.u_prime(spec.model.points @ sol.pi_star)
+    return -_lq_norm(spec.model.weights, up, spec.order.q) * norm_pi
 
 
 def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.ndarray, float]:
@@ -211,7 +207,8 @@ def optimizer_sensitivity(spec: ProblemSpec, sol: BaselineSolution) -> tuple[np.
     w = spec.model.points @ sol.pi_star
     up = live_values(spec.model.weights, spec.utility.u_prime(w))
     upp = live_values(spec.model.weights, spec.utility.u_double_prime(w))
-    power, factor = _dual_weights(up, _lq_norm_uprime(spec, sol), q)
+    power, factor = _dual_weights(up, _lq_norm(spec.model.weights, up, q), q)
+    power = live_values(spec.model.weights, power)  # past float range at an atom of no weight
     with np.errstate(over="ignore"):
         kappa = factor * spec.model.expectation((w * upp + up) * power)
     if not math.isfinite(kappa):
@@ -248,8 +245,9 @@ def transport_direction(spec: ProblemSpec, sol: BaselineSolution, x) -> np.ndarr
     if q == 1.0:
         scale = np.ones(pts.shape[0])
     else:
+        at_atoms = spec.utility.u_prime(spec.model.points @ sol.pi_star)
         power, factor = _dual_weights(spec.utility.u_prime(pts @ sol.pi_star),
-                                      _lq_norm_uprime(spec, sol), q)
+                                      _lq_norm(spec.model.weights, at_atoms, q), q)
         scale = power * factor
     return scale[:, None] * unit[None, :]
 
@@ -273,6 +271,7 @@ class ZeroStrategy:
     direction: float | None
 
 
+@np.errstate(over="ignore")  # a distance infinite in units of the level never binds
 def _capped_reach(dist: np.ndarray, w: np.ndarray, level: float, p: float) -> float:
     """t with sum_i w_i min(dist_i, t)^p = level^p: the common distance the
     atoms not stopped by their edge move (inf when the edges hold less than

@@ -89,15 +89,15 @@ def _merged(grid: np.ndarray, windows: list[np.ndarray], lo: float, hi: float) -
     return merged[keep]
 
 
-def _cost_order(g: np.ndarray, lo: float, hi: float, back: bool = False) -> np.ndarray:
+def _cost_order(g: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """A sorted grid on [lo, hi] laid out by cost |s| as a stable argsort
-    lays it or, ``back``, such a row sorted back. A grid on one side of 0
-    (lo = 0 or hi = 0) is its own row, or that row reversed."""
+    lays it. A grid on one side of 0 (lo = 0 or hi = 0) is its own row, or
+    that grid reversed."""
     if lo >= 0.0:
         return g
     if hi <= 0.0:
         return g[::-1]
-    return np.sort(g) if back else g[np.argsort(np.abs(g), kind="stable")]
+    return g[np.argsort(np.abs(g), kind="stable")]
 
 
 def _first_twin(disp: np.ndarray, j_hi: np.ndarray, j_lo: np.ndarray
@@ -268,16 +268,17 @@ def _checked_multiplier(w: np.ndarray, cost: np.ndarray, val: np.ndarray, budget
 
 @dataclass
 class _Pass:
-    """One refinement pass of a transport program: the (atoms x width)
-    displacements, each row an atom's grid sorted by cost and padded, the
-    grid sizes, the costs, the binding multiplier, and its plan. The plan is
-    the cells (j_hi, j_lo) of the two bracket plans, its fragments (atom,
-    cell, share) in the order its value sums them, the share ``shed`` of
-    fragment k back to zero displacement as (k, share) (or None), and each
-    atom's active displacements (the cells its plan uses). Only the value
-    depends on the objective; the rest follows from the costs and cells."""
+    """One refinement pass of a transport program: its grids (one sorted
+    array per atom), the (atoms x width) displacements, each row an atom's
+    grid sorted by cost and padded, the costs, the binding multiplier, and
+    its plan. The plan is the cells (j_hi, j_lo) of the two bracket plans,
+    its fragments (atom, cell, share) in the order its value sums them, the
+    share ``shed`` of fragment k back to zero displacement as (k, share) (or
+    None), and each atom's active displacements (the cells its plan uses).
+    Only the value depends on the objective; the rest follows from the
+    costs and cells."""
 
-    sizes: list[int]
+    grids: list[np.ndarray]
     disp: np.ndarray
     cost: np.ndarray
     lam: float
@@ -308,8 +309,8 @@ class _Pass:
         return [(i, j, m) for i, j, m in fragments if m > 0.0]
 
 
-def _planned(w: np.ndarray, sizes: list[int], disp: np.ndarray, cost: np.ndarray, p: float,
-             budget: float, lam: float, j_hi: np.ndarray, j_lo: np.ndarray) -> _Pass:
+def _planned(w: np.ndarray, grids: list[np.ndarray], disp: np.ndarray, cost: np.ndarray,
+             p: float, budget: float, lam: float, j_hi: np.ndarray, j_lo: np.ndarray) -> _Pass:
     """The pass whose bracket plans at the binding multiplier lam are j_hi
     and j_lo: starting from j_hi, atoms move their share to their j_lo cell
     until the budget is spent."""
@@ -342,7 +343,7 @@ def _planned(w: np.ndarray, sizes: list[int], disp: np.ndarray, cost: np.ndarray
         k = int(np.argmax(units))
         shed = (k, min(fragments[k][2], (used - budget) / units[k]))
     active = [{disp[i, j] for j, _ in pieces[i]} for i in range(n)]
-    return _Pass(sizes, disp, cost, lam, (j_hi, j_lo), fragments, shed, active)
+    return _Pass(grids, disp, cost, lam, (j_hi, j_lo), fragments, shed, active)
 
 
 @dataclass
@@ -386,9 +387,9 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     displacements: each pass lays 33 points across s +- the wider grid cell
     next to every active displacement s (``_window``, np.linspace's points)
     and merges them, clipped to the atom's bounds, into its grid with one
-    sort (``_merged``). A pass lays each grid out as a row in cost order and
-    sorts rows back into grids with ``_cost_order``: an inner infimum's
-    grids lie on one side of 0, so a row is its grid or that grid reversed.
+    sort (``_merged``). A pass lays each grid out as a row in cost order
+    (``_cost_order``): an inner infimum's grids lie on one side of 0, so a
+    row is its grid or that grid reversed.
 
     Range: the multiplier search weighs every cell's cost against the
     budget, so a radius delta > 0 needs the largest displacement D's cost in
@@ -403,30 +404,29 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
     Memory: ``memory`` (an outer search's, with f = u(pi y) over strategies
     pi on one x, w, p and delta; ball infima and direct callers pass none)
     holds the last call's passes and takes this call's on return. The base
-    grids follow from the bounds alone (``_displacement_grid``), and each
-    refined grid from the grids and active displacements before it. So
-    while a pass's active displacements equal the last call's at that pass,
-    the next pass takes the last call's displacement and cost arrays as they
-    are and evaluates only f: they are the arrays this call would build. (A
-    pass keeps no grids: they are its rows, sorted back, the first time a
-    pass differs.) Such a pass first checks the last call's bracket plans
-    (j_hi, j_lo) at this pass on the new values (``_checked_multiplier``):
-    j_hi spends at most the budget and j_lo more, their value lines cross at
-    some lam > 0, and there one argmin over every row passes the multiplier
-    search's stopping test with its slack (``_at_breakpoint``). Then both
-    plans are optimal at the binding multiplier lam, and the moved shares
-    depend only on costs and cells, so the pass keeps the last call's
-    fragments, shed and active displacements (the rest of its ``_Pass``)
-    and re-sums only the value, in the same order. Otherwise the multiplier
-    search runs, seeded with this call's previous pass's multiplier, probed
-    half its drift over the pass before (1e-2 on pass 1); pass 0 starts
-    cold. A check or a seed only finds the same binding multiplier sooner,
-    so no reuse changes the program that is solved; plans tied to rounding
-    at the binding multiplier (the search and the check stop within the
-    rounding of the dual) can resolve another way, as between a warm and a
-    cold bracket. Twin cells, one displacement laid twice an ulp or so apart
-    where refinement windows overlap, are such a tie, so a searched plan
-    takes the first of them (``_first_twin``).
+    grids follow from the bounds alone (``_displacement_grid``; a warm call
+    builds none), and each refined grid from the grids and active
+    displacements before it. So while a pass's active displacements equal
+    the last call's at that pass, the next pass takes the last call's grids,
+    displacement and cost arrays as they are and evaluates only f: they are
+    the arrays this call would build. Such a pass first checks the last
+    call's bracket plans (j_hi, j_lo) at this pass on the new values
+    (``_checked_multiplier``): j_hi spends at most the budget and j_lo more,
+    their value lines cross at some lam > 0, and there one argmin over every
+    row passes the multiplier search's stopping test with its slack
+    (``_at_breakpoint``). Then both plans are optimal at the binding
+    multiplier lam, and the moved shares depend only on costs and cells, so
+    the pass keeps the last call's fragments, shed and active displacements
+    (the rest of its ``_Pass``) and re-sums only the value, in the same
+    order. Otherwise the multiplier search runs, seeded with this call's
+    previous pass's multiplier, probed half its drift over the pass before
+    (1e-2 on pass 1); pass 0 starts cold. A check or a seed only finds the
+    same binding multiplier sooner, so no reuse changes the program that is
+    solved; plans tied to rounding at the binding multiplier (the search and
+    the check stop within the rounding of the dual) can resolve another way,
+    as between a warm and a cold bracket. Twin cells, one displacement laid
+    twice an ulp or so apart where refinement windows overlap, are such a
+    tie, so a searched plan takes the first of them (``_first_twin``).
     """
     reach = max(float(np.max(-s_lo)), float(np.max(s_hi)))
     if 0.0 < delta < math.inf:
@@ -453,38 +453,38 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             value += w_i * f_i
         return value, x + 0.0, w.copy(), np.arange(n)
     budget = delta ** p
-    grids, kink_at = [], []  # kink_at[i]: the kink at each kink displacement of atom i
-    for i in range(n):
-        grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), _GRID_POINTS)
-        at = {k - x[i]: k for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]}
-        grids.append(np.unique(np.concatenate([grid, list(at)])) if at else grid)
-        kink_at.append(at)
+    # kink_at[i]: the kink at each kink displacement of atom i
+    kink_at = [{k - x[i]: k for k in kinks if s_lo[i] <= k - x[i] <= s_hi[i]} for i in range(n)]
     last: list[_Pass] = []  # the last call's passes, on this call's base grids
     if (memory is not None and memory.bounds is not None
             and np.array_equal(memory.bounds[0], s_lo) and np.array_equal(memory.bounds[1], s_hi)):
         last = memory.passes
+    else:
+        grids = []
+        for i, at in enumerate(kink_at):
+            grid = _displacement_grid(float(s_lo[i]), float(s_hi[i]), _GRID_POINTS)
+            grids.append(np.unique(np.concatenate([grid, list(at)])) if at else grid)
     passes: list[_Pass] = []
     same = bool(last)  # this pass's grids are the last call's
     best: tuple[float, _Pass] | None = None
     lam = lam_before = 0.0
     for pass_ in range(_REFINEMENTS + 1):
         if same:
-            sizes, disp, cost = last[pass_].sizes, last[pass_].disp, last[pass_].cost
+            grids, disp, cost = last[pass_].grids, last[pass_].disp, last[pass_].cost
         else:
             # padded (atoms x grid) arrays, each row sorted by cost; pad
             # cells cost nothing and are never chosen
-            sizes = [g.size for g in grids]
-            disp = np.zeros((n, max(sizes)))
+            disp = np.zeros((n, max(g.size for g in grids)))
             for i, g in enumerate(grids):
                 disp[i, :g.size] = _cost_order(g, s_lo[i], s_hi[i])
             cost = np.abs(disp) ** p
         val = np.full(disp.shape, np.inf)
-        for i, size in enumerate(sizes):
-            s = disp[i, :size]
+        for i, g in enumerate(grids):
+            s = disp[i, :g.size]
             y = x[i] + s
             for d, k in kink_at[i].items():
                 y[s == d] = k
-            val[i, :size] = f(y)
+            val[i, :g.size] = f(y)
         if np.isnan(val).any():
             raise NumericalFailure("objective is NaN on a displacement grid")
         checked = _checked_multiplier(w, cost, val, budget, *last[pass_].cells) if same else None
@@ -493,7 +493,7 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
         else:
             width = 0.5 * abs(lam - lam_before) / lam if pass_ >= 2 and lam > 0.0 else 1e-2
             j_hi, j_lo, lam_found = _multiplier_plans(w, cost, val, budget, lam, width)
-            step = _planned(w, sizes, disp, cost, p, budget, lam_found,
+            step = _planned(w, grids, disp, cost, p, budget, lam_found,
                             *_first_twin(disp, j_hi, j_lo))
         lam_before, lam = lam, step.lam
         value = step.value(w, val)
@@ -505,10 +505,8 @@ def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np
             break  # no pass left to use a refined grid
         if same and pass_ + 1 < len(last) and active == last[pass_].active:
             continue  # the last call refined these grids to its next ones
-        if same:  # the grids are the rows, sorted back
-            grids = [_cost_order(disp[i, :size], s_lo[i], s_hi[i], back=True)
-                     for i, size in enumerate(sizes)]
-            same = False
+        same = False
+        grids = list(grids)  # the pass keeps its own; refine a copy
         # refine around the active displacements of each displaced atom
         changed = False
         for i in range(n):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, catalog_member
 
 
 @dataclass(frozen=True)
@@ -159,16 +159,7 @@ _UTILITY_BUILDERS = {
 
 def make_utility(descriptor: dict) -> Utility:
     """Build a catalog member from a config-style descriptor."""
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ConfigError("utility descriptor needs a 'kind' field")
-    kind = descriptor["kind"]
-    if kind not in _UTILITY_BUILDERS:
-        raise ConfigError(f"unknown utility kind {kind!r}")
-    kwargs = {k: v for k, v in descriptor.items() if k != "kind"}
-    try:
-        return _UTILITY_BUILDERS[kind](**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for utility kind {kind!r}: {exc}") from exc
+    return catalog_member(_UTILITY_BUILDERS, descriptor, "utility")
 
 
 def finite_difference_check(utility: Utility, grid, h: float = 1e-5) -> float:

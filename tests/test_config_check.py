@@ -122,12 +122,22 @@ def from_schema(schema: dict, hints: dict | None = None) -> st.SearchStrategy:
 CONFIGS = from_schema(cli.CONFIG_SCHEMA)
 # The commands need both sections the schema leaves optional, and parameters
 # in their domains: drawn from the schema alone, nearly every config stops at
-# a parameter check with exit 2 and the solvers never run.
+# a parameter check with exit 2 and the solvers never run. The hints also
+# reach float range: orders near 1, narrow and wide truncated normals (an
+# optimum in the hundreds), a subnormal radius, and explicit atoms on the
+# edge of S = [-2, 2].
 RUNNABLE = from_schema(dict(cli.CONFIG_SCHEMA, required=["model", "utility"]), hints={
-    "a": st.floats(0.05, 0.45), "mu": st.floats(-0.3, 0.3), "sigma": st.floats(0.05, 0.5),
-    "radius": st.floats(1.0, 5.0), "gamma": st.floats(0.2, 3.0),
+    "a": st.floats(0.05, 0.45), "mu": st.floats(-0.3, 0.3),
+    "sigma": st.sampled_from([0.005, 0.03, 0.05, 0.0625]) | st.floats(0.005, 0.5),
+    "radius": st.floats(1.0, 8.0), "gamma": st.floats(0.2, 3.0),
     "kappa": st.floats(0.01, 1.0), "w0": st.floats(0.5, 2.0), "eta": st.floats(0.2, 3.0),
-    "delta": st.floats(0.0, 0.3), "n_nodes": st.integers(2, 24),
+    "delta": st.sampled_from([5e-324, 0.01]) | st.floats(0.0, 0.3),
+    "n_nodes": st.integers(2, 24),
+    "wasserstein_p": st.sampled_from([1.0001, 1.5, 2.0, 3.0, "inf"]),
+    "points": st.lists(st.sampled_from([-2.0, -1.0, 0.5, 2.0]) | st.floats(-2.0, 2.0),
+                       min_size=2, max_size=2),
+    "weights": st.sampled_from([[0.5, 0.5], [0.25, 0.75]]),
+    "xs": st.just([-2.0, 0.0, 2.0]), "ys": st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
     "action_space": st.sampled_from([[-1.0, 1.0], [0.0, 0.75], [-0.75, 0.0], [-10.0, 10.0],
                                      ["-inf", "inf"]]),
     "state_space": st.sampled_from([[-2.0, 2.0], [-1.0, 1.5], ["-inf", "inf"]]),
@@ -224,27 +234,42 @@ NAN_COLUMNS = {"solve": set(),
 # an atom so far out that the gradient's root lies below Brent's tolerance,
 # where the Newton polish stepped to the end of A and on to NaN (a NaN row
 # with exit 0); at 1e155 its square also leaves float range
-FAR_ATOM = json.loads((Path(__file__).parent / "data" / "far_atom.json").read_text())
+DATA = Path(__file__).parent / "data"
+FAR_ATOM = json.loads((DATA / "far_atom.json").read_text())
 FARTHER_ATOM = dict(FAR_ATOM, model=dict(FAR_ATOM["model"], points=[-1.0, 1e155]), delta=0.1)
 # the gradient's atom sum past float range: u' about 1e9 at the lower end of
 # the feasible interval times an atom at 1e300, and u' near float max at an
 # end of A times a moderate atom
-OVERFLOW_ATOM = json.loads((Path(__file__).parent / "data" / "overflow_atom.json").read_text())
+OVERFLOW_ATOM = json.loads((DATA / "overflow_atom.json").read_text())
 SATURATED_SLOPE = {"model": {"kind": "explicit", "points": [-709.0, 1.0], "weights": [0.5, 0.5]},
                    "utility": {"kind": "exponential", "gamma": 1.0}, "action_space": [-1, 1]}
 # a smoothing width so narrow that the band's formula overflowed off the band
 NARROW_BAND = {"model": {"kind": "binomial", "a": 0.25}, "utility": {"kind": "log_shifted"},
                "action_space": [-0.95, 0.95],
                "payoff": {"kind": "call", "strike": 0.0, "smoothing": 1e-310}}
+# an optimum near 290 where |u'|^(q-1) and ||u'||_q^(1-q) leave float range,
+# and the dual weight's fallback overflowed as a Python float power
+DUAL_OVERFLOW = json.loads((DATA / "dual_weights_overflow.json").read_text())
+NEAR_ONE = dict(DUAL_OVERFLOW, model=dict(DUAL_OVERFLOW["model"], sigma=0.0625),
+                wasserstein_p=1.0001)
+# an atom on the edge of S at a subnormal radius: its neighbour's distance
+# overflowed in units of the radius
+SUBNORMAL_EDGE = json.loads((DATA / "subnormal_radius_edge.json").read_text())
+# a worst case past float range at pi*(0): the search stopped there with V -inf
+PAST_FLOAT = json.loads((DATA / "worst_case_past_float.json").read_text())
 
 
-@settings(max_examples=100)
+@settings(max_examples=300)
 @given(cfg=RUNNABLE, command=st.sampled_from(list(NAN_COLUMNS)))
 @example(cfg=FAR_ATOM, command="solve")
 @example(cfg=FARTHER_ATOM, command="robust")
 @example(cfg=NARROW_BAND, command="sensitivity")
 @example(cfg=OVERFLOW_ATOM, command="solve")
 @example(cfg=SATURATED_SLOPE, command="solve")
+@example(cfg=DUAL_OVERFLOW, command="sensitivity")
+@example(cfg=NEAR_ONE, command="robust")
+@example(cfg=SUBNORMAL_EDGE, command="robust")
+@example(cfg=PAST_FLOAT, command="robust")
 def test_cli_exit_code_contract(config_path, cfg, command):
     # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):
@@ -260,8 +285,10 @@ def test_cli_exit_code_contract(config_path, cfg, command):
     if code != 0:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
         return
-    # exit 0 reads NaN only where the quantity is documented as undefined
+    # exit 0 reads NaN only where the quantity is documented as undefined,
+    # and no infinity
     header, rows, _ = read_result_csv(out.getvalue())
     for row in rows:
         for column, value in zip(header, row):
             assert not math.isnan(value) or column in NAN_COLUMNS[command], (column, row)
+            assert not math.isinf(value), (column, row)

@@ -593,3 +593,45 @@ def test_preference_penalty_stays_finite_near_p_one():
     penalty = sol.V0 - cmp.score_base
     assert penalty == pytest.approx(-delta * rf.value_sensitivity(spec, sol), rel=1e-12)
     assert cmp.ordering == "tie"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma, p", [(0.05, 1.5), (0.0625, 1.0001), (0.0625, 1.1)])
+def test_dual_weights_past_float_range_stay_bounded(sigma, p):
+    # a narrow truncated normal puts pi* near 190-290, where both factors of
+    # the L^q duality weight, |u'|^(q-1) and ||u'||_q^(1-q), leave float
+    # range; their product, taken whole, is at most w^(-1/p) at an atom of
+    # weight w, and kappa_u past float range is a typed refusal
+    spec = rf.ProblemSpec(model=rf.truncated_normal(0.5, sigma, 3.0),
+                          utility=rf.exponential(1.0),
+                          action_space=rf.StateSpace.interval(-1000.0, 1000.0),
+                          order=rf.WassersteinOrder(p))
+    sol = rf.solve_baseline(spec)
+    with pytest.raises(rf.NumericalFailure, match="leaves float range"):
+        rf.optimizer_sensitivity(spec, sol)
+    w = spec.model.weights
+    live = w > 0.0
+    T = rf.transport_direction(spec, sol, spec.model.support_1d)[live, 0]
+    assert np.all(T >= 0.0) and T.max() > 0.0
+    assert np.all(T <= w[live] ** (-1.0 / p) * (1.0 + 1e-9))
+
+
+@pytest.mark.filterwarnings("error")
+def test_dual_weights_past_float_range_at_atoms_of_no_weight():
+    # p = 1.0001 on a truncated normal whose far nodes' weights underflow to
+    # 0: there (|u'| / ||u'||_q)^(q-1) is inf, and 0 * inf was NaN in pi*'(0)
+    model = rf.truncated_normal(0.005, 0.005, 0.6490057097684118,
+                                state_space=rf.StateSpace.interval(-2.0, 2.0))
+    spec = rf.ProblemSpec(model=model, utility=rf.log_shifted(1.0),
+                          action_space=rf.StateSpace.interval(-1000.0, 1000.0),
+                          order=rf.WassersteinOrder(1.0001))
+    sol = rf.solve_baseline(spec)
+    pi_prime, kappa = rf.optimizer_sensitivity(spec, sol)
+    assert math.isfinite(pi_prime[0]) and pi_prime[0] < 0.0
+    # near p = 1 the duality weight sits on the live atom of largest u':
+    # kappa_u tends to y u''(y) + u'(y) at its wealth y
+    live = model.weights > 0.0
+    y = (model.support_1d * sol.pi_star_scalar)[live]
+    top = np.argmax(spec.utility.u_prime(y))
+    limit = y[top] * spec.utility.u_double_prime(y[top]) + spec.utility.u_prime(y[top])
+    assert kappa == pytest.approx(limit, rel=1e-3)
