@@ -74,6 +74,11 @@ _NEWTON_TOL = 1e-12
 _NEWTON_STEP_ULPS = 4.0
 _NEWTON_MAX_ITERATIONS = 200
 
+# An interior d = 1 optimum's |E[X u'(pi X)]| may reach this share of
+# E[|X| u'(pi X)]: about 750 times the largest share (1.3e-11) over the
+# golden recordings and the test suite's solves.
+_FOC_TOL = 1e-8
+
 # Step of the central eps-difference in the root-finding Davis price.
 _DAVIS_FD_STEP = 1e-5
 
@@ -90,6 +95,12 @@ class Payoff:
     rounded on [kink - s, kink + s]; outside those bands the smoothed and raw
     payoffs coincide, so the smoothing is inert whenever no atom falls within
     s of a kink. A table (custom) payoff's nodes are its kinks.
+
+    ``pieces`` lays g out as polynomials, each (lo, hi, c) for
+    g(y) = sum_j c_j (y - a)^j on [lo, hi], about a = lo (hi where lo is
+    -inf, 0 where both are infinite); the pieces cover the line in order.
+    The exact ball infimum (``transport._ball_infimum``) finds its
+    candidate points from them and takes their values from ``value``.
     """
 
     kind: str
@@ -98,6 +109,7 @@ class Payoff:
     kinks: tuple[float, ...] = ()
     smoothing: float = 0.0
     params: dict = field(default_factory=dict)
+    pieces: tuple[tuple[float, float, tuple[float, ...]], ...] = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.value(x)
@@ -112,6 +124,7 @@ def power_payoff(k: int) -> Payoff:
         value=lambda x: np.asarray(x, dtype=float) ** k,
         grad=lambda x: k * np.asarray(x, dtype=float) ** (k - 1),
         params={"k": k},
+        pieces=((-math.inf, math.inf, (0.0,) * k + (1.0,)),),
     )
 
 
@@ -139,12 +152,37 @@ def _smoothed_call(strike: float, s: float):
     return value, grad
 
 
+def _smoothed_call_pieces(calls: tuple[tuple[float, float], ...], s: float,
+                          line: tuple[float, float] = (0.0, 0.0)) -> tuple:
+    """The pieces of sum_k m_k (y - K_k)^+, each call smoothed as
+    ``_smoothed_call`` smooths it, plus the line a + b y, for the calls
+    (K_k, m_k) and the line (a, b): 0 left of a call's band, (y - K + s)^2 / (4 s)
+    on it, y - K right of it."""
+    ends = sorted({e for k, _ in calls for e in (k - s, k + s)})
+    pieces = []
+    for lo, hi in zip([-math.inf] + ends, ends + [math.inf]):
+        at = lo if lo > -math.inf else hi
+        c = [line[0] + line[1] * at, line[1], 0.0]
+        for k, m in calls:
+            if lo >= k + s:  # right of the band: y - K
+                c[0] += m * (at - k)
+                c[1] += m
+            elif hi <= k + s and lo >= k - s:  # on the band
+                d = at - k + s
+                c[0] += m * d * d / (4.0 * s)
+                c[1] += m * d / (2.0 * s)
+                c[2] += m / (4.0 * s)
+        pieces.append((lo, hi, tuple(c)))
+    return tuple(pieces)
+
+
 def call_payoff(strike: float = 0.0, smoothing: float = 1e-4) -> Payoff:
     if smoothing <= 0.0:
         raise ConfigError("smoothing width must be positive")
     v, g = _smoothed_call(strike, smoothing)
     return Payoff(kind="call", value=v, grad=g, kinks=(float(strike),),
-                  smoothing=smoothing, params={"strike": float(strike)})
+                  smoothing=smoothing, params={"strike": float(strike)},
+                  pieces=_smoothed_call_pieces(((float(strike), 1.0),), smoothing))
 
 
 def butterfly_payoff(K: float, smoothing: float = 1e-4) -> Payoff:
@@ -163,11 +201,14 @@ def butterfly_payoff(K: float, smoothing: float = 1e-4) -> Payoff:
         kinks=(-float(K), 0.0, float(K)),
         smoothing=smoothing,
         params={"K": float(K)},
+        pieces=_smoothed_call_pieces(((-float(K), 1.0), (0.0, -2.0), (float(K), 1.0)),
+                                     smoothing),
     )
 
 
 def abs_shift_payoff(x0: float, smoothing: float = 1e-4) -> Payoff:
-    """|x + x0| with a quadratic rounding of the kink at -x0."""
+    """|x + x0| with a quadratic rounding of the kink at -x0: twice the
+    smoothed call at -x0, less x + x0."""
     if smoothing <= 0.0:
         raise ConfigError("smoothing width must be positive")
     s = smoothing
@@ -181,12 +222,15 @@ def abs_shift_payoff(x0: float, smoothing: float = 1e-4) -> Payoff:
         return _in_band(np.sign(y), y, s, lambda y: y / s)
 
     return Payoff(kind="abs_shift", value=value, grad=grad, kinks=(-float(x0),),
-                  smoothing=s, params={"x0": float(x0)})
+                  smoothing=s, params={"x0": float(x0)},
+                  pieces=_smoothed_call_pieces(((-float(x0), 2.0),), s,
+                                               (-float(x0), -1.0)))
 
 
 def custom_payoff(xs, ys) -> Payoff:
-    """Tabulated payoff: linear interpolation for g, central differences on the
-    table grid for the gradient (interpolated between nodes)."""
+    """Tabulated payoff: linear interpolation for g, flat beyond the table,
+    central differences on the table grid for the gradient (interpolated
+    between nodes)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -194,12 +238,17 @@ def custom_payoff(xs, ys) -> Payoff:
     if np.any(np.diff(xs) <= 0.0):
         raise ConfigError("custom payoff x-table must be strictly increasing")
     dy = np.gradient(ys, xs)  # central differences, one-sided at the ends
+    nodes, heights = xs.tolist(), ys.tolist()
+    slopes = (np.diff(ys) / np.diff(xs)).tolist()
     return Payoff(
         kind="custom",
         value=lambda x: np.interp(np.asarray(x, dtype=float), xs, ys),
         grad=lambda x: np.interp(np.asarray(x, dtype=float), xs, dy),
-        kinks=tuple(xs.tolist()),
+        kinks=tuple(nodes),
         params={"n_nodes": int(xs.size)},
+        pieces=((-math.inf, nodes[0], (heights[0],)),
+                *((a, b, (h, m)) for a, b, h, m in zip(nodes, nodes[1:], heights, slopes)),
+                (nodes[-1], math.inf, (heights[-1],))),
     )
 
 
@@ -687,9 +736,23 @@ def _solve_projected_newton(spec: ProblemSpec, endowment=0.0) -> tuple[np.ndarra
 
 
 def _solution(spec: ProblemSpec, pi: np.ndarray, boundary: bool) -> BaselineSolution:
+    """The solution at the maximizer pi. A d = 1 optimum inside A must meet
+    its first-order condition: |E[X u'(pi X)]| at most _FOC_TOL times
+    E[|X| u'(pi X)], or NumericalFailure (an atom so far out that the root
+    lies below the 1-d solve's tolerance leaves a residual of half the
+    scale)."""
     w = _wealth(spec, pi)
     V0 = spec.model.expectation(spec.utility.u(w))
-    return BaselineSolution(pi_star=pi, V0=V0, foc_residual=_gradient(spec, pi),
+    weighted = spec.model.weights * live_values(spec.model.weights, spec.utility.u_prime(w))
+    foc = weighted @ spec.model.points  # _gradient's sum
+    if spec.dim == 1 and not boundary:
+        scale = float(weighted @ np.abs(spec.model.support_1d))
+        if abs(float(foc[0])) > _FOC_TOL * scale:
+            raise NumericalFailure(
+                f"the optimum pi* = {float(pi[0])} misses its first-order condition: "
+                f"|E[X u'(pi* X)]| = {abs(float(foc[0]))} exceeds {_FOC_TOL} "
+                f"E[|X| u'(pi* X)] = {_FOC_TOL * scale}")
+    return BaselineSolution(pi_star=pi, V0=V0, foc_residual=foc,
                             hessian=_hessian(spec, pi), boundary=boundary)
 
 
@@ -697,7 +760,8 @@ def solve_baseline(spec: ProblemSpec) -> BaselineSolution:
     """Maximize E_P[u(<X, pi>)] over the action box A.
 
     Interior optima satisfy the first-order condition
-    E_P[X u'(<X, pi*>)] = 0 to solver tolerance; boundary optima are flagged
+    E_P[X u'(<X, pi*>)] = 0 to solver tolerance (``_solution`` refuses a
+    d = 1 one that does not); boundary optima are flagged
     (interiority-based sensitivity formulas then refuse, except the documented
     pi* = 0 case).
     """

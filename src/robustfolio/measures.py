@@ -450,15 +450,23 @@ def _quantile_coupling_segments(P: DiscreteMeasure, Q: DiscreteMeasure
     return np.asarray(mass), np.asarray(a), np.asarray(b)
 
 
+@np.errstate(over="ignore")  # a sum past float range is caught below
 def coupling_cost(mass: np.ndarray, a: np.ndarray, b: np.ndarray,
                   order: WassersteinOrder) -> float:
     """Transport cost of the 1-d coupling that sends mass[k] from a[k] to
     b[k]: (sum_k mass_k |a_k - b_k|^p)^(1/p), or the largest displacement of
-    positive mass at p = inf. Every coupling's cost bounds W_p from above."""
+    positive mass at p = inf. Every coupling's cost bounds W_p from above.
+    At high orders the plain sum can leave float range (inf, or 0 with an
+    atom moved); it is then taken relative to the largest displacement of
+    positive mass, as ``sensitivity._lq_norm`` takes its moment."""
     disp = np.abs(a - b)
     if order.is_inf:
         return float(disp[mass > 0.0].max(initial=0.0))
-    return float(np.dot(mass, disp ** order.p) ** (1.0 / order.p))
+    total = np.dot(mass, disp ** order.p)
+    if 0.0 < total < math.inf or not (disp[mass > 0.0] > 0.0).any():
+        return float(total ** (1.0 / order.p))
+    top = float(disp[mass > 0.0].max())
+    return top * float(np.dot(mass, (disp / top) ** order.p) ** (1.0 / order.p))
 
 
 def _wasserstein_lp(P: DiscreteMeasure, Q: DiscreteMeasure, p: float) -> float:

@@ -68,10 +68,15 @@ Robust Davis prices follow the optimizer branch:
     measure P*;
   * pi_delta = 0 with 0 interior to A: the marginal-utility weight is
     constant; at E_P[X] = 0 every ball member prices and the robust (lower)
-    price is the ball infimum of E[g] (the transport program with g's
-    kinks on its grids; at p = inf on the windows with no shared budget),
-    otherwise the saddle adversary (the cheapest shift that zeroes the mean,
-    within the budget) prices;
+    price is the ball infimum of E[g], otherwise the saddle adversary (the
+    cheapest shift that zeroes the mean, within the budget) prices. The ball
+    infimum is exact (``transport._ball_infimum``): g is polynomial on
+    pieces, so each atom's best response to the one dual multiplier lies
+    among finitely many candidate points (the atom, its window's ends, the
+    piece ends and the stationary points of each piece), and the price is
+    the value U of a plan within the budget whose gap to a dual lower bound
+    L is rounding; at p = inf each atom takes its window minimum, with no
+    shared budget, and U = L;
   * pi_delta = 0 pinned on the boundary of A: the worst case is selected by
     continuity as the limit along feasible strategies pi -> 0, for every
     mean: the shift that spends the budget against the feasible direction
@@ -81,12 +86,11 @@ dist_i its distance to the edge of S and t one common distance (at p = inf
 the budget caps the largest move, so t <= delta); ``sensitivity.zero_strategy``
 owns these rules and adversaries.
 
-Every worst-case minimum over displacements (the finite-p inner value, and
-both ball infima, at p = inf on per-atom windows with no shared budget) is
-one transport program, ``transport._transport_minimize``, refined around its
-optimum. This module reaches ``transport`` and ``sensitivity`` through the
-package's lazily loaded modules when it calls them, so a p = inf solve with
-pi != 0 runs neither.
+The finite-p inner value is the grid transport program,
+``transport._transport_minimize``, refined around its optimum; the ball
+infimum of a price is ``transport._ball_infimum``. This module reaches
+``transport`` and ``sensitivity`` through the package's lazily loaded
+modules when it calls them, so a p = inf solve with pi != 0 runs neither.
 """
 
 from __future__ import annotations
@@ -542,20 +546,15 @@ def solve_delta_grid(spec: ProblemSpec, deltas) -> list[RobustSolution]:
 
 def _ball_infimum_of_price(spec: ProblemSpec, payoff: Payoff, delta: float) -> float:
     """inf over the ball of E[g] — the robust price when the marginal-utility
-    weight is constant (pi_delta = 0 interior, zero mean)."""
-    x = spec.model.support_1d
-    w = spec.model.weights
+    weight is constant (pi_delta = 0 interior, zero mean): the upper end U
+    of ``transport._ball_infimum``'s exact bracket [L, U]."""
     space = spec.state_space
-    s_lo, s_hi = space.lower[0] - x, space.upper[0] - x
-    p, radius = spec.order.p, delta
-    if spec.order.is_inf:  # per-atom windows, no budget shared
-        p, radius = 1.0, math.inf
-        s_lo, s_hi = np.maximum(s_lo, -delta), np.minimum(s_hi, delta)
-    elif not (math.isfinite(space.lower[0]) and math.isfinite(space.upper[0])):
+    edges = (space.lower[0], space.upper[0])
+    if not (spec.order.is_inf or (math.isfinite(edges[0]) and math.isfinite(edges[1]))):
         raise DomainCompatibilityError(
             "finite-order ball infimum needs a bounded state space")
-    value, *_ = transport._transport_minimize(x, w, s_lo, s_hi, p, radius, payoff,
-                                              kinks=payoff.kinks)
+    value, *_ = transport._ball_infimum(spec.model.support_1d, spec.model.weights, edges,
+                                        spec.order.p, delta, payoff)
     return float(value)
 
 

@@ -336,6 +336,19 @@ def test_a_polish_step_that_leaves_brents_bracket_keeps_brents_root(far):
         assert list(_concave_max_lanes([problem, problem])) == [(pi, False)] * 2
 
 
+@pytest.mark.parametrize("solve", [rf.solve_baseline, lambda spec: rf.robust_solve(spec, 0.0)],
+                         ids=["solve", "robust-at-radius-0"])
+def test_an_interior_optimum_that_misses_its_first_order_condition_is_refused(solve):
+    # the far atom leaves Brent's root at 3.3e-16 with E[X u'(pi X)] = -0.5
+    # against E[|X| u'(pi X)] = 0.5: the solve printed that residual, and the
+    # robust row at radius 0 a martingale residual of 1, at exit 0
+    spec = rf.ProblemSpec(model=rf.explicit([-1.0, 1e20], [0.5, 0.5]),
+                          utility=rf.exponential(1.0),
+                          action_space=rf.StateSpace.interval(-1.0, 1.0))
+    with pytest.raises(NumericalFailure, match=r"first-order condition: \|E\[X u'"):
+        solve(spec)
+
+
 def one_at_a_time(problems):
     for problem in problems:
         yield _concave_max_raw(*problem)

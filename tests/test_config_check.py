@@ -257,6 +257,8 @@ NEAR_ONE = dict(DUAL_OVERFLOW, model=dict(DUAL_OVERFLOW["model"], sigma=0.0625),
 SUBNORMAL_EDGE = json.loads((DATA / "subnormal_radius_edge.json").read_text())
 # a worst case past float range at pi*(0): the search stopped there with V -inf
 PAST_FLOAT = json.loads((DATA / "worst_case_past_float.json").read_text())
+# an order so high (p = 1100) that the certificate's sum of |move|^p overflowed
+COUPLING_OVERFLOW = json.loads((DATA / "coupling_cost_overflow.json").read_text())
 
 
 @settings(max_examples=300)
@@ -270,6 +272,7 @@ PAST_FLOAT = json.loads((DATA / "worst_case_past_float.json").read_text())
 @example(cfg=NEAR_ONE, command="robust")
 @example(cfg=SUBNORMAL_EDGE, command="robust")
 @example(cfg=PAST_FLOAT, command="robust")
+@example(cfg=COUPLING_OVERFLOW, command="robust")
 def test_cli_exit_code_contract(config_path, cfg, command):
     # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):

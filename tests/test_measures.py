@@ -71,6 +71,20 @@ def test_wasserstein_order_validation():
     assert INF.q == 1.0 and INF.is_inf
 
 
+@pytest.mark.parametrize("move", [2.0, 1e-3])
+def test_coupling_cost_stays_in_float_range_at_high_orders(move):
+    # at p = 1100 the plain sum of |move|^p overflowed (move 2: a
+    # RuntimeWarning, then cost inf, and a robust solve's adversary "left the
+    # ball") or underflowed to 0 with an atom moved (move 1e-3)
+    mass, a = np.array([0.5, 0.5]), np.array([-1.0, 1.0])
+    cost = measures.coupling_cost(mass, a, a + np.array([move, 0.0]), rf.WassersteinOrder(1100.0))
+    assert cost == pytest.approx(move * 0.5 ** (1.0 / 1100.0), rel=1e-14)
+    # in float range the plain sum keeps its bits
+    b = a + np.array([0.3, 0.1])
+    plain = measures.coupling_cost(mass, a, b, rf.WassersteinOrder(3.0))
+    assert plain == float(np.dot(mass, np.abs(a - b) ** 3.0) ** (1.0 / 3.0))
+
+
 def test_measures_are_immutable():
     P = rf.binomial(0.25)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivity
                          DomainCompatibilityError, NumericalFailure, robust_solver, sensitivity,
                          transport)
 from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
+from robustfolio.measures import coupling_cost
 from robustfolio.sensitivity import zero_strategy
 from robustfolio.transport import (_checked_multiplier, _cost_order, _displacement_grid, _merged,
                                    _multiplier_plans, _window)
@@ -874,17 +875,17 @@ def bounded_grids(draw):
 @pytest.mark.parametrize("p", [2.0, 100.0])
 def test_transport_program_at_radius_zero_leaves_every_atom(p):
     # the ball of radius 0 is the baseline alone; at p = 100 the costs of the
-    # small displacements underflow to 0, and the multiplier search on the
+    # small displacements underflow to 0, and a multiplier search on the
     # budget 0 overflowed where their lines cross
     x = np.linspace(-0.05, 0.05, 12)
     w = np.full(12, 1.0 / 12.0)
     g = rf.butterfly_payoff(0.1)
-    value, points, masses, atoms = transport._transport_minimize(
-        x, w, -0.05 - x, 0.05 - x, p, 0.0, g, kinks=g.kinks)
+    value, lower, points, masses, atoms = transport._ball_infimum(x, w, (-0.05, 0.05), p,
+                                                                   0.0, g)
     by_atom = 0.0
     for w_i, g_i in zip(w, g(x)):
         by_atom += w_i * g_i
-    assert value == by_atom
+    assert value == by_atom and lower == value
     assert np.array_equal(points, x) and np.array_equal(masses, w)
     assert atoms.tolist() == list(range(12))
 
@@ -1290,6 +1291,116 @@ def test_ball_infimum_price_falls_as_the_ball_grows(case, delta):
         prices.append(rf.robust_davis_price(spec, payoff, delta))
     assert prices[0] <= prices[1] + 1e-10
     assert prices[1] <= prices[2] + 1e-10
+
+
+@pytest.mark.parametrize("x, w, payoff, p, delta", [
+    ([-0.7499404711127373, 0.95, -8.189803466466493e-182], [1.0, 1.0, 1.0],
+     rf.power_payoff(3), 100.0, 0.01939650611601194),
+    ([0.0] * 7 + [0.25], [1.0] * 6 + [0.5, 1.0], rf.call_payoff(0.0, 0.3), 50.0, 1e-6),
+], ids=["power3-p100", "call-p50"])
+def test_ball_infimum_brackets_a_steep_order(x, w, payoff, p, delta):
+    # at a high order h' = g'(x - t) + lam p t^(p-1) is a steep power near its
+    # root, which plain Newton approaches by 1/p of the way per step: the
+    # root search stopped far from the stationary point, so an atom had no
+    # minimizer among its candidates. In the first case the dual "bound" L
+    # rose 1.1e-6 above U; in the second no atom moved (U = E_P[g] above the
+    # shift of every atom by delta, a member of the ball), and at the
+    # multiplier 1e292 of the right answer lam |y - x|^p leaves float range
+    x, w = np.array(x), np.array(w) / sum(w)
+    U, L, *_ = transport._ball_infimum(x, w, (-1.0, 1.0), p, delta, payoff)
+    assert abs(U - L) <= 1e-14 * (1.0 + abs(U))
+    assert U <= w @ payoff(x - delta) + 1e-15
+
+
+def ball_lp_value(x, w, payoff, delta, p, grid_points=64):
+    """A feasible plan's value from the grid program for the ball infimum of
+    E[g] on S = [-1, 1], solved by a generic LP, as ``transport_lp_value``
+    solves the inner infimum: atom i moves both ways along its
+    ``_displacement_grid``, mass m_ij to displacement s_j, and
+    min sum_ij w_i m_ij g(x_i + s_j) s.t. sum_j m_ij = 1,
+    sum_ij w_i m_ij |s_j|^p <= delta^p, m >= 0. The LP meets its
+    constraints to its tolerance only, so its plan is made feasible first:
+    masses clipped at 0, each atom's rescaled to 1, and then, if it still
+    spends more than the budget, mixed with the plan that moves nothing."""
+    grids = [_displacement_grid(-1.0 - xi, 1.0 - xi, grid_points) for xi in x]
+    values = [payoff(xi + s) for xi, s in zip(x, grids)]
+    c = np.concatenate([w_i * v for w_i, v in zip(w, values)])
+    cost = np.concatenate([w_i * np.abs(s) ** p for w_i, s in zip(w, grids)])
+    rows = np.concatenate([np.full(s.size, i) for i, s in enumerate(grids)])
+    res = linprog(c, A_ub=cost[None, :], b_ub=[delta ** p],
+                  A_eq=(rows[None, :] == np.arange(len(x))[:, None]).astype(float),
+                  b_eq=np.ones(len(x)), bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    m = np.maximum(res.x, 0.0)
+    m /= np.bincount(rows, weights=m)[rows]
+    spend = cost @ m
+    if spend > delta ** p:
+        theta = delta ** p / spend
+        stay = np.concatenate([s == 0.0 for s in grids]).astype(float)
+        m = theta * m + (1.0 - theta) * stay
+    return c @ m
+
+
+def window_minimum(x, w, payoff, delta):
+    """The ball infimum of a catalog payoff at p = inf on S = [-1, 1], by
+    hand: each atom's minimum over its window's ends and the points inside
+    where a catalog payoff can be least (its kinks, a smoothing width either
+    side of them, and 0)."""
+    s = payoff.smoothing
+    spots = [k + d for k in payoff.kinks for d in (-s, 0.0, s)] + [0.0]
+    total = 0.0
+    for w_i, x_i in zip(w, x):
+        lo, hi = max(x_i - delta, -1.0), min(x_i + delta, 1.0)
+        points = [lo, hi] + [t for t in spots if lo <= t <= hi]
+        total += w_i * float(np.min(payoff(np.array(points))))
+    return total
+
+
+@st.composite
+def ball_infimum_cases(draw):
+    """(x, w, payoff, p, delta): a 2-6-atom model on S = [-1, 1], a payoff
+    of every catalog kind, an order in {1.5, 2, 3, inf} and a radius."""
+    n = draw(st.integers(2, 6))
+    x = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    nodes = np.sort(draw(st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=6, unique=True)))
+    assume(np.min(np.diff(nodes)) > 1e-6)
+    heights = draw(st.lists(st.floats(-1.0, 1.0), min_size=nodes.size, max_size=nodes.size))
+    payoff = draw(st.one_of(
+        st.integers(1, 3).map(rf.power_payoff),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(1e-4, 0.1)).map(lambda a: rf.call_payoff(*a)),
+        st.tuples(st.floats(0.05, 1.0), st.floats(1e-4, 0.1)).map(
+            lambda a: rf.butterfly_payoff(*a)),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(1e-4, 0.1)).map(
+            lambda a: rf.abs_shift_payoff(*a)),
+        st.just(rf.custom_payoff(nodes, heights)),
+    ))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0, math.inf]))
+    return x, w / w.sum(), payoff, p, draw(st.floats(1e-3, 0.5))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=ball_infimum_cases())
+def test_ball_infimum_is_exact_and_brackets_its_value(case):
+    # the returned plan is feasible and worth U; L is a dual value; the gap
+    # U - L is rounding; and U lies below every grid plan's value (finite
+    # p) or is the hand-built sum of window minima (p = inf)
+    x, w, payoff, p, delta = case
+    U, L, points, masses, atoms = transport._ball_infimum(x, w, (-1.0, 1.0), p, delta, payoff)
+    assert abs(U - L) <= 1e-14 * (1.0 + abs(U))
+    assert abs(masses @ payoff(points) - U) <= 1e-14 * (1.0 + abs(U))
+    assert np.allclose(np.bincount(atoms, weights=masses, minlength=x.size), w,
+                       rtol=0.0, atol=1e-15)
+    assert np.all((-1.0 <= points) & (points <= 1.0))
+    order = rf.WassersteinOrder(p)
+    assert coupling_cost(masses, x[atoms], points, order) <= delta * (1.0 + 1e-12)
+    if math.isinf(p):
+        assert U == L
+        assert U == pytest.approx(window_minimum(x, w, payoff, delta), abs=1e-14)
+    else:
+        assert U <= ball_lp_value(x, w, payoff, delta, p) + 1e-14
 
 
 @st.composite
