@@ -15,18 +15,22 @@ p = inf (exact reduction)
     concave in pi. Where S does not bind this is the Monge shift,
     inf = E_P[u(<X, pi> - delta |pi|)].
 
-finite p (certified numerical oracle)
-    The inner infimum is an exact finite-dimensional program over transport
-    plans that split each atom into at most two fragments, solved on refined
-    displacement grids by a search over one dual multiplier
-    (``transport._transport_minimize``; that module loads on the first
-    finite-p oracle call or ball infimum). Displacements are capped by the
-    state space S; the cap is what keeps the infimum finite (for utilities
-    with a finite domain edge or an exponential tail the uncapped infimum is
-    -inf), so S with unbounded sides in the displacement direction is
-    rejected rather than silently truncated. An order so high that the
-    largest displacement's cost in budgets, (D / delta)^p, leaves float
-    range is refused (ConfigError); p = inf solves such a ball.
+finite p (exact oracle with a certified gap)
+    The inner infimum is solved exactly by its one-multiplier Lagrangian
+    dual (``transport._utility_infimum``; that module loads on the first
+    finite-p oracle call or ball infimum). Each atom moves against the
+    position, and its best response to a multiplier is one of at most three
+    candidates for the catalog utilities (four on capped_exponential's two
+    branches): stay, the edge of S, or the first stationary point, found by
+    Newton in log t. The plan returned is feasible, and its value U lies
+    within rounding (1e-14 (1 + |U|) in the tests) of a dual lower bound;
+    the work per multiplier step is linear in the atoms. Displacements are
+    capped by the state space S; the cap is what keeps the infimum finite
+    (for utilities with a finite domain edge or an exponential tail the
+    uncapped infimum is -inf), so S with unbounded sides in the displacement
+    direction is rejected rather than silently truncated. An order so high
+    that the largest displacement's cost in budgets, (D / delta)^p, leaves
+    float range is refused (ConfigError); p = inf solves such a ball.
 
 The outer maximization is one concave search in both regimes: the robust
 value is concave in pi (an infimum of concave functions), with a kink at
@@ -43,9 +47,10 @@ its sign pins an end (``_concave_argmax``). At p = inf it brackets to
 ~1e-15 from the ends of the side, and a radius grid runs the searches of
 its radii in lockstep (``solve_delta_grid``).
 
-At finite p each oracle call costs milliseconds, so the search starts next
-to the answer: at the paper's first-order strategy pi*(0) + delta pi*'(0)
-(the baseline solve and ``sensitivity.optimizer_sensitivity``), at pi*(0)
+At finite p each oracle call is a multiplier search, the solve's costly
+step, so the search starts next to the answer: at the paper's first-order
+strategy pi*(0) + delta pi*'(0) (the baseline solve and
+``sensitivity.optimizer_sensitivity``), at pi*(0)
 where those closed forms refuse (an optimum pinned on A, pi* = 0, an atom
 on the edge of S) or leave float range, and along a radius grid on the line through the two
 solved radii below (``solve_delta_grid``), always clipped into the chosen
@@ -55,13 +60,12 @@ slope turns (``baseline_solver._bracket_from``), and hands that bracket to
 Brent; a start on an end of the side (an optimum pinned on A) leaves Brent
 the whole side, as without a start. It stops once |slope| times the
 bracket width, which by concavity bounds how far V can still rise, is
-within V's rounding (8 eps E|u| on the worst case): past that point its
-steps only bisect the small jumps of the oracle's grid slope. A strategy
-whose worst case leaves float range (the oracle's V = -inf) has an infinite
-slope toward 0 and never stops the search. The start changes the oracle
-calls, not the answer: V is concave, so every bracket of the slope's root
-holds the same maximizer, and the same stop ends the search at it to V's
-rounding.
+within V's rounding (8 eps E|u| on the worst case): past that point no
+step can raise V. A strategy whose worst case leaves float range (the
+oracle's V = -inf) has an infinite slope toward 0 and never stops the
+search. The start changes the oracle calls, not the answer: V is concave,
+so every bracket of the slope's root holds the same maximizer, and the same
+stop ends the search at it to V's rounding.
 
 Robust Davis prices follow the optimizer branch:
   * pi_delta != 0: p_d(delta) = E_{P*}[u' g] / E_{P*}[u'] on the worst-case
@@ -86,11 +90,11 @@ dist_i its distance to the edge of S and t one common distance (at p = inf
 the budget caps the largest move, so t <= delta); ``sensitivity.zero_strategy``
 owns these rules and adversaries.
 
-The finite-p inner value is the grid transport program,
-``transport._transport_minimize``, refined around its optimum; the ball
-infimum of a price is ``transport._ball_infimum``. This module reaches
-``transport`` and ``sensitivity`` through the package's lazily loaded
-modules when it calls them, so a p = inf solve with pi != 0 runs neither.
+The finite-p inner value is ``transport._utility_infimum`` and the ball
+infimum of a price ``transport._ball_infimum``: one multiplier search over
+the best responses of each. This module reaches ``transport`` and
+``sensitivity`` through the package's lazily loaded modules when it calls
+them, so a p = inf solve with pi != 0 runs neither.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ from . import sensitivity, transport
 from .measures import DiscreteMeasure, StateSpace, coupling_cost, live_values
 from .utility import Utility
 
-_ORACLE_MAX_ATOMS = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -297,21 +300,18 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
 
     Each atom moves against the position (displacement capped by the state
     space S); the value and the attaining two-fragment plan come from the
-    transport program (``transport._transport_minimize``), with objective
+    exact dual search (``transport._utility_infimum``), with objective
     u(pi y) at positions y.
     Unbounded S in the displacement direction is rejected: there the infimum
     is genuinely -inf (a vanishing-mass fragment sent to the domain edge or
     along an exponential tail). ``memory`` carries one outer search's
-    passes from call to call; it is for calls on one P, utility, delta and
-    order only.
+    multiplier from call to call, as the next call's first guess; it is for
+    calls on one P, utility, delta and order only.
     """
     if P.dim != 1:
         raise ConfigError("the adversary oracle is implemented for d = 1")
     if order.is_inf:
         raise ConfigError("order p = inf reduces exactly; use robust_solve_inf")
-    if P.n_atoms > _ORACLE_MAX_ATOMS:
-        raise ConfigError(f"oracle limited to {_ORACLE_MAX_ATOMS} atoms, "
-                          f"got {P.n_atoms}")
     _check_radius(delta)
     pi_s = float(np.atleast_1d(np.asarray(pi, dtype=float))[0])
     x = P.support_1d
@@ -353,12 +353,8 @@ def adversary_inner_inf(P: DiscreteMeasure, utility: Utility, pi, delta: float,
         # line searches probe extreme strategies); -inf is the correctly
         # rounded infimum and the center measure stands in as the witness
         return -math.inf, P
-    if direction < 0.0:
-        s_lo, s_hi = -extents, np.zeros_like(x)
-    else:
-        s_lo, s_hi = np.zeros_like(x), extents
-    value, pts, masses, atoms = transport._transport_minimize(
-        x, w, s_lo, s_hi, order.p, delta, lambda y: utility.u(pi_s * y), memory=memory)
+    value, pts, masses, atoms = transport._utility_infimum(
+        x, w, float(edge[0]), pi_s, order.p, delta, utility, memory)
     adversary = _as_adversary(pts, masses / masses.sum(), x[atoms], base=P, delta=delta,
                               p=order.p, space=P.state_space)
     return float(value), adversary
@@ -432,7 +428,7 @@ def robust_solve_p(spec: ProblemSpec, delta: float, *,
     u = spec.utility
     cache: dict[float, tuple[float, DiscreteMeasure]] = {}
     slopes: dict[float, float] = {}
-    memory = transport._OracleMemory()  # each oracle call starts from the last one's passes
+    memory = transport._OracleMemory()  # each oracle call starts from the last one's multiplier
 
     def inner(pi_val: float) -> tuple[float, DiscreteMeasure]:
         if pi_val not in cache:

@@ -1,32 +1,36 @@
 """The finite-p transport programs: the worst case of a sum of per-position
 values over a Wasserstein ball of finite order p, for a discrete baseline in
-d = 1, and the exact ball infimum of a payoff.
+d = 1, solved exactly by one dual multiplier.
 
-The utility program (``_transport_minimize``, the finite-p oracle) is exact
-and finite-dimensional: transport plans that split each atom into at most
-two fragments. On a displacement grid per atom it is a linear program under
-the one budget delta^p, whose Lagrangian dual (Gao & Kleywegt 2016) is a
-search over one multiplier (``_multiplier_plans``); refinement passes around
-the active displacements shrink the grid's error, which stays of the order
-of the squared cell width, not of rounding: the grid value is a feasible
-plan's, so it lies above the exact infimum (by up to 5.1e-13, relative
-6.3e-12, on a binomial at a = 0.25, p = 2 and delta = 0.1, where the exact
-plan moves an atom to a point between two refined cells 1.6e-6 apart). One
-outer search calls the program at strategies ever closer together, so an
-oracle memory (``_OracleMemory``) carries the last call's passes to the next
-call. ``_transport_minimize`` states the program, its exactness, its float
-range and the memory's rules.
+Both programs are the infimum of E[f(Y)] over the laws within W_p distance
+delta of sum_i w_i delta_(x_i) on the state space S: the inner infimum of
+the utility, f(y) = u(pi y) (``_utility_infimum``, the finite-p oracle), and
+the ball infimum of a payoff, f = g (``_ball_infimum``, the robust Davis
+price at a zero robust strategy). Their Lagrangian dual (Gao & Kleywegt
+2016), sup_lam sum_i w_i min_y [f(y) + lam |y - x_i|^p] - lam delta^p, is a
+search over one multiplier (``_multiplier_search``), and each atom's best
+response to a multiplier lies in a finite set of candidate points:
 
-The ball infimum of a payoff (``_ball_infimum``, the robust Davis price at
-a zero robust strategy) needs no grid: every catalog payoff is polynomial
-on pieces, so each atom's best response to a multiplier lies in a finite
-set of candidate points (``_Responses``), and the same one-multiplier dual
-is solved exactly. It returns a feasible plan's value U and a dual value
-L <= inf <= U whose gap U - L is rounding (its tests bound it by
-1e-14 (1 + |U|) on every catalog payoff); at p = inf each atom takes its
-window minimum and U = L. The
-two programs share the one-split rule (``_split``, ``_shed``) and the float
-range (``_check_range``).
+- the utility (``_Moves``): an atom moves t >= 0 against the position, to
+  the edge of S at most, and H(t) = log(lam p t^(p-1)) - log(|pi| u'(pi x -
+  |pi| t)), whose sign is that of the slope of its Lagrangian term, is
+  concave in t for the catalog utilities. So the candidates are staying,
+  the edge of S and the first root of H, found by Newton in log t from the
+  left; capped_exponential takes them on each branch, and the kink;
+- a payoff (``_Responses``): every catalog payoff is polynomial on pieces,
+  so the candidates are the atom, its window's ends, the piece ends inside
+  it and the stationary points of each piece.
+
+The search brackets the binding multiplier between a plan that spends more
+than the budget delta^p and one that spends at most it, and mixes them by
+the one-split rule (``_split``, ``_shed``). It returns the value U of that
+feasible plan and a dual value L <= inf <= U; their gap is rounding (the
+tests bound it by 1e-14 (1 + |U|)). At p = inf a payoff's ball infimum is
+each atom's window minimum and U = L. Both programs refuse an order whose
+largest move costs more budgets than float range holds (``_check_range``).
+One outer search calls the utility program at strategies ever closer
+together, so an oracle memory (``_OracleMemory``) hands the last call's
+multiplier to the next call as its first guess.
 
 ``robust_solver`` calls in here for the finite-p inner infimum and the ball
 infima of a price, and loads this module on the first such call: a p = inf
@@ -35,7 +39,6 @@ solve never runs it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -46,278 +49,10 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 
 _MULTIPLIER_STEPS = 500  # a multiplier search settles in a few dozen steps
-_GRID_POINTS = 1200  # base points per atom's displacement grid
-_REFINEMENTS = 3  # refinement passes after the base grid
-_PROBE_REACH = 1e3  # a multiplier probe's farthest step above its guess, relative
+_ROOT_STEPS = 200  # a root search settles in a few steps; past them the last step stands
 _EPS = float(np.finfo(float).eps)
-_WINDOW_STEPS = np.arange(33.0)  # a refinement window's 33 points, unscaled
 _LOG_MAX = math.log(float(np.finfo(float).max))
 _LOG_TINY = math.log(float(np.finfo(float).tiny))  # the smallest normal float
-
-
-@functools.lru_cache(maxsize=256)
-def _displacement_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
-    """Signed displacement grid on [lo, hi] containing 0 and both ends: linear
-    + geometric spacing on each side (the geometric part resolves the
-    small-displacement Monge regime). The grid depends on the extents only,
-    which every strategy of one sign in a solve (and every radius of a grid)
-    shares, so each is built once and handed out read-only."""
-    pieces = [np.array([lo, 0.0, hi])]
-    half = grid_points // 2
-    for side in (lo, hi):
-        extent = abs(side)
-        if extent > 0.0:
-            sign = math.copysign(1.0, side)
-            lin = np.linspace(0.0, extent, half)
-            geo = np.geomspace(max(extent * 1e-12, 1e-300), extent, half)
-            pieces.append(sign * lin)
-            pieces.append(sign * geo)
-    grid = np.unique(np.clip(np.concatenate(pieces), lo, hi))
-    grid.flags.writeable = False
-    return grid
-
-
-def _window(a: float, b: float) -> np.ndarray:
-    """np.linspace(a, b, 33) for a < b, bit for bit, without its argument
-    handling, nor its other arithmetic where (b - a) / 32 underflows to 0."""
-    y = _WINDOW_STEPS * ((b - a) / 32)
-    y += a
-    y[-1] = b
-    return y
-
-
-def _merged(grid: np.ndarray, windows: list[np.ndarray], lo: float, hi: float) -> np.ndarray:
-    """np.unique(np.clip(np.concatenate([grid] + windows), lo, hi)) in value
-    (either zero may stay) for a grid on [lo, hi], from one sort."""
-    merged = np.concatenate([grid] + windows)
-    new = merged[grid.size:]
-    np.maximum(new, lo, out=new)
-    np.minimum(new, hi, out=new)
-    merged.sort()
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
-
-
-def _cost_order(g: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """A sorted grid on [lo, hi] laid out by cost |s| as a stable argsort
-    lays it. A grid on one side of 0 (lo = 0 or hi = 0) is its own row, or
-    that grid reversed."""
-    if lo >= 0.0:
-        return g
-    if hi <= 0.0:
-        return g[::-1]
-    return g[np.argsort(np.abs(g), kind="stable")]
-
-
-def _first_twin(disp: np.ndarray, j_hi: np.ndarray, j_lo: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Both plans' cells, each moved to the first of its twins. Windows that
-    overlap lay one displacement twice, a few ulps apart; two such cells tie
-    at the binding multiplier, and which one a plan takes would hang on the
-    path of the multiplier search (a warm and a cold bracket part there).
-    Rows are sorted by cost, so a twin sits one cell before, or two with a
-    mirror point of equal cost between. (A loop over rows: it took a
-    quarter of the time of the same check in array operations.)"""
-    def first(row: np.ndarray, j: int) -> int:
-        while j > 0:
-            s = row[j]
-            tol = 4.0 * _EPS * abs(s)
-            if abs(s - row[j - 1]) < tol:
-                j -= 1
-            elif j > 1 and abs(s - row[j - 2]) < tol:
-                j -= 2
-            else:
-                break
-        return j
-
-    hi, lo = j_hi.copy(), j_lo.copy()
-    for i, (a, b) in enumerate(zip(j_hi.tolist(), j_lo.tolist())):
-        hi[i] = first(disp[i], a)
-        lo[i] = hi[i] if b == a else first(disp[i], b)
-    return hi, lo
-
-
-def _multiplier_plans(w: np.ndarray, cost: np.ndarray, val: np.ndarray,
-                      budget: float, lam0: float = 0.0, width: float = 1e-2
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid cells (j_hi, j_lo), one per row, of two argmin plans of
-    val + lam * cost that are both optimal at the multiplier lam where the
-    budget binds, and that lam: j_hi spends at most the budget and j_lo
-    more, unless the plain argmin of val fits the budget (then both are that
-    argmin and lam is 0).
-
-    Rows are sorted by cost, zero-displacement cell first (pad cells cost 0
-    and hold val inf), so np.argmin breaks ties toward the smallest cost.
-    Each plan J is a line A_J + lam S_J (value plus lam times spend) under
-    the concave dual Phi(lam) = sum_i w_i min_j (val_ij + lam cost_ij).
-
-    Bracket: a guess lam0 > 0 (the previous pass's multiplier) is probed
-    at lam0 (1 - width), then on the other side of the budget's multiplier
-    at lam0 (1 + width) or, if the first probe spends within the budget, at
-    lam0 (1 - 8 width); each probe that lands on the same side again widens
-    the step x8. Past lam = 0 below or _PROBE_REACH lam0 above, that end
-    falls to the plain argmin (lam = 0) or the zero-displacement plan
-    (lam = inf), the bracket of a cold start.
-    Steps: each evaluates Phi where the lines of j_hi and j_lo cross and
-    replaces the plan on the same side of the budget, until Phi there is no
-    lower than the lines, to the rounding of the sum. Every plan optimal
-    between the brackets agrees with them on the rows where they agree, and
-    on the other rows lies between their cells (rows are sorted by cost), so
-    the steps take the argmin over that window only and carry each plan's
-    value, |value| and spend on it as scalars."""
-    n = cost.shape[0]
-    rows = np.arange(n)
-    if cost[:, 0].any() or np.isinf(val[:, 0]).any():
-        raise NumericalFailure("displacement grid lost the zero-displacement point")
-    j_hi = j_lo = None
-    if lam0 > 0.0:
-        step = max(width, _EPS)
-        j = _dual_argmin(val, cost, lam0 * (1.0 - step))
-        if w.dot(cost[rows, j]) <= budget:
-            j_hi = j  # the binding multiplier lies below: widen down
-            while j_lo is None and (step := 8.0 * step) < 1.0:
-                j = _dual_argmin(val, cost, lam0 * (1.0 - step))
-                if w.dot(cost[rows, j]) <= budget:
-                    j_hi = j
-                else:
-                    j_lo = j
-        else:
-            j_lo = j  # the binding multiplier lies above: widen up
-            while j_hi is None and step < _PROBE_REACH:
-                j = _dual_argmin(val, cost, lam0 * (1.0 + step))
-                if w.dot(cost[rows, j]) <= budget:
-                    j_hi = j
-                else:
-                    j_lo = j
-                    step *= 8.0
-    if j_lo is None:
-        j_lo = np.argmin(val, axis=1)
-        if w.dot(cost[rows, j_lo]) <= budget:
-            return j_lo, j_lo, 0.0
-    if j_hi is None:
-        j_hi = np.argmin(np.where(cost == 0.0, val, np.inf), axis=1)
-
-    # rows where the brackets differ, and the columns between their cells
-    live = np.flatnonzero(j_hi != j_lo)
-    first = int(min(j_hi[live].min(), j_lo[live].min()))
-    c = cost[live, first:int(max(j_hi[live].max(), j_lo[live].max())) + 1]
-    v = val[live, first:first + c.shape[1]]
-    wl = w[live]
-    fixed = np.flatnonzero(j_hi == j_lo)
-    fixed_cost = w[fixed] @ cost[fixed, j_hi[fixed]]
-    fixed_abs = w[fixed] @ np.abs(val[fixed, j_hi[fixed]])
-    sub = np.arange(live.size)
-
-    def line(j: np.ndarray) -> tuple[float, float, float]:
-        # (value, |value|, spend) of the plan j on the live rows
-        vj = v[sub, j]
-        return wl.dot(vj), wl.dot(np.abs(vj)), wl.dot(c[sub, j])
-
-    k_hi, k_lo = j_hi[live] - first, j_lo[live] - first
-    hi, lo = line(k_hi), line(k_lo)
-    for _ in range(_MULTIPLIER_STEPS):
-        lam = (hi[0] - lo[0]) / (lo[2] - hi[2])
-        k = _dual_argmin(v, c, lam)
-        at = line(k)
-        if _at_breakpoint(lam, at, hi, lo, n, (fixed_abs, fixed_cost)):
-            j_hi[live] = k_hi + first
-            j_lo[live] = k_lo + first
-            return j_hi, j_lo, lam
-        if fixed_cost + at[2] > budget:
-            k_lo, lo = k, at
-        else:
-            k_hi, hi = k, at
-    raise NumericalFailure("multiplier search did not settle on a breakpoint")
-
-
-def _dual_argmin(val: np.ndarray, cost: np.ndarray, lam: float) -> np.ndarray:
-    """Each row's cell that minimizes val + lam * cost (the first of ties)."""
-    dual = cost * lam
-    dual += val
-    return dual.argmin(axis=1)
-
-
-def _at_breakpoint(lam: float, at: tuple[float, float, float], hi: tuple[float, float, float],
-                   lo: tuple[float, float, float], n: int,
-                   fixed: tuple[float, float] = (0.0, 0.0)) -> bool:
-    """The multiplier search's stopping test: whether the argmin plan ``at``
-    of val + lam * cost, where the lines of the plans ``hi`` and ``lo``
-    cross, lies no lower than those lines, to the rounding of a sum over n
-    rows; then both plans are optimal at lam. A plan is its (value, |value|,
-    spend), summed over some of the rows; ``fixed`` is the (|value|, spend)
-    of the other rows, where the three plans agree."""
-    a_hi, _, s_hi = hi
-    a_lo, b_lo, s_lo = lo
-    slack = n * _EPS * (fixed[0] + b_lo + lam * (fixed[1] + s_lo))
-    return at[0] + lam * at[2] >= min(a_lo + lam * s_lo, a_hi + lam * s_hi) - slack
-
-
-def _checked_multiplier(w: np.ndarray, cost: np.ndarray, val: np.ndarray, budget: float,
-                        j_hi: np.ndarray, j_lo: np.ndarray) -> float | None:
-    """The multiplier at which the plans j_hi and j_lo (the last oracle
-    call's at this pass) still solve the program with these values, or None:
-    j_hi spends at most the budget and j_lo more, their lines cross at some
-    lam > 0, and one argmin plan of val + lam * cost over every row passes
-    the multiplier search's stopping test there (``_at_breakpoint``)."""
-    rows = np.arange(w.size)
-
-    def line(j: np.ndarray) -> tuple[float, float, float]:
-        vj = val[rows, j]
-        return w.dot(vj), w.dot(np.abs(vj)), w.dot(cost[rows, j])
-
-    hi, lo = line(j_hi), line(j_lo)
-    if not hi[2] <= budget < lo[2]:
-        return None
-    lam = (hi[0] - lo[0]) / (lo[2] - hi[2])
-    if not lam > 0.0:
-        return None
-    at = line(_dual_argmin(val, cost, lam))
-    return lam if _at_breakpoint(lam, at, hi, lo, w.size) else None
-
-
-@dataclass
-class _Pass:
-    """One refinement pass of a transport program: its grids (one sorted
-    array per atom), the (atoms x width) displacements, each row an atom's
-    grid sorted by cost and padded, the costs, the binding multiplier, and
-    its plan. The plan is the cells (j_hi, j_lo) of the two bracket plans,
-    its fragments (atom, cell, share) in the order its value sums them, the
-    share ``shed`` of fragment k back to zero displacement as (k, share) (or
-    None), and each atom's active displacements (the cells its plan uses).
-    Only the value depends on the objective; the rest follows from the
-    costs and cells."""
-
-    grids: list[np.ndarray]
-    disp: np.ndarray
-    cost: np.ndarray
-    lam: float
-    cells: tuple[np.ndarray, np.ndarray]
-    fragments: list[tuple[int, int, float]]
-    shed: tuple[int, float] | None
-    active: list[set[float]]
-
-    def value(self, w: np.ndarray, val: np.ndarray) -> float:
-        """The plan's value on the objective values ``val``."""
-        value = 0.0
-        for i, j, m in self.fragments:
-            value += w[i] * m * val[i, j]
-        if self.shed is not None:
-            k, share = self.shed
-            i, j, _ = self.fragments[k]
-            value += w[i] * share * (val[i, 0] - val[i, j])
-        return value
-
-    def kept(self) -> list[tuple[int, int, float]]:
-        """The plan's fragments of positive share, after the shed."""
-        fragments = list(self.fragments)
-        if self.shed is not None:
-            k, share = self.shed
-            i, j, m = fragments[k]
-            fragments[k] = (i, j, m - share)
-            fragments.append((i, 0, share))
-        return [(i, j, m) for i, j, m in fragments if m > 0.0]
 
 
 def _split(w: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray, differ: np.ndarray,
@@ -363,21 +98,6 @@ def _shed(fragments: list[tuple[int, int, float]], unit: Callable[[int, int], fl
     return k, min(fragments[k][2], (used - budget) / units[k])
 
 
-def _planned(w: np.ndarray, grids: list[np.ndarray], disp: np.ndarray, cost: np.ndarray,
-             p: float, budget: float, lam: float, j_hi: np.ndarray, j_lo: np.ndarray) -> _Pass:
-    """The pass whose bracket plans at the binding multiplier lam are j_hi
-    and j_lo, mixed by the one-split rule (``_split``)."""
-    rows = np.arange(w.size)
-    cells = (j_hi, j_lo)
-    split, used = _split(w, cost[rows, j_hi], cost[rows, j_lo], j_lo != j_hi, budget)
-    fragments = [(i, cells[r][i], m) for i, r, m in split]
-    shed = _shed(split, lambda i, r: w[i] * abs(float(disp[i, cells[r][i]])) ** p, used, budget)
-    active: list[set[float]] = [set() for _ in range(w.size)]
-    for i, j, _ in fragments:
-        active[i].add(disp[i, j])
-    return _Pass(grids, disp, cost, lam, cells, fragments, shed, active)
-
-
 def _check_range(reach: float, p: float, delta: float) -> None:
     """Refuse (ConfigError) the finite order p at the radius delta > 0 where
     a multiplier search would leave float range. The search weighs every
@@ -401,160 +121,235 @@ def _check_range(reach: float, p: float, delta: float) -> None:
             f"e^{log_reach:.1f}; use p = inf, which solves such a ball exactly")
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """Every atom's best response to the multiplier lam: its point y, f(y),
+    the cost |y - x|^p and the cost's rate d cost / d lam (0 unless y is a
+    stationary point), with the weighted sums V of f and S of the cost."""
+
+    lam: float
+    y: np.ndarray
+    g: np.ndarray
+    cost: np.ndarray
+    rate: np.ndarray
+    V: float
+    S: float
+
+
+def _best(lam: float, w: np.ndarray, y: np.ndarray, g: np.ndarray, cost: np.ndarray,
+          rate: np.ndarray) -> _Plan:
+    """The plan that takes each atom's (row's) candidate of least
+    g + lam * cost, ties going to the cheaper point; a missing candidate has
+    g = inf."""
+    h = g
+    if lam > 0.0:
+        with np.errstate(over="ignore"):  # a cost past float range in units of 1/lam
+            h = g + lam * cost
+    j = np.where(h == h.min(axis=1)[:, None], cost, np.inf).argmin(axis=1)
+    i = np.arange(y.shape[0])
+    plan_g, plan_cost = g[i, j], cost[i, j]
+    return _Plan(lam, y[i, j], plan_g, plan_cost, rate[i, j], float(w @ plan_g),
+                 float(w @ plan_cost))
+
+
 @dataclass
 class _OracleMemory:
-    """The passes of the last oracle call of one outer search, on the
-    displacement bounds ``bounds``. ``robust_solve_p`` keeps one per solve
-    and hands it to every oracle call it makes."""
+    """The binding multiplier of the last oracle call of one outer search,
+    the next call's first guess. ``robust_solve_p`` keeps one per solve and
+    hands it to every oracle call it makes."""
 
-    bounds: tuple[np.ndarray, np.ndarray] | None = None
-    passes: list[_Pass] = dataclasses.field(default_factory=list)
+    lam: float | None = None
 
 
-def _transport_minimize(x: np.ndarray, w: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray,
-                        p: float, delta: float, f: Callable[[np.ndarray], np.ndarray],
-                        memory: _OracleMemory | None = None
-                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """min over two-fragment transport plans of sum_i w_i E[f(x_i + s_i)]
-    subject to sum_i w_i E|s_i|^p <= budget = delta^p and s_i in [s_lo_i, s_hi_i],
-    for a radius delta > 0.
+# ---------------------------------------------------------------------------
+# the inner infimum of a utility: stay, the edge of S, or the first root of H
+# ---------------------------------------------------------------------------
 
-    f evaluates the objective at an array of positions; each pass calls it
-    once per atom, on that atom's grid positions (one call on every atom's
-    positions measured 5-8% slower per oracle call at 6 and 12 atoms); a NaN
-    value raises NumericalFailure. Returns (value, points, masses, atoms):
-    the best plan's fragments, at positions x_i + s, each with mass w_i
-    times the share of atom i it carries, and the index i of that atom.
+class _Moves:
+    """The best responses of the atoms x of an inner infimum of E[u(pi Y)]
+    to a multiplier lam: each atom moves t in [0, T] against the position,
+    to y = x - sign(pi) t with T its distance to the edge of S it moves
+    toward, where its Lagrangian term f(t) = u(pi x - |pi| t) + lam t^p is
+    least. f' has the sign of H(t) = log(lam p t^(p-1)) - log(|pi| u'(pi x -
+    |pi| t)), which is concave for the catalog utilities (log u' is convex
+    in wealth) and -inf at t = 0: f falls to the first root t1 of H, rises
+    to the second and falls again, so its minimum on [0, T] is at t1 or T.
 
-    Exactness: on the displacement grids the problem is the linear program
-    min sum_ij w_i m_ij f(x_i + s_ij) s.t. sum_ij w_i m_ij |s_ij|^p <= budget,
-    sum_j m_ij = 1, m >= 0, whose Lagrangian dual is a search over one
-    multiplier (``_multiplier_plans``). Every atom on which the two plans
-    optimal at the binding multiplier differ is indifferent between its two
-    cells, so starting from the cheaper plan and moving atoms to their cell
-    in the dearer one until the budget is spent is optimal (``_split``);
-    generically one atom is split. The only gap to the true continuum optimum is grid
-    resolution, which the refinement passes shrink around the active
-    displacements: each pass lays 33 points across s +- the wider grid cell
-    next to every active displacement s (``_window``, np.linspace's points)
-    and merges them, clipped to the atom's bounds, into its grid with one
-    sort (``_merged``). A pass lays each grid out as a row in cost order
-    (``_cost_order``): an inner infimum's grids lie on one side of 0, so a
-    row is its grid or that grid reversed.
+    H'(t) = (p - 1) / t - |pi| R(pi x - |pi| t), R = -u''/u', vanishes at a
+    peak with no lam in it: (p - 1)(w0 + pi x) / (|pi| (p - 1 + c)) where
+    R = c / (w + w0) (log_shifted, c = 1; power, c = eta), and
+    (p - 1) / (gamma |pi|) where R = gamma (exponential). So t1 exists
+    where H > 0 at the peak (or at T, if nearer), and Newton in s = log t
+    climbs to it from the left: from the move t0 that solves H = 0 with u'
+    frozen at the atom (no root lies below it), or from the atom's t1 at
+    the multiplier tried before, whose first step lands left of the new
+    root (G(s) = H(e^s) is concave, so its tangents lie above it). capped_exponential is linear below its
+    kink: it takes t1 on its exponential branch, the kink, and the root of
+    H on its linear branch, t = (|pi| u' / (lam p))^(1/(p-1)), where u' is
+    constant. The atom itself stays a candidate, the only one at lam = inf.
+    Values come from u at the points y (the edge of S is taken at the edge
+    itself); a NaN raises NumericalFailure."""
 
-    Range: the multiplier search weighs every cell's cost against the
-    budget, so the largest displacement's cost in budgets must stay inside
-    float range (``_check_range``).
+    def __init__(self, x: np.ndarray, w: np.ndarray, edge: float, pi: float, p: float,
+                 utility) -> None:
+        self.x, self.w, self.p, self.u = x, w, p, utility
+        self.pi, self.scale, self.sign = pi, abs(pi), math.copysign(1.0, pi)
+        self.wealth = wealth = pi * x
+        params, scale = utility.params, self.scale
+        reach = np.abs(edge - x)  # T
+        self.capped = utility.kind == "capped_exponential"
+        if "gamma" in params:  # log u'(w) = log(gamma) - gamma max(w, kink)
+            gamma, kink = params["gamma"], params.get("kink", -math.inf)
+            self.log_u1 = lambda w: math.log(gamma) - gamma * np.maximum(w, kink)
+            self.aversion = lambda w: gamma
+            peak = np.full(x.size, (p - 1.0) / (gamma * scale))
+        else:  # log u'(w) = -c log(w + w0)
+            c, w0 = params.get("eta", 1.0), params["w0"]
+            self.log_u1 = lambda w: -c * np.log(w + w0)
+            self.aversion = lambda w: c / (w + w0)
+            peak = (p - 1.0) * (w0 + wealth) / (scale * (p - 1.0 + c))
+        self.log_marginal = math.log(scale) + self.log_u1(wealth)  # log(|pi| u'(pi x))
+        # the concave stretch of H: [0, T], or [0, the kink] on a capped
+        # exponential's branch above it
+        to_kink = (wealth - params["kink"]) / scale if self.capped else reach
+        top = np.minimum(np.minimum(peak, reach), np.maximum(to_kink, 0.0))
+        with np.errstate(divide="ignore"):
+            self.log_top = np.log(top)
+        # t1 exists where H(top) > 0: where log lam exceeds this
+        self.log_lam_root = (math.log(scale) + self.log_u1(wealth - scale * top)
+                             - (p - 1.0) * self.log_top - math.log(p))
+        self.roots = np.full(x.size, np.nan)  # the last t1 of each atom, as log t
+        n = x.size
+        points = [x, np.full(n, float(edge))]
+        if self.capped:
+            # the kink, where it lies strictly between the atom and the edge;
+            # then the linear branch's stretch [max(kink, 0), T] and log |pi| u'
+            points.append(np.where((0.0 < to_kink) & (to_kink < reach), params["kink"] / pi,
+                                   np.nan))
+            self.linear = (np.maximum(to_kink, 0.0), reach,
+                           math.log(scale) + float(self.log_u1(params["kink"])))
+        fixed = np.column_stack(points)
+        shape = (n, fixed.shape[1] + (2 if self.capped else 1))  # and a column per root
+        self.table = (np.full(shape, np.nan), np.full(shape, np.inf), np.zeros(shape),
+                      np.zeros(shape))
+        k = fixed.shape[1]
+        self.table[0][:, :k] = fixed
+        self.table[1][:, :k] = self._values(fixed)
+        self.table[2][:, :k] = np.where(np.isnan(fixed), 0.0, np.abs(fixed - x[:, None]) ** p)
+        self.stay = self.table[1][:, 0]
 
-    Memory: ``memory`` (an outer search's, with f = u(pi y) over strategies
-    pi on one x, w, p and delta; direct callers pass none)
-    holds the last call's passes and takes this call's on return. The base
-    grids follow from the bounds alone (``_displacement_grid``; a warm call
-    builds none), and each refined grid from the grids and active
-    displacements before it. So while a pass's active displacements equal
-    the last call's at that pass, the next pass takes the last call's grids,
-    displacement and cost arrays as they are and evaluates only f: they are
-    the arrays this call would build. Such a pass first checks the last
-    call's bracket plans (j_hi, j_lo) at this pass on the new values
-    (``_checked_multiplier``): j_hi spends at most the budget and j_lo more,
-    their value lines cross at some lam > 0, and there one argmin over every
-    row passes the multiplier search's stopping test with its slack
-    (``_at_breakpoint``). Then both plans are optimal at the binding
-    multiplier lam, and the moved shares depend only on costs and cells, so
-    the pass keeps the last call's fragments, shed and active displacements
-    (the rest of its ``_Pass``) and re-sums only the value, in the same
-    order. Otherwise the multiplier search runs, seeded with this call's
-    previous pass's multiplier, probed half its drift over the pass before
-    (1e-2 on pass 1); pass 0 starts cold. A check or a seed only finds the
-    same binding multiplier sooner, so no reuse changes the program that is
-    solved; plans tied to rounding at the binding multiplier (the search and
-    the check stop within the rounding of the dual) can resolve another way,
-    as between a warm and a cold bracket. Twin cells, one displacement laid
-    twice an ulp or so apart where refinement windows overlap, are such a
-    tie, so a searched plan takes the first of them (``_first_twin``).
-    """
-    _check_range(max(float(np.max(-s_lo)), float(np.max(s_hi))), p, delta)
-    n = x.shape[0]
+    def _values(self, y: np.ndarray) -> np.ndarray:
+        """u(pi y) at the candidates y, +inf where y is NaN (no candidate)."""
+        live = ~np.isnan(y)
+        g = np.full(y.shape, np.inf)
+        g[live] = self.u.u(self.pi * y[live])
+        if np.isnan(g).any():
+            raise NumericalFailure("objective is NaN at a candidate point of the inner infimum")
+        return g
+
+    def first_order(self, budget: float) -> float | None:
+        """The binding multiplier with u' frozen at the atoms, a cold call's
+        first guess: each atom then moves t0 = (|pi| u'(pi x) / (lam p))^(1/(p-1)),
+        and the spend sum_i w_i t0^p = K lam^(-p/(p-1)) meets the budget at
+        (K / budget)^((p-1)/p), K = sum_i w_i (|pi| u'(pi x_i) / p)^(p/(p-1)).
+        None where that leaves float range."""
+        p = self.p
+        with np.errstate(divide="ignore"):  # an atom of weight 0
+            terms = np.log(self.w) + p / (p - 1.0) * (self.log_marginal - math.log(p))
+        top = float(np.max(terms))
+        log_k = top + math.log(float(np.sum(np.exp(terms - top))))
+        log_lam = (p - 1.0) / p * (log_k - math.log(budget))
+        return math.exp(log_lam) if abs(log_lam) < _LOG_MAX else None
+
+    def _first_roots(self, log_lam_p: float, rows: np.ndarray) -> np.ndarray:
+        """t1 of the atoms ``rows``, each with a root below its ``log_top``:
+        Newton on G(s) = H(e^s) from the last t1, else from the frozen-u'
+        move t0. It stops once a step is within the rounding of G."""
+        p, scale = self.p, self.scale
+        wealth, top = self.wealth[rows], self.log_top[rows]
+        base = log_lam_p - math.log(scale)
+        s = self.roots[rows]
+        s = np.where(np.isnan(s), np.minimum((self.log_marginal[rows] - log_lam_p) / (p - 1.0),
+                                             top), s)
+        live = np.ones(rows.size, dtype=bool)
+        for _ in range(_ROOT_STEPS):
+            t = np.exp(s)
+            at = wealth - scale * t
+            log_u1 = self.log_u1(at)
+            G = base + (p - 1.0) * s - log_u1
+            dG = (p - 1.0) - scale * t * self.aversion(at)
+            step = G / -dG
+            size = abs(base) + (p - 1.0) * np.abs(s) + np.abs(log_u1)
+            live &= np.abs(step) > 4.0 * _EPS * (size / dG + np.abs(s))
+            if not live.any():
+                break
+            s = np.where(live, np.minimum(s + step, top), s)
+        self.roots[rows] = s
+        return np.exp(s)
+
+    def _fill(self, table: tuple, col: int, rows: np.ndarray, t: np.ndarray, lam: float) -> None:
+        """Put the stationary moves t of the atoms ``rows`` into column col,
+        with their cost's rate d cost / d lam = -(p t^(p-1))^2 / f''(t)."""
+        p = self.p
+        y = self.x[rows] - self.sign * t
+        y = np.where(self.sign > 0.0, np.maximum(y, table[0][rows, 1]),
+                     np.minimum(y, table[0][rows, 1]))  # no further than the edge
+        t = np.abs(y - self.x[rows])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = p * t ** (p - 1.0)
+            curve = self.pi ** 2 * self.u.u_double_prime(self.pi * y) + lam * (p - 1.0) * slope / t
+            table[0][rows, col], table[2][rows, col] = y, t ** p
+            table[3][rows, col] = -slope * (slope / curve)
+        table[1][rows, col] = self._values(y)
+
+    def at(self, lam: float) -> _Plan:
+        """The plan of best responses to the multiplier lam >= 0."""
+        table = tuple(a.copy() for a in self.table)
+        if lam > 0.0:
+            log_lam_p = math.log(lam) + math.log(self.p)
+            root = 3 if self.capped else 2
+            rows = np.flatnonzero(self.log_lam_root < math.log(lam))
+            if rows.size:
+                self._fill(table, root, rows, self._first_roots(log_lam_p, rows), lam)
+            if self.capped:
+                start, reach, log_marginal = self.linear
+                t = math.exp(min((log_marginal - log_lam_p) / (self.p - 1.0), _LOG_MAX))
+                rows = np.flatnonzero((start < t) & (t < reach))
+                if rows.size:
+                    self._fill(table, root + 1, rows, np.full(rows.size, t), lam)
+        return _best(lam, self.w, *table)
+
+
+def _utility_infimum(x: np.ndarray, w: np.ndarray, edge: float, pi: float, p: float,
+                     delta: float, utility, memory: _OracleMemory | None = None
+                     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """inf of E[u(pi Y)] over the laws within W_p distance delta > 0 of
+    sum_i w_i delta_(x_i), each atom moving against the position (down for
+    pi > 0, up for pi < 0) to the edge of S at most: the dual search
+    (``_multiplier_search``) over the best responses of ``_Moves``. Returns
+    (value, points, masses, atoms): the value U of the returned plan, whose
+    fragments sit at ``points`` with mass w_i times the share of atom
+    ``atoms`` they carry and cost at most delta^p.
+
+    The search starts from ``memory``'s multiplier (the last call's, in one
+    outer search over pi on one x, w, p and delta; direct callers pass
+    none), else from the first-order one (``_Moves.first_order``). A start
+    only finds the same binding multiplier sooner: the plan it returns is
+    optimal to the rounding of the dual, and which of two plans tied at
+    that rounding it returns can hang on the start."""
+    _check_range(float(np.max(np.abs(edge - x))), p, delta)
     budget = delta ** p
-    last: list[_Pass] = []  # the last call's passes, on this call's base grids
-    if (memory is not None and memory.bounds is not None
-            and np.array_equal(memory.bounds[0], s_lo) and np.array_equal(memory.bounds[1], s_hi)):
-        last = memory.passes
-    else:
-        grids = [_displacement_grid(float(s_lo[i]), float(s_hi[i]), _GRID_POINTS)
-                 for i in range(n)]
-    passes: list[_Pass] = []
-    same = bool(last)  # this pass's grids are the last call's
-    best: tuple[float, _Pass] | None = None
-    lam = lam_before = 0.0
-    for pass_ in range(_REFINEMENTS + 1):
-        if same:
-            grids, disp, cost = last[pass_].grids, last[pass_].disp, last[pass_].cost
-        else:
-            # padded (atoms x grid) arrays, each row sorted by cost; pad
-            # cells cost nothing and are never chosen
-            disp = np.zeros((n, max(g.size for g in grids)))
-            for i, g in enumerate(grids):
-                disp[i, :g.size] = _cost_order(g, s_lo[i], s_hi[i])
-            cost = np.abs(disp) ** p
-        val = np.full(disp.shape, np.inf)
-        for i, g in enumerate(grids):
-            val[i, :g.size] = f(x[i] + disp[i, :g.size])
-        if np.isnan(val).any():
-            raise NumericalFailure("objective is NaN on a displacement grid")
-        checked = _checked_multiplier(w, cost, val, budget, *last[pass_].cells) if same else None
-        if checked is not None:  # the last call's plans still solve this pass
-            step = dataclasses.replace(last[pass_], lam=checked)
-        else:
-            width = 0.5 * abs(lam - lam_before) / lam if pass_ >= 2 and lam > 0.0 else 1e-2
-            j_hi, j_lo, lam_found = _multiplier_plans(w, cost, val, budget, lam, width)
-            step = _planned(w, grids, disp, cost, p, budget, lam_found,
-                            *_first_twin(disp, j_hi, j_lo))
-        lam_before, lam = lam, step.lam
-        value = step.value(w, val)
-        if best is None or value < best[0]:
-            best = (value, step)
-        passes.append(step)
-        active = step.active
-        if pass_ == _REFINEMENTS:
-            break  # no pass left to use a refined grid
-        if same and pass_ + 1 < len(last) and active == last[pass_].active:
-            continue  # the last call refined these grids to its next ones
-        same = False
-        grids = list(grids)  # the pass keeps its own; refine a copy
-        # refine around the active displacements of each displaced atom
-        changed = False
-        for i in range(n):
-            if active[i] == {0.0}:
-                continue  # atom never moved; nothing to refine
-            grid = grids[i]
-            extra = []
-            for s_star in active[i]:
-                j = int(grid.searchsorted(s_star))  # grid[j] == s_star
-                gap = max(grid[min(j + 1, grid.size - 1)] - s_star,
-                          s_star - grid[max(j - 1, 0)])
-                if gap > 0.0:
-                    extra.append(_window(s_star - gap, s_star + gap))
-            if extra:
-                changed = True
-                grids[i] = _merged(grid, extra, s_lo[i], s_hi[i])
-        if not changed:
-            break
-    assert best is not None
+    moves = _Moves(x, w, edge, pi, p, utility)
+    seed = memory.lam if memory is not None and memory.lam else moves.first_order(budget)
+    value, _, points, masses, atoms, lam = _multiplier_search(moves, budget, seed)
     if memory is not None:
-        memory.bounds, memory.passes = (s_lo, s_hi), passes
-    value, step = best
-    kept = step.kept()
-    return (value, np.array([x[i] + step.disp[i, j] for i, j, _ in kept]),
-            np.array([w[i] * m for i, _, m in kept]), np.array([i for i, _, _ in kept]))
+        memory.lam = lam or None
+    return value, points, masses, atoms
 
 
 # ---------------------------------------------------------------------------
-# the exact ball infimum of a payoff: candidate points and one multiplier
+# the ball infimum of a payoff: candidate points on polynomial pieces
 # ---------------------------------------------------------------------------
-
-_ROOT_STEPS = 200  # safeguarded Newton settles in a few steps; past them the last step stands
-
 
 def _newton(F: Callable, dF: Callable, l: np.ndarray, r: np.ndarray, fl: np.ndarray
             ) -> np.ndarray:
@@ -644,21 +439,6 @@ class _Stationary:
         return cuts
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Every atom's best response to the multiplier lam: its point y, g(y),
-    the cost |y - x|^p and the cost's rate d cost / d lam (0 unless y is a
-    stationary point), with the weighted sums V of g and S of the cost."""
-
-    lam: float
-    y: np.ndarray
-    g: np.ndarray
-    cost: np.ndarray
-    rate: np.ndarray
-    V: float
-    S: float
-
-
 @functools.lru_cache(maxsize=64)
 def _piece_table(pieces: tuple) -> tuple[np.ndarray, ...]:
     """(ends, lo, hi, at, coef, deg) of a payoff's pieces: its finite piece
@@ -689,7 +469,7 @@ class _Responses:
     an error), and the stationary points of h on each piece, on each side
     of x. At p = 2 (or lam = 0) a piece of degree <= 2 has one, a linear
     solve; otherwise ``_Stationary`` finds them. Values always come from
-    the payoff's own ``value``; a NaN there raises NumericalFailure."""
+    the payoff's own ``value`` (``_values``)."""
 
     def __init__(self, x: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  p: float, payoff) -> None:
@@ -697,10 +477,12 @@ class _Responses:
             raise ConfigError(f"the {payoff.kind} payoff declares no polynomial pieces, "
                               f"which its ball infimum needs")
         self.x, self.w, self.p, self.payoff = x, w, p, payoff
+        self.edges = (float(np.min(lo)), float(np.max(hi)))
         ends, a, b, at, coef, deg = _piece_table(payoff.pieces)
         inner = np.where((ends > lo[:, None]) & (ends < hi[:, None]), ends, np.nan)
         self.fixed = np.concatenate([x[:, None], lo[:, None], hi[:, None], inner], axis=1)
         self.fixed_g = self._values(self.fixed)
+        self.stay = self.fixed_g[:, 0]
         self.fixed_cost = np.where(np.isnan(self.fixed), 0.0, np.abs(self.fixed - x[:, None]) ** p)
         # (atom, piece) pairs where a piece of degree >= 1 meets a window
         lo_k, hi_k = np.maximum(a, lo[:, None]), np.minimum(b, hi[:, None])
@@ -710,12 +492,22 @@ class _Responses:
         self._layouts: dict[bool, tuple] = {}
 
     def _values(self, y: np.ndarray) -> np.ndarray:
-        """g at the candidates y, +inf where y is NaN (no candidate)."""
+        """g at the candidates y, +inf where y is NaN (no candidate). A NaN
+        raises NumericalFailure; a value past float range (a power payoff at
+        a far edge of S), taken with the overflow quiet, raises ConfigError:
+        the search would weigh infinities."""
         live = ~np.isnan(y)
         g = np.full(y.shape, np.inf)
-        g[live] = self.payoff(y[live])
+        with np.errstate(over="ignore"):
+            g[live] = self.payoff(y[live])
         if np.isnan(g).any():
             raise NumericalFailure("payoff is NaN at a candidate point of its ball infimum")
+        past = np.isinf(g) & live
+        if past.any():
+            raise ConfigError(
+                f"the {self.payoff.kind} payoff is {g[past][0]} at {float(y[past][0])!r}, "
+                f"in the ball on the state space [{self.edges[0]!r}, {self.edges[1]!r}]: its "
+                f"ball infimum needs the payoff inside float range there; narrow the state space")
         return g
 
     def _layout(self, linear: bool) -> tuple:
@@ -793,78 +585,60 @@ class _Responses:
             r, c, ys = rows[live], cols[live], ys[live]
             y[r, c], g[r, c], rate[r, c] = ys, self._values(ys), rs[live]
             cost[r, c] = np.abs(ys - self.x[r]) ** self.p
-        h = g
-        if lam > 0.0:
-            with np.errstate(over="ignore"):  # a cost past float range in units of 1/lam
-                h = g + lam * cost
-        j = np.where(h == h.min(axis=1)[:, None], cost, np.inf).argmin(axis=1)
-        i = np.arange(self.x.size)
-        plan_g, plan_cost = g[i, j], cost[i, j]
-        return _Plan(lam, y[i, j], plan_g, plan_cost, rate[i, j],
-                     float(self.w @ plan_g), float(self.w @ plan_cost))
+        return _best(lam, self.w, y, g, cost, rate)
 
 
-def _ball_infimum(x: np.ndarray, w: np.ndarray, edges: tuple[float, float], p: float,
-                  delta: float, payoff) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """inf of E[g] over the laws within W_p distance delta of
-    sum_i w_i delta_(x_i) on the state space [edges[0], edges[1]], for a
-    payoff g of polynomial pieces (``Payoff.pieces``). Returns (U, L,
-    points, masses, atoms): U is the value of the returned plan, whose
-    fragments sit at ``points`` with mass w_i times the share of atom
-    ``atoms`` they carry and cost at most delta^p; L is a dual value, a
-    lower bound, so the infimum lies in [L, U].
+# ---------------------------------------------------------------------------
+# one multiplier: the search both programs share
+# ---------------------------------------------------------------------------
 
-    p = inf: each atom moves alone within its window [x - delta, x + delta]
-    in S, to its window minimum over the candidate points (``_Responses``
-    at lam = 0); U = L. Finite p: the Lagrangian dual (Gao & Kleywegt 2016)
-    sup_lam sum_i w_i min_y [g(y) + lam |y - x_i|^p] - lam delta^p is a
-    search over one multiplier, with every atom's best response taken from
-    its candidates. Unless the plain minimum fits the budget, it brackets
-    the binding multiplier between a plan that spends more than the budget
+def _multiplier_search(responses, budget: float, seed: float | None = None
+                       ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The Lagrangian dual sup_lam sum_i w_i min_y [f(y) + lam |y - x_i|^p]
+    - lam budget of the program whose atoms x, weights w, order p, values f
+    at the atoms (``stay``) and best responses to a multiplier (``at``)
+    ``responses`` holds (``_Moves``, ``_Responses``). Returns (U, L, points,
+    masses, atoms, lam): U is the value of the returned plan, whose fragments
+    sit at ``points`` with mass w_i times the share of atom ``atoms`` they
+    carry and cost at most the budget; L is a dual value, a lower bound, so
+    the infimum lies in [L, U]; lam is the multiplier of the best dual
+    value (0 where the plain minimum fits the budget).
+
+    Unless the plain minimum (lam = 0) fits the budget, it brackets the
+    binding multiplier between a plan that spends more than the budget
     (from lam = 0) and one that spends at most it (from lam = inf, where
-    every atom stays). Each step is Newton on log(spend) in log(lam) for
-    the atoms at stationary points, the others' spend held fixed, exact
-    where those sit on linear pieces (there their spend is proportional to
-    lam^(-p/(p-1))); or else, where the bracket plans differ by a jump of a
-    best response, the multiplier where their value lines cross (a Newton
-    step on their indifference, whose derivative is their cost difference
-    by the envelope theorem); or else, and wherever the two steps before
-    did not halve the bracket in log(lam), its middle in log(lam). The two
-    bracket plans are mixed by the one-split rule
-    (``_split``): that plan's value is U. L is the largest dual value at
-    the multipliers tried. The search stops once U - L is within the
-    rounding of the sums, or the bracket is a few ulps wide."""
-    n = x.size
-    if delta == 0.0:
-        stay = payoff(x.copy())
-        if np.isnan(stay).any():
-            raise NumericalFailure("payoff is NaN at an atom")
-        return _moved_whole(w, x + 0.0, stay)
-    lo_edge, hi_edge = edges
-    if math.isinf(p):
-        lo, hi = np.maximum(x - delta, lo_edge), np.minimum(x + delta, hi_edge)
-    else:
-        _check_range(max(float(np.max(x - lo_edge)), float(np.max(hi_edge - x))), p, delta)
-        lo, hi = np.full(n, float(lo_edge)), np.full(n, float(hi_edge))
-    responses = _Responses(x, w, lo, hi, p, payoff)
+    every atom stays). The first step tries ``seed``, where given. Each
+    step is Newton on log(spend) in log(lam) for the atoms at stationary
+    points, the others' spend held fixed, exact where those sit on linear
+    pieces (there their spend is proportional to lam^(-p/(p-1))); or else,
+    where the bracket plans differ by a jump of a best response, the
+    multiplier where their value lines cross (a Newton step on their
+    indifference, whose derivative is their cost difference by the envelope
+    theorem); or else, and wherever the two steps before did not halve the
+    bracket in log(lam), its middle in log(lam). The two bracket plans are
+    mixed by the one-split rule (``_split``): that plan's value is U. L is
+    the largest dual value at the multipliers tried. The search stops once
+    U - L is within the rounding of the sums, or the bracket is a few ulps
+    wide."""
+    x, w, n = responses.x, responses.w, responses.x.size
     low = responses.at(0.0)
-    budget = delta ** p if math.isfinite(p) else math.inf
     if not low.S > budget:  # the plain minimum fits the budget (always at p = inf)
-        return _moved_whole(w, low.y, low.g)
-    stay = responses.fixed_g[:, 0]
+        return (*_moved_whole(w, low.y, low.g), 0.0)
+    stay = responses.stay
     high = _Plan(math.inf, x, stay, np.zeros(n), np.zeros(n), float(w @ stay), 0.0)
     lower, at_lower, plan = -math.inf, 0.0, low
     cross = (high.V - low.V) / low.S  # where the value lines of the bracket plans cross
     widths = [math.inf] * 3  # the bracket's width in log lam after the last three steps
     for _ in range(_MULTIPLIER_STEPS):
-        lam = math.nan
+        lam, seed = seed or math.nan, None  # a seed is the first step
         # Newton on the log spend of the atoms at stationary points (the rest
         # spend a constant) in log lam: their spend falls as lam^(-slope)
         moving = plan.rate < 0.0
         fixed = float(w[~moving] @ plan.cost[~moving])
         spend, rate = float(w[moving] @ plan.cost[moving]), float(w[moving] @ plan.rate[moving])
-        if 0.0 < plan.lam < math.inf and spend > 0.0 and budget > fixed:
-            step = (math.log(spend) - math.log(budget - fixed)) * spend / (-plan.lam * rate)
+        fall = -plan.lam * rate  # -d spend / d log lam; 0 where tiny rates underflow
+        if math.isnan(lam) and 0.0 < plan.lam < math.inf and spend > 0.0 < fall and budget > fixed:
+            step = (math.log(spend) - math.log(budget - fixed)) * spend / fall
             if abs(step) < _LOG_MAX:
                 lam = plan.lam * math.exp(step)
         if not low.lam < lam < high.lam:
@@ -886,16 +660,45 @@ def _ball_infimum(x: np.ndarray, w: np.ndarray, edges: tuple[float, float], p: f
         # the mix of the bracket plans is worth about the dual value at
         # either end, plus the distance from that end to the crossing times
         # the spend the end's plan misses the budget by (exactly so where
-        # the plans differ on one atom)
-        tol = 4.0 * n * _EPS * (1.0 + float(w @ np.abs(high.g)) + float(w @ np.abs(low.g))
-                                + at_lower * budget)
+        # the plans differ on one atom); tol is the rounding of the sums,
+        # which grows as sqrt(n) eps over n terms
+        tol = 4.0 * math.sqrt(n) * _EPS * (1.0 + float(w @ np.abs(high.g))
+                                           + float(w @ np.abs(low.g)) + at_lower * budget)
         collapsed = high.lam - low.lam <= 4.0 * _EPS * low.lam
         if collapsed or min((high.lam - cross) * (budget - high.S),
                             (cross - low.lam) * (low.S - budget)) <= tol:
-            value, points, masses, atoms = _mixed(x, w, p, budget, high, low, stay)
+            value, points, masses, atoms = _mixed(x, w, responses.p, budget, high, low, stay)
             if collapsed or value - lower <= tol:
-                return value, lower, points, masses, atoms
-    raise NumericalFailure("ball infimum's multiplier search did not settle")
+                return value, lower, points, masses, atoms, at_lower
+    raise NumericalFailure("multiplier search did not settle")
+
+
+def _ball_infimum(x: np.ndarray, w: np.ndarray, edges: tuple[float, float], p: float,
+                  delta: float, payoff) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """inf of E[g] over the laws within W_p distance delta of
+    sum_i w_i delta_(x_i) on the state space [edges[0], edges[1]], for a
+    payoff g of polynomial pieces (``Payoff.pieces``). Returns (U, L,
+    points, masses, atoms) as ``_multiplier_search`` does, over the best
+    responses of ``_Responses``.
+
+    p = inf: each atom moves alone within its window [x - delta, x + delta]
+    in S, to its window minimum over the candidate points (``_Responses``
+    at lam = 0); U = L. A radius of 0 leaves every atom where it is."""
+    n = x.size
+    if delta == 0.0:
+        stay = payoff(x.copy())
+        if np.isnan(stay).any():
+            raise NumericalFailure("payoff is NaN at an atom")
+        return _moved_whole(w, x + 0.0, stay)
+    lo_edge, hi_edge = edges
+    if math.isinf(p):
+        lo, hi = np.maximum(x - delta, lo_edge), np.minimum(x + delta, hi_edge)
+    else:
+        _check_range(max(float(np.max(x - lo_edge)), float(np.max(hi_edge - x))), p, delta)
+        lo, hi = np.full(n, float(lo_edge)), np.full(n, float(hi_edge))
+    responses = _Responses(x, w, lo, hi, p, payoff)
+    budget = delta ** p if math.isfinite(p) else math.inf
+    return _multiplier_search(responses, budget)[:5]
 
 
 def _moved_whole(w: np.ndarray, y: np.ndarray, g: np.ndarray
@@ -912,7 +715,7 @@ def _mixed(x: np.ndarray, w: np.ndarray, p: float, budget: float, high: _Plan, l
            stay: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(value, points, masses, atoms) of the plans ``high`` (within the
     budget) and ``low`` mixed by the one-split rule, with any rounding
-    overspend shed back to the atoms (``_shed``; g there is ``stay``)."""
+    overspend shed back to the atoms (``_shed``; f there is ``stay``)."""
     plans = (high, low)
     split, used = _split(w, high.cost, low.cost, high.y != low.y, budget)
     shed = _shed(split, lambda i, r: w[i] * abs(float(plans[r].y[i] - x[i])) ** p, used, budget)

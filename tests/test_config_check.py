@@ -259,6 +259,9 @@ SUBNORMAL_EDGE = json.loads((DATA / "subnormal_radius_edge.json").read_text())
 PAST_FLOAT = json.loads((DATA / "worst_case_past_float.json").read_text())
 # an order so high (p = 1100) that the certificate's sum of |move|^p overflowed
 COUPLING_OVERFLOW = json.loads((DATA / "coupling_cost_overflow.json").read_text())
+# a power payoff on S = [-1e110, 1e110]: its ball infimum overflowed at the edge
+# of S and the multiplier search weighed the infinities (exit 4)
+POWER_FAR_EDGE = json.loads((DATA / "power_payoff_far_edge.json").read_text())
 
 
 @settings(max_examples=300)
@@ -273,6 +276,7 @@ COUPLING_OVERFLOW = json.loads((DATA / "coupling_cost_overflow.json").read_text(
 @example(cfg=SUBNORMAL_EDGE, command="robust")
 @example(cfg=PAST_FLOAT, command="robust")
 @example(cfg=COUPLING_OVERFLOW, command="robust")
+@example(cfg=POWER_FAR_EDGE, command="robust")
 def test_cli_exit_code_contract(config_path, cfg, command):
     # no output files and one radius keep runs small
     for key in ("output", "delta_grid", "sweep"):

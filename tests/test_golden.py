@@ -72,12 +72,12 @@ def test_benchmark_traced_names_resolve():
 # rise past its rounding, so a pi = 0 answer (davis-zeromean) calls the
 # oracle not at all
 ORACLE_CALLS = {
-    "grid-binomial.a=0.25": 26,
-    "grid-binomial.a=0.3": 20,
-    "grid-binomial.a=0.35": 20,
-    "solve-truncnormal.mu=0.17": 5,
-    "solve-truncnormal.mu=0.19": 6,
-    "solve-explicit6.weights=0.1-0.15-0.2-0.2-0.2-0.15": 5,
+    "grid-binomial.a=0.25": 19,
+    "grid-binomial.a=0.3": 19,
+    "grid-binomial.a=0.35": 18,
+    "solve-truncnormal.mu=0.17": 4,
+    "solve-truncnormal.mu=0.19": 5,
+    "solve-explicit6.weights=0.1-0.15-0.2-0.2-0.2-0.15": 4,
     "solve-explicit6.weights=0.1-0.15-0.15-0.2-0.25-0.15": 5,
     "davis-zeromean.strike=0": 0,
     "davis-zeromean.strike=0.1": 0,

@@ -17,8 +17,6 @@ from robustfolio import (AssumptionViolation, ConfigError, DegenerateSensitivity
 from robustfolio.baseline_solver import PI_ZERO_THRESHOLD, _feasible_interval_raw
 from robustfolio.measures import coupling_cost
 from robustfolio.sensitivity import zero_strategy
-from robustfolio.transport import (_checked_multiplier, _cost_order, _displacement_grid, _merged,
-                                   _multiplier_plans, _window)
 
 from conftest import ROOT, binomial_log_spec, load_bench, normal_exp_spec
 
@@ -28,8 +26,8 @@ EPS = float(np.finfo(float).eps)
 # binomial(0.25) on S = [-1.25, 1.25], log_shifted(1), pi = 0.5, delta = 0.1,
 # p = 2: the inner infimum recorded once, and frozen, from a brute-force
 # recipe that is no longer in the library (a uniform displacement grid of
-# step 1e-4, two fragments per atom, no refinement); the adaptive search must
-# stay on it.
+# step 1e-4, two fragments per atom, no refinement); the oracle must stay on
+# it.
 FROZEN_INNER_INF_BINOMIAL_P2 = 0.06850930722573843
 
 
@@ -190,9 +188,6 @@ def test_inner_inf_argument_validation():
         rf.adversary_inner_inf(P, u, 0.5, -0.1, rf.WassersteinOrder(2.0))
     with pytest.raises(ConfigError):
         rf.adversary_inner_inf(P, u, 0.5, math.nan, rf.WassersteinOrder(2.0))
-    big = rf.explicit(np.linspace(-1.0, 1.0, 17), np.full(17, 1.0 / 17.0))
-    with pytest.raises(ConfigError):
-        rf.adversary_inner_inf(big, u, 0.1, 0.1, rf.WassersteinOrder(2.0))
 
 
 def test_inner_inf_needs_bounded_displacement():
@@ -202,30 +197,62 @@ def test_inner_inf_needs_bounded_displacement():
                                rf.WassersteinOrder(2.0))
 
 
-def transport_lp_value(P, u, pi, delta, p, grid_points):
-    """The oracle's unrefined grid program solved by a generic LP: every atom
-    moves against the position along its ``_displacement_grid``, mass m_ij of
-    atom i goes to displacement s_j, and
-    min sum_ij w_i m_ij u(pi (x_i + s_j)) s.t. sum_j m_ij = 1,
-    sum_ij w_i m_ij |s_j|^p <= delta^p, m >= 0."""
-    x, w = P.support_1d, P.weights
-    floor, ceil = P.state_space.lower[0], P.state_space.upper[0]
-    c, a_cost, a_eq = [], [], []
-    for i, xi in enumerate(x):
-        lo, hi = (floor - xi, 0.0) if pi > 0.0 else (0.0, ceil - xi)
-        s = _displacement_grid(lo, hi, grid_points)
-        c.append(w[i] * u.u(pi * (xi + s)))
-        a_cost.append(w[i] * np.abs(s) ** p)
-        a_eq.append(np.full(s.size, float(i)))
-    rows = np.concatenate(a_eq)
-    res = linprog(np.concatenate(c), A_ub=np.concatenate(a_cost)[None, :],
-                  b_ub=[delta ** p],
-                  A_eq=(rows[None, :] == np.arange(len(x))[:, None]).astype(float),
-                  b_eq=np.ones(len(x)), bounds=(0.0, None), method="highs",
+def lp_grid(lo: float, hi: float, points: int = 64) -> np.ndarray:
+    """A displacement grid on [lo, hi] that holds 0 and both ends: on each
+    side of 0, half the points evenly spaced and half geometric from 1e-12
+    of that side's extent (small moves are where a finite order is cheap)."""
+    pieces = [np.array([lo, 0.0, hi])]
+    for side in (lo, hi):
+        if side != 0.0:
+            pieces.append(np.linspace(0.0, side, points // 2))
+            pieces.append(math.copysign(1.0, side)
+                          * np.geomspace(abs(side) * 1e-12, abs(side), points // 2))
+    return np.unique(np.clip(np.concatenate(pieces), lo, hi))
+
+
+def grid_lp_value(w, values, grids, delta, p):
+    """A feasible plan's value from the grid program min sum_ij w_i m_ij
+    values_ij s.t. sum_j m_ij = 1, sum_ij w_i m_ij |s_ij|^p <= delta^p,
+    m >= 0, for atoms of weights w moved along displacement grids s_i (each
+    holding 0), solved by a generic LP; so an upper bound on the exact
+    infimum. The budget row is scaled to 1, and cells that cost more than
+    1e9 budgets (they could carry no more than 1e-9 of their atom) are
+    dropped, which keeps the LP's coefficients within its range and its
+    value an upper bound. The LP meets its constraints to its tolerance
+    only, so its plan is made feasible first: masses clipped at 0, each
+    atom's rescaled to 1, and then, if it still spends more than the
+    budget, mixed with the plan that moves nothing."""
+    keep = [w_i * np.abs(s) ** p <= 1e9 * delta ** p for w_i, s in zip(w, grids)]
+    grids = [s[k] for s, k in zip(grids, keep)]
+    values = [v[k] for v, k in zip(values, keep)]
+    c = np.concatenate([w_i * v for w_i, v in zip(w, values)])
+    cost = np.concatenate([w_i * np.abs(s) ** p for w_i, s in zip(w, grids)])
+    rows = np.concatenate([np.full(s.size, i) for i, s in enumerate(grids)])
+    res = linprog(c, A_ub=cost[None, :] / delta ** p, b_ub=[1.0],
+                  A_eq=(rows[None, :] == np.arange(len(w))[:, None]).astype(float),
+                  b_eq=np.ones(len(w)), bounds=(0.0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
-    return res.fun
+    m = np.maximum(res.x, 0.0)
+    m /= np.bincount(rows, weights=m)[rows]
+    spend = cost @ m
+    if spend > delta ** p:
+        theta = delta ** p / spend
+        stay = np.concatenate([s == 0.0 for s in grids]).astype(float)
+        m = theta * m + (1.0 - theta) * stay
+    return c @ m
+
+
+def transport_lp_value(P, u, pi, delta, p, grid_points=64):
+    """The inner infimum on a displacement grid (``grid_lp_value``): every
+    atom moves against the position along its ``lp_grid``, mass m_ij of
+    atom i to displacement s_j, worth u(pi (x_i + s_j))."""
+    floor, ceil = P.state_space.lower[0], P.state_space.upper[0]
+    grids = [lp_grid(*((floor - xi, 0.0) if pi > 0.0 else (0.0, ceil - xi)), grid_points)
+             for xi in P.support_1d]
+    values = [u.u(pi * (xi + s)) for xi, s in zip(P.support_1d, grids)]
+    return grid_lp_value(P.weights, values, grids, delta, p)
 
 
 @pytest.mark.parametrize("points, weights, pi, p", [
@@ -233,16 +260,17 @@ def transport_lp_value(P, u, pi, delta, p, grid_points):
     ([-0.6, -0.1, 0.4], [0.3, 0.3, 0.4], -0.7, 3.0),
     ([-0.8, -0.2, 0.3, 0.9], [0.1, 0.2, 0.3, 0.4], 0.6, 1.5),
 ])
-def test_inner_inf_matches_transport_lp(monkeypatch, points, weights, pi, p):
-    # the oracle on a 64-point base grid with no refinement pass
-    monkeypatch.setattr(transport, "_GRID_POINTS", 64)
-    monkeypatch.setattr(transport, "_REFINEMENTS", 0)
+def test_inner_inf_matches_transport_lp(points, weights, pi, p):
+    # the exact oracle lies below every grid plan's value, and within the
+    # 64-point grid's resolution of it (measured: 5.8e-5 to 1.33e-3, the
+    # most at p = 3 and delta = 0.1)
     P = rf.explicit(points, weights, state_space=rf.StateSpace.interval(-1.25, 1.25))
     u = rf.log_shifted(1.0)
     for delta in (0.02, 0.1, 0.3):
         value, _ = rf.adversary_inner_inf(P, u, pi, delta, rf.WassersteinOrder(p))
-        assert value == pytest.approx(transport_lp_value(P, u, pi, delta, p, 64),
-                                      abs=1e-10)
+        lp = transport_lp_value(P, u, pi, delta, p)
+        assert value <= lp + 1e-12
+        assert lp - value <= 2e-3
 
 
 @st.composite
@@ -269,6 +297,97 @@ def test_inner_inf_certificates(P, p, pi, delta):
     assert wider <= value + 1e-12
 
 
+# every catalog utility; capped_exponential(1, 2) has its kink at wealth -0.5,
+# which strategies |pi| <= 0.75 on S = [-1.25, 1.25] reach from either branch
+CATALOG_UTILITIES = [rf.log_shifted(1.0), rf.exponential(1.0), rf.power(2.0, 1.0),
+                     rf.capped_exponential(1.0, 2.0)]
+
+
+@st.composite
+def inner_inf_cases(draw):
+    """(P, utility, pi, p, delta): a 2-12-atom model on S = [-1.25, 1.25], a
+    catalog utility, a strategy of either sign with |pi| <= 0.75 (wealth
+    stays above -0.94, inside every domain), an order in {1.5, 2, 3, 8}
+    and a radius."""
+    n = draw(st.integers(2, 12))
+    pts = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    P = rf.explicit(pts, w / w.sum(), state_space=rf.StateSpace.interval(-1.25, 1.25))
+    pi = draw(st.floats(1e-3, 0.75)) * draw(st.sampled_from([1.0, -1.0]))
+    return (P, draw(st.sampled_from(CATALOG_UTILITIES)), pi,
+            draw(st.sampled_from([1.5, 2.0, 3.0, 8.0])), draw(st.floats(1e-3, 0.5)))
+
+
+def exact_inner_inf(P, u, pi, p, delta, seed=None):
+    """The oracle's dual search on P's atoms, each moving against the
+    position to the edge of S at most: (U, L, points, masses, atoms, lam),
+    from ``seed`` or else the first-order multiplier."""
+    x, w = P.support_1d, P.weights
+    edge = P.state_space.lower[0] if pi > 0.0 else P.state_space.upper[0]
+    moves = transport._Moves(x, w, edge, pi, p, u)
+    budget = delta ** p
+    return transport._multiplier_search(moves, budget, seed or moves.first_order(budget))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=inner_inf_cases())
+def test_inner_inf_is_exact_and_brackets_its_value(case):
+    # the returned plan is feasible and worth U, L is a dual value, the gap
+    # U - L is rounding, U lies below the 64-point grid LP's value, and the
+    # oracle returns U with that plan as its adversary
+    P, u, pi, p, delta = case
+    x = P.support_1d
+    U, L, points, masses, atoms, _ = exact_inner_inf(P, u, pi, p, delta)
+    gap = 1e-14 * (1.0 + abs(U))
+    assert abs(U - L) <= gap
+    assert abs(masses @ u.u(pi * points) - U) <= gap
+    assert np.allclose(np.bincount(atoms, weights=masses, minlength=x.size), P.weights,
+                       rtol=0.0, atol=1e-15)
+    assert np.all((points - x[atoms]) * pi <= 0.0)  # against the position
+    assert np.all((-1.25 <= points) & (points <= 1.25))
+    order = rf.WassersteinOrder(p)
+    assert coupling_cost(masses, x[atoms], points, order) <= delta * (1.0 + 1e-12)
+    assert U <= transport_lp_value(P, u, pi, delta, p) + 1e-12
+    value, adversary = rf.adversary_inner_inf(P, u, pi, delta, order)
+    assert value == U
+    assert np.array_equal(adversary.support_1d, points)
+
+
+@pytest.mark.parametrize("pi", [-0.01, 0.01])
+def test_inner_inf_at_a_high_order_where_the_spend_slope_underflows(pi):
+    # at p = 50 and delta = 5e-4 each moving atom's d cost / d lam,
+    # -(p t^(p-1))^2 / f''(t), is subnormal, and lam times their sum
+    # rounded to 0: the Newton step on the spend divided by it and raised
+    # ZeroDivisionError (an internal failure); the search now steps to
+    # where the bracket plans' value lines cross instead
+    w = np.array([0.1, 0.15, 0.17, 0.12, 0.25, 0.07, 0.06, 0.08])
+    P = rf.explicit([2.69, 5.62, -8.51, 7.78, -3.8, -0.74, -1.51, -5.61], w / w.sum(),
+                    state_space=rf.StateSpace.interval(-10.0, 10.0))
+    U, L, points, masses, atoms, _ = exact_inner_inf(P, rf.exponential(1.0), pi, 50.0, 5e-4)
+    assert abs(U - L) <= 1e-14 * (1.0 + abs(U))
+    cost = coupling_cost(masses, P.support_1d[atoms], points, rf.WassersteinOrder(50.0))
+    assert cost <= 5e-4 * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=inner_inf_cases(), guess=st.sampled_from([1e-6, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6]))
+def test_multiplier_search_lands_on_one_answer_from_any_seed(case, guess):
+    # a seed at a good, a poor or a wild multiple of the binding multiplier
+    # moves only where the search starts: its bracket [L, U] and the cold
+    # one's overlap, its gap is rounding, and its plan stays in the budget
+    P, u, pi, p, delta = case
+    cold = exact_inner_inf(P, u, pi, p, delta)
+    assume(cold[5] > 0.0)  # the budget binds
+    warm = exact_inner_inf(P, u, pi, p, delta, guess * cold[5])
+    # each bracket [L, U] holds the infimum, to the rounding of the sums
+    slack = 4.0 * EPS * (1.0 + abs(cold[0]))
+    assert warm[1] <= cold[0] + slack and cold[1] <= warm[0] + slack
+    assert abs(warm[0] - warm[1]) <= 1e-14 * (1.0 + abs(warm[0]))
+    x = P.support_1d
+    cost = coupling_cost(warm[3], x[warm[4]], warm[2], rf.WassersteinOrder(p))
+    assert cost <= delta * (1.0 + 1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(P=bounded_measures(),
        utility=st.sampled_from([rf.exponential(1.0), rf.log_shifted(2.0),
@@ -290,119 +409,6 @@ def test_baseline_solve_does_not_depend_on_the_order(P, utility, half_width):
             assert (np.asarray(getattr(got, name)).tobytes()
                     == np.asarray(getattr(want, name)).tobytes()), (p, name)
         assert got.boundary == want.boundary
-
-
-@st.composite
-def multiplier_problems(draw):
-    """Padded (atoms x grid) cost/value arrays laid out as the oracle lays
-    them out: each row sorted by cost with its zero-displacement cell first,
-    then pad cells of cost 0 and value inf; and a budget."""
-    n = draw(st.integers(1, 6))
-    sizes = draw(st.lists(st.integers(2, 25), min_size=n, max_size=n))
-    width = max(sizes) + draw(st.integers(0, 3))
-    cost = np.zeros((n, width))
-    val = np.full((n, width), np.inf)
-    for i, m in enumerate(sizes):
-        cost[i, 1:m] = np.sort(draw(st.lists(st.floats(1e-6, 10.0), min_size=m - 1,
-                                             max_size=m - 1)))
-        val[i, :m] = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
-    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    return w / w.sum(), cost, val, draw(st.floats(1e-3, 10.0))
-
-
-def plan_spend_and_value(w, cost, val, j):
-    rows = np.arange(w.size)
-    return w @ cost[rows, j], w @ val[rows, j]
-
-
-def mixed_value(w, cost, val, budget, j_hi, j_lo):
-    """Value of the mix of the two plans that spends the budget exactly."""
-    s_hi, a_hi = plan_spend_and_value(w, cost, val, j_hi)
-    s_lo, a_lo = plan_spend_and_value(w, cost, val, j_lo)
-    if s_lo == s_hi:
-        return a_hi
-    return a_hi + (budget - s_hi) / (s_lo - s_hi) * (a_lo - a_hi)
-
-
-@settings(max_examples=120)
-@given(problem=multiplier_problems(),
-       guess=st.one_of(st.just(0.0), st.floats(1.0 - 5e-3, 1.0 + 5e-3), st.floats(1e-2, 1e2),
-                       st.sampled_from([1e-6, 1e6])),
-       width=st.sampled_from([1e-12, 1e-6, 1e-2]))
-def test_multiplier_plans_bracket_the_budget_from_any_guess(problem, guess, width):
-    # a warm start from a good, a poor or no guess (a multiple of the binding
-    # multiplier), probed at any width, lands on the cold search's plans:
-    # they bracket the budget and their budget-spending mix has its value
-    w, cost, val, budget = problem
-    j_hi0, j_lo0, lam_star = _multiplier_plans(w, cost, val, budget)
-    j_hi, j_lo, lam = _multiplier_plans(w, cost, val, budget, guess * lam_star, width)
-    plain = np.argmin(val, axis=1)
-    if plan_spend_and_value(w, cost, val, plain)[0] <= budget:
-        assert np.array_equal(j_hi, plain) and np.array_equal(j_lo, plain)
-        assert lam == lam_star == 0.0
-        return
-    assert np.array_equal(j_hi, j_hi0) and np.array_equal(j_lo, j_lo0)
-    assert lam == pytest.approx(lam_star, rel=1e-12)
-    assert plan_spend_and_value(w, cost, val, j_hi)[0] <= budget
-    assert plan_spend_and_value(w, cost, val, j_lo)[0] > budget
-    want = mixed_value(w, cost, val, budget, j_hi0, j_lo0)
-    got = mixed_value(w, cost, val, budget, j_hi, j_lo)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * (w @ np.abs(val[:, 0])))
-
-
-@settings(max_examples=120)
-@given(problem=multiplier_problems())
-def test_the_last_calls_plans_pass_the_check_only_where_they_solve_the_program(problem):
-    # a warm pass keeps the last oracle call's plans if they pass the
-    # multiplier search's own stopping test on its values: the cold plans
-    # pass it, at their multiplier; no pair that misses the budget does; and
-    # any pair that passes has the optimal value when mixed
-    w, cost, val, budget = problem
-    j_hi, j_lo, lam_star = _multiplier_plans(w, cost, val, budget)
-    lam = _checked_multiplier(w, cost, val, budget, j_hi, j_lo)
-    if lam_star == 0.0:  # the plain argmin fits: no pair brackets the budget
-        assert lam is None
-        return
-    assert lam == pytest.approx(lam_star, rel=1e-12)
-    assert _checked_multiplier(w, cost, val, budget, j_lo, j_hi) is None
-    assert _checked_multiplier(w, cost, val, budget, j_hi, j_hi) is None
-    optimum = mixed_value(w, cost, val, budget, j_hi, j_lo)
-    scale = 1e-12 * (w @ np.abs(val[:, 0]))
-    # the cold plans of a budget 10% larger hold here only where they
-    # bracket this budget too (one breakpoint binds both budgets)
-    wider = _multiplier_plans(w, cost, val, 1.1 * budget)[:2]
-    spends = [plan_spend_and_value(w, cost, val, j)[0] for j in wider]
-    held = _checked_multiplier(w, cost, val, budget, *wider)
-    assert (held is not None) == (spends[0] <= budget < spends[1])
-    # the cold search's first bracket, the zero-displacement plan and the
-    # plain argmin, holds only where the search stops on it
-    first = (np.argmin(np.where(cost == 0.0, val, np.inf), axis=1), np.argmin(val, axis=1))
-    for pair in (wider, first):
-        if _checked_multiplier(w, cost, val, budget, *pair) is not None:
-            assert mixed_value(w, cost, val, budget, *pair) == pytest.approx(
-                optimum, rel=1e-12, abs=scale)
-
-
-def test_the_check_refuses_the_plans_of_a_larger_budget():
-    # two atoms whose moves gain 1 and 0.5 per unit of spend, the first's
-    # spending 1: budget 0.95 moves part of the first (multiplier 1), and
-    # budget 1.045 all of it and part of the second (multiplier 0.5)
-    w = np.array([0.5, 0.5])
-    cost = np.array([[0.0, 2.0], [0.0, 2.0]])
-    val = np.array([[0.0, -2.0], [0.0, -1.0]])
-    j_hi, j_lo, lam = _multiplier_plans(w, cost, val, 0.95)
-    assert lam == 1.0 and _checked_multiplier(w, cost, val, 0.95, j_hi, j_lo) == 1.0
-    wider = _multiplier_plans(w, cost, val, 1.1 * 0.95)
-    assert wider[2] == 0.5
-    assert _checked_multiplier(w, cost, val, 1.1 * 0.95, *wider[:2]) == 0.5
-    assert _checked_multiplier(w, cost, val, 0.95, *wider[:2]) is None
-
-
-def test_multiplier_plans_refuse_a_grid_without_its_zero_cell():
-    cost = np.array([[0.5, 1.0, 2.0]])
-    val = np.array([[1.0, 0.0, -1.0]])
-    with pytest.raises(rf.NumericalFailure):
-        _multiplier_plans(np.ones(1), cost, val, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +588,32 @@ def test_robust_value_rises_with_the_order_toward_the_inf_value():
     assert v_inf - values[-1] < 1e-4
 
 
+@pytest.mark.parametrize("p, tol", [(1.5, 0.02), (2.0, 0.008), (3.0, 1e-3)])
+def test_robust_p_at_64_nodes_meets_the_first_order_slope(p, tol):
+    # the solve-truncnormal instance (mu = 0.17) at 64 quadrature nodes: the
+    # oracle's work grows linearly in the atoms, so there is no atom cap. The
+    # costs are certified, V_p <= V_inf, V falls along the radii, and the
+    # Richardson slope 2 D(h) - D(2h), D(h) = (V(h) - V(0)) / h at h = 1e-3,
+    # lies within tol of V'(0), relative (measured: 1.2e-2, 4.3e-3 and
+    # 3.1e-4 at p = 1.5, 2 and 3, where D(h) alone is 10%, 2.2% and 0.6% off)
+    spec = rf.ProblemSpec(model=rf.truncated_normal(0.17, 0.1, 0.4, 64),
+                          utility=rf.exponential(1.0),
+                          action_space=rf.StateSpace.interval(-18.0, 18.0),
+                          order=rf.WassersteinOrder(p))
+    base = rf.solve_baseline(spec)
+    radii = [1e-3, 2e-3]
+    values = [base.V0]
+    for sol in rf.solve_delta_grid(spec, radii):
+        assert sol.transport_cost <= sol.delta
+        inf_value = rf.robust_solve_inf(dataclasses.replace(spec, order=INF), sol.delta).V_delta
+        assert sol.V_delta <= inf_value + 1e-12
+        values.append(sol.V_delta)
+    assert values[0] >= values[1] >= values[2]
+    slope = [(v - base.V0) / h for v, h in zip(values[1:], radii)]
+    v_prime = rf.value_sensitivity(spec, base)
+    assert abs(2.0 * slope[0] - slope[1] - v_prime) <= tol * abs(v_prime)
+
+
 @settings(max_examples=12)
 @given(a=st.floats(0.1, 0.4), delta=st.floats(0.01, 0.3),
        orders=st.lists(st.sampled_from([1.5, 2.0, 3.0, 8.0]), min_size=2, max_size=2,
@@ -701,9 +733,9 @@ def oracle_slopes_near_zero(spec: rf.ProblemSpec, delta: float) -> tuple[float, 
 
 
 def assert_slopes_at_zero_bound_the_oracle(spec: rf.ProblemSpec, delta: float, gap: float):
-    # the oracle minimizes on a grid inside the ball, so its worst case moves
-    # the mean less than the pinned shift does: its right slope lies above
-    # the closed form and its left slope below
+    # the pinned shift spends the whole budget on the mean, so the oracle's
+    # worst case moves the mean no further: its right slope lies above the
+    # closed form and its left slope below
     right, left = robust_solver._slopes_at_zero(spec, delta)
     oracle_right, oracle_left = oracle_slopes_near_zero(spec, delta)
     assert right <= oracle_right + 1e-9
@@ -717,10 +749,11 @@ FINITE_P_CASES = list(load_bench("workloads").finite_p_cases(None))
 @pytest.mark.parametrize("family, value", [case[1:] for case in FINITE_P_CASES],
                          ids=[case[0] for case in FINITE_P_CASES])
 def test_slopes_at_zero_match_the_oracle_on_the_benchmark_models(family, value):
-    # the largest gap, 2.37e-6, is the left slope of truncnormal mu = 0.19
+    # the largest gap, 2.4e-10, is the left slope of grid-binomial a = 0.25
+    # at delta = 0.2
     spec, radii, _ = load_bench("workloads").finite_p_instance(family, value)
     for delta in radii:
-        assert_slopes_at_zero_bound_the_oracle(spec, delta, 3e-6)
+        assert_slopes_at_zero_bound_the_oracle(spec, delta, 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -728,13 +761,13 @@ def test_slopes_at_zero_match_the_oracle_on_the_benchmark_models(family, value):
        utility=st.sampled_from([rf.exponential(1.0), rf.log_shifted(2.0)]),
        delta=st.floats(0.01, 0.5))
 def test_slopes_at_zero_match_the_oracle(P, p, utility, delta):
-    # 1500 seeded draws of these models put the largest gap at 5.0e-6
+    # 300 seeded draws of these models put the largest gap at 2.1e-10
     x = P.support_1d
     assume(x.min() < -1e-3 and x.max() > 1e-3)  # no arbitrage
     spec = rf.ProblemSpec(model=P, utility=utility,
                           action_space=rf.StateSpace.interval(-0.5, 0.5),
                           order=rf.WassersteinOrder(p))
-    assert_slopes_at_zero_bound_the_oracle(spec, delta, 1e-5)
+    assert_slopes_at_zero_bound_the_oracle(spec, delta, 1e-9)
 
 
 def finite_p_solutions(family, value):
@@ -768,23 +801,19 @@ def finite_p_bits(family, value) -> dict:
 @pytest.mark.parametrize("name, family, value", FINITE_P_CASES,
                          ids=[case[0] for case in FINITE_P_CASES])
 def test_finite_p_answers_keep_their_bits(name, family, value):
-    # recorded before the oracle's grid bookkeeping (refinement windows, the
-    # merge, rows in cost order) was rewritten: the rewrite makes cheaper
-    # calls with the same results, so every answer keeps its bits
+    # recorded with the exact oracle (best responses and one multiplier)
     recorded = json.loads((ROOT / "tests" / "data" / "finite_p_bits.json").read_text())
     assert finite_p_bits(family, value) == recorded[name]
-
-
-# cases where an oracle call that starts from the last call's passes lands on
-# another plan of the same value to rounding (a near tie between grid cells)
-NEAR_TIE_CASES = {"solve-truncnormal.mu=0.17", "solve-truncnormal.mu=0.19"}
 
 
 @pytest.mark.parametrize("name, family, value", FINITE_P_CASES,
                          ids=[case[0] for case in FINITE_P_CASES])
 def test_oracle_memory_leaves_the_answer_at_the_returned_strategy(name, family, value):
     # a memory-free oracle call at the returned strategy gives V, and a worst
-    # case worth V, to 4 eps |V|; bit for bit outside the near ties
+    # case worth V, to the oracle's certified gap 1e-14 (1 + |V|): the memory
+    # moves only the multiplier search's start, and the search stops once
+    # its plan is within the rounding of the dual (measured: at most 282
+    # eps |V|, on grid-binomial a = 0.3 at delta = 0.2)
     spec, sols = finite_p_solutions(family, value)
     model = dataclasses.replace(spec.model, state_space=spec.state_space)
     for sol in sols:
@@ -794,82 +823,42 @@ def test_oracle_memory_leaves_the_answer_at_the_returned_strategy(name, family, 
             return float(adv.weights @ spec.utility.u(pi * adv.support_1d))
 
         value, adversary = rf.adversary_inner_inf(model, spec.utility, pi, sol.delta, spec.order)
-        assert abs(sol.V_delta - value) <= 4.0 * EPS * abs(value)
-        assert abs(worth(sol.adversary) - worth(adversary)) <= 4.0 * EPS * abs(value)
-        if name not in NEAR_TIE_CASES:
-            assert sol.V_delta == value
-            assert np.array_equal(sol.adversary.points, adversary.points)
-            assert np.array_equal(sol.adversary.weights, adversary.weights)
+        gap = 1e-14 * (1.0 + abs(value))
+        assert abs(sol.V_delta - value) <= gap
+        assert abs(worth(sol.adversary) - worth(adversary)) <= gap
 
 
-def test_oracle_calls_reuse_the_last_calls_passes(monkeypatch):
-    # grid-binomial a = 0.25, 26 oracle calls over four radii: later calls
-    # take refined passes from the call before, and every call returns what
-    # a memory-free call returns
-    reused = []
-    minimize = transport._transport_minimize
-
-    def traced(*args, memory=None, **kwargs):
-        before = [step.disp for step in memory.passes] if memory is not None else []
-        out = minimize(*args, memory=memory, **kwargs)
-        if memory is not None:
-            reused.append(sum(1 for k, step in enumerate(memory.passes)
-                              if k < len(before) and step.disp is before[k]))
-            free = minimize(*args, **kwargs)
-            assert out[0] == free[0]
-            assert all(np.array_equal(a, b) for a, b in zip(out[1:], free[1:]))
-        return out
-
-    monkeypatch.setattr(transport, "_transport_minimize", traced)
-    finite_p_solutions("grid-binomial", 0.25)
-    passes = transport._REFINEMENTS + 1
-    assert len(reused) == 26
-    assert sum(1 for k in reused if k >= 2) == 19  # one refined pass or more
-    assert reused.count(passes) == 16
-
-
-def test_warm_passes_search_for_the_multiplier_only_where_the_last_plans_fail(monkeypatch):
-    # grid-binomial a = 0.25: 26 oracle calls of up to 4 passes made 104
-    # multiplier searches when every pass searched
-    searches = []
-    search = transport._multiplier_plans
+def test_oracle_calls_start_from_the_last_calls_multiplier(monkeypatch):
+    # grid-binomial a = 0.25, 19 oracle calls over four radii: each radius's
+    # first call starts cold, from the first-order multiplier, and every
+    # later one from the call before; each returns what a memory-free call
+    # returns, to the oracle's certified gap
+    starts = []
+    minimize = transport._utility_infimum
 
     def traced(*args):
-        searches.append(args)
-        return search(*args)
+        memory = args[-1]
+        starts.append(memory.lam)
+        out = minimize(*args)
+        free = minimize(*args[:-1])
+        assert abs(out[0] - free[0]) <= 1e-14 * (1.0 + abs(free[0]))
+        return out
 
-    monkeypatch.setattr(transport, "_multiplier_plans", traced)
+    monkeypatch.setattr(transport, "_utility_infimum", traced)
     finite_p_solutions("grid-binomial", 0.25)
-    assert len(searches) == 45
+    assert len(starts) == 19
+    assert sum(1 for lam in starts if lam is None) == 4
 
 
-def float_bits(a: np.ndarray) -> list[int]:
-    return np.asarray(a, dtype=float).view(np.int64).tolist()
-
-
-@st.composite
-def window_ends(draw):
-    """(a, b) of a refinement window around s: a gap of a few ulps of s up
-    to a unit, on either side of 0."""
-    s = draw(st.floats(-2.0, 2.0, allow_subnormal=False))
-    if draw(st.booleans()):
-        gap = draw(st.integers(1, 64)) * math.ulp(s if s != 0.0 else 1e-300)
-    else:
-        gap = draw(st.floats(1e-300, 1.0))
-    a, b = s - gap, s + gap
-    assume(a < b and (b - a) / 32 > 0.0)
-    return a, b
-
-
-@st.composite
-def bounded_grids(draw):
-    """(grid, lo, hi): a sorted grid of distinct points on [lo, hi], holding
-    0; lo = 0 or hi = 0 (the one-signed grids of inner infima) or neither."""
-    side = draw(st.sampled_from(["up", "down", "both"]))
-    lo = 0.0 if side == "up" else -draw(st.floats(1e-6, 2.0))
-    hi = 0.0 if side == "down" else draw(st.floats(1e-6, 2.0))
-    pts = draw(st.lists(st.floats(lo, hi), max_size=40))
-    return np.unique(np.array(pts + [lo, 0.0, hi])), lo, hi
+def test_oracle_calls_take_few_multiplier_steps(monkeypatch):
+    # grid-binomial a = 0.25: 19 oracle calls, each one plan at lam = 0 and
+    # then 2 to 4 multiplier steps (4 from a cold start)
+    steps = []
+    at = transport._Moves.at
+    monkeypatch.setattr(transport._Moves, "at", lambda self, lam: steps.append(lam) or at(self, lam))
+    finite_p_solutions("grid-binomial", 0.25)
+    assert steps.count(0.0) == 19
+    assert len(steps) - 19 == 59
 
 
 @pytest.mark.parametrize("p", [2.0, 100.0])
@@ -890,56 +879,6 @@ def test_transport_program_at_radius_zero_leaves_every_atom(p):
     assert atoms.tolist() == list(range(12))
 
 
-@settings(max_examples=300)
-@given(ends=window_ends(), cut=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
-def test_window_is_linspace_bit_for_bit(ends, cut):
-    # also once clipped (maximum, then minimum, as np.clip) to bounds that
-    # may cut into it
-    a, b = ends
-    s, gap = 0.5 * (a + b), 0.5 * (b - a)
-    lo, hi = s - cut[0] * gap, s + cut[1] * gap
-    window, reference = _window(a, b), np.linspace(a, b, 33)
-    assert float_bits(window) == float_bits(reference)
-    clipped = np.minimum(np.maximum(window, lo), hi)
-    assert float_bits(clipped) == float_bits(np.clip(reference, lo, hi))
-
-
-@settings(max_examples=200)
-@given(case=bounded_grids(), data=st.data())
-def test_merge_is_unique_of_the_clipped_concatenation(case, data):
-    # windows around grid points, some past the bounds, as refinement lays
-    # them; the merge sorts and drops equal neighbours, so the two zeros
-    # compare equal and either may stay
-    grid, lo, hi = case
-    picks = data.draw(st.lists(st.sampled_from(grid.tolist()), min_size=1, max_size=3))
-    gaps = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=len(picks), max_size=len(picks)))
-    wins = [_window(s - g, s + g) for s, g in zip(picks, gaps)]
-    expected = np.unique(np.clip(np.concatenate([grid] + wins), lo, hi))
-    assert _merged(grid, wins, lo, hi).tolist() == expected.tolist()
-
-
-@settings(max_examples=200)
-@given(case=bounded_grids())
-def test_cost_order_is_the_stable_argsort(case):
-    grid, lo, hi = case
-    row = grid[np.argsort(np.abs(grid), kind="stable")]
-    assert float_bits(_cost_order(grid, lo, hi)) == float_bits(row)
-
-
-def test_a_plan_takes_the_first_of_twin_cells():
-    # overlapping refinement windows lay one displacement twice, an ulp
-    # apart (as on grid-binomial a = 0.25 at delta = 0.1): a plan on either
-    # twin takes the first, nearer 0, even past a mirror point of equal cost
-    s = -0.16235392320534223
-    disp = np.array([[0.0, 0.1, s, np.nextafter(s, -1.0), 0.2],
-                     [0.0, -0.1, 0.1, np.nextafter(0.1, 1.0), 0.3],
-                     [0.0, 0.1, -0.1, np.nextafter(0.1, 1.0), 0.3]])
-    j_hi, j_lo = np.array([3, 3, 3]), np.array([4, 3, 2])
-    hi, lo = transport._first_twin(disp, j_hi, j_lo)
-    assert hi.tolist() == [2, 2, 1] and lo.tolist() == [4, 2, 2]
-    assert j_hi.tolist() == [3, 3, 3] and j_lo.tolist() == [4, 3, 2]
-
-
 def test_oracle_memory_lives_in_one_solve():
     # the same solve before and after another returns the same bits
     first = finite_p_solutions("solve-truncnormal", 0.17)[1][0]
@@ -957,30 +896,30 @@ def test_robust_p_asks_the_oracle_once_per_strategy(oracle_calls):
     assert len(set(oracle_calls)) == len(oracle_calls)
 
 
-def test_robust_p_stops_at_the_rounding_of_v_across_a_slope_jump(oracle_calls):
-    # binomial(0.25) at delta = 0.1, p = 2: the oracle's slope jumps by 4e-7
-    # near the optimum, which the search used to bisect to xtol 1e-15 in 39
-    # oracle calls. It now starts next to the optimum, at pi*(0) +
-    # delta pi*'(0), and stops once no step can raise V past its rounding;
-    # V and pi were recorded with that full bisection.
+def test_robust_p_stops_at_the_rounding_of_v_next_to_the_bisected_optimum(oracle_calls):
+    # binomial(0.25) at delta = 0.1, p = 2: the search starts next to the
+    # optimum, at pi*(0) + delta pi*'(0), and stops once no step can raise V
+    # past its rounding. The reference bisects the exact oracle's Danskin
+    # slope to 60 halvings: pi = 0.3771709481802446, V = 0.08179905705891954
+    # there; the search's V lies 1.2e-15 above it (the oracle's rounding)
     sol = rf.robust_solve_p(criterion_08_spec(2.0), 0.1)
-    assert abs(sol.V_delta - 0.08179905705942825) <= 1e-15
-    assert abs(sol.pi_delta_scalar - 0.3771708636963544) <= 1e-8
+    assert abs(sol.V_delta - 0.08179905705891954) <= 2e-15
+    assert abs(sol.pi_delta_scalar - 0.3771709481802446) <= 1e-8
     assert sol.transport_cost <= 0.1
-    assert len(oracle_calls) == 11
+    assert len(oracle_calls) == 5
 
 
 def test_robust_p_starts_a_baseline_pinned_on_a_at_its_end(oracle_calls):
     # truncnormal mu = 0.19: pi* sits on the end 18 of A, where the closed
     # forms refuse, so the start pi*(0) = 18 is an end of the side and the
-    # search runs from the ends as before: the same 6 oracle calls, V and pi
+    # search runs from the ends as before, in 5 oracle calls
     spec, radii, _ = load_bench("workloads").finite_p_instance("solve-truncnormal", 0.19)
     assert rf.solve_baseline(spec).boundary
     sol = rf.robust_solve_p(spec, radii[0])
     assert oracle_calls[0] == 18.0
-    assert len(oracle_calls) == 6
-    assert sol.V_delta == -0.17688689883513126
-    assert sol.pi_delta_scalar == 17.826560978008644
+    assert len(oracle_calls) == 5
+    assert sol.V_delta == -0.17688689883515096
+    assert sol.pi_delta_scalar == 17.826560631474486
 
 
 def test_delta_grid_solves_each_distinct_radius_once_in_ascending_order(monkeypatch):
@@ -1198,6 +1137,24 @@ def test_ball_infimum_refuses_a_nan_payoff(p):
         rf.robust_davis_price(window_min_spec(p), payoff, 0.3)
 
 
+@pytest.mark.parametrize("edge, price", [(1e110, None), (1e60, -3.1622776601683798e+88)])
+def test_ball_infimum_refuses_a_payoff_past_float_range_at_the_edge(edge, price):
+    # power(3) on S = [-1e110, 1e110]: the payoff leaves float range at the
+    # edge of S, where the multiplier search weighed its infinities and
+    # failed (exit 4); it is refused, naming the payoff and the edge. On
+    # [-1e60, 1e60] the price stands
+    model = rf.explicit([-0.5, 0.5], [0.5, 0.5],
+                        state_space=rf.StateSpace.interval(-edge, edge))
+    spec = rf.ProblemSpec(model=model, utility=rf.exponential(1.0),
+                          action_space=rf.StateSpace.interval(-0.75, 0.75),
+                          order=rf.WassersteinOrder(1.5))
+    if price is None:
+        with pytest.raises(ConfigError, match=r"power payoff is -inf at -1e\+110"):
+            rf.robust_davis_price(spec, rf.power_payoff(3), 0.1)
+    else:
+        assert rf.robust_davis_price(spec, rf.power_payoff(3), 0.1) == price
+
+
 # a table whose dip at its second node is narrower than a cell of the base grid
 # and far from the best base point; its nodes are its kinks, so both orders
 # put the dip on their grids
@@ -1313,34 +1270,11 @@ def test_ball_infimum_brackets_a_steep_order(x, w, payoff, p, delta):
 
 
 def ball_lp_value(x, w, payoff, delta, p, grid_points=64):
-    """A feasible plan's value from the grid program for the ball infimum of
-    E[g] on S = [-1, 1], solved by a generic LP, as ``transport_lp_value``
-    solves the inner infimum: atom i moves both ways along its
-    ``_displacement_grid``, mass m_ij to displacement s_j, and
-    min sum_ij w_i m_ij g(x_i + s_j) s.t. sum_j m_ij = 1,
-    sum_ij w_i m_ij |s_j|^p <= delta^p, m >= 0. The LP meets its
-    constraints to its tolerance only, so its plan is made feasible first:
-    masses clipped at 0, each atom's rescaled to 1, and then, if it still
-    spends more than the budget, mixed with the plan that moves nothing."""
-    grids = [_displacement_grid(-1.0 - xi, 1.0 - xi, grid_points) for xi in x]
-    values = [payoff(xi + s) for xi, s in zip(x, grids)]
-    c = np.concatenate([w_i * v for w_i, v in zip(w, values)])
-    cost = np.concatenate([w_i * np.abs(s) ** p for w_i, s in zip(w, grids)])
-    rows = np.concatenate([np.full(s.size, i) for i, s in enumerate(grids)])
-    res = linprog(c, A_ub=cost[None, :], b_ub=[delta ** p],
-                  A_eq=(rows[None, :] == np.arange(len(x))[:, None]).astype(float),
-                  b_eq=np.ones(len(x)), bounds=(0.0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.success, res.message
-    m = np.maximum(res.x, 0.0)
-    m /= np.bincount(rows, weights=m)[rows]
-    spend = cost @ m
-    if spend > delta ** p:
-        theta = delta ** p / spend
-        stay = np.concatenate([s == 0.0 for s in grids]).astype(float)
-        m = theta * m + (1.0 - theta) * stay
-    return c @ m
+    """The ball infimum of E[g] on S = [-1, 1] on a displacement grid
+    (``grid_lp_value``), as ``transport_lp_value`` takes the inner infimum:
+    atom i moves both ways along its ``lp_grid``."""
+    grids = [lp_grid(-1.0 - xi, 1.0 - xi, grid_points) for xi in x]
+    return grid_lp_value(w, [payoff(xi + s) for xi, s in zip(x, grids)], grids, delta, p)
 
 
 def window_minimum(x, w, payoff, delta):
